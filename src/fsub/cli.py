@@ -2,13 +2,15 @@
 
 Exit codes: 0 every judgment holds, 1 at least one fails, 2 at least one is
 undecided within fuel (failures take precedence over undecided), 3 parse or
-scoping error, 4 a derivation transformer was applied outside its contract.
+scoping error, 4 a derivation transformer was applied outside its contract or
+the kernel failed internally (including running out of interpreter stack).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from .errors import KernelError, PreconditionError
@@ -32,6 +34,7 @@ from .parser import (
     print_judgment,
 )
 from .subtyper import (
+    DEFAULT_FUEL,
     DeclarativeSearch,
     No,
     SubResult,
@@ -162,12 +165,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         else:
             g, s = gen_refl_case(sample_cfg)
             rng = SplitMix64(seed).split()
-            t = gen_closed_ty(g, GenConfig(
-                seed=rng.next_u64(),
-                max_env_len=args.max_env,
-                max_ty_size=args.max_size,
-                max_deriv_depth=args.max_depth,
-            ))
+            t = gen_closed_ty(g, replace(sample_cfg, seed=rng.next_u64()))
             print(print_judgment(g, s, t))
     return 0
 
@@ -197,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="decide judgments from a file, one per line")
     check.add_argument("file")
-    check.add_argument("--fuel", type=int, default=10000)
+    check.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     check.add_argument("--derivation", action="store_true", help="print each derivation")
     check.add_argument("--json", action="store_true", help="derivations as JSON")
     check.set_defaults(fn=_cmd_check)
@@ -260,7 +258,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except KernelError as err:
+    except (KernelError, RecursionError) as err:
+        # A judgment nested deeper than the interpreter's stack is a kernel
+        # limit, not a verdict.
         print(f"internal error: {err}", file=sys.stderr)
         return 4
 

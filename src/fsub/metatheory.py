@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalCheckError, PreconditionError
-from .judgments import Env, closed, env_concat, gfresh, names_in_env, ok
+from .judgments import EMPTY_ENV, Env, closed, env_concat, gfresh, names_in_env, ok
 from .subtyper import (
     Derivation,
     Rule,
@@ -91,27 +91,7 @@ def derive_permute(d: Derivation, pi: tuple[int, ...]) -> Derivation:
     permuted = Env.from_decls(decls[i] for i in pi)
     if not ok(permuted):
         raise PreconditionError("permuted environment is not ok")
-    return _rebuild_env(d, d.env, permuted)
-
-
-def _rebuild_env(d: Derivation, old: Env, new: Env) -> Derivation:
-    # Replace environment `old` by `new` throughout; both declare the same
-    # names, and lookups agree because ok environments have unique names, so
-    # every side condition survives.
-    if d.env != old:
-        raise InternalCheckError("derivation environment does not match its parent")
-    premises = d.premises
-    if d.rule == Rule.ALL:
-        assert d.witness is not None and isinstance(d.rhs, Forall)
-        ext_old = old.extend(d.witness, d.rhs.bound)
-        ext_new = new.extend(d.witness, d.rhs.bound)
-        premises = (
-            _rebuild_env(premises[0], old, new),
-            _rebuild_env(premises[1], ext_old, ext_new),
-        )
-    else:
-        premises = tuple(_rebuild_env(p, old, new) for p in premises)
-    return Derivation(d.rule, new, d.lhs, d.rhs, premises, d.witness)
+    return _rebase(d, EMPTY_ENV, d.env, permuted)
 
 
 def derive_weaken(d: Derivation, delta: Env) -> Derivation:
@@ -119,44 +99,38 @@ def derive_weaken(d: Derivation, delta: Env) -> Derivation:
     `d`, producing a derivation of the same subtyping over the longer
     environment.  Requires the combined environment to be ok.
 
-    A binding introduced at a quantifier node must end up newer than `delta`:
-    the subtree is weakened as-is and the binding is then moved past `delta`
-    with `derive_permute`, re-freshening the witness first when it collides
-    with a name of `delta`."""
+    A binding introduced at a quantifier node stays newer than `delta`: every
+    node is rebuilt over the combined environment with its quantifier bindings
+    on top, and a witness that collides with a name of `delta` is re-freshened
+    first."""
     _require_valid(d, "derivation")
     combined = env_concat(d.env, delta)
     if not ok(combined):
         raise PreconditionError("weakened environment is not ok")
-    return _weaken(d, delta)
+    return _rebase(d, EMPTY_ENV, d.env, combined)
 
 
-def _weaken(d: Derivation, delta: Env) -> Derivation:
-    new_env = env_concat(d.env, delta)
-    if d.rule in (Rule.TOP, Rule.VAR):
-        return Derivation(d.rule, new_env, d.lhs, d.rhs)
-    if d.rule == Rule.TRS:
-        return Derivation(d.rule, new_env, d.lhs, d.rhs, (_weaken(d.premises[0], delta),))
-    if d.rule == Rule.ARR:
-        premises = tuple(_weaken(p, delta) for p in d.premises)
-        return Derivation(d.rule, new_env, d.lhs, d.rhs, premises)
+def _rebase(d: Derivation, ext: Env, old: Env, new: Env) -> Derivation:
+    # Rebuild the trusted tree `d`, whose environment is `ext` over the root
+    # environment `old`, over the root environment `new` instead; `ext` holds
+    # the bindings added by the quantifier nodes above and stays the newest
+    # part.  `new` declares every name of `old` with the same bound, so every
+    # side condition survives once each witness is fresh for `new`; the input
+    # was validated at the public entry point and is not re-checked here.
+    if d.env != env_concat(old, ext):
+        raise InternalCheckError("derivation environment does not match its parent")
+    env = env_concat(new, ext)
     if d.rule == Rule.ALL:
-        node = d
-        assert node.witness is not None
-        if not gfresh(new_env, node.witness):
-            avoid = names_in_derivation(node) | names_in_env(new_env)
-            node = replace_witness(node, fresh(avoid))
-        w = node.witness
-        assert w is not None
-        p_bound = _weaken(node.premises[0], delta)
-        p_body = _weaken(node.premises[1], delta)
-        # p_body's environment now reads (prefix, witness, delta); rotate the
-        # witness binding to the newest position.
-        m = len(d.env)
-        k = len(delta)
-        pi = tuple(range(m)) + tuple(range(m + 1, m + 1 + k)) + (m,)
-        p_body = derive_permute(p_body, pi)
-        return Derivation(Rule.ALL, new_env, node.lhs, node.rhs, (p_bound, p_body), witness=w)
-    raise InternalCheckError(f"unexpected rule: {d.rule}")
+        assert d.witness is not None and isinstance(d.rhs, Forall)
+        if not gfresh(env, d.witness):
+            d = replace_witness(d, fresh(names_in_derivation(d) | names_in_env(env)))
+        premises = (
+            _rebase(d.premises[0], ext, old, new),
+            _rebase(d.premises[1], ext.extend(d.witness, d.rhs.bound), old, new),
+        )
+    else:
+        premises = tuple(_rebase(p, ext, old, new) for p in d.premises)
+    return Derivation(d.rule, env, d.lhs, d.rhs, premises, d.witness)
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,8 +284,7 @@ def _narrow(
         # environment by weakening, and compose at q before chaining at p.
         assert d.premises[0].lhs == split.pivot_bound
         narrowed = _narrow(split, p, d.premises[0], d_pq, measure)
-        extension = Env(split.suffix.bindings + ((split.pivot_var, p),))
-        widened = derive_weaken(d_pq, extension)
+        widened = _rebase(d_pq, EMPTY_ENV, split.prefix, new_env)
         composed = _trans(widened, narrowed, measure)
         return Derivation(Rule.TRS, new_env, d.lhs, d.rhs, (composed,))
 

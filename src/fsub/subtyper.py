@@ -37,7 +37,7 @@ from .syntax import (
 
 
 class Rule(str, Enum):
-    """Rule tags: explicit system, implicit system, and declarative-search markers."""
+    """Rule tags: explicit system and implicit system."""
 
     TOP = "top"
     VAR = "var"
@@ -49,9 +49,6 @@ class Rule(str, Enum):
     I_TRANS = "Trans"
     I_ARR = "Arr"
     I_ALL = "All"
-    D_HYP = "D-Hyp"
-    D_REFL = "D-Refl"
-    D_TRANS = "D-Trans"
 
 
 EXPLICIT_RULES = frozenset((Rule.TOP, Rule.VAR, Rule.TRS, Rule.ARR, Rule.ALL))
@@ -377,51 +374,36 @@ def _decide(g: Env, s: Ty, t: Ty, budget: list[int], initial: int) -> SubResult:
     if budget[0] <= 0:
         return Unknown(initial)
     budget[0] -= 1
-    goal: Goal = (g, s, t)
 
     if isinstance(t, Top):
         return Yes(Derivation(Rule.TOP, g, s, t))
+    witness = None
     if isinstance(s, FreeVar):
         if s == t:
             return Yes(Derivation(Rule.VAR, g, s, t))
         bound = lookup(g, s.name)
         assert bound is not None  # s is closed in g
-        sub = _decide(g, bound, t, budget, initial)
-        if isinstance(sub, Yes):
-            return Yes(Derivation(Rule.TRS, g, s, t, (sub.derivation,)))
+        rule, subgoals = Rule.TRS, ((g, bound, t),)
+    elif isinstance(s, Arrow) and isinstance(t, Arrow):
+        rule, subgoals = Rule.ARR, ((g, t.dom, s.dom), (g, s.cod, t.cod))
+    elif isinstance(s, Forall) and isinstance(t, Forall):
+        witness = witness_for(g, s.body, t.body)
+        opened = (g.extend(witness, t.bound), open_ty(s.body, witness), open_ty(t.body, witness))
+        rule, subgoals = Rule.ALL, ((g, t.bound, s.bound), opened)
+    else:
+        return No(((g, s, t),), reason="no rule applies")
+
+    # Subgoals run in rule order (bound before body), which fixes how fuel is
+    # spent; the first No or Unknown decides the goal.
+    premises = []
+    for sub_g, sub_s, sub_t in subgoals:
+        sub = _decide(sub_g, sub_s, sub_t, budget, initial)
         if isinstance(sub, No):
-            return No((goal,) + sub.trace, reason=sub.reason)
-        return sub
-    if isinstance(s, Arrow) and isinstance(t, Arrow):
-        doms = _decide(g, t.dom, s.dom, budget, initial)
-        if isinstance(doms, No):
-            return No((goal,) + doms.trace, reason=doms.reason)
-        if isinstance(doms, Unknown):
-            return doms
-        cods = _decide(g, s.cod, t.cod, budget, initial)
-        if isinstance(cods, No):
-            return No((goal,) + cods.trace, reason=cods.reason)
-        if isinstance(cods, Unknown):
-            return cods
-        return Yes(Derivation(Rule.ARR, g, s, t, (doms.derivation, cods.derivation)))
-    if isinstance(s, Forall) and isinstance(t, Forall):
-        bounds = _decide(g, t.bound, s.bound, budget, initial)
-        if isinstance(bounds, No):
-            return No((goal,) + bounds.trace, reason=bounds.reason)
-        if isinstance(bounds, Unknown):
-            return bounds
-        w = witness_for(g, s.body, t.body)
-        bodies = _decide(
-            g.extend(w, t.bound), open_ty(s.body, w), open_ty(t.body, w), budget, initial
-        )
-        if isinstance(bodies, No):
-            return No((goal,) + bodies.trace, reason=bodies.reason)
-        if isinstance(bodies, Unknown):
-            return bodies
-        return Yes(
-            Derivation(Rule.ALL, g, s, t, (bounds.derivation, bodies.derivation), witness=w)
-        )
-    return No((goal,), reason="no rule applies")
+            return No(((g, s, t),) + sub.trace, reason=sub.reason)
+        if isinstance(sub, Unknown):
+            return sub
+        premises.append(sub.derivation)
+    return Yes(Derivation(rule, g, s, t, tuple(premises), witness))
 
 
 def _closed_subterms(t: Ty, acc: list[Ty]) -> None:

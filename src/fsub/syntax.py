@@ -106,11 +106,6 @@ def is_locally_closed(t: Ty) -> bool:
     return _closed_at(t, 0)
 
 
-def assert_locally_closed(t: Ty) -> None:
-    if not _closed_at(t, 0):
-        raise MalformedTypeError(f"type has an escaped bound index: {t!r}")
-
-
 def _open_at(t: Ty, depth: int, repl: FreeVar) -> Ty:
     match t:
         case Top() | FreeVar():

@@ -1,11 +1,24 @@
 """End-to-end command-line behavior: output shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fsub
 from fsub.cli import run
 from fsub.subtyper import check_derivation, derivation_from_json, derivation_to_json
+
+
+def fsub_process(*argv: str) -> subprocess.CompletedProcess:
+    """Run the command-line front end in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(fsub.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "fsub.cli", *argv], capture_output=True, text=True, env=env
+    )
 
 
 @pytest.fixture()
@@ -80,6 +93,22 @@ class TestCheck:
         path = judgment_file("|- (Top -> Top) -> Top <: Top -> Top\n")
         assert run(["check", path, "--derivation"]) == 1
         assert "stuck at:" in capsys.readouterr().out
+
+    def test_divergent_judgment_is_not_a_verdict(self, judgment_file):
+        # Pierce's divergent judgment: at the default fuel the recursive
+        # decider runs out of interpreter stack before it runs out of fuel.
+        # Run as a separate process so that the stack depth is the CLI's own.
+        path = judgment_file(
+            "X0 <: All X1 <: Top . All Y <: (All X2 <: X1 . All Z <: X2 . Z) . Y"
+            " |- X0 <: All X1 <: X0 . All Y <: X1 . Y\n"
+        )
+        crashed = fsub_process("check", path)
+        assert crashed.returncode == 4
+        assert crashed.stderr.startswith("internal error: ")
+        assert "Traceback" not in crashed.stderr
+        undecided = fsub_process("check", path, "--fuel", "1000")
+        assert undecided.returncode == 2
+        assert undecided.stdout.startswith("UNKNOWN ")
 
 
 class TestRefl:

@@ -4,11 +4,22 @@ Every transformer's output goes back through check_derivation, and for
 trans/narrow the decision procedure independently confirms the conclusion.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
+from fsub import metatheory
 from fsub.errors import InternalCheckError, PreconditionError
-from fsub.gen import GenConfig, gen_derivation, gen_derivation_pair, gen_narrow_instance
+from fsub.gen import (
+    GenConfig,
+    SplitMix64,
+    child_seeds,
+    gen_derivation,
+    gen_derivation_pair,
+    gen_env_extension,
+    gen_narrow_instance,
+)
 from fsub.judgments import EMPTY_ENV, Env, dom, lookup, ok
 from fsub.metatheory import (
     EnvSplit,
@@ -29,6 +40,8 @@ from fsub.subtyper import (
     check_derivation,
     decide_sub,
     derivation_height,
+    derivation_to_json,
+    diagnose_derivation,
     iter_nodes,
 )
 from fsub.syntax import FreeVar, Top, size
@@ -161,8 +174,6 @@ class TestWeaken:
     @given(seeds)
     @settings(max_examples=60)
     def test_generated(self, seed):
-        from fsub.gen import gen_env_extension
-
         d = gen_derivation(GenConfig(seed=seed))
         delta = gen_env_extension(d.env, GenConfig(seed=seed ^ 0x1234, max_env_len=2))
         out = derive_weaken(d, delta)
@@ -386,3 +397,79 @@ class TestEnvFacts:
         bad = Derivation(Rule.TOP, EMPTY_ENV, FreeVar("X"), Top())
         with pytest.raises(PreconditionError):
             derivation_env_facts(bad)
+
+
+def nested_quantifiers(n: int):
+    """n nested quantifiers, each bounded by the one outside it."""
+    binders = ["All Y0 <: Top ."] + [f"All Y{i} <: Y{i - 1} ." for i in range(1, n)]
+    return parse_type(" ".join(binders) + f" Y{n - 1}")
+
+
+class TestValidateOnce:
+    """Each public transformer runs the checker once per input derivation;
+    the internal recursion trusts what the entry point validated."""
+
+    @pytest.fixture()
+    def checker_calls(self, monkeypatch):
+        calls = []
+
+        def counting(d):
+            calls.append(d)
+            return diagnose_derivation(d)
+
+        monkeypatch.setattr(metatheory, "diagnose_derivation", counting)
+        return calls
+
+    def test_weaken_nested_quantifiers(self, checker_calls):
+        d = derive_refl(parse_env("X <: Top"), nested_quantifiers(10))
+        out = derive_weaken(d, parse_env("X0 <: Top, W <: Top"))
+        assert len(checker_calls) == 1
+        assert check_derivation(out)
+
+    def test_narrow_pivot_chains(self, checker_calls):
+        for seed in child_seeds(3003, 20):
+            split, p, d, d_pq = gen_narrow_instance(GenConfig(seed=seed), force_pivot_chain=True)
+            checker_calls.clear()
+            out = derive_narrow(split, p, d, d_pq)
+            assert len(checker_calls) <= 2
+            assert check_derivation(out)
+
+
+# SHA-256 over the JSON of every output below, one line each; any change to a
+# transformer's output tree changes it.
+GOLDEN_OUTPUT_DIGEST = "a4f9d17245d703ae1dbb0213e52d2fbd91693ee6bd2d94cf36d87cb034006db9"
+
+
+def transformer_outputs():
+    """The transformer outputs of acceptance criteria 2, 3 and 5, then
+    weakenings of nested quantifiers whose witnesses do and do not collide."""
+    for seed in child_seeds(2002, 1000):
+        d1, d2 = gen_derivation_pair(GenConfig(seed=seed, max_deriv_depth=6))
+        yield derive_trans(d1, d2)
+    for i, seed in enumerate(child_seeds(3003, 500)):
+        split, p, d, d_pq = gen_narrow_instance(GenConfig(seed=seed), force_pivot_chain=i < 50)
+        yield derive_narrow(split, p, d, d_pq)
+    for seed in child_seeds(4004, 500):
+        d = gen_derivation(GenConfig(seed=seed))
+        yield derive_weaken(d, gen_env_extension(d.env, GenConfig(seed=seed ^ 0xD1, max_env_len=3)))
+    for seed in child_seeds(5005, 500):
+        d = gen_derivation(GenConfig(seed=seed))
+        decls = d.env.decls()
+        rng = SplitMix64(seed ^ 0xBEEF)
+        pi = list(range(len(decls)))
+        for i in range(len(pi) - 1, 0, -1):
+            j = rng.below(i + 1)
+            pi[i], pi[j] = pi[j], pi[i]
+        if ok(Env.from_decls([decls[i] for i in pi])):
+            yield derive_permute(d, tuple(pi))
+    d = derive_refl(parse_env("X <: Top"), nested_quantifiers(25))
+    for delta in (parse_env("W <: X"), parse_env("X0 <: Top, X1 <: Top")):
+        yield derive_weaken(d, delta)
+
+
+def test_transformer_outputs_golden():
+    digest = hashlib.sha256()
+    for out in transformer_outputs():
+        digest.update(derivation_to_json(out).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == GOLDEN_OUTPUT_DIGEST

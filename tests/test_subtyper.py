@@ -303,8 +303,9 @@ class TestSerialization:
         assert derivation_from_json(derivation_to_json(d)) == d
 
     def test_rejects_unknown_rule(self):
-        with pytest.raises(ValueError):
-            derivation_from_json(GOLDEN_JSON.replace('"trs"', '"mystery"'))
+        for tag in ("mystery", "D-Hyp", "D-Refl", "D-Trans"):
+            with pytest.raises(ValueError, match="unknown rule tag"):
+                derivation_from_json(GOLDEN_JSON.replace('"trs"', f'"{tag}"'))
 
     def test_rejects_missing_key(self):
         obj = json.loads(GOLDEN_JSON)
