@@ -3,7 +3,8 @@
 Exit codes: 0 every judgment holds, 1 at least one fails, 2 at least one is
 undecided within fuel (failures take precedence over undecided), 3 parse or
 scoping error, 4 a derivation transformer was applied outside its contract or
-the kernel failed internally (including running out of interpreter stack).
+the kernel failed internally (including running out of interpreter stack in a
+layer that still recurses).
 """
 
 from __future__ import annotations
@@ -246,21 +247,16 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 0 if exit_.code in (0, None) else 3
     try:
         return args.fn(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except ValueError as err:
+    except (ParseError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except PreconditionError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except (KernelError, RecursionError) as err:
-        # A judgment nested deeper than the interpreter's stack is a kernel
-        # limit, not a verdict.
+        # The layers that still recurse (JSON reading and writing, the
+        # derivation transformers, structural equality of types) can run out
+        # of interpreter stack on deep input; that is a kernel limit, not a verdict.
         print(f"internal error: {err}", file=sys.stderr)
         return 4
 

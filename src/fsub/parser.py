@@ -14,11 +14,13 @@ variable of the same spelling, which this syntax refuses to express.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import MalformedTypeError
 from .judgments import Env
 from .syntax import (
+    NAME_PATTERN,
     Arrow,
     BoundIdx,
     Forall,
@@ -29,6 +31,7 @@ from .syntax import (
     fresh,
     fv,
     is_var_name,
+    nodes,
     open_ty,
 )
 
@@ -65,38 +68,26 @@ class SourceJudgment:
 
 
 _KEYWORDS = {"Top", "All"}
-_SYMBOLS = ("->", "<:", "|-", ".", "(", ")", ",")
+# One alternative per token class, tried in order at each position: blanks,
+# symbols, identifiers (exactly the names `FreeVar` accepts), and any other
+# single character, which is an error.
+_TOKEN_RE = re.compile(rf"[ \t\r\n]+|(->|<:|\|-|[.(),])|({NAME_PATTERN})|(.)", re.DOTALL)
 
 
 def _lex(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        if kind is None:
             continue
-        matched = False
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, i, i + len(sym)))
-                i += len(sym)
-                matched = True
-                break
-        if matched:
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append(Token(kind, word, i, j))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(Token("eof", "", n, n))
+        word = m.group(kind)
+        if kind == 1:
+            tokens.append(Token(word, word, m.start(), m.end()))
+        elif kind == 2:
+            tokens.append(Token(word if word in _KEYWORDS else "ident", word, m.start(), m.end()))
+        else:
+            raise ParseError(f"unexpected character {word!r}", m.start())
+    tokens.append(Token("eof", "", len(text), len(text)))
     return tokens
 
 
@@ -128,57 +119,69 @@ class _Parser:
             )
         return self.advance()
 
-    # Each type production returns (type, open names): the names used somewhere
-    # in the parsed fragment without being bound inside the fragment itself.
-
-    def ty(self) -> tuple[Ty, frozenset[VarName]]:
+    def ty(self) -> Ty:
         if self.at("All"):
             return self.forall()
         return self.arrow()
 
-    def forall(self) -> tuple[Ty, frozenset[VarName]]:
+    def forall(self) -> Ty:
         self.expect("All")
         binder = self.expect("ident")
         self.expect("<:")
-        bound, bound_open = self.ty()
-        if binder.text in bound_open:
-            raise ParseError(
-                f"bound of 'All {binder.text}' mentions the binder name {binder.text!r},"
-                " which it does not bind",
-                binder.pos,
-            )
+        bound = self.ty()
+        for node, d in nodes(bound):
+            # Each variable occurrence of the bound, by the name it spells.
+            if isinstance(node, FreeVar):
+                spelled = node.name
+            elif isinstance(node, BoundIdx) and node.index >= d:
+                spelled = self.scope[d - node.index - 1]
+            else:
+                continue
+            if spelled == binder.text:
+                raise ParseError(
+                    f"bound of 'All {binder.text}' mentions the binder name {binder.text!r},"
+                    " which it does not bind",
+                    binder.pos,
+                )
         self.expect(".")
         self.scope.append(binder.text)
         try:
-            body, body_open = self.ty()
+            body = self.ty()
         finally:
             self.scope.pop()
-        return Forall(bound, body), bound_open | (body_open - {binder.text})
+        return Forall(bound, body)
 
-    def arrow(self) -> tuple[Ty, frozenset[VarName]]:
-        left, left_open = self.atom()
-        if self.at("->"):
+    def arrow(self) -> Ty:
+        # `->` is right-associative: collect the operands, then fold from the
+        # right.  A quantifier operand extends to the end, so it is the last.
+        operands = [self.atom()]
+        while self.at("->"):
             self.advance()
-            right, right_open = self.ty()
-            return Arrow(left, right), left_open | right_open
-        return left, left_open
+            if self.at("All"):
+                operands.append(self.forall())
+                break
+            operands.append(self.atom())
+        t = operands.pop()
+        while operands:
+            t = Arrow(operands.pop(), t)
+        return t
 
-    def atom(self) -> tuple[Ty, frozenset[VarName]]:
+    def atom(self) -> Ty:
         tok = self.peek()
         if tok.kind == "Top":
             self.advance()
-            return Top(), frozenset()
+            return Top()
         if tok.kind == "ident":
             self.advance()
             for depth, binder in enumerate(reversed(self.scope)):
                 if binder == tok.text:
-                    return BoundIdx(depth), frozenset((tok.text,))
-            return FreeVar(tok.text), frozenset((tok.text,))
+                    return BoundIdx(depth)
+            return FreeVar(tok.text)
         if tok.kind == "(":
             self.advance()
-            inner, opens = self.ty()
+            inner = self.ty()
             self.expect(")")
-            return inner, opens
+            return inner
         raise ParseError(
             f"unexpected {tok.kind or 'end of input'} {tok.text!r}",
             tok.pos,
@@ -195,7 +198,7 @@ class _Parser:
         while True:
             name = self.expect("ident")
             self.expect("<:")
-            bound, _ = self.ty()
+            bound = self.ty()
             decls.append((name.text, bound))
             if self.at(","):
                 self.advance()
@@ -219,7 +222,7 @@ class _Parser:
 def parse_type(text: str) -> Ty:
     """Parse a complete type.  Every identifier outside a binder scope is free."""
     p = _Parser(text, _lex(text))
-    t, _ = p.ty()
+    t = p.ty()
     p.expect("eof")
     return t
 
@@ -239,11 +242,11 @@ def _parse_judgment(text: str) -> tuple[SourceJudgment, Env, Ty, Ty]:
     env_end = p.index
     p.expect("|-")
     lhs_start = p.index
-    lhs, _ = p.ty()
+    lhs = p.ty()
     lhs_end = p.index
     p.expect("<:")
     rhs_start = p.index
-    rhs, _ = p.ty()
+    rhs = p.ty()
     rhs_end = p.index
     p.expect("eof")
     source = SourceJudgment(
@@ -268,22 +271,31 @@ def scan_judgment(text: str) -> SourceJudgment:
 
 
 def _print_ty(t: Ty) -> str:
-    match t:
-        case Top():
-            return "Top"
-        case FreeVar(name):
-            return name
-        case Arrow(dom, cod):
-            left = _print_ty(dom)
-            if isinstance(dom, (Arrow, Forall)):
-                left = f"({left})"
-            return f"{left} -> {_print_ty(cod)}"
-        case Forall(bound, body):
+    # Left to right from a stack of pending types and literal strings; the
+    # parts of a node are pushed in reverse so that they pop in order.
+    out: list[str] = []
+    stack: list[Ty | str] = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, FreeVar):
+            out.append(item.name)
+        elif isinstance(item, Arrow):
+            if isinstance(item.dom, (Arrow, Forall)):
+                stack += (item.cod, ") -> ", item.dom, "(")
+            else:
+                stack += (item.cod, " -> ", item.dom)
+        elif isinstance(item, Top):
+            out.append("Top")
+        elif isinstance(item, Forall):
             # The binder must avoid capture in the body and must not appear in
             # the bound, which would make the printed form unparseable.
-            name = fresh(fv(bound) | fv(body))
-            return f"All {name} <: {_print_ty(bound)} . {_print_ty(open_ty(body, name))}"
-    raise MalformedTypeError(f"cannot print: {t!r}")
+            name = fresh(fv(item))
+            stack += (open_ty(item.body, name), " . ", item.bound, f"All {name} <: ")
+        else:
+            raise MalformedTypeError(f"cannot print: {item!r}")
+    return "".join(out)
 
 
 def print_type(t: Ty) -> str:

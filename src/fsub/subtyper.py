@@ -31,6 +31,7 @@ from .syntax import (
     fresh,
     fv,
     is_locally_closed,
+    nodes,
     open_ty,
     subst_var,
 )
@@ -211,78 +212,82 @@ def _fmt_path(path: tuple[int, ...]) -> str:
     return "root" if not path else "root." + ".".join(str(i) for i in path)
 
 
-def _diagnose(d: Derivation, path: tuple[int, ...], implicit: bool) -> Optional[str]:
-    at = _fmt_path(path)
+def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
+    # The first violated condition of this node alone; premises are not visited.
     ruleset = IMPLICIT_RULES if implicit else EXPLICIT_RULES
     if d.rule not in ruleset:
         system = "implicit" if implicit else "explicit"
-        return f"{at}: rule {d.rule.value!r} does not belong to the {system} system"
+        return f"rule {d.rule.value!r} does not belong to the {system} system"
     if len(d.premises) != ARITY[d.rule]:
-        return f"{at}: rule {d.rule.value!r} takes {ARITY[d.rule]} premises, got {len(d.premises)}"
+        return f"rule {d.rule.value!r} takes {ARITY[d.rule]} premises, got {len(d.premises)}"
     if (d.witness is not None) != (d.rule in (Rule.ALL, Rule.I_ALL)):
-        return f"{at}: witness must be present exactly at quantifier nodes"
+        return "witness must be present exactly at quantifier nodes"
     if not (is_locally_closed(d.lhs) and is_locally_closed(d.rhs)):
-        return f"{at}: conclusion contains an escaped bound index"
+        return "conclusion contains an escaped bound index"
 
     shape = _TO_EXPLICIT.get(d.rule, d.rule)
     g, s, t = d.concl
     if shape == Rule.TOP:
         if not isinstance(t, Top):
-            return f"{at}: right side of a top node must be Top"
+            return "right side of a top node must be Top"
         if not implicit:
             if not ok(g):
-                return f"{at}: environment is not ok"
+                return "environment is not ok"
             if not closed(s, g):
-                return f"{at}: left side is not closed in the environment"
+                return "left side is not closed in the environment"
     elif shape == Rule.VAR:
         if not (isinstance(s, FreeVar) and s == t):
-            return f"{at}: a reflexivity node relates a variable to itself"
+            return "a reflexivity node relates a variable to itself"
         if not implicit:
             if not ok(g):
-                return f"{at}: environment is not ok"
+                return "environment is not ok"
             if lookup(g, s.name) is None:
-                return f"{at}: variable {s.name!r} is not declared"
+                return f"variable {s.name!r} is not declared"
     elif shape == Rule.TRS:
         if not isinstance(s, FreeVar):
-            return f"{at}: left side of a bound-chaining node must be a variable"
+            return "left side of a bound-chaining node must be a variable"
         bound = lookup(g, s.name)
         if bound is None:
-            return f"{at}: variable {s.name!r} is not declared"
+            return f"variable {s.name!r} is not declared"
         if d.premises[0].concl != (g, bound, t):
-            return f"{at}: premise must conclude the declared bound below the right side"
+            return "premise must conclude the declared bound below the right side"
     elif shape == Rule.ARR:
         if not (isinstance(s, Arrow) and isinstance(t, Arrow)):
-            return f"{at}: both sides of an arrow node must be arrows"
+            return "both sides of an arrow node must be arrows"
         if d.premises[0].concl != (g, t.dom, s.dom):
-            return f"{at}: first premise must compare domains contravariantly"
+            return "first premise must compare domains contravariantly"
         if d.premises[1].concl != (g, s.cod, t.cod):
-            return f"{at}: second premise must compare codomains covariantly"
+            return "second premise must compare codomains covariantly"
     elif shape == Rule.ALL:
         if not (isinstance(s, Forall) and isinstance(t, Forall)):
-            return f"{at}: both sides of a quantifier node must be universals"
+            return "both sides of a quantifier node must be universals"
         w = d.witness
         assert w is not None
         if not gfresh(g, w):
-            return f"{at}: witness {w!r} is already declared"
+            return f"witness {w!r} is already declared"
         if w in fv(s.body) | fv(t.body):
-            return f"{at}: witness {w!r} occurs free under a quantifier body"
+            return f"witness {w!r} occurs free under a quantifier body"
         if d.premises[0].concl != (g, t.bound, s.bound):
-            return f"{at}: first premise must compare bounds contravariantly"
+            return "first premise must compare bounds contravariantly"
         expected = (g.extend(w, t.bound), open_ty(s.body, w), open_ty(t.body, w))
         if d.premises[1].concl != expected:
-            return f"{at}: second premise must compare bodies under the witness binding"
+            return "second premise must compare bodies under the witness binding"
+    return None
 
-    for i, p in enumerate(d.premises):
-        problem = _diagnose(p, path + (i,), implicit)
+
+def _diagnose(d: Derivation, implicit: bool) -> Optional[str]:
+    # Preorder, so the problem reported is the first a depth-first check meets.
+    for path, node in iter_nodes(d):
+        problem = _diagnose_node(node, implicit)
         if problem is not None:
-            return problem
+            return f"{_fmt_path(path)}: {problem}"
     return None
 
 
 def diagnose_derivation(d: Derivation) -> Optional[str]:
     """None if `d` is valid in the explicit system, else the first offending
     node's path and the violated condition."""
-    return _diagnose(d, (), implicit=False)
+    return _diagnose(d, implicit=False)
 
 
 def check_derivation(d: Derivation) -> bool:
@@ -293,7 +298,7 @@ def check_derivation(d: Derivation) -> bool:
 
 def diagnose_derivation_implicit(d: Derivation) -> Optional[str]:
     """Like `diagnose_derivation` for the implicit system (no ok/closed checks)."""
-    return _diagnose(d, (), implicit=True)
+    return _diagnose(d, implicit=True)
 
 
 def check_derivation_implicit(d: Derivation) -> bool:
@@ -366,56 +371,51 @@ def decide_sub(g: Env, s: Ty, t: Ty, fuel: int = DEFAULT_FUEL) -> SubResult:
     problem = scoping_problem(g, s, t)
     if problem is not None:
         return No(((g, s, t),), reason=problem)
-    budget = [fuel]
-    return _decide(g, s, t, budget, fuel)
-
-
-def _decide(g: Env, s: Ty, t: Ty, budget: list[int], initial: int) -> SubResult:
-    if budget[0] <= 0:
-        return Unknown(initial)
-    budget[0] -= 1
-
-    if isinstance(t, Top):
-        return Yes(Derivation(Rule.TOP, g, s, t))
-    witness = None
-    if isinstance(s, FreeVar):
-        if s == t:
-            return Yes(Derivation(Rule.VAR, g, s, t))
-        bound = lookup(g, s.name)
-        assert bound is not None  # s is closed in g
-        rule, subgoals = Rule.TRS, ((g, bound, t),)
-    elif isinstance(s, Arrow) and isinstance(t, Arrow):
-        rule, subgoals = Rule.ARR, ((g, t.dom, s.dom), (g, s.cod, t.cod))
-    elif isinstance(s, Forall) and isinstance(t, Forall):
-        witness = witness_for(g, s.body, t.body)
-        opened = (g.extend(witness, t.bound), open_ty(s.body, witness), open_ty(t.body, witness))
-        rule, subgoals = Rule.ALL, ((g, t.bound, s.bound), opened)
-    else:
-        return No(((g, s, t),), reason="no rule applies")
-
+    # Depth-first on an explicit stack of frames (goal, rule, subgoals,
+    # witness, premises), one per goal whose subgoals are still being decided.
     # Subgoals run in rule order (bound before body), which fixes how fuel is
-    # spent; the first No or Unknown decides the goal.
-    premises = []
-    for sub_g, sub_s, sub_t in subgoals:
-        sub = _decide(sub_g, sub_s, sub_t, budget, initial)
-        if isinstance(sub, No):
-            return No(((g, s, t),) + sub.trace, reason=sub.reason)
-        if isinstance(sub, Unknown):
-            return sub
-        premises.append(sub.derivation)
-    return Yes(Derivation(rule, g, s, t, tuple(premises), witness))
-
-
-def _closed_subterms(t: Ty, acc: list[Ty]) -> None:
-    # Subterms that are types in their own right; quantifier bodies are
-    # abstractions, not types, so only the bound is descended into.
-    acc.append(t)
-    match t:
-        case Arrow(dom, cod):
-            _closed_subterms(dom, acc)
-            _closed_subterms(cod, acc)
-        case Forall(bound, _):
-            _closed_subterms(bound, acc)
+    # spent; the first No or Unknown decides the query.
+    stack: list[tuple[Goal, Rule, tuple[Goal, ...], Optional[VarName], list[Derivation]]] = []
+    spent = 0
+    goal: Goal = (g, s, t)
+    while True:
+        if spent >= fuel:
+            return Unknown(fuel)
+        spent += 1
+        g, s, t = goal
+        if isinstance(t, Top):
+            done = Derivation(Rule.TOP, g, s, t)
+        elif isinstance(s, FreeVar) and s == t:
+            done = Derivation(Rule.VAR, g, s, t)
+        else:
+            witness = None
+            if isinstance(s, FreeVar):
+                bound = lookup(g, s.name)
+                assert bound is not None  # s is closed in g
+                rule, subgoals = Rule.TRS, ((g, bound, t),)
+            elif isinstance(s, Arrow) and isinstance(t, Arrow):
+                rule, subgoals = Rule.ARR, ((g, t.dom, s.dom), (g, s.cod, t.cod))
+            elif isinstance(s, Forall) and isinstance(t, Forall):
+                witness = witness_for(g, s.body, t.body)
+                opened = (g.extend(witness, t.bound), open_ty(s.body, witness), open_ty(t.body, witness))
+                rule, subgoals = Rule.ALL, ((g, t.bound, s.bound), opened)
+            else:
+                return No(tuple(frame[0] for frame in stack) + (goal,), reason="no rule applies")
+            stack.append((goal, rule, subgoals, witness, []))
+            goal = subgoals[0]
+            continue
+        # Hand the finished derivation to the frames above, completing each
+        # frame whose last subgoal it was, until one has a subgoal left.
+        while stack:
+            parent, rule, subgoals, witness, premises = stack[-1]
+            premises.append(done)
+            if len(premises) < len(subgoals):
+                goal = subgoals[len(premises)]
+                break
+            stack.pop()
+            done = Derivation(rule, *parent, tuple(premises), witness)
+        else:
+            return Yes(done)
 
 
 class DeclarativeSearch:
@@ -479,8 +479,10 @@ class DeclarativeSearch:
         raw: list[Ty] = [Top()]
         for _, bound in g.bindings:
             raw.append(bound)
-        _closed_subterms(s, raw)
-        _closed_subterms(t, raw)
+        # Subterms that are types in their own right: quantifier bodies are
+        # abstractions, so only nodes outside every body qualify.
+        for side in (s, t):
+            raw.extend(node for node, depth in nodes(side) if depth == 0)
         seen: dict[Ty, None] = {}
         for m in raw:
             if m != s and m != t:

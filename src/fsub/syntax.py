@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import MalformedTypeError
 
 VarName = str
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_']*"
+_NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 
 def is_var_name(text: str) -> bool:
@@ -73,32 +74,62 @@ class Forall(Ty):
     body: Ty
 
 
+_LEAVES = frozenset((Top, FreeVar, BoundIdx))
+
+
+def nodes(t: Ty, depth: int = 0) -> Iterator[tuple[Ty, int]]:
+    """Every node of `t` in preorder (bound before body, domain before
+    codomain), each with the number of binders above it: `depth` plus the
+    quantifiers whose body contains the node."""
+    stack = [(t, depth)]
+    while stack:
+        node, d = stack.pop()
+        yield node, d
+        kind = type(node)
+        if kind is Arrow:
+            stack.append((node.cod, d))
+            stack.append((node.dom, d))
+        elif kind is Forall:
+            stack.append((node.body, d + 1))
+            stack.append((node.bound, d))
+        elif kind not in _LEAVES:
+            raise TypeError(f"not a type: {node!r}")
+
+
+def _map_leaves(t: Ty, leaf: Callable[[Ty, int], Ty]) -> Ty:
+    # `t` with each leaf replaced by `leaf(node, binders above it)`.  Postorder
+    # on an explicit stack: an inner node is visited once to push its children
+    # and once more, flagged, to rebuild itself from their results.  A subtree
+    # whose leaves all map to themselves comes back as the same object.
+    stack: list[tuple[Ty, int, bool]] = [(t, 0, False)]
+    out: list[Ty] = []
+    while stack:
+        node, d, children_done = stack.pop()
+        kind = type(node)
+        if children_done:
+            second = out.pop()
+            first = out.pop()
+            old_first, old_second = (node.dom, node.cod) if kind is Arrow else (node.bound, node.body)
+            out.append(node if first is old_first and second is old_second else kind(first, second))
+        elif kind is Arrow:
+            stack += ((node, d, True), (node.cod, d, False), (node.dom, d, False))
+        elif kind is Forall:
+            stack += ((node, d, True), (node.body, d + 1, False), (node.bound, d, False))
+        elif kind in _LEAVES:
+            out.append(leaf(node, d))
+        else:
+            raise TypeError(f"not a type: {node!r}")
+    return out[0]
+
+
 def fv(t: Ty) -> frozenset[VarName]:
     """Free variable names of `t`.  Bound indices contribute nothing."""
-    match t:
-        case Top() | BoundIdx():
-            return frozenset()
-        case FreeVar(name):
-            return frozenset((name,))
-        case Arrow(dom, cod):
-            return fv(dom) | fv(cod)
-        case Forall(bound, body):
-            return fv(bound) | fv(body)
-    raise TypeError(f"not a type: {t!r}")
+    return frozenset(node.name for node, _ in nodes(t) if type(node) is FreeVar)
 
 
 def _closed_at(t: Ty, depth: int) -> bool:
     # True if every bound index of t points at one of `depth` enclosing binders.
-    match t:
-        case Top() | FreeVar():
-            return True
-        case BoundIdx(index):
-            return index < depth
-        case Arrow(dom, cod):
-            return _closed_at(dom, depth) and _closed_at(cod, depth)
-        case Forall(bound, body):
-            return _closed_at(bound, depth) and _closed_at(body, depth + 1)
-    raise TypeError(f"not a type: {t!r}")
+    return all(node.index < d for node, d in nodes(t, depth) if type(node) is BoundIdx)
 
 
 def is_locally_closed(t: Ty) -> bool:
@@ -106,56 +137,22 @@ def is_locally_closed(t: Ty) -> bool:
     return _closed_at(t, 0)
 
 
-def _open_at(t: Ty, depth: int, repl: FreeVar) -> Ty:
-    match t:
-        case Top() | FreeVar():
-            return t
-        case BoundIdx(index):
-            return repl if index == depth else t
-        case Arrow(dom, cod):
-            return Arrow(_open_at(dom, depth, repl), _open_at(cod, depth, repl))
-        case Forall(bound, body):
-            return Forall(_open_at(bound, depth, repl), _open_at(body, depth + 1, repl))
-    raise TypeError(f"not a type: {t!r}")
-
-
 def open_ty(body: Ty, name: VarName) -> Ty:
     """Instantiate index 0 of an abstraction body with the free variable `name`."""
     if not _closed_at(body, 1):
         raise MalformedTypeError(f"abstraction body has an escaped index: {body!r}")
-    return _open_at(body, 0, FreeVar(name))
-
-
-def _close_at(t: Ty, depth: int, name: VarName) -> Ty:
-    match t:
-        case Top() | BoundIdx():
-            return t
-        case FreeVar(n):
-            return BoundIdx(depth) if n == name else t
-        case Arrow(dom, cod):
-            return Arrow(_close_at(dom, depth, name), _close_at(cod, depth, name))
-        case Forall(bound, body):
-            return Forall(_close_at(bound, depth, name), _close_at(body, depth + 1, name))
-    raise TypeError(f"not a type: {t!r}")
+    repl = FreeVar(name)
+    return _map_leaves(body, lambda node, d: repl if type(node) is BoundIdx and node.index == d else node)
 
 
 def close_ty(t: Ty, name: VarName) -> Ty:
     """Abstract the free variable `name` out of `t`, producing a body for `Forall`."""
-    return _close_at(t, 0, name)
+    return _map_leaves(t, lambda node, d: BoundIdx(d) if type(node) is FreeVar and node.name == name else node)
 
 
 def subst_var(t: Ty, old: VarName, new: VarName) -> Ty:
     """Rename the free variable `old` to `new` throughout `t`."""
-    match t:
-        case Top() | BoundIdx():
-            return t
-        case FreeVar(n):
-            return FreeVar(new) if n == old else t
-        case Arrow(dom, cod):
-            return Arrow(subst_var(dom, old, new), subst_var(cod, old, new))
-        case Forall(bound, body):
-            return Forall(subst_var(bound, old, new), subst_var(body, old, new))
-    raise TypeError(f"not a type: {t!r}")
+    return _map_leaves(t, lambda node, d: FreeVar(new) if type(node) is FreeVar and node.name == old else node)
 
 
 def alpha_eq(s: Ty, t: Ty) -> bool:
@@ -167,14 +164,7 @@ def size(t: Ty) -> int:
     """Node count.  A bound occurrence counts 1, exactly like the variable that
     would replace it, so the size of an abstraction body does not depend on the
     name chosen to open it."""
-    match t:
-        case Top() | FreeVar() | BoundIdx():
-            return 1
-        case Arrow(dom, cod):
-            return 1 + size(dom) + size(cod)
-        case Forall(bound, body):
-            return 1 + size(bound) + size(body)
-    raise TypeError(f"not a type: {t!r}")
+    return sum(1 for _ in nodes(t))
 
 
 def fresh(avoid: Iterable[VarName]) -> VarName:

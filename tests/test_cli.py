@@ -95,20 +95,23 @@ class TestCheck:
         assert "stuck at:" in capsys.readouterr().out
 
     def test_divergent_judgment_is_not_a_verdict(self, judgment_file):
-        # Pierce's divergent judgment: at the default fuel the recursive
-        # decider runs out of interpreter stack before it runs out of fuel.
-        # Run as a separate process so that the stack depth is the CLI's own.
+        # Pierce's divergent judgment: the decider runs until the fuel is gone,
+        # at the default fuel as at a small one, and answers UNKNOWN.  Run as
+        # a separate process so that the interpreter stack is the CLI's own.
         path = judgment_file(
             "X0 <: All X1 <: Top . All Y <: (All X2 <: X1 . All Z <: X2 . Z) . Y"
             " |- X0 <: All X1 <: X0 . All Y <: X1 . Y\n"
         )
-        crashed = fsub_process("check", path)
-        assert crashed.returncode == 4
-        assert crashed.stderr.startswith("internal error: ")
-        assert "Traceback" not in crashed.stderr
-        undecided = fsub_process("check", path, "--fuel", "1000")
-        assert undecided.returncode == 2
-        assert undecided.stdout.startswith("UNKNOWN ")
+        for fuel in ([], ["--fuel", "1000"]):
+            undecided = fsub_process("check", path, *fuel)
+            assert undecided.returncode == 2
+            assert undecided.stdout.startswith("UNKNOWN ")
+            assert undecided.stderr == ""
+
+    def test_non_ascii_identifier_is_a_parse_error(self, judgment_file, capsys):
+        path = judgment_file("|- \u00e9 <: Top\n")
+        assert run(["check", path]) == 3
+        assert "unexpected character '\u00e9' at position 3" in capsys.readouterr().err
 
 
 class TestRefl:

@@ -42,6 +42,16 @@ class TestParseType:
     def test_primes_in_names(self):
         assert parse_type("X'") == FreeVar("X'")
 
+    def test_quantifier_ends_an_arrow_chain(self):
+        t = parse_type("A -> B -> All X <: Top . X -> A")
+        inner = Forall(Top(), Arrow(BoundIdx(0), FreeVar("A")))
+        assert t == Arrow(FreeVar("A"), Arrow(FreeVar("B"), inner))
+
+    def test_deep_arrow_chain_round_trips(self):
+        # Compared as text: structural equality of deep types still recurses.
+        text = " -> ".join(["X"] * 10_001)
+        assert print_type(parse_type(text)) == text
+
     def test_shadowing_rebind_in_body(self):
         t = parse_type("All X <: Top . All X <: Top . X")
         assert t == Forall(Top(), Forall(Top(), BoundIdx(0)))
@@ -60,6 +70,10 @@ class TestForallBoundScoping:
 
     def test_nested_rebinding_inside_bound_is_fine(self):
         t = parse_type("All X <: (All Y <: Top . Y) . X")
+        assert t == Forall(Forall(Top(), BoundIdx(0)), BoundIdx(0))
+
+    def test_rebinding_the_same_name_inside_bound_is_fine(self):
+        t = parse_type("All X <: (All X <: Top . X) . X")
         assert t == Forall(Forall(Top(), BoundIdx(0)), BoundIdx(0))
 
     def test_distinct_name_in_bound_is_fine(self):
@@ -89,6 +103,18 @@ class TestParseErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_type("Top Top")
+
+    def test_non_ascii_letter_is_not_an_identifier(self):
+        with pytest.raises(ParseError) as info:
+            parse_type("\u00e9")
+        assert info.value.message == "unexpected character '\u00e9'"
+        assert info.value.pos == 0
+
+    def test_non_ascii_digit_ends_an_identifier(self):
+        with pytest.raises(ParseError) as info:
+            parse_type("X\u00b2")
+        assert info.value.message == "unexpected character '\u00b2'"
+        assert info.value.pos == 1
 
 
 class TestParseEnv:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fsub.judgments import EMPTY_ENV, Env
-from fsub.parser import parse_env, parse_judgment, parse_type
+from fsub.parser import parse_env, parse_judgment, parse_type, print_judgment
 from fsub.subtyper import (
+    DEFAULT_FUEL,
     DeclarativeSearch,
     Derivation,
     No,
@@ -24,11 +25,12 @@ from fsub.subtyper import (
     derivation_to_json,
     derivation_to_text,
     diagnose_derivation,
+    iter_nodes,
     replace_witness,
     to_explicit,
     to_implicit,
 )
-from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top
+from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, Ty
 from strategies import seeds
 
 X_TOP = parse_env("X <: Top")
@@ -325,3 +327,74 @@ class TestHeight:
     def test_chain(self):
         d = decide_yes("X <: Top, Y <: X |- Y <: X")
         assert derivation_height(d) == 2
+
+
+def node_count(d: Derivation) -> int:
+    return sum(1 for _ in iter_nodes(d))
+
+
+PIERCE = (
+    "X0 <: All X1 <: Top . All Y <: (All X2 <: X1 . All Z <: X2 . Z) . Y"
+    " |- X0 <: All X1 <: X0 . All Y <: X1 . Y"
+)
+
+
+def variable_chain(n: int) -> tuple[Env, Ty, Ty]:
+    """X0 <: Top, X1 <: X0, ..., Xn <: X(n-1) |- Xn <: X0."""
+    decls = [("X0", Top())] + [(f"X{i}", FreeVar(f"X{i - 1}")) for i in range(1, n + 1)]
+    return Env.from_decls(decls), FreeVar(f"X{n}"), FreeVar("X0")
+
+
+class TestFuelIsTheOnlyLimit:
+    """The decider and the checker run on explicit stacks: neither the depth
+    of a goal nor the length of a derivation path meets the interpreter stack."""
+
+    def test_divergent_judgment_is_unknown_at_default_fuel(self):
+        g, lhs, rhs = parse_judgment(PIERCE)
+        assert decide_sub(g, lhs, rhs) == Unknown(DEFAULT_FUEL)
+
+    def test_deep_arrow_reflexivity(self):
+        n = 10_000
+        t = parse_type(" -> ".join(["X"] * (n + 1)))
+        result = decide_sub(X_TOP, t, t, fuel=2 * n + 1)
+        assert isinstance(result, Yes)
+        assert node_count(result.derivation) == 2 * n + 1
+        # Compared as text: structural equality of deep types still recurses.
+        assert print_judgment(*result.derivation.concl) == print_judgment(X_TOP, t, t)
+
+    def test_long_variable_chain_decides_and_checks(self):
+        g, lhs, rhs = variable_chain(2_000)
+        result = decide_sub(g, lhs, rhs, fuel=2_001)
+        assert isinstance(result, Yes)
+        assert node_count(result.derivation) == 2_001
+        assert check_derivation(result.derivation)
+        assert decide_sub(g, lhs, rhs, fuel=2_000) == Unknown(2_000)
+
+    @pytest.mark.parametrize("fuel", [0, -1])
+    def test_no_fuel_is_unknown(self, fuel):
+        assert decide_sub(EMPTY_ENV, Top(), Top(), fuel=fuel) == Unknown(fuel)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "|- Top <: Top",
+            "X <: Top, Y <: X |- Top -> Y <: Y -> X",
+            "|- All X <: Top . X -> X <: All Y <: Top . Y -> Top",
+        ],
+    )
+    def test_fuel_of_exactly_the_node_count_suffices(self, text):
+        g, lhs, rhs = parse_judgment(text)
+        nodes = node_count(decide_yes(text))
+        assert isinstance(decide_sub(g, lhs, rhs, fuel=nodes), Yes)
+        assert decide_sub(g, lhs, rhs, fuel=nodes - 1) == Unknown(nodes - 1)
+
+    def test_no_trace_runs_from_the_query_to_the_stuck_goal(self):
+        g, lhs, rhs = parse_judgment("X <: Top |- X -> (X -> X) <: X -> (X -> Top -> Top)")
+        result = decide_sub(g, lhs, rhs)
+        assert isinstance(result, No)
+        assert result.trace == (
+            (g, lhs, rhs),
+            (g, lhs.cod, rhs.cod),
+            (g, FreeVar("X"), Arrow(Top(), Top())),
+            (g, Top(), Arrow(Top(), Top())),
+        )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fsub.errors import MalformedTypeError
+from fsub.parser import parse_type, print_type
 from fsub.syntax import (
     Arrow,
     BoundIdx,
@@ -19,6 +20,7 @@ from fsub.syntax import (
     fresh,
     fv,
     is_locally_closed,
+    nodes,
     open_ty,
     size,
     subst_var,
@@ -191,3 +193,53 @@ class TestMalformed:
         assert not is_locally_closed(BoundIdx(0))
         assert is_locally_closed(Forall(Top(), BoundIdx(0)))
         assert not is_locally_closed(Forall(BoundIdx(0), Top()))
+
+
+class TestNodes:
+    def test_preorder_with_binder_depth(self):
+        t = parse_type("All X <: Y . X -> Top")
+        assert list(nodes(t)) == [
+            (t, 0),
+            (FreeVar("Y"), 0),
+            (t.body, 1),
+            (BoundIdx(0), 1),
+            (Top(), 1),
+        ]
+
+    def test_starting_depth(self):
+        assert list(nodes(BoundIdx(0), 1)) == [(BoundIdx(0), 1)]
+
+    def test_untouched_subtrees_are_shared(self):
+        t = parse_type("(A -> B) -> All X <: A . X -> C")
+        assert subst_var(t, "Q", "R") is t
+        renamed = subst_var(t, "C", "D")
+        assert renamed.dom is t.dom
+        assert renamed.cod.bound is t.cod.bound
+
+
+DEPTH = 10_000
+
+
+class TestDeepTypes:
+    """Every walker runs on an explicit stack, so nesting depth is bounded by
+    memory, not by the interpreter stack.  Deep types are compared through
+    their printed text: structural equality of dataclasses still recurses."""
+
+    @pytest.fixture(scope="class")
+    def arrows(self):
+        text = " -> ".join(["X"] * (DEPTH + 1))
+        return text, parse_type(text)
+
+    def test_folds(self, arrows):
+        text, t = arrows
+        assert print_type(t) == text
+        assert fv(t) == {"X"}
+        assert size(t) == 2 * DEPTH + 1
+        assert is_locally_closed(t)
+
+    def test_maps(self, arrows):
+        text, t = arrows
+        assert print_type(subst_var(t, "X", "Y")) == text.replace("X", "Y")
+        body = close_ty(t, "X")
+        assert not is_locally_closed(body)
+        assert print_type(open_ty(body, "Z")) == text.replace("X", "Z")
