@@ -22,7 +22,7 @@ from .subtyper import (
     Rule,
     Yes,
     decide_sub,
-    derivation_height,
+    iter_nodes,
     witness_for,
 )
 from .syntax import Arrow, Forall, FreeVar, Top, Ty, VarName, close_ty, fresh, fv, open_ty, size
@@ -341,10 +341,8 @@ def shrink_ty(t: Ty, g: Env = Env()) -> Iterator[Ty]:
 def shrink_derivation(d: Derivation) -> Iterator[Derivation]:
     """Valid subderivations, shallowest first; every premise of a valid tree is
     itself a valid tree over its own environment."""
-    for p in d.premises:
-        yield p
-    for p in d.premises:
-        yield from shrink_derivation(p)
+    for _, node in iter_nodes(d):
+        yield from node.premises
 
 
 def shrink(value: object, g: Env = Env()) -> Iterator[object]:

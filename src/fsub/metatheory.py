@@ -3,13 +3,14 @@ narrowing.
 
 Each operation consumes checker-valid derivations and produces a checker-valid
 derivation of the transformed conclusion; precondition violations raise
-`PreconditionError` instead of producing garbage.  Transitivity and narrowing
-recurse into each other; their joint termination measure is the lexicographic
-triple (size of the middle/pivot type, operation rank, height of the inducted
-derivation), where narrowing ranks above transitivity.  Every recursive call
-strictly decreases the triple: the only same-size step is narrowing's
-bound-chain case at the pivot, which crosses to transitivity and drops the
-rank.  The measure is asserted at runtime in debug mode.
+`PreconditionError` instead of producing garbage.  Permutation, weakening and
+narrowing are one walk that rebuilds a tree over a new root environment.
+Transitivity and narrowing call each other; their joint termination measure
+is the lexicographic triple (size of the middle/pivot type, operation rank,
+height of the inducted derivation), where narrowing ranks above transitivity.
+Every such call strictly decreases the triple: the only same-size step is
+narrowing's bound-chain case at the pivot, which crosses to transitivity and
+drops the rank.  The measure is asserted at runtime in debug mode.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ from .judgments import EMPTY_ENV, Env, closed, env_concat, gfresh, names_in_env,
 from .subtyper import (
     Derivation,
     Rule,
+    Yes,
+    decide_sub,
     derivation_height,
     diagnose_derivation,
     iter_nodes,
     names_in_derivation,
     replace_witness,
-    witness_for,
 )
-from .syntax import Arrow, Forall, FreeVar, Top, Ty, VarName, fresh, open_ty, size
+from .syntax import Forall, FreeVar, Top, Ty, VarName, fresh, size
 
 # Measure components; narrowing must rank above transitivity so that the
 # pivot-chain crossover still decreases.
@@ -37,6 +39,7 @@ _TRANS_RANK = 0
 _NARROW_RANK = 1
 
 Measure = tuple[int, int, int]
+_Narrowing = tuple["EnvSplit", Derivation, Optional[Measure]]
 
 
 def _require_valid(d: Derivation, what: str) -> None:
@@ -53,28 +56,17 @@ def _step(parent: Optional[Measure], child: Measure) -> Measure:
 
 
 def derive_refl(g: Env, s: Ty) -> Derivation:
-    """A derivation of `g |- s <: s`, by recursion on `s`."""
+    """A derivation of `g |- s <: s`.  The algorithmic system is
+    syntax-directed, so this is the one the decider finds, with exactly
+    `size(s)` nodes."""
     if not ok(g):
         raise PreconditionError("environment is not ok")
     if not closed(s, g):
         raise PreconditionError("type is not closed in the environment")
-    return _refl(g, s)
-
-
-def _refl(g: Env, s: Ty) -> Derivation:
-    match s:
-        case Top():
-            return Derivation(Rule.TOP, g, s, s)
-        case FreeVar():
-            return Derivation(Rule.VAR, g, s, s)
-        case Arrow(dom, cod):
-            return Derivation(Rule.ARR, g, s, s, (_refl(g, dom), _refl(g, cod)))
-        case Forall(bound, body):
-            w = witness_for(g, body)
-            opened = open_ty(body, w)
-            premises = (_refl(g, bound), _refl(g.extend(w, bound), opened))
-            return Derivation(Rule.ALL, g, s, s, premises, witness=w)
-    raise PreconditionError(f"not a type: {s!r}")
+    result = decide_sub(g, s, s, fuel=size(s))
+    if not isinstance(result, Yes):
+        raise InternalCheckError(f"reflexivity is not derivable in {size(s)} steps: {result}")
+    return result.derivation
 
 
 def derive_permute(d: Derivation, pi: tuple[int, ...]) -> Derivation:
@@ -91,7 +83,7 @@ def derive_permute(d: Derivation, pi: tuple[int, ...]) -> Derivation:
     permuted = Env.from_decls(decls[i] for i in pi)
     if not ok(permuted):
         raise PreconditionError("permuted environment is not ok")
-    return _rebase(d, EMPTY_ENV, d.env, permuted)
+    return _rebase(d, d.env, permuted)
 
 
 def derive_weaken(d: Derivation, delta: Env) -> Derivation:
@@ -107,30 +99,55 @@ def derive_weaken(d: Derivation, delta: Env) -> Derivation:
     combined = env_concat(d.env, delta)
     if not ok(combined):
         raise PreconditionError("weakened environment is not ok")
-    return _rebase(d, EMPTY_ENV, d.env, combined)
+    return _rebase(d, d.env, combined)
 
 
-def _rebase(d: Derivation, ext: Env, old: Env, new: Env) -> Derivation:
-    # Rebuild the trusted tree `d`, whose environment is `ext` over the root
-    # environment `old`, over the root environment `new` instead; `ext` holds
-    # the bindings added by the quantifier nodes above and stays the newest
-    # part.  `new` declares every name of `old` with the same bound, so every
-    # side condition survives once each witness is fresh for `new`; the input
-    # was validated at the public entry point and is not re-checked here.
-    if d.env != env_concat(old, ext):
-        raise InternalCheckError("derivation environment does not match its parent")
-    env = env_concat(new, ext)
-    if d.rule == Rule.ALL:
-        assert d.witness is not None and isinstance(d.rhs, Forall)
-        if not gfresh(env, d.witness):
-            d = replace_witness(d, fresh(names_in_derivation(d) | names_in_env(env)))
-        premises = (
-            _rebase(d.premises[0], ext, old, new),
-            _rebase(d.premises[1], ext.extend(d.witness, d.rhs.bound), old, new),
-        )
-    else:
-        premises = tuple(_rebase(p, ext, old, new) for p in d.premises)
-    return Derivation(d.rule, env, d.lhs, d.rhs, premises, d.witness)
+def _rebase(d: Derivation, old: Env, new: Env, narrowing: Optional[_Narrowing] = None) -> Derivation:
+    # Rebuild the trusted tree `d` over the root environment `new` instead of
+    # `old`; the bindings added by quantifier nodes stay the newest part.
+    # `new` declares every name of `old` with the same bound, except that
+    # under `narrowing = (split, d_pq, parent measure)` the pivot's bound is
+    # tightened, and `d_pq` proves the new bound below the old one over the
+    # prefix.  Every side condition then survives once each witness is fresh
+    # for `new`, except a `trs` node on the pivot, whose premise must now
+    # start from the new bound.  The input was validated at the public entry
+    # point and is not re-checked here.
+    #
+    # Postorder on an explicit stack of (node, bindings added above it, its
+    # new environment or None): on the way down a node re-freshens a
+    # colliding witness and pushes its premises, on the way up it is rebuilt.
+    pivot = None if narrowing is None else FreeVar(narrowing[0].pivot_var)
+    stack: list[tuple[Derivation, Env, Optional[Env]]] = [(d, EMPTY_ENV, None)]
+    out: list[Derivation] = []
+    while stack:
+        node, ext, env = stack.pop()
+        if env is None:
+            if node.env != env_concat(old, ext):
+                raise InternalCheckError("derivation environment does not match its parent")
+            env = env_concat(new, ext)
+            if node.rule == Rule.ALL and not gfresh(env, node.witness):
+                node = replace_witness(node, fresh(names_in_derivation(node) | names_in_env(env)))
+            stack.append((node, ext, env))
+            if node.rule == Rule.ALL:
+                assert node.witness is not None and isinstance(node.rhs, Forall)
+                stack.append((node.premises[1], ext.extend(node.witness, node.rhs.bound), None))
+                stack.append((node.premises[0], ext, None))
+            else:
+                stack.extend((p, ext, None) for p in reversed(node.premises))
+            continue
+        first = len(out) - len(node.premises)
+        premises = tuple(out[first:])
+        del out[first:]
+        if node.rule == Rule.TRS and node.lhs == pivot:
+            # Chaining through the pivot itself: the old chain went through
+            # the old bound q.  Weaken `p <: q` over this node's environment
+            # and compose it with the rebuilt premise before chaining at p.
+            split, d_pq, parent = narrowing
+            assert node.premises[0].lhs == split.pivot_bound
+            measure = _step(parent, (size(split.pivot_bound), _NARROW_RANK, derivation_height(node)))
+            premises = (_trans(_rebase(d_pq, split.prefix, env), premises[0], measure),)
+        out.append(Derivation(node.rule, env, node.lhs, node.rhs, premises, node.witness))
+    return out[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,9 +165,6 @@ class EnvSplit:
         if bound is None:
             bound = self.pivot_bound
         return Env(self.suffix.bindings + ((self.pivot_var, bound),) + self.prefix.bindings)
-
-    def extend_suffix(self, name: VarName, bound: Ty) -> "EnvSplit":
-        return EnvSplit(self.prefix, self.pivot_var, self.pivot_bound, self.suffix.extend(name, bound))
 
 
 def split_env(g: Env, x: VarName) -> EnvSplit:
@@ -229,8 +243,8 @@ def _trans(d1: Derivation, d2: Derivation, parent: Optional[Measure]) -> Derivat
         )
         a_body = replace_witness(d1, w).premises[1]
         b_body = replace_witness(d2, w).premises[1]
-        split = EnvSplit(g, w, q.bound, Env())
-        a_body = _narrow(split, d2.rhs.bound, a_body, b_bound, measure)
+        split = EnvSplit(g, w, q.bound, EMPTY_ENV)
+        a_body = _rebase(a_body, split.assemble(), split.assemble(d2.rhs.bound), (split, b_bound, measure))
         p_body = _trans(a_body, b_body, measure)
         return Derivation(Rule.ALL, g, d1.lhs, d2.rhs, (p_bound, p_body), witness=w)
 
@@ -246,49 +260,7 @@ def derive_narrow(split: EnvSplit, p: Ty, d: Derivation, d_pq: Derivation) -> De
     ok_narrow(split, p, d_pq)
     if d.env != split.assemble():
         raise PreconditionError("derivation environment does not match the split")
-    return _narrow(split, p, d, d_pq, None)
-
-
-def _narrow(
-    split: EnvSplit, p: Ty, d: Derivation, d_pq: Derivation, parent: Optional[Measure]
-) -> Derivation:
-    measure = _step(parent, (size(split.pivot_bound), _NARROW_RANK, derivation_height(d)))
-    new_env = split.assemble(p)
-
-    if d.rule in (Rule.TOP, Rule.VAR):
-        # Domains coincide, so closedness and presence are unaffected; the
-        # narrowed environment is ok by ok_narrow.
-        return Derivation(d.rule, new_env, d.lhs, d.rhs)
-
-    if d.rule == Rule.ARR:
-        premises = tuple(_narrow(split, p, prem, d_pq, measure) for prem in d.premises)
-        return Derivation(Rule.ARR, new_env, d.lhs, d.rhs, premises)
-
-    if d.rule == Rule.ALL:
-        # The witness binding lands in the suffix: it sits to the right of the
-        # pivot, so the same split (with a longer suffix) narrows the body.
-        assert d.witness is not None and isinstance(d.rhs, Forall)
-        inner = split.extend_suffix(d.witness, d.rhs.bound)
-        p_bound = _narrow(split, p, d.premises[0], d_pq, measure)
-        p_body = _narrow(inner, p, d.premises[1], d_pq, measure)
-        return Derivation(Rule.ALL, new_env, d.lhs, d.rhs, (p_bound, p_body), witness=d.witness)
-
-    if d.rule == Rule.TRS:
-        assert isinstance(d.lhs, FreeVar)
-        name = d.lhs.name
-        if name != split.pivot_var:
-            premise = _narrow(split, p, d.premises[0], d_pq, measure)
-            return Derivation(Rule.TRS, new_env, d.lhs, d.rhs, (premise,))
-        # Chaining through the pivot itself: the old chain went through the old
-        # bound q; narrow its premise, re-derive p <: q over the narrowed
-        # environment by weakening, and compose at q before chaining at p.
-        assert d.premises[0].lhs == split.pivot_bound
-        narrowed = _narrow(split, p, d.premises[0], d_pq, measure)
-        widened = _rebase(d_pq, EMPTY_ENV, split.prefix, new_env)
-        composed = _trans(widened, narrowed, measure)
-        return Derivation(Rule.TRS, new_env, d.lhs, d.rhs, (composed,))
-
-    raise InternalCheckError(f"unexpected rule: {d.rule}")
+    return _rebase(d, split.assemble(), split.assemble(p), (split, d_pq, None))
 
 
 def derivation_env_facts(

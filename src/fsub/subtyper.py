@@ -16,10 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from .errors import InternalCheckError, PreconditionError
-from .judgments import Env, closed, fresh_for_env, gfresh, lookup, ok
+from .judgments import Env, closed, gfresh, lookup, names_in_env, ok
 from .parser import parse_env, parse_type, print_env, print_judgment, print_type
 from .syntax import (
     Arrow,
@@ -130,9 +131,31 @@ SubResult = Union[Yes, No, Unknown]
 DEFAULT_FUEL = 10000
 
 
+_T = TypeVar("_T")
+
+
+def _fold(d: Derivation, combine: Callable[[Derivation, tuple], _T]) -> _T:
+    # `combine(node, results for its premises)`, applied from the leaves up.
+    # Postorder on an explicit stack: a node is visited once to push its
+    # premises and once more, flagged, to combine their results.
+    stack: list[tuple[Derivation, bool]] = [(d, False)]
+    out: list[_T] = []
+    while stack:
+        node, premises_done = stack.pop()
+        if premises_done:
+            first = len(out) - len(node.premises)
+            results = tuple(out[first:])
+            del out[first:]
+            out.append(combine(node, results))
+        else:
+            stack.append((node, True))
+            stack.extend((p, False) for p in reversed(node.premises))
+    return out[0]
+
+
 def derivation_height(d: Derivation) -> int:
     """Longest node path from this node to a leaf, counting nodes."""
-    return 1 + max((derivation_height(p) for p in d.premises), default=0)
+    return _fold(d, lambda node, heights: 1 + max(heights, default=0))
 
 
 def iter_nodes(d: Derivation) -> Iterator[tuple[tuple[int, ...], Derivation]]:
@@ -149,9 +172,7 @@ def names_in_derivation(d: Derivation) -> frozenset[VarName]:
     """Every name visible anywhere in the tree: declared, free, or witness."""
     names: set[VarName] = set()
     for _, node in iter_nodes(d):
-        for name, bound in node.env.bindings:
-            names.add(name)
-            names |= fv(bound)
+        names |= names_in_env(node.env)
         names |= fv(node.lhs) | fv(node.rhs)
         if node.witness is not None:
             names.add(node.witness)
@@ -162,20 +183,13 @@ def rename_var_in_derivation(d: Derivation, old: VarName, new: VarName) -> Deriv
     """Textually rename a free variable everywhere: environment names and
     bounds, conclusions, witnesses.  The caller must pick `new` fresh for the
     whole tree; nothing is re-checked here."""
-    env = Env(
-        tuple(
-            (new if name == old else name, subst_var(bound, old, new))
-            for name, bound in d.env.bindings
-        )
-    )
-    return Derivation(
-        d.rule,
-        env,
-        subst_var(d.lhs, old, new),
-        subst_var(d.rhs, old, new),
-        tuple(rename_var_in_derivation(p, old, new) for p in d.premises),
-        new if d.witness == old else d.witness,
-    )
+
+    def rename(node: Derivation, premises: tuple[Derivation, ...]) -> Derivation:
+        env = Env(tuple((new if x == old else x, subst_var(b, old, new)) for x, b in node.env.bindings))
+        lhs, rhs = subst_var(node.lhs, old, new), subst_var(node.rhs, old, new)
+        return Derivation(node.rule, env, lhs, rhs, premises, new if node.witness == old else node.witness)
+
+    return _fold(d, rename)
 
 
 def replace_witness(d: Derivation, new: VarName) -> Derivation:
@@ -307,14 +321,10 @@ def check_derivation_implicit(d: Derivation) -> bool:
 
 
 def _retag(d: Derivation, mapping: dict[Rule, Rule]) -> Derivation:
-    return Derivation(
-        mapping[d.rule],
-        d.env,
-        d.lhs,
-        d.rhs,
-        tuple(_retag(p, mapping) for p in d.premises),
-        d.witness,
-    )
+    def retag(node: Derivation, premises: tuple[Derivation, ...]) -> Derivation:
+        return Derivation(mapping[node.rule], node.env, node.lhs, node.rhs, premises, node.witness)
+
+    return _fold(d, retag)
 
 
 def to_implicit(d: Derivation) -> Derivation:
@@ -507,34 +517,39 @@ def decide_sub_declarative(
 def derivation_to_text(d: Derivation) -> str:
     """Indented one-node-per-line rendering; quantifier nodes show their witness."""
     lines: list[str] = []
-
-    def walk(node: Derivation, depth: int) -> None:
+    for path, node in iter_nodes(d):
         tag = node.rule.value
         if node.witness is not None:
             tag += f" {node.witness}"
-        lines.append("  " * depth + f"({tag}) " + print_judgment(node.env, node.lhs, node.rhs))
-        for p in node.premises:
-            walk(p, depth + 1)
-
-    walk(d, 0)
+        lines.append("  " * len(path) + f"({tag}) " + print_judgment(node.env, node.lhs, node.rhs))
     return "\n".join(lines)
 
 
-def _to_obj(d: Derivation) -> dict:
-    return {
-        "rule": d.rule.value,
-        "env": print_env(d.env),
-        "lhs": print_type(d.lhs),
-        "rhs": print_type(d.rhs),
-        "witness": d.witness,
-        "premises": [_to_obj(p) for p in d.premises],
-    }
+_JSON_NODE_OPEN = '{"rule": %s, "env": %s, "lhs": %s, "rhs": %s, "witness": %s, "premises": ['
 
 
-def derivation_to_json(d: Derivation, indent: Optional[int] = None) -> str:
+def derivation_to_json(d: Derivation) -> str:
     """Serialize with a fixed key order: rule, env, lhs, rhs, witness, premises.
     Types and environments use the surface syntax, so output re-parses exactly."""
-    return json.dumps(_to_obj(d), indent=indent)
+    # The text `json.dumps` gives the nested objects, emitted from a stack of
+    # pending nodes and literal strings; strings are quoted by json's own
+    # encoder.
+    parts: list[str] = []
+    stack: list[Union[Derivation, str]] = [d]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        witness = "null" if item.witness is None else _quote(item.witness)
+        fields = (item.rule.value, print_env(item.env), print_type(item.lhs), print_type(item.rhs))
+        parts.append(_JSON_NODE_OPEN % (*map(_quote, fields), witness))
+        stack.append("]}")
+        for i in reversed(range(len(item.premises))):
+            stack.append(item.premises[i])
+            if i:
+                stack.append(", ")
+    return "".join(parts)
 
 
 _JSON_KEYS = ("rule", "env", "lhs", "rhs", "witness", "premises")

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared across test modules."""
+"""Hypothesis strategies and deep inputs shared across test modules."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from fsub.gen import GenConfig, gen_closed_ty, gen_env
 from fsub.judgments import Env
-from fsub.syntax import Ty
+from fsub.syntax import FreeVar, Top, Ty
 from naive import NAll, NArr, NTop, NTy, NVar
 
 NAME_POOL = ("X", "Y", "Z", "X'", "A")
@@ -43,3 +43,9 @@ def envs_with_closed_ty(
     g = gen_env(GenConfig(seed=seed, max_env_len=max_len, max_ty_size=max_size))
     t = gen_closed_ty(g, GenConfig(seed=seed ^ 0xA5A5A5A5, max_ty_size=max_size))
     return g, t
+
+
+def variable_chain(n: int) -> tuple[Env, Ty, Ty]:
+    """X0 <: Top, X1 <: X0, ..., Xn <: X(n-1) |- Xn <: X0."""
+    decls = [("X0", Top())] + [(f"X{i}", FreeVar(f"X{i - 1}")) for i in range(1, n + 1)]
+    return Env.from_decls(decls), FreeVar(f"X{n}"), FreeVar("X0")

@@ -61,6 +61,26 @@ class TestCheck:
         d = derivation_from_json(lines[1])
         assert check_derivation(d)
 
+    def test_deep_derivation_prints(self, judgment_file, capsys):
+        # Reflexivity of a right-nested arrow: 2,001 nodes, 1,001 levels deep.
+        n = 1_000
+        path = judgment_file("X <: Top |- {0} <: {0}\n".format(" -> ".join(["X"] * (n + 1))))
+        assert run(["check", path, "--derivation"]) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert len(text) == 1 + 2 * n + 1
+        assert text[-1] == "  " * n + "(var) X <: Top |- X <: X"
+        assert run(["check", path, "--derivation", "--json"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2
+        # Counted on the text: the standard-library decoder stops at about
+        # 490 levels.  Braces occur in no type or environment string.
+        depth = deepest = 0
+        for char in out[1]:
+            depth += {"{": 1, "}": -1}.get(char, 0)
+            deepest = max(deepest, depth)
+        assert deepest == n + 1
+        assert out[1].count('{"rule": ') == 2 * n + 1
+
     def test_no_dominates(self, judgment_file, capsys):
         path = judgment_file("|- Top <: Top -> Top\n|- Top <: Top\n")
         assert run(["check", path]) == 1

@@ -25,8 +25,9 @@ from fsub.gen import (
 from fsub.judgments import EMPTY_ENV, Env, closed, env_concat, ok
 from fsub.metatheory import derive_narrow, derive_trans
 from fsub.parser import parse_env, parse_type
-from fsub.subtyper import Rule, check_derivation, derivation_height, derivation_to_json
-from fsub.syntax import Forall, Top, fresh, fv, open_ty, size
+from fsub.subtyper import Rule, check_derivation, decide_sub, derivation_height, derivation_to_json
+from fsub.syntax import Forall, FreeVar, Top, fresh, fv, open_ty, size
+from strategies import variable_chain
 
 
 class TestSplitMix64:
@@ -207,6 +208,14 @@ class TestShrink:
         for smaller in shrink_derivation(d):
             assert derivation_height(smaller) < derivation_height(d)
             assert check_derivation(smaller)
+
+    def test_derivation_candidates_of_a_long_chain(self):
+        g, lhs, rhs = variable_chain(2_000)
+        d = decide_sub(g, lhs, rhs, fuel=2_001).derivation
+        candidates = list(shrink_derivation(d))
+        assert len(candidates) == 2_000
+        assert [c.lhs for c in candidates[:2]] == [FreeVar("X1999"), FreeVar("X1998")]
+        assert candidates[-1].rule == Rule.VAR
 
     def test_dispatcher(self):
         assert list(shrink(EMPTY_ENV)) == []

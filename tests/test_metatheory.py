@@ -32,7 +32,7 @@ from fsub.metatheory import (
     ok_narrow,
     split_env,
 )
-from fsub.parser import parse_env, parse_judgment, parse_type
+from fsub.parser import parse_env, parse_judgment, parse_type, print_judgment
 from fsub.subtyper import (
     Derivation,
     Rule,
@@ -45,7 +45,7 @@ from fsub.subtyper import (
     iter_nodes,
 )
 from fsub.syntax import FreeVar, Top, size
-from strategies import seeds
+from strategies import seeds, variable_chain
 
 
 def decide_yes(text: str) -> Derivation:
@@ -96,6 +96,7 @@ class TestRefl:
         assert check_derivation(d)
         assert d.concl == (g, t, t)
         assert derivation_height(d) <= size(t)
+        assert sum(1 for _ in iter_nodes(d)) == size(t)
         assert isinstance(decide_sub(g, t, t), Yes)
 
 
@@ -397,6 +398,46 @@ class TestEnvFacts:
         bad = Derivation(Rule.TOP, EMPTY_ENV, FreeVar("X"), Top())
         with pytest.raises(PreconditionError):
             derivation_env_facts(bad)
+
+
+class TestDeepDerivations:
+    """Reflexivity and the environment-rebuilding walk run on explicit stacks:
+    a derivation deeper than the interpreter stack goes through them."""
+
+    def test_refl_of_a_deep_arrow(self):
+        n = 10_000
+        g = parse_env("X <: Top")
+        t = parse_type(" -> ".join(["X"] * (n + 1)))
+        d = derive_refl(g, t)
+        assert sum(1 for _ in iter_nodes(d)) == 2 * n + 1
+        # Compared as text: structural equality of deep types still recurses.
+        assert print_judgment(*d.concl) == print_judgment(g, t, t)
+
+    @pytest.fixture(scope="class")
+    def chain(self) -> Derivation:
+        g, lhs, rhs = variable_chain(2_000)
+        return decide_sub(g, lhs, rhs, fuel=2_001).derivation
+
+    def assert_rebuilt_chain(self, out: Derivation, env: Env, chain: Derivation) -> None:
+        assert out.concl == (env, chain.lhs, chain.rhs)
+        assert sum(1 for _ in iter_nodes(out)) == 2_001
+        assert check_derivation(out)
+
+    def test_weaken(self, chain):
+        delta = parse_env("W <: Top")
+        out = derive_weaken(chain, delta)
+        self.assert_rebuilt_chain(out, Env(delta.bindings + chain.env.bindings), chain)
+
+    def test_identity_permutation(self, chain):
+        out = derive_permute(chain, tuple(range(len(chain.env))))
+        self.assert_rebuilt_chain(out, chain.env, chain)
+
+    def test_narrow_the_root_of_the_chain(self, chain):
+        split = split_env(chain.env, "X0")
+        p = parse_type("All Z <: Top . Z")
+        d_pq = decide_sub(EMPTY_ENV, p, Top()).derivation
+        out = derive_narrow(split, p, chain, d_pq)
+        self.assert_rebuilt_chain(out, split.assemble(p), chain)
 
 
 def nested_quantifiers(n: int):

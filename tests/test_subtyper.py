@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from fsub.judgments import EMPTY_ENV, Env
+from fsub.judgments import EMPTY_ENV
 from fsub.parser import parse_env, parse_judgment, parse_type, print_judgment
 from fsub.subtyper import (
     DEFAULT_FUEL,
@@ -30,8 +30,8 @@ from fsub.subtyper import (
     to_explicit,
     to_implicit,
 )
-from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, Ty
-from strategies import seeds
+from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top
+from strategies import seeds, variable_chain
 
 X_TOP = parse_env("X <: Top")
 X_TOP_Y_X = parse_env("X <: Top, Y <: X")
@@ -339,12 +339,6 @@ PIERCE = (
 )
 
 
-def variable_chain(n: int) -> tuple[Env, Ty, Ty]:
-    """X0 <: Top, X1 <: X0, ..., Xn <: X(n-1) |- Xn <: X0."""
-    decls = [("X0", Top())] + [(f"X{i}", FreeVar(f"X{i - 1}")) for i in range(1, n + 1)]
-    return Env.from_decls(decls), FreeVar(f"X{n}"), FreeVar("X0")
-
-
 class TestFuelIsTheOnlyLimit:
     """The decider and the checker run on explicit stacks: neither the depth
     of a goal nor the length of a derivation path meets the interpreter stack."""
@@ -398,3 +392,36 @@ class TestFuelIsTheOnlyLimit:
             (g, FreeVar("X"), Arrow(Top(), Top())),
             (g, Top(), Arrow(Top(), Top())),
         )
+
+
+def node_rows(d: Derivation) -> list:
+    """Each node's rule, conclusion and witness in preorder: equality of deep
+    derivations without the recursive dataclass `__eq__`."""
+    return [(node.rule, node.concl, node.witness) for _, node in iter_nodes(d)]
+
+
+class TestDeepDerivations:
+    """The derivation walks run on explicit stacks: a derivation deeper than
+    the interpreter stack goes through each of them."""
+
+    @pytest.fixture(scope="class")
+    def chain(self) -> Derivation:
+        g, lhs, rhs = variable_chain(2_000)
+        return decide_sub(g, lhs, rhs, fuel=2_001).derivation
+
+    def test_height_of_a_long_chain(self, chain):
+        assert derivation_height(chain) == 2_001
+
+    def test_retagging_round_trip(self, chain):
+        implicit = to_implicit(chain)
+        assert implicit.rule == Rule.I_TRANS
+        assert node_rows(to_explicit(implicit)) == node_rows(chain)
+
+    def test_replace_witness_through_a_deep_body(self):
+        n = 1_000
+        t = parse_type("All Y <: Top . " + " -> ".join(["Y"] + ["Top"] * n))
+        d = decide_sub(EMPTY_ENV, t, t, fuel=2 * n + 3).derivation
+        renamed = replace_witness(d, "W")
+        assert renamed.witness == "W"
+        assert node_count(renamed) == node_count(d) == 2 * n + 3
+        assert check_derivation(renamed)
