@@ -2,22 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .syntax import Ty, VarName, fresh, fv
+from .syntax import HashConsed, Ty, VarName, _set_field, fresh, fv
+
+_ENVS: dict = {}
 
 
-@dataclass(frozen=True, slots=True)
-class Env:
+class Env(HashConsed):
     """Ordered bindings (name, bound), stored newest-first.
 
     Declaration order is the reverse: `decls()` yields oldest-first, which is
     also the order the printer uses.  Duplicate names are representable (they
-    simply fail `ok`); `lookup` resolves to the most recent binding.
+    simply fail `ok`); `lookup` resolves to the most recent binding.  Like
+    types, environments are hash-consed: equal bindings give the same object.
     """
 
-    bindings: tuple[tuple[VarName, Ty], ...] = ()
+    __slots__ = ("bindings",)
+    __match_args__ = ("bindings",)
+    bindings: tuple[tuple[VarName, Ty], ...]
+
+    def __new__(cls, bindings: tuple[tuple[VarName, Ty], ...] = ()) -> "Env":
+        entry = _ENVS.get(bindings)
+        node = None if entry is None else entry()
+        if node is None:
+            node = object.__new__(cls)
+            _set_field(node, "bindings", bindings)
+            node._intern(_ENVS, bindings)
+        return node
 
     @classmethod
     def from_decls(cls, decls: Iterable[tuple[VarName, Ty]]) -> "Env":

@@ -24,7 +24,7 @@ from .subtyper import (
     Derivation,
     Rule,
     Yes,
-    decide_sub,
+    _decide,
     derivation_height,
     diagnose_derivation,
     iter_nodes,
@@ -63,7 +63,7 @@ def derive_refl(g: Env, s: Ty) -> Derivation:
         raise PreconditionError("environment is not ok")
     if not closed(s, g):
         raise PreconditionError("type is not closed in the environment")
-    result = decide_sub(g, s, s, fuel=size(s))
+    result = _decide(g, s, s, size(s))
     if not isinstance(result, Yes):
         raise InternalCheckError(f"reflexivity is not derivable in {size(s)} steps: {result}")
     return result.derivation

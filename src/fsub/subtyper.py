@@ -381,6 +381,12 @@ def decide_sub(g: Env, s: Ty, t: Ty, fuel: int = DEFAULT_FUEL) -> SubResult:
     problem = scoping_problem(g, s, t)
     if problem is not None:
         return No(((g, s, t),), reason=problem)
+    return _decide(g, s, t, fuel)
+
+
+def _decide(g: Env, s: Ty, t: Ty, fuel: int) -> SubResult:
+    # `decide_sub` on a query already known to be well scoped.
+    #
     # Depth-first on an explicit stack of frames (goal, rule, subgoals,
     # witness, premises), one per goal whose subgoals are still being decided.
     # Subgoals run in rule order (bound before body), which fixes how fuel is
@@ -436,40 +442,44 @@ class DeclarativeSearch:
     Midpoints for a transitivity step are drawn from a finite universe local to
     the goal (subterms of both sides, every declared bound, and Top), which
     keeps the search finite; the restriction is a potential completeness loss at
-    scale, but none is observable on small instances.  Results are memoized per
-    goal with the proven/failed budget, so an instance can be shared across many
-    queries."""
+    scale, but none is observable on small instances.  Each goal is memoized with
+    the last height it was proven or refuted within, so an instance can be
+    shared across many queries."""
 
     def __init__(self) -> None:
-        self._proven: dict[Goal, int] = {}
-        self._failed: dict[Goal, int] = {}
+        # g -> s -> t -> 2h if `g |- s <: t` is provable within height h,
+        # 2h + 1 if it is not.  Nesting the keys saves a goal tuple per entry.
+        self._memo: dict[Env, dict[Ty, dict[Ty, int]]] = {}
 
     def provable(self, g: Env, s: Ty, t: Ty, depth: int) -> bool:
         """True if a declarative derivation of height <= depth exists."""
         if depth <= 0:
             return False
-        goal: Goal = (g, s, t)
-        proven = self._proven.get(goal)
-        if proven is not None and proven <= depth:
+        # The three axioms (top, reflexivity, hypothesis) prove a goal at any
+        # height and are all that height 1 allows; they bypass the memo.
+        if isinstance(t, Top) or s is t or (isinstance(s, FreeVar) and lookup(g, s.name) is t):
             return True
-        if depth <= self._failed.get(goal, 0):
+        if depth == 1:
             return False
-        found = self._search(g, s, t, depth)
-        if found:
-            if proven is None or depth < proven:
-                self._proven[goal] = depth
-        else:
-            self._failed[goal] = max(self._failed.get(goal, 0), depth)
+        rows = self._memo.get(g)
+        if rows is None:
+            rows = self._memo[g] = {}
+        codes = rows.get(s)
+        if codes is None:
+            codes = rows[s] = {}
+        code = codes.get(t)
+        if code is not None:
+            height, failed = divmod(code, 2)
+            if failed and depth <= height:
+                return False
+            if not failed and height <= depth:
+                return True
+        found = self._search(g, s, t, depth - 1)
+        codes[t] = 2 * depth + (not found)
         return found
 
-    def _search(self, g: Env, s: Ty, t: Ty, depth: int) -> bool:
-        rest = depth - 1
-        if isinstance(t, Top):
-            return True
-        if s == t:
-            return True
-        if isinstance(s, FreeVar) and lookup(g, s.name) == t:
-            return True
+    def _search(self, g: Env, s: Ty, t: Ty, rest: int) -> bool:
+        # Every rule but the axioms, with premises of height <= rest.
         if isinstance(s, Arrow) and isinstance(t, Arrow):
             if self.provable(g, t.dom, s.dom, rest) and self.provable(g, s.cod, t.cod, rest):
                 return True

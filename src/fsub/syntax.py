@@ -4,12 +4,17 @@ A bound occurrence is a `BoundIdx` counting enclosing binders innermost-first,
 so alpha-equivalent types are structurally equal and substitution can never
 capture.  `BoundIdx` never appears in surface syntax; parser and printer deal
 only in names.
+
+Types are hash-consed: each constructor returns the one live node with the
+same fields, so structurally equal types are the same object, `==` is `is`
+and `hash` costs the same at any depth.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError
 from typing import Callable, Iterable, Iterator
 
 from .errors import MalformedTypeError
@@ -25,53 +30,169 @@ def is_var_name(text: str) -> bool:
     return _NAME_RE.match(text) is not None
 
 
-class Ty:
-    """Base class of type nodes; values are immutable and compare structurally."""
+class _Entry(weakref.ref):
+    # An intern-table entry: a weak reference to the node, which drops itself
+    # from `table` when the node dies unless a newer node has taken its key.
+    __slots__ = ("table", "key")
+
+
+def _forget(entry: _Entry) -> None:
+    if entry.table.get(entry.key) is entry:
+        del entry.table[entry.key]
+
+
+# Sets a field of a new node, past the `__setattr__` that forbids it.
+_set_field = object.__setattr__
+
+
+class HashConsed:
+    """Immutable value of which at most one equal instance is alive.
+
+    A subclass's constructor looks its key up in the class's intern table, a
+    plain dict of weak entries, and only on a miss validates its fields,
+    builds the node and calls `_intern`.  Equality and hashing are the
+    identity's; `dataclasses.fields` and `dataclasses.replace` do not apply.
+    """
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def _intern(self, table: dict, key: object) -> None:
+        # Enter this new node in `table` under `key`.
+        entry = _Entry(self, _forget)
+        entry.table = table
+        entry.key = key
+        table[key] = entry
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # Copies and unpickled values go through the constructor, so they are
+        # the interned node itself.
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        # `Name(field=value, ...)` as a dataclass prints it, emitted from a
+        # stack of pending nodes and literal strings so that depth is no limit.
+        parts: list[str] = []
+        stack: list[object] = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                parts.append(item)
+                continue
+            names = item.__match_args__
+            parts.append(type(item).__qualname__ + "(")
+            stack.append(")")
+            for i in reversed(range(len(names))):
+                value = getattr(item, names[i])
+                stack.append(value if isinstance(value, HashConsed) else repr(value))
+                stack.append(f"{', ' if i else ''}{names[i]}=")
+        return "".join(parts)
+
+
+class Ty(HashConsed):
+    """Base class of type nodes; values are immutable and hash-consed."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Top(Ty):
     """The maximal type."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+    def __new__(cls) -> "Top":
+        return _TOP
+
+
+_TOP = object.__new__(Top)
+_FREE_VARS: dict = {}
+_BOUND_IDXS: dict = {}
+_ARROWS: dict = {}
+_FORALLS: dict = {}
+
+
 class FreeVar(Ty):
     """A free type variable, identified by name."""
 
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
     name: VarName
 
-    def __post_init__(self) -> None:
-        if not is_var_name(self.name):
-            raise MalformedTypeError(f"invalid variable name: {self.name!r}")
+    def __new__(cls, name: VarName) -> "FreeVar":
+        entry = _FREE_VARS.get(name)
+        node = None if entry is None else entry()
+        if node is None:
+            if not is_var_name(name):
+                raise MalformedTypeError(f"invalid variable name: {name!r}")
+            node = object.__new__(cls)
+            _set_field(node, "name", name)
+            node._intern(_FREE_VARS, name)
+        return node
 
 
-@dataclass(frozen=True, slots=True)
 class BoundIdx(Ty):
     """A bound occurrence; `index` counts enclosing binders innermost-first."""
 
+    __slots__ = ("index",)
+    __match_args__ = ("index",)
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise MalformedTypeError(f"negative bound index: {self.index}")
+    def __new__(cls, index: int) -> "BoundIdx":
+        entry = _BOUND_IDXS.get(index)
+        node = None if entry is None else entry()
+        if node is None:
+            if index < 0:
+                raise MalformedTypeError(f"negative bound index: {index}")
+            node = object.__new__(cls)
+            _set_field(node, "index", index)
+            node._intern(_BOUND_IDXS, index)
+        return node
 
 
-@dataclass(frozen=True, slots=True)
 class Arrow(Ty):
     """Function type `dom -> cod`."""
 
+    __slots__ = ("dom", "cod")
+    __match_args__ = ("dom", "cod")
     dom: Ty
     cod: Ty
 
+    def __new__(cls, dom: Ty, cod: Ty) -> "Arrow":
+        key = (dom, cod)
+        entry = _ARROWS.get(key)
+        node = None if entry is None else entry()
+        if node is None:
+            node = object.__new__(cls)
+            _set_field(node, "dom", dom)
+            _set_field(node, "cod", cod)
+            node._intern(_ARROWS, key)
+        return node
 
-@dataclass(frozen=True, slots=True)
+
 class Forall(Ty):
     """Bounded universal.  Index 0 in `body` refers to this binder; `bound` does not."""
 
+    __slots__ = ("bound", "body")
+    __match_args__ = ("bound", "body")
     bound: Ty
     body: Ty
+
+    def __new__(cls, bound: Ty, body: Ty) -> "Forall":
+        key = (bound, body)
+        entry = _FORALLS.get(key)
+        node = None if entry is None else entry()
+        if node is None:
+            node = object.__new__(cls)
+            _set_field(node, "bound", bound)
+            _set_field(node, "body", body)
+            node._intern(_FORALLS, key)
+        return node
 
 
 _LEAVES = frozenset((Top, FreeVar, BoundIdx))
@@ -156,8 +277,9 @@ def subst_var(t: Ty, old: VarName, new: VarName) -> Ty:
 
 
 def alpha_eq(s: Ty, t: Ty) -> bool:
-    """Alpha-equivalence.  The representation is canonical, so this is equality."""
-    return s == t
+    """Alpha-equivalence.  The representation is canonical and hash-consed, so
+    this is identity."""
+    return s is t
 
 
 def size(t: Ty) -> int:

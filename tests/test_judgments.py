@@ -1,5 +1,10 @@
 """Environments and the scoping predicates over them."""
 
+import gc
+import weakref
+from dataclasses import FrozenInstanceError
+
+import pytest
 from hypothesis import given
 
 from fsub.judgments import (
@@ -13,6 +18,7 @@ from fsub.judgments import (
     lookup,
     ok,
 )
+from fsub.parser import parse_env
 from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fv
 from strategies import envs_with_closed_ty, ok_envs
 
@@ -123,3 +129,38 @@ class TestConcat:
     def test_identity(self):
         assert env_concat(X_TOP_Y_X, EMPTY_ENV) == X_TOP_Y_X
         assert env_concat(EMPTY_ENV, X_TOP_Y_X) == X_TOP_Y_X
+
+
+class TestInterning:
+    """Environments are hash-consed like types: equal bindings give one object."""
+
+    def test_equal_construction_is_identical(self):
+        decls = [("X", Top()), ("Y", Arrow(FreeVar("X"), Top()))]
+        g = Env.from_decls(decls)
+        assert Env.from_decls(list(decls)) is g
+        assert Env(tuple(reversed(decls))) is g
+        assert parse_env("X <: Top, Y <: X -> Top") is g
+        assert Env() is EMPTY_ENV
+        assert EMPTY_ENV.extend("X", Top()).extend("Y", Arrow(FreeVar("X"), Top())) is g
+        assert env_concat(Env.from_decls(decls[:1]), Env.from_decls(decls[1:])) is g
+
+    def test_a_dropped_environment_is_released(self):
+        g = Env.from_decls([("Dropped", Top())])
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+        assert lookup(Env.from_decls([("Dropped", Top())]), "Dropped") is Top()
+
+    def test_bindings_cannot_be_assigned(self):
+        with pytest.raises(FrozenInstanceError):
+            X_TOP_Y_X.bindings = ()
+        assert len(X_TOP_Y_X) == 2
+
+    def test_match_and_repr(self):
+        match X_TOP_Y_X:
+            case Env(((newest, _), (oldest, _))):
+                assert (newest, oldest) == ("Y", "X")
+            case _:
+                pytest.fail("no case matched")
+        assert repr(X_TOP_Y_X) == "Env(bindings=(('Y', FreeVar(name='X')), ('X', Top())))"

@@ -9,7 +9,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 
-from fsub import metatheory
+from fsub import metatheory, subtyper
 from fsub.errors import InternalCheckError, PreconditionError
 from fsub.gen import (
     GenConfig,
@@ -466,6 +466,20 @@ class TestValidateOnce:
         out = derive_weaken(d, parse_env("X0 <: Top, W <: Top"))
         assert len(checker_calls) == 1
         assert check_derivation(out)
+
+    def test_refl_scopes_its_input_once(self, monkeypatch):
+        # derive_refl checks ok/closed itself; the decider must not repeat it.
+        calls = []
+
+        def counting(*goal):
+            calls.append(goal)
+            return None
+
+        monkeypatch.setattr(subtyper, "scoping_problem", counting)
+        g = parse_env("X <: Top, Y <: X")
+        d = derive_refl(g, parse_type("All Z <: Y . Z -> X"))
+        assert calls == []
+        assert check_derivation(d) and d.concl[0] is g
 
     def test_narrow_pivot_chains(self, checker_calls):
         for seed in child_seeds(3003, 20):

@@ -396,7 +396,8 @@ class TestFuelIsTheOnlyLimit:
 
 def node_rows(d: Derivation) -> list:
     """Each node's rule, conclusion and witness in preorder: equality of deep
-    derivations without the recursive dataclass `__eq__`."""
+    derivations without the recursive dataclass `__eq__` of `Derivation`.
+    Conclusions compare by identity: types and environments are hash-consed."""
     return [(node.rule, node.concl, node.witness) for _, node in iter_nodes(d)]
 
 

@@ -4,6 +4,12 @@ The named-term model in naive.py is the oracle: every structural operation
 here is cross-checked against its naive counterpart on random terms.
 """
 
+import copy
+import gc
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -222,8 +228,9 @@ DEPTH = 10_000
 
 class TestDeepTypes:
     """Every walker runs on an explicit stack, so nesting depth is bounded by
-    memory, not by the interpreter stack.  Deep types are compared through
-    their printed text: structural equality of dataclasses still recurses."""
+    memory, not by the interpreter stack.  Types are hash-consed, so equality
+    is identity at any depth; these tests also compare the printed text, which
+    checks the walkers' output independently of the intern tables."""
 
     @pytest.fixture(scope="class")
     def arrows(self):
@@ -239,7 +246,80 @@ class TestDeepTypes:
 
     def test_maps(self, arrows):
         text, t = arrows
-        assert print_type(subst_var(t, "X", "Y")) == text.replace("X", "Y")
+        renamed = subst_var(t, "X", "Y")
+        assert print_type(renamed) == text.replace("X", "Y")
+        assert subst_var(renamed, "Y", "X") is t
         body = close_ty(t, "X")
         assert not is_locally_closed(body)
         assert print_type(open_ty(body, "Z")) == text.replace("X", "Z")
+        assert open_ty(body, "X") is t
+
+
+class TestInterning:
+    """Types are hash-consed: a constructor returns the live node with the
+    same fields, so equal types are one object, whatever their depth."""
+
+    def test_equal_construction_is_identical(self):
+        assert Top() is Top()
+        assert FreeVar("X") is FreeVar("X")
+        assert BoundIdx(3) is BoundIdx(3)
+        assert Arrow(FreeVar("X"), Top()) is Arrow(FreeVar("X"), Top())
+        assert Forall(Top(), BoundIdx(0)) is Forall(Top(), BoundIdx(0))
+        assert Arrow(FreeVar("X"), Top()) is not Arrow(Top(), FreeVar("X"))
+
+    def test_parsing_the_same_text_twice(self):
+        text = "All X <: Top -> Y . X -> (All Z <: X . Z) -> Y"
+        assert parse_type(text) is parse_type(text)
+        assert parse_type(text) is parse_type("All W <: Top -> Y . W -> (All V <: W . V) -> Y")
+
+    @given(named_types())
+    def test_alpha_equivalent_terms_are_one_object(self, n):
+        t = to_ln(n)
+        assert to_ln(n) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+    def test_separately_parsed_deep_arrows(self):
+        text = " -> ".join(["X"] * (DEPTH + 1))
+        s, t = parse_type(text), parse_type(text)
+        assert s is t
+        assert s == t and not (s != t)
+        assert hash(s) == hash(t)
+        assert t in {s} and t in {s: None}
+        assert Arrow(FreeVar("Y"), s) is Arrow(FreeVar("Y"), t)
+
+    def test_a_dropped_type_is_released(self):
+        t = Arrow(FreeVar("Dropped"), Forall(Top(), BoundIdx(0)))
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
+        again = Arrow(FreeVar("Dropped"), Forall(Top(), BoundIdx(0)))
+        assert print_type(again) == "Dropped -> All X0 <: Top . X0"
+
+    def test_fields_cannot_be_assigned(self):
+        t = Arrow(FreeVar("X"), Top())
+        with pytest.raises(FrozenInstanceError):
+            t.dom = Top()
+        with pytest.raises(FrozenInstanceError):
+            del t.cod
+        with pytest.raises(FrozenInstanceError):
+            FreeVar("X").name = "Y"
+        assert t.dom is FreeVar("X")
+
+    def test_match_destructures(self):
+        match parse_type("All X <: Y . X -> Top"):
+            case Forall(FreeVar(bound), Arrow(BoundIdx(i), Top())):
+                assert (bound, i) == ("Y", 0)
+            case _:
+                pytest.fail("no case matched")
+
+    def test_repr_is_the_dataclass_one(self):
+        t = parse_type("All X <: Y . X -> Top")
+        assert repr(t) == (
+            "Forall(bound=FreeVar(name='Y'), body=Arrow(dom=BoundIdx(index=0), cod=Top()))"
+        )
+
+    def test_repr_of_a_deep_type(self):
+        t = parse_type(" -> ".join(["X"] * (DEPTH + 1)))
+        assert repr(t) == "Arrow(dom=FreeVar(name='X'), cod=" * DEPTH + "FreeVar(name='X')" + ")" * DEPTH
