@@ -258,8 +258,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (KernelError, RecursionError) as err:
         # The layers that still recurse (the parser through parentheses and
         # quantifiers, JSON reading, transitivity and narrowing's hand-off to
-        # it, structural equality of types) can run out of interpreter stack
-        # on deep input; that is a kernel limit, not a verdict.
+        # it) can run out of interpreter stack on deep input; that is a kernel
+        # limit, not a verdict.
         print(f"internal error: {err}", file=sys.stderr)
         return 4
 

@@ -22,7 +22,7 @@ from .subtyper import (
     Rule,
     Yes,
     decide_sub,
-    iter_nodes,
+    preorder,
     witness_for,
 )
 from .syntax import Arrow, Forall, FreeVar, Top, Ty, VarName, close_ty, fresh, fv, open_ty, size
@@ -341,7 +341,7 @@ def shrink_ty(t: Ty, g: Env = Env()) -> Iterator[Ty]:
 def shrink_derivation(d: Derivation) -> Iterator[Derivation]:
     """Valid subderivations, shallowest first; every premise of a valid tree is
     itself a valid tree over its own environment."""
-    for _, node in iter_nodes(d):
+    for _, _, node in preorder(d):
         yield from node.premises
 
 

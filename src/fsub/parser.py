@@ -68,56 +68,60 @@ class SourceJudgment:
 
 
 _KEYWORDS = {"Top", "All"}
-# One alternative per token class, tried in order at each position: blanks,
-# symbols, identifiers (exactly the names `FreeVar` accepts), and any other
-# single character, which is an error.
-_TOKEN_RE = re.compile(rf"[ \t\r\n]+|(->|<:|\|-|[.(),])|({NAME_PATTERN})|(.)", re.DOTALL)
+_BLANKS = " \t\r\n"
+# One token per match, after any run of blanks: a symbol, an identifier
+# (exactly the names `FreeVar` accepts), or any other character, which is an
+# error.  Blanks at the end of the input match nothing and are skipped.
+_TOKEN_RE = re.compile(rf"[{_BLANKS}]*(?:(->|<:|\|-|[.(),])|({NAME_PATTERN})|([^{_BLANKS}]))")
+
+# A lexed token is a plain `(kind, text, pos, end)` tuple.
+_RawToken = tuple[str, str, int, int]
 
 
-def _lex(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def _lex(text: str) -> list[_RawToken]:
+    tokens: list[_RawToken] = []
+    append = tokens.append
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastindex
-        if kind is None:
-            continue
-        word = m.group(kind)
+        word = m[kind]
         if kind == 1:
-            tokens.append(Token(word, word, m.start(), m.end()))
+            append((word, word, m.start(1), m.end()))
         elif kind == 2:
-            tokens.append(Token(word if word in _KEYWORDS else "ident", word, m.start(), m.end()))
+            append((word if word in _KEYWORDS else "ident", word, m.start(2), m.end()))
         else:
-            raise ParseError(f"unexpected character {word!r}", m.start())
-    tokens.append(Token("eof", "", len(text), len(text)))
+            raise ParseError(f"unexpected character {word!r}", m.start(3))
+    append(("eof", "", len(text), len(text)))
     return tokens
 
 
 @dataclass
 class _Parser:
     text: str
-    tokens: list[Token]
+    tokens: list[_RawToken]
     index: int = 0
     scope: list[VarName] = field(default_factory=list)
 
-    def peek(self) -> Token:
+    def peek(self) -> _RawToken:
         return self.tokens[self.index]
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.index].kind == kind
+        return self.tokens[self.index][0] == kind
 
-    def advance(self) -> Token:
+    def advance(self) -> _RawToken:
         tok = self.tokens[self.index]
         self.index += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
+    def expect(self, kind: str) -> _RawToken:
+        tok = self.tokens[self.index]
+        if tok[0] != kind:
             raise ParseError(
-                f"unexpected {tok.kind or 'end of input'} {tok.text!r}",
-                tok.pos,
+                f"unexpected {tok[0] or 'end of input'} {tok[1]!r}",
+                tok[2],
                 frozenset((kind,)),
             )
-        return self.advance()
+        self.index += 1
+        return tok
 
     def ty(self) -> Ty:
         if self.at("All"):
@@ -126,7 +130,7 @@ class _Parser:
 
     def forall(self) -> Ty:
         self.expect("All")
-        binder = self.expect("ident")
+        _, binder, binder_pos, _ = self.expect("ident")
         self.expect("<:")
         bound = self.ty()
         for node, d in nodes(bound):
@@ -137,14 +141,14 @@ class _Parser:
                 spelled = self.scope[d - node.index - 1]
             else:
                 continue
-            if spelled == binder.text:
+            if spelled == binder:
                 raise ParseError(
-                    f"bound of 'All {binder.text}' mentions the binder name {binder.text!r},"
+                    f"bound of 'All {binder}' mentions the binder name {binder!r},"
                     " which it does not bind",
-                    binder.pos,
+                    binder_pos,
                 )
         self.expect(".")
-        self.scope.append(binder.text)
+        self.scope.append(binder)
         try:
             body = self.ty()
         finally:
@@ -167,24 +171,24 @@ class _Parser:
         return t
 
     def atom(self) -> Ty:
-        tok = self.peek()
-        if tok.kind == "Top":
-            self.advance()
+        kind, text, pos, _ = self.tokens[self.index]
+        if kind == "Top":
+            self.index += 1
             return Top()
-        if tok.kind == "ident":
-            self.advance()
+        if kind == "ident":
+            self.index += 1
             for depth, binder in enumerate(reversed(self.scope)):
-                if binder == tok.text:
+                if binder == text:
                     return BoundIdx(depth)
-            return FreeVar(tok.text)
-        if tok.kind == "(":
-            self.advance()
+            return FreeVar(text)
+        if kind == "(":
+            self.index += 1
             inner = self.ty()
             self.expect(")")
             return inner
         raise ParseError(
-            f"unexpected {tok.kind or 'end of input'} {tok.text!r}",
-            tok.pos,
+            f"unexpected {kind or 'end of input'} {text!r}",
+            pos,
             frozenset(("Top", "All", "ident", "(")),
         )
 
@@ -192,23 +196,23 @@ class _Parser:
         decls: list[tuple[VarName, Ty]] = []
         if self.at(stop):
             return decls
-        if self.at("ident") and self.peek().text == "empty" and self.tokens[self.index + 1].kind == stop:
+        if self.at("ident") and self.peek()[1] == "empty" and self.tokens[self.index + 1][0] == stop:
             self.advance()
             return decls
         while True:
-            name = self.expect("ident")
+            name = self.expect("ident")[1]
             self.expect("<:")
             bound = self.ty()
-            decls.append((name.text, bound))
+            decls.append((name, bound))
             if self.at(","):
                 self.advance()
                 continue
             if self.at(stop):
                 return decls
-            tok = self.peek()
+            kind, text, pos, _ = self.peek()
             raise ParseError(
-                f"unexpected {tok.kind} {tok.text!r}",
-                tok.pos,
+                f"unexpected {kind} {text!r}",
+                pos,
                 frozenset((",", stop)),
             )
 
@@ -216,7 +220,7 @@ class _Parser:
         # Raw input between the first and last token of a section.
         if start >= end:
             return ""
-        return self.text[self.tokens[start].pos : self.tokens[end - 1].end]
+        return self.text[self.tokens[start][2] : self.tokens[end - 1][3]]
 
 
 def parse_type(text: str) -> Ty:
@@ -235,9 +239,9 @@ def parse_env(text: str) -> Env:
     return Env.from_decls(decls)
 
 
-def _parse_judgment(text: str) -> tuple[SourceJudgment, Env, Ty, Ty]:
-    p = _Parser(text, _lex(text))
-    env_start = p.index
+def _parse_judgment(p: _Parser) -> tuple[Env, Ty, Ty, tuple[int, int, int, int, int]]:
+    # The three components, and the token indices where the sections end and
+    # start: env end, lhs start and end, rhs start and end.
     decls = p.env_bindings(stop="|-")
     env_end = p.index
     p.expect("|-")
@@ -249,25 +253,25 @@ def _parse_judgment(text: str) -> tuple[SourceJudgment, Env, Ty, Ty]:
     rhs = p.ty()
     rhs_end = p.index
     p.expect("eof")
-    source = SourceJudgment(
-        env_text=p.slice_text(env_start, env_end),
-        lhs_text=p.slice_text(lhs_start, lhs_end),
-        rhs_text=p.slice_text(rhs_start, rhs_end),
-        tokens=tuple(p.tokens[:-1]),
-    )
-    return source, Env.from_decls(decls), lhs, rhs
+    return Env.from_decls(decls), lhs, rhs, (env_end, lhs_start, lhs_end, rhs_start, rhs_end)
 
 
 def parse_judgment(text: str) -> tuple[Env, Ty, Ty]:
     """Parse `Env |- Ty <: Ty` into its three components."""
-    _, g, lhs, rhs = _parse_judgment(text)
+    g, lhs, rhs, _ = _parse_judgment(_Parser(text, _lex(text)))
     return g, lhs, rhs
 
 
 def scan_judgment(text: str) -> SourceJudgment:
     """Parse a judgment line and report its raw sections and token spans."""
-    source, _, _, _ = _parse_judgment(text)
-    return source
+    p = _Parser(text, _lex(text))
+    _, _, _, (env_end, lhs_start, lhs_end, rhs_start, rhs_end) = _parse_judgment(p)
+    return SourceJudgment(
+        env_text=p.slice_text(0, env_end),
+        lhs_text=p.slice_text(lhs_start, lhs_end),
+        rhs_text=p.slice_text(rhs_start, rhs_end),
+        tokens=tuple(Token(*tok) for tok in p.tokens[:-1]),
+    )
 
 
 def _print_ty(t: Ty) -> str:

@@ -34,7 +34,7 @@ from .syntax import (
     is_locally_closed,
     nodes,
     open_ty,
-    subst_var,
+    renamer,
 )
 
 
@@ -132,6 +132,21 @@ DEFAULT_FUEL = 10000
 
 
 _T = TypeVar("_T")
+_K = TypeVar("_K")
+_V = TypeVar("_V")
+
+
+class _Memo(dict[_K, _V]):
+    """`memo[key]` is `compute(key)`, computed on the first lookup only.  A
+    `compute` that raises stores nothing."""
+
+    def __init__(self, compute: Callable[[_K], _V]) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key: _K) -> _V:
+        value = self[key] = self.compute(key)
+        return value
 
 
 def _fold(d: Derivation, combine: Callable[[Derivation, tuple], _T]) -> _T:
@@ -158,8 +173,22 @@ def derivation_height(d: Derivation) -> int:
     return _fold(d, lambda node, heights: 1 + max(heights, default=0))
 
 
+def preorder(d: Derivation) -> Iterator[tuple[int, int, Derivation]]:
+    """All nodes in preorder, each with its depth and its index among its
+    parent's premises (0 at the root).  Linear in the size of the tree."""
+    stack = [(0, 0, d)]
+    while stack:
+        depth, i, node = stack.pop()
+        yield depth, i, node
+        premises = node.premises
+        for j in range(len(premises) - 1, -1, -1):
+            stack.append((depth + 1, j, premises[j]))
+
+
 def iter_nodes(d: Derivation) -> Iterator[tuple[tuple[int, ...], Derivation]]:
-    """All nodes with their child-index paths, preorder."""
+    """All nodes with their child-index paths, preorder.  Each path is a new
+    tuple as long as the node is deep, so the walk is quadratic in depth;
+    `preorder` gives depths alone in linear time."""
     stack = [((), d)]
     while stack:
         path, node = stack.pop()
@@ -171,7 +200,7 @@ def iter_nodes(d: Derivation) -> Iterator[tuple[tuple[int, ...], Derivation]]:
 def names_in_derivation(d: Derivation) -> frozenset[VarName]:
     """Every name visible anywhere in the tree: declared, free, or witness."""
     names: set[VarName] = set()
-    for _, node in iter_nodes(d):
+    for _, _, node in preorder(d):
         names |= names_in_env(node.env)
         names |= fv(node.lhs) | fv(node.rhs)
         if node.witness is not None:
@@ -183,11 +212,14 @@ def rename_var_in_derivation(d: Derivation, old: VarName, new: VarName) -> Deriv
     """Textually rename a free variable everywhere: environment names and
     bounds, conclusions, witnesses.  The caller must pick `new` fresh for the
     whole tree; nothing is re-checked here."""
+    # One memo per call for types and one for environments: nodes share
+    # subterms and environments, and each distinct one is renamed once.
+    rename_ty = renamer(old, new)
+    envs = _Memo(lambda g: Env(tuple((new if x == old else x, rename_ty(b)) for x, b in g.bindings)))
 
     def rename(node: Derivation, premises: tuple[Derivation, ...]) -> Derivation:
-        env = Env(tuple((new if x == old else x, subst_var(b, old, new)) for x, b in node.env.bindings))
-        lhs, rhs = subst_var(node.lhs, old, new), subst_var(node.rhs, old, new)
-        return Derivation(node.rule, env, lhs, rhs, premises, new if node.witness == old else node.witness)
+        lhs, rhs = rename_ty(node.lhs), rename_ty(node.rhs)
+        return Derivation(node.rule, envs[node.env], lhs, rhs, premises, new if node.witness == old else node.witness)
 
     return _fold(d, rename)
 
@@ -291,10 +323,13 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
 
 def _diagnose(d: Derivation, implicit: bool) -> Optional[str]:
     # Preorder, so the problem reported is the first a depth-first check meets.
-    for path, node in iter_nodes(d):
+    # path[1:] is the current node's path, spelled out only for a bad node.
+    path: list[int] = []
+    for depth, i, node in preorder(d):
+        path[depth:] = (i,)
         problem = _diagnose_node(node, implicit)
         if problem is not None:
-            return f"{_fmt_path(path)}: {problem}"
+            return f"{_fmt_path(tuple(path[1:]))}: {problem}"
     return None
 
 
@@ -527,11 +562,11 @@ def decide_sub_declarative(
 def derivation_to_text(d: Derivation) -> str:
     """Indented one-node-per-line rendering; quantifier nodes show their witness."""
     lines: list[str] = []
-    for path, node in iter_nodes(d):
+    for depth, _, node in preorder(d):
         tag = node.rule.value
         if node.witness is not None:
             tag += f" {node.witness}"
-        lines.append("  " * len(path) + f"({tag}) " + print_judgment(node.env, node.lhs, node.rhs))
+        lines.append("  " * depth + f"({tag}) " + print_judgment(node.env, node.lhs, node.rhs))
     return "\n".join(lines)
 
 
@@ -540,10 +575,14 @@ _JSON_NODE_OPEN = '{"rule": %s, "env": %s, "lhs": %s, "rhs": %s, "witness": %s, 
 
 def derivation_to_json(d: Derivation) -> str:
     """Serialize with a fixed key order: rule, env, lhs, rhs, witness, premises.
-    Types and environments use the surface syntax, so output re-parses exactly."""
+    Types and environments use the surface syntax, so output re-parses exactly.
+    Each distinct environment and type is printed once per call."""
     # The text `json.dumps` gives the nested objects, emitted from a stack of
     # pending nodes and literal strings; strings are quoted by json's own
-    # encoder.
+    # encoder.  Environments and types are interned, so the memos of their
+    # quoted text are keyed by identity.
+    envs = _Memo(lambda g: _quote(print_env(g)))
+    types = _Memo(lambda t: _quote(print_type(t)))
     parts: list[str] = []
     stack: list[Union[Derivation, str]] = [d]
     while stack:
@@ -552,8 +591,8 @@ def derivation_to_json(d: Derivation) -> str:
             parts.append(item)
             continue
         witness = "null" if item.witness is None else _quote(item.witness)
-        fields = (item.rule.value, print_env(item.env), print_type(item.lhs), print_type(item.rhs))
-        parts.append(_JSON_NODE_OPEN % (*map(_quote, fields), witness))
+        fields = (_quote(item.rule.value), envs[item.env], types[item.lhs], types[item.rhs], witness)
+        parts.append(_JSON_NODE_OPEN % fields)
         stack.append("]}")
         for i in reversed(range(len(item.premises))):
             stack.append(item.premises[i])
@@ -565,7 +604,10 @@ def derivation_to_json(d: Derivation) -> str:
 _JSON_KEYS = ("rule", "env", "lhs", "rhs", "witness", "premises")
 
 
-def _from_obj(obj: object) -> Derivation:
+def _from_obj(obj: object, envs: _Memo[str, Env], types: _Memo[str, Ty]) -> Derivation:
+    # `envs` and `types` parse each string of this document once.  A bad
+    # string is not stored, so it raises where it first occurs, exactly as it
+    # would unmemoized.
     if not isinstance(obj, dict):
         raise ValueError(f"derivation node must be an object, got {type(obj).__name__}")
     for key in _JSON_KEYS:
@@ -584,16 +626,11 @@ def _from_obj(obj: object) -> Derivation:
     for key in ("env", "lhs", "rhs"):
         if not isinstance(obj[key], str):
             raise ValueError(f"{key} must be a string of surface syntax")
-    return Derivation(
-        rule,
-        parse_env(obj["env"]),
-        parse_type(obj["lhs"]),
-        parse_type(obj["rhs"]),
-        tuple(_from_obj(p) for p in premises),
-        witness,
-    )
+    env, lhs, rhs = envs[obj["env"]], types[obj["lhs"]], types[obj["rhs"]]
+    return Derivation(rule, env, lhs, rhs, tuple(_from_obj(p, envs, types) for p in premises), witness)
 
 
 def derivation_from_json(text: str) -> Derivation:
-    """Inverse of `derivation_to_json`.  Raises ValueError on schema violations."""
-    return _from_obj(json.loads(text))
+    """Inverse of `derivation_to_json`.  Raises ValueError on schema violations.
+    Each distinct environment and type string is parsed once per call."""
+    return _from_obj(json.loads(text), _Memo(parse_env), _Memo(parse_type))

@@ -273,7 +273,41 @@ def close_ty(t: Ty, name: VarName) -> Ty:
 
 def subst_var(t: Ty, old: VarName, new: VarName) -> Ty:
     """Rename the free variable `old` to `new` throughout `t`."""
-    return _map_leaves(t, lambda node, d: FreeVar(new) if type(node) is FreeVar and node.name == old else node)
+    return renamer(old, new)(t)
+
+
+def renamer(old: VarName, new: VarName) -> Callable[[Ty], Ty]:
+    """`subst_var(_, old, new)` as a function that remembers every node it has
+    renamed, so that renaming many types that share subterms renames each
+    distinct node once.  A free variable is renamed the same way under any
+    number of binders, so one result per node is sound."""
+    memo: dict[Ty, Ty] = {}
+
+    def rename(t: Ty) -> Ty:
+        # Postorder on an explicit stack, as in `_map_leaves`, skipping every
+        # node already in the memo.
+        stack: list[tuple[Ty, bool]] = [(t, False)]
+        while stack:
+            node, children_done = stack.pop()
+            kind = type(node)
+            if children_done:
+                if kind is Arrow:
+                    memo[node] = Arrow(memo[node.dom], memo[node.cod])
+                else:
+                    memo[node] = Forall(memo[node.bound], memo[node.body])
+            elif node in memo:
+                continue
+            elif kind is Arrow:
+                stack += ((node, True), (node.cod, False), (node.dom, False))
+            elif kind is Forall:
+                stack += ((node, True), (node.body, False), (node.bound, False))
+            elif kind in _LEAVES:
+                memo[node] = FreeVar(new) if kind is FreeVar and node.name == old else node
+            else:
+                raise TypeError(f"not a type: {node!r}")
+        return memo[t]
+
+    return rename
 
 
 def alpha_eq(s: Ty, t: Ty) -> bool:

@@ -6,6 +6,7 @@ from hypothesis import given
 from fsub.judgments import Env, dom, ok
 from fsub.parser import (
     ParseError,
+    Token,
     parse_env,
     parse_judgment,
     parse_type,
@@ -115,6 +116,43 @@ class TestParseErrors:
             parse_type("X\u00b2")
         assert info.value.message == "unexpected character '\u00b2'"
         assert info.value.pos == 1
+
+
+class TestLexer:
+    def test_scan_reports_public_tokens(self):
+        text = "X <: Top |-\tX  ->\nTop <: Top "
+        tokens = scan_judgment(text).tokens
+        assert all(type(tok) is Token for tok in tokens)
+        assert [(tok.kind, tok.text, tok.pos, tok.end) for tok in tokens] == [
+            ("ident", "X", 0, 1),
+            ("<:", "<:", 2, 4),
+            ("Top", "Top", 5, 8),
+            ("|-", "|-", 9, 11),
+            ("ident", "X", 12, 13),
+            ("->", "->", 15, 17),
+            ("Top", "Top", 18, 21),
+            ("<:", "<:", 22, 24),
+            ("Top", "Top", 25, 28),
+        ]
+        assert all(text[tok.pos : tok.end] == tok.text for tok in tokens)
+
+    ATOM = frozenset(("Top", "All", "ident", "("))
+
+    @pytest.mark.parametrize(
+        "text, message, pos, expected",
+        [
+            ("A  +  B", "unexpected character '+'", 3, frozenset()),
+            ("A ->  \u00e9", "unexpected character '\u00e9'", 6, frozenset()),
+            ("A \x0b B", "unexpected character '\\x0b'", 2, frozenset()),
+            ("A ->   ", "unexpected eof ''", 7, ATOM),
+            ("  ", "unexpected eof ''", 2, ATOM),
+            (" ( A ) )", "unexpected ) ')'", 7, frozenset(("eof",))),
+        ],
+    )
+    def test_errors_keep_positions_and_expectations(self, text, message, pos, expected):
+        with pytest.raises(ParseError) as info:
+            parse_type(text)
+        assert (info.value.message, info.value.pos, info.value.expected) == (message, pos, expected)
 
 
 class TestParseEnv:

@@ -6,8 +6,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from fsub.judgments import EMPTY_ENV
-from fsub.parser import parse_env, parse_judgment, parse_type, print_judgment
+from fsub.gen import GenConfig, gen_derivation
+from fsub.judgments import EMPTY_ENV, Env
+from fsub.parser import ParseError, parse_env, parse_judgment, parse_type, print_judgment
 from fsub.subtyper import (
     DEFAULT_FUEL,
     DeclarativeSearch,
@@ -26,11 +27,13 @@ from fsub.subtyper import (
     derivation_to_text,
     diagnose_derivation,
     iter_nodes,
+    names_in_derivation,
+    rename_var_in_derivation,
     replace_witness,
     to_explicit,
     to_implicit,
 )
-from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top
+from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fresh, subst_var
 from strategies import seeds, variable_chain
 
 X_TOP = parse_env("X <: Top")
@@ -73,6 +76,21 @@ class TestChecker:
         assert check_derivation(good)
         assert not check_derivation(bad)
         assert "premise" in (diagnose_derivation(bad) or "")
+
+    @pytest.mark.parametrize("where, path", [((), "root"), ((1,), "root.1"), ((1, 0), "root.1.0"), ((1, 1), "root.1.1")])
+    def test_reports_the_first_offending_path(self, where, path):
+        # Swap one node of a valid tree for a `var` node relating Top to
+        # itself: its parent's conditions still hold, its own do not.
+        def swap(node, rest):
+            if not rest:
+                return Derivation(Rule.VAR, node.env, node.lhs, node.rhs)
+            premises = list(node.premises)
+            premises[rest[0]] = swap(premises[rest[0]], rest[1:])
+            return Derivation(node.rule, node.env, node.lhs, node.rhs, tuple(premises), node.witness)
+
+        d = decide_yes("|- Top -> Top -> Top <: Top -> Top -> Top")
+        problem = "a reflexivity node relates a variable to itself"
+        assert diagnose_derivation(swap(d, where)) == f"{path}: {problem}"
 
     def test_rejects_not_ok_env(self):
         g = parse_env("X <: Y")
@@ -238,6 +256,27 @@ class TestWitnessInvariance:
         clashed = replace_witness(d, "X")
         assert not check_derivation(clashed)
 
+    @given(seeds)
+    def test_shared_renaming_agrees_with_renaming_each_node(self, seed):
+        # One memo serves the whole tree; renaming each node on its own is
+        # the reference.
+        d = gen_derivation(GenConfig(seed=seed))
+        names = names_in_derivation(d)
+        new = fresh(names)
+        for old in sorted(names):
+            expected = [
+                (
+                    node.rule,
+                    Env(tuple((new if x == old else x, subst_var(b, old, new)) for x, b in node.env.bindings)),
+                    subst_var(node.lhs, old, new),
+                    subst_var(node.rhs, old, new),
+                    new if node.witness == old else node.witness,
+                )
+                for _, node in iter_nodes(d)
+            ]
+            renamed = rename_var_in_derivation(d, old, new)
+            assert [(node.rule, *node.concl, node.witness) for _, node in iter_nodes(renamed)] == expected
+
 
 class TestDeclarative:
     def test_reflexivity_at_depth_one(self):
@@ -302,7 +341,31 @@ class TestSerialization:
         from fsub.gen import GenConfig, gen_derivation
 
         d = gen_derivation(GenConfig(seed=seed))
-        assert derivation_from_json(derivation_to_json(d)) == d
+        back = derivation_from_json(derivation_to_json(d))
+        assert back == d
+        # Node by node, each conclusion the very same interned objects.
+        rows = [(path, node.rule, node.witness) for path, node in iter_nodes(d)]
+        assert [(path, node.rule, node.witness) for path, node in iter_nodes(back)] == rows
+        assert all(a is b for (_, x), (_, y) in zip(iter_nodes(d), iter_nodes(back)) for a, b in zip(x.concl, y.concl))
+
+    # GOLDEN_JSON repeats its environment at both nodes.  Only strings that
+    # parse are memoized, so a bad one fails wherever it occurs first.
+    @pytest.mark.parametrize("where", ["both", "root", "premise"])
+    @pytest.mark.parametrize(
+        "key, good, bad, parse",
+        [("env", "X <: Top, Y <: X", "X <: Top, Y <: X,", parse_env), ("rhs", "X", "X ->", parse_type)],
+    )
+    def test_malformed_repeated_string_raises_as_parsed_alone(self, where, key, good, bad, parse):
+        with pytest.raises(ParseError) as alone:
+            parse(bad)
+        obj = json.loads(GOLDEN_JSON)
+        for node in {"both": (obj, obj["premises"][0]), "root": (obj,), "premise": (obj["premises"][0],)}[where]:
+            assert node[key] == good
+            node[key] = bad
+        with pytest.raises(ParseError) as info:
+            derivation_from_json(json.dumps(obj))
+        assert str(info.value) == str(alone.value)
+        assert (info.value.pos, info.value.expected) == (alone.value.pos, alone.value.expected)
 
     def test_rejects_unknown_rule(self):
         for tag in ("mystery", "D-Hyp", "D-Refl", "D-Trans"):

@@ -130,6 +130,17 @@ class TestSubst:
         got = subst_var(to_ln(t), old, new)
         assert got == to_ln(named_subst(t, old, new))
 
+    def test_shared_subterms_are_renamed_once(self):
+        # 64 doublings: a tree of 2**64 leaves built from 65 distinct nodes.
+        t = FreeVar("X")
+        for _ in range(64):
+            t = Arrow(t, t)
+        renamed = subst_var(t, "X", "Y")
+        for _ in range(64):
+            assert renamed.dom is renamed.cod
+            renamed = renamed.dom
+        assert renamed is FreeVar("Y")
+
 
 class TestAlphaEq:
     def test_binder_names_do_not_matter(self):
