@@ -30,6 +30,7 @@ from .syntax import (
     VarName,
     fresh,
     fv,
+    is_locally_closed,
     is_var_name,
     nodes,
     open_ty,
@@ -133,20 +134,20 @@ class _Parser:
         _, binder, binder_pos, _ = self.expect("ident")
         self.expect("<:")
         bound = self.ty()
-        for node, d in nodes(bound):
-            # Each variable occurrence of the bound, by the name it spells.
-            if isinstance(node, FreeVar):
-                spelled = node.name
-            elif isinstance(node, BoundIdx) and node.index >= d:
-                spelled = self.scope[d - node.index - 1]
-            else:
-                continue
-            if spelled == binder:
-                raise ParseError(
-                    f"bound of 'All {binder}' mentions the binder name {binder!r},"
-                    " which it does not bind",
-                    binder_pos,
-                )
+        # The bound spells the binder's name as a free variable, or as an index
+        # escaping the bound to an enclosing binder of that name.
+        if binder in fv(bound) or (
+            not is_locally_closed(bound)
+            and any(
+                isinstance(node, BoundIdx) and node.index >= d and self.scope[d - node.index - 1] == binder
+                for node, d in nodes(bound)
+            )
+        ):
+            raise ParseError(
+                f"bound of 'All {binder}' mentions the binder name {binder!r},"
+                " which it does not bind",
+                binder_pos,
+            )
         self.expect(".")
         self.scope.append(binder)
         try:

@@ -199,12 +199,18 @@ def iter_nodes(d: Derivation) -> Iterator[tuple[tuple[int, ...], Derivation]]:
 
 def names_in_derivation(d: Derivation) -> frozenset[VarName]:
     """Every name visible anywhere in the tree: declared, free, or witness."""
+    # Nodes share environments, so each distinct one is scanned once, after
+    # the walk: merging its names at every node would cost nodes x names.
+    envs: set[Env] = set()
     names: set[VarName] = set()
     for _, _, node in preorder(d):
-        names |= names_in_env(node.env)
-        names |= fv(node.lhs) | fv(node.rhs)
+        envs.add(node.env)
+        names |= fv(node.lhs)
+        names |= fv(node.rhs)
         if node.witness is not None:
             names.add(node.witness)
+    for g in envs:
+        names |= names_in_env(g)
     return frozenset(names)
 
 
@@ -311,7 +317,7 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
         assert w is not None
         if not gfresh(g, w):
             return f"witness {w!r} is already declared"
-        if w in fv(s.body) | fv(t.body):
+        if w in fv(s.body) or w in fv(t.body):
             return f"witness {w!r} occurs free under a quantifier body"
         if d.premises[0].concl != (g, t.bound, s.bound):
             return "first premise must compare bounds contravariantly"

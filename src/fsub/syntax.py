@@ -7,7 +7,9 @@ only in names.
 
 Types are hash-consed: each constructor returns the one live node with the
 same fields, so structurally equal types are the same object, `==` is `is`
-and `hash` costs the same at any depth.
+and `hash` costs the same at any depth.  Each node also keeps its size, its
+escape level and its free names, computed once from its children's, so
+`size`, `is_locally_closed` and `fv` read a slot instead of walking the tree.
 """
 
 from __future__ import annotations
@@ -96,9 +98,27 @@ class HashConsed:
 
 
 class Ty(HashConsed):
-    """Base class of type nodes; values are immutable and hash-consed."""
+    """Base class of type nodes; values are immutable and hash-consed.
 
-    __slots__ = ()
+    Every node carries three facts about its tree: `_size`, the node count;
+    `_esc`, its escape level, the number of enclosing binders it needs to be
+    locally closed (one more than its largest escaping index, 0 if none
+    escapes); and `_fv`, its free names, left None by `Arrow` and `Forall`
+    until `fv` first asks."""
+
+    __slots__ = ("_size", "_esc", "_fv")
+
+
+# Setters of the three facts, straight through their slots: cheaper than
+# `_set_field`, and a node is built often.
+_set_size = Ty._size.__set__
+_set_esc = Ty._esc.__set__
+_set_fv = Ty._fv.__set__
+
+
+def _not_a_type(*children: object) -> TypeError:
+    bad = next(child for child in children if not isinstance(child, Ty))
+    return TypeError(f"not a type: {bad!r}")
 
 
 class Top(Ty):
@@ -110,7 +130,11 @@ class Top(Ty):
         return _TOP
 
 
+_NO_NAMES: frozenset[VarName] = frozenset()
 _TOP = object.__new__(Top)
+_set_size(_TOP, 1)
+_set_esc(_TOP, 0)
+_set_fv(_TOP, _NO_NAMES)
 _FREE_VARS: dict = {}
 _BOUND_IDXS: dict = {}
 _ARROWS: dict = {}
@@ -132,6 +156,9 @@ class FreeVar(Ty):
                 raise MalformedTypeError(f"invalid variable name: {name!r}")
             node = object.__new__(cls)
             _set_field(node, "name", name)
+            _set_size(node, 1)
+            _set_esc(node, 0)
+            _set_fv(node, frozenset((name,)))
             node._intern(_FREE_VARS, name)
         return node
 
@@ -151,6 +178,9 @@ class BoundIdx(Ty):
                 raise MalformedTypeError(f"negative bound index: {index}")
             node = object.__new__(cls)
             _set_field(node, "index", index)
+            _set_size(node, 1)
+            _set_esc(node, index + 1)
+            _set_fv(node, _NO_NAMES)
             node._intern(_BOUND_IDXS, index)
         return node
 
@@ -171,6 +201,13 @@ class Arrow(Ty):
             node = object.__new__(cls)
             _set_field(node, "dom", dom)
             _set_field(node, "cod", cod)
+            try:
+                _set_size(node, 1 + dom._size + cod._size)
+            except AttributeError:
+                raise _not_a_type(dom, cod) from None
+            e, f = dom._esc, cod._esc
+            _set_esc(node, e if e >= f else f)
+            _set_fv(node, None)
             node._intern(_ARROWS, key)
         return node
 
@@ -191,6 +228,13 @@ class Forall(Ty):
             node = object.__new__(cls)
             _set_field(node, "bound", bound)
             _set_field(node, "body", body)
+            try:
+                _set_size(node, 1 + bound._size + body._size)
+            except AttributeError:
+                raise _not_a_type(bound, body) from None
+            e, f = bound._esc, body._esc - 1
+            _set_esc(node, e if e >= f else f)
+            _set_fv(node, None)
             node._intern(_FORALLS, key)
         return node
 
@@ -217,11 +261,21 @@ def nodes(t: Ty, depth: int = 0) -> Iterator[tuple[Ty, int]]:
             raise TypeError(f"not a type: {node!r}")
 
 
-def _map_leaves(t: Ty, leaf: Callable[[Ty, int], Ty]) -> Ty:
-    # `t` with each leaf replaced by `leaf(node, binders above it)`.  Postorder
-    # on an explicit stack: an inner node is visited once to push its children
-    # and once more, flagged, to rebuild itself from their results.  A subtree
-    # whose leaves all map to themselves comes back as the same object.
+def _map_leaves(
+    t: Ty,
+    skip: Callable[[Ty, int], bool],
+    leaf: Callable[[int], Ty],
+    memo: dict[tuple[Ty, int], Ty],
+    per_binder: int = 1,
+) -> Ty:
+    # `t` with every subtree for which `skip(node, d)` holds kept as it is and
+    # every other leaf replaced by `leaf(d)`, where d counts the binders above
+    # the node, each binder adding `per_binder` (0 for a map that does not
+    # depend on depth).  Postorder on an explicit stack: an inner node is
+    # visited once to push its children and once more, flagged, to rebuild
+    # itself from their results, which `memo` keeps under (node, d), so a
+    # shared subterm is rebuilt once.  A subtree whose leaves all come back
+    # unchanged is the same object.
     stack: list[tuple[Ty, int, bool]] = [(t, 0, False)]
     out: list[Ty] = []
     while stack:
@@ -231,44 +285,73 @@ def _map_leaves(t: Ty, leaf: Callable[[Ty, int], Ty]) -> Ty:
             second = out.pop()
             first = out.pop()
             old_first, old_second = (node.dom, node.cod) if kind is Arrow else (node.bound, node.body)
-            out.append(node if first is old_first and second is old_second else kind(first, second))
+            done = node if first is old_first and second is old_second else kind(first, second)
+            memo[node, d] = done
+            out.append(done)
+        elif skip(node, d):
+            out.append(node)
+        elif kind in _LEAVES:
+            out.append(leaf(d))
+        elif (done := memo.get((node, d))) is not None:
+            out.append(done)
         elif kind is Arrow:
             stack += ((node, d, True), (node.cod, d, False), (node.dom, d, False))
-        elif kind is Forall:
-            stack += ((node, d, True), (node.body, d + 1, False), (node.bound, d, False))
-        elif kind in _LEAVES:
-            out.append(leaf(node, d))
         else:
-            raise TypeError(f"not a type: {node!r}")
+            stack += ((node, d, True), (node.body, d + per_binder, False), (node.bound, d, False))
     return out[0]
 
 
 def fv(t: Ty) -> frozenset[VarName]:
-    """Free variable names of `t`.  Bound indices contribute nothing."""
-    return frozenset(node.name for node, _ in nodes(t) if type(node) is FreeVar)
-
-
-def _closed_at(t: Ty, depth: int) -> bool:
-    # True if every bound index of t points at one of `depth` enclosing binders.
-    return all(node.index < d for node, d in nodes(t, depth) if type(node) is BoundIdx)
+    """Free variable names of `t`.  Bound indices contribute nothing.  The
+    first call computes the set for every node of `t` that lacks it; later
+    calls read it."""
+    names = t._fv
+    if names is not None:
+        return names
+    # Postorder on an explicit stack: a node stays on the stack until both of
+    # its children have their sets.  A node reached twice through sharing is
+    # done the second time.
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if node._fv is not None:
+            stack.pop()
+            continue
+        first, second = (node.dom, node.cod) if type(node) is Arrow else (node.bound, node.body)
+        a, b = first._fv, second._fv
+        if a is None or b is None:
+            if a is None:
+                stack.append(first)
+            if b is None:
+                stack.append(second)
+            continue
+        stack.pop()
+        # Reuse a child's set when the union adds nothing to it.
+        _set_fv(node, a if b <= a else b if a <= b else a | b)
+    return t._fv
 
 
 def is_locally_closed(t: Ty) -> bool:
     """True if no bound index of `t` escapes its binders."""
-    return _closed_at(t, 0)
+    return t._esc == 0
 
 
 def open_ty(body: Ty, name: VarName) -> Ty:
     """Instantiate index 0 of an abstraction body with the free variable `name`."""
-    if not _closed_at(body, 1):
+    if body._esc > 1:
         raise MalformedTypeError(f"abstraction body has an escaped index: {body!r}")
     repl = FreeVar(name)
-    return _map_leaves(body, lambda node, d: repl if type(node) is BoundIdx and node.index == d else node)
+    if body._esc == 0:
+        return body
+    # A subtree under d binders holds an occurrence of index 0 exactly when its
+    # escape level exceeds d; the one leaf that does is `BoundIdx(d)`.
+    return _map_leaves(body, lambda node, d: node._esc <= d, lambda d: repl, {})
 
 
 def close_ty(t: Ty, name: VarName) -> Ty:
     """Abstract the free variable `name` out of `t`, producing a body for `Forall`."""
-    return _map_leaves(t, lambda node, d: BoundIdx(d) if type(node) is FreeVar and node.name == name else node)
+    fv(t)  # gives every node of `t` the free names the skip test reads
+    return _map_leaves(t, lambda node, d: name not in node._fv, BoundIdx, {})
 
 
 def subst_var(t: Ty, old: VarName, new: VarName) -> Ty:
@@ -279,33 +362,14 @@ def subst_var(t: Ty, old: VarName, new: VarName) -> Ty:
 def renamer(old: VarName, new: VarName) -> Callable[[Ty], Ty]:
     """`subst_var(_, old, new)` as a function that remembers every node it has
     renamed, so that renaming many types that share subterms renames each
-    distinct node once.  A free variable is renamed the same way under any
-    number of binders, so one result per node is sound."""
-    memo: dict[Ty, Ty] = {}
+    distinct node once, and that skips every subtree without a free `old`.
+    A free variable is renamed the same way under any number of binders, so
+    one result per node is sound."""
+    memo: dict[tuple[Ty, int], Ty] = {}
 
     def rename(t: Ty) -> Ty:
-        # Postorder on an explicit stack, as in `_map_leaves`, skipping every
-        # node already in the memo.
-        stack: list[tuple[Ty, bool]] = [(t, False)]
-        while stack:
-            node, children_done = stack.pop()
-            kind = type(node)
-            if children_done:
-                if kind is Arrow:
-                    memo[node] = Arrow(memo[node.dom], memo[node.cod])
-                else:
-                    memo[node] = Forall(memo[node.bound], memo[node.body])
-            elif node in memo:
-                continue
-            elif kind is Arrow:
-                stack += ((node, True), (node.cod, False), (node.dom, False))
-            elif kind is Forall:
-                stack += ((node, True), (node.body, False), (node.bound, False))
-            elif kind in _LEAVES:
-                memo[node] = FreeVar(new) if kind is FreeVar and node.name == old else node
-            else:
-                raise TypeError(f"not a type: {node!r}")
-        return memo[t]
+        fv(t)  # as in `close_ty`
+        return _map_leaves(t, lambda node, d: old not in node._fv, lambda d: FreeVar(new), memo, 0)
 
     return rename
 
@@ -320,7 +384,7 @@ def size(t: Ty) -> int:
     """Node count.  A bound occurrence counts 1, exactly like the variable that
     would replace it, so the size of an abstraction body does not depend on the
     name chosen to open it."""
-    return sum(1 for _ in nodes(t))
+    return t._size
 
 
 def fresh(avoid: Iterable[VarName]) -> VarName:

@@ -81,6 +81,24 @@ class TestForallBoundScoping:
         t = parse_type("All X <: Y . X")
         assert t == Forall(FreeVar("Y"), BoundIdx(0))
 
+    @pytest.mark.parametrize(
+        "text, pos",
+        [
+            ("All X <: X . X", 4),
+            ("All Y <: Top . All Y <: Top -> Y . Y", 19),
+            # Spelled by an index that escapes a quantifier inside the bound.
+            ("All Z <: Top . All X <: (All W <: Z . X) . X", 19),
+        ],
+    )
+    def test_message_points_at_the_binder(self, text, pos):
+        with pytest.raises(ParseError) as info:
+            parse_type(text)
+        binder = text[pos]
+        assert info.value.message == (
+            f"bound of 'All {binder}' mentions the binder name {binder!r}, which it does not bind"
+        )
+        assert info.value.pos == pos
+
 
 class TestParseErrors:
     def test_position_and_expectation(self):

@@ -2,12 +2,14 @@
 declarative comparison system, and both serialization formats."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fsub.gen import GenConfig, gen_derivation
-from fsub.judgments import EMPTY_ENV, Env
+from fsub import subtyper
+from fsub.judgments import EMPTY_ENV, Env, names_in_env
 from fsub.parser import ParseError, parse_env, parse_judgment, parse_type, print_judgment
 from fsub.subtyper import (
     DEFAULT_FUEL,
@@ -489,3 +491,40 @@ class TestDeepDerivations:
         assert renamed.witness == "W"
         assert node_count(renamed) == node_count(d) == 2 * n + 3
         assert check_derivation(renamed)
+
+
+def best_of_three(fn) -> float:
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class TestLinearWalks:
+    """Checking and collecting names cost time linear in the derivation: each
+    node reads its types' cached facts, and each distinct environment is
+    scanned once."""
+
+    def test_checking_costs_no_more_than_deciding(self):
+        n = 2_000
+        t = parse_type(" -> ".join(["X"] * (n + 1)))
+        d = decide_sub(X_TOP, t, t, fuel=2 * n + 1).derivation
+        decide = best_of_three(lambda: decide_sub(X_TOP, t, t, fuel=2 * n + 1))
+        check = best_of_three(lambda: check_derivation(d))
+        assert check <= 3 * decide, (check, decide)
+
+    def test_names_scan_each_environment_once(self, monkeypatch):
+        g, lhs, rhs = variable_chain(2_000)
+        d = decide_sub(g, lhs, rhs, fuel=2_001).derivation
+        scanned = []
+
+        def counting(env: Env) -> frozenset:
+            scanned.append(env)
+            return names_in_env(env)
+
+        monkeypatch.setattr(subtyper, "names_in_env", counting)
+        assert node_count(d) == 2_001
+        assert names_in_derivation(d) == {f"X{i}" for i in range(2_001)}
+        assert scanned == [g]

@@ -11,7 +11,7 @@ import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from fsub.errors import MalformedTypeError
 from fsub.parser import parse_type, print_type
@@ -334,3 +334,109 @@ class TestInterning:
     def test_repr_of_a_deep_type(self):
         t = parse_type(" -> ".join(["X"] * (DEPTH + 1)))
         assert repr(t) == "Arrow(dom=FreeVar(name='X'), cod=" * DEPTH + "FreeVar(name='X')" + ")" * DEPTH
+
+
+def ln_types(max_index: int = 3) -> st.SearchStrategy:
+    """Locally nameless types built directly, so indices may escape their
+    binders at several depths: open bodies as well as closed types."""
+    leaves = st.one_of(
+        st.just(Top()),
+        st.builds(FreeVar, var_names),
+        st.builds(BoundIdx, st.integers(min_value=0, max_value=max_index)),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(st.builds(Arrow, inner, inner), st.builds(Forall, inner, inner)),
+        max_leaves=16,
+    )
+
+
+def walked_escape(t) -> int:
+    # Binders a type needs around it: 0 if no index escapes.
+    return max([0] + [node.index + 1 - d for node, d in nodes(t) if isinstance(node, BoundIdx)])
+
+
+def plain_map(t, leaf, d: int = 0):
+    # The map with no pruning and no memo: every leaf through `leaf(node, d)`.
+    if isinstance(t, Arrow):
+        return Arrow(plain_map(t.dom, leaf, d), plain_map(t.cod, leaf, d))
+    if isinstance(t, Forall):
+        return Forall(plain_map(t.bound, leaf, d), plain_map(t.body, leaf, d + 1))
+    return leaf(t, d)
+
+
+class TestCachedFacts:
+    """Every node keeps its size, escape level and free names; the cached
+    values agree with a walk over the tree, and the maps that prune on them
+    return exactly what an unpruned map builds."""
+
+    @given(ln_types())
+    def test_facts_agree_with_a_walk(self, t):
+        walked = list(nodes(t))
+        assert fv(t) == frozenset(node.name for node, _ in walked if isinstance(node, FreeVar))
+        assert size(t) == len(walked)
+        assert t._esc == walked_escape(t)
+        assert is_locally_closed(t) == all(node.index < d for node, d in walked if isinstance(node, BoundIdx))
+
+    @given(ln_types(), var_names)
+    def test_pruned_open_is_the_unpruned_map(self, body, x):
+        assume(body._esc <= 1)
+        expected = plain_map(body, lambda node, d: FreeVar(x) if node == BoundIdx(d) else node)
+        assert open_ty(body, x) is expected
+
+    @given(ln_types(), var_names)
+    def test_open_rejects_an_index_escaping_two_binders(self, body, x):
+        assume(body._esc > 1)
+        with pytest.raises(MalformedTypeError):
+            open_ty(body, x)
+
+    @given(ln_types(), var_names)
+    def test_pruned_close_is_the_unpruned_map(self, t, x):
+        expected = plain_map(t, lambda node, d: BoundIdx(d) if node == FreeVar(x) else node)
+        assert close_ty(t, x) is expected
+
+    @given(ln_types(), var_names, var_names)
+    def test_pruned_rename_is_the_unpruned_map(self, t, old, new):
+        expected = plain_map(t, lambda node, d: FreeVar(new) if node == FreeVar(old) else node)
+        assert subst_var(t, old, new) is expected
+
+    def test_a_rebuilt_node_gets_its_facts_again(self):
+        def build():
+            return Forall(FreeVar("Rebuilt"), Arrow(BoundIdx(2), FreeVar("Again")))
+
+        t = build()
+        assert (fv(t), size(t), t._esc) == ({"Rebuilt", "Again"}, 5, 2)
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
+        again = build()
+        assert again._fv is None
+        assert (fv(again), size(again), again._esc) == ({"Rebuilt", "Again"}, 5, 2)
+        assert not is_locally_closed(again)
+
+    def test_a_shared_dag_is_measured_without_unfolding(self):
+        # 64 doublings: 2**64 leaves, 65 distinct nodes.
+        t, body = FreeVar("X"), BoundIdx(0)
+        for _ in range(64):
+            t, body = Arrow(t, t), Arrow(body, body)
+        assert size(t) == 2**65 - 1
+        assert fv(t) == {"X"}
+        assert is_locally_closed(t) and body._esc == 1
+        assert close_ty(t, "X") is body
+        assert open_ty(body, "X") is t
+
+    def test_one_name_shares_one_set_at_every_depth(self):
+        t = parse_type(" -> ".join(["Shared"] * (DEPTH + 1)))
+        sets = {id(fv(t))}
+        while isinstance(t, Arrow):
+            sets.add(id(fv(t.dom)))
+            t = t.cod
+            sets.add(id(fv(t)))
+        assert sets == {id(fv(FreeVar("Shared")))}
+
+    def test_a_field_that_is_no_type_is_rejected(self):
+        with pytest.raises(TypeError, match="not a type: 'X'"):
+            Arrow(Top(), "X")
+        with pytest.raises(TypeError, match="not a type: 0"):
+            Forall(0, Top())
