@@ -10,12 +10,20 @@ Grammar:
 possible.  An `All` whose bound mentions its own binder name is rejected: the
 binder scopes over the body only, so such a bound could only refer to an outer
 variable of the same spelling, which this syntax refuses to express.
+
+Nothing here recurses.  The lexer gives a flat list of token texts, the parser
+is one loop over it with an explicit stack of pending productions, and the
+printer keeps the names of the binders it is inside on a stack.  Binder names
+exist only in this module: the parser turns them into indices and the printer
+turns indices back into names.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from string import ascii_letters
+from typing import Callable
 
 from .errors import MalformedTypeError
 from .judgments import Env
@@ -30,10 +38,7 @@ from .syntax import (
     VarName,
     fresh,
     fv,
-    is_locally_closed,
     is_var_name,
-    nodes,
-    open_ty,
 )
 
 
@@ -68,239 +73,310 @@ class SourceJudgment:
     tokens: tuple[Token, ...]
 
 
-_KEYWORDS = {"Top", "All"}
 _BLANKS = " \t\r\n"
 # One token per match, after any run of blanks: a symbol, an identifier
 # (exactly the names `FreeVar` accepts), or any other character, which is an
 # error.  Blanks at the end of the input match nothing and are skipped.
-_TOKEN_RE = re.compile(rf"[{_BLANKS}]*(?:(->|<:|\|-|[.(),])|({NAME_PATTERN})|([^{_BLANKS}]))")
+_TOKEN_RE = re.compile(rf"[{_BLANKS}]*(->|<:|\|-|[.(),]|{NAME_PATTERN}|[^{_BLANKS}])")
 
-# A lexed token is a plain `(kind, text, pos, end)` tuple.
-_RawToken = tuple[str, str, int, int]
+# The kind of every token text that is not an identifier.  The lexer ends the
+# token list with "", the end of input.
+_KINDS = {word: word for word in ("->", "<:", "|-", ".", "(", ")", ",", "Top", "All")}
+_KINDS[""] = "eof"
+_NAME_START = frozenset(ascii_letters + "_")
+
+_ATOM = frozenset(("Top", "All", "ident", "("))
+_TOP = Top()
 
 
-def _lex(text: str) -> list[_RawToken]:
-    tokens: list[_RawToken] = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastindex
-        word = m[kind]
-        if kind == 1:
-            append((word, word, m.start(1), m.end()))
-        elif kind == 2:
-            append((word if word in _KEYWORDS else "ident", word, m.start(2), m.end()))
+def _kind(word: str) -> str:
+    return _KINDS.get(word, "ident")
+
+
+def _lex(text: str) -> list[str]:
+    """The token texts of `text`, then "" for the end of input.  The first
+    character that starts no token raises, before any parsing."""
+    words = _TOKEN_RE.findall(text)
+    # A token that is neither a symbol, a keyword nor a name is one stray
+    # character.  Each distinct text is classified once.
+    bad = [word for word in set(words) if word not in _KINDS and word[0] not in _NAME_START]
+    if bad:
+        i = min(words.index(word) for word in bad)
+        raise ParseError(f"unexpected character {words[i]!r}", _starts(text, words, i + 1)[i])
+    words.append("")
+    return words
+
+
+def _starts(text: str, words: list[str], count: int) -> list[int]:
+    # Offsets of the first `count` tokens in `text`.  Only blanks separate a
+    # token from the one before it and no token starts with a blank, so a
+    # token starts at the first occurrence of its text after the previous one.
+    starts = []
+    pos = 0
+    for word in words[:count]:
+        pos = text.index(word, pos) if word else len(text)
+        starts.append(pos)
+        pos += len(word)
+    return starts
+
+
+def _unexpected(text: str, words: list[str], i: int, expected: frozenset[str]) -> ParseError:
+    word = words[i]
+    return ParseError(f"unexpected {_kind(word)} {word!r}", _starts(text, words, i + 1)[i], expected)
+
+
+def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
+    """The type that starts at token `i`, and the index of the token after it.
+
+    Each turn of the outer loop opens quantifiers and parentheses up to the
+    next atom; the inner loop then finishes every production that the atom
+    completes.  The stack holds the productions waiting for a type: the left
+    operand of an arrow (the operand itself), an open parenthesis (None), a
+    quantifier's bound `(binder, binder token, guard, outer guard)` and its
+    body `(bound, binder, outer level)`.  `levels` maps each binder name in
+    scope to the level of its innermost binder (0 for the outermost);
+    `guards` maps a name to the innermost quantifier of that name whose bound
+    is being parsed, as `[scope depth at its bound, bound names the binder]`.
+    """
+    stack: list[object] = []
+    levels: dict[VarName, int] = {}
+    guards: dict[VarName, list] = {}
+    depth = 0
+    while True:
+        word = words[i]
+        if word == "All":
+            binder = words[i + 1]
+            if binder in _KINDS:
+                raise _unexpected(text, words, i + 1, frozenset(("ident",)))
+            if words[i + 2] != "<:":
+                raise _unexpected(text, words, i + 2, frozenset(("<:",)))
+            guard = [depth, False]
+            stack.append((binder, i + 1, guard, guards.get(binder)))
+            guards[binder] = guard
+            i += 3
+            continue
+        if word == "(":
+            stack.append(None)
+            i += 1
+            continue
+        if word == "Top":
+            t = _TOP
+        elif word in _KINDS:
+            raise _unexpected(text, words, i, _ATOM)
         else:
-            raise ParseError(f"unexpected character {word!r}", m.start(3))
-    append(("eof", "", len(text), len(text)))
-    return tokens
-
-
-@dataclass
-class _Parser:
-    text: str
-    tokens: list[_RawToken]
-    index: int = 0
-    scope: list[VarName] = field(default_factory=list)
-
-    def peek(self) -> _RawToken:
-        return self.tokens[self.index]
-
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.index][0] == kind
-
-    def advance(self) -> _RawToken:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, kind: str) -> _RawToken:
-        tok = self.tokens[self.index]
-        if tok[0] != kind:
-            raise ParseError(
-                f"unexpected {tok[0] or 'end of input'} {tok[1]!r}",
-                tok[2],
-                frozenset((kind,)),
-            )
-        self.index += 1
-        return tok
-
-    def ty(self) -> Ty:
-        if self.at("All"):
-            return self.forall()
-        return self.arrow()
-
-    def forall(self) -> Ty:
-        self.expect("All")
-        _, binder, binder_pos, _ = self.expect("ident")
-        self.expect("<:")
-        bound = self.ty()
-        # The bound spells the binder's name as a free variable, or as an index
-        # escaping the bound to an enclosing binder of that name.
-        if binder in fv(bound) or (
-            not is_locally_closed(bound)
-            and any(
-                isinstance(node, BoundIdx) and node.index >= d and self.scope[d - node.index - 1] == binder
-                for node, d in nodes(bound)
-            )
-        ):
-            raise ParseError(
-                f"bound of 'All {binder}' mentions the binder name {binder!r},"
-                " which it does not bind",
-                binder_pos,
-            )
-        self.expect(".")
-        self.scope.append(binder)
-        try:
-            body = self.ty()
-        finally:
-            self.scope.pop()
-        return Forall(bound, body)
-
-    def arrow(self) -> Ty:
-        # `->` is right-associative: collect the operands, then fold from the
-        # right.  A quantifier operand extends to the end, so it is the last.
-        operands = [self.atom()]
-        while self.at("->"):
-            self.advance()
-            if self.at("All"):
-                operands.append(self.forall())
-                break
-            operands.append(self.atom())
-        t = operands.pop()
-        while operands:
-            t = Arrow(operands.pop(), t)
-        return t
-
-    def atom(self) -> Ty:
-        kind, text, pos, _ = self.tokens[self.index]
-        if kind == "Top":
-            self.index += 1
-            return Top()
-        if kind == "ident":
-            self.index += 1
-            for depth, binder in enumerate(reversed(self.scope)):
-                if binder == text:
-                    return BoundIdx(depth)
-            return FreeVar(text)
-        if kind == "(":
-            self.index += 1
-            inner = self.ty()
-            self.expect(")")
-            return inner
-        raise ParseError(
-            f"unexpected {kind or 'end of input'} {text!r}",
-            pos,
-            frozenset(("Top", "All", "ident", "(")),
-        )
-
-    def env_bindings(self, stop: str) -> list[tuple[VarName, Ty]]:
-        decls: list[tuple[VarName, Ty]] = []
-        if self.at(stop):
-            return decls
-        if self.at("ident") and self.peek()[1] == "empty" and self.tokens[self.index + 1][0] == stop:
-            self.advance()
-            return decls
+            level = levels.get(word, -1) if levels else -1
+            t = FreeVar(word) if level < 0 else BoundIdx(depth - 1 - level)
+            # The name escapes the innermost bound being parsed for a binder
+            # of the same name: that bound spells its own binder.
+            if guards:
+                guard = guards.get(word)
+                if guard is not None and guard[0] > level:
+                    guard[1] = True
+        i += 1
+        atom = True
         while True:
-            name = self.expect("ident")[1]
-            self.expect("<:")
-            bound = self.ty()
-            decls.append((name, bound))
-            if self.at(","):
-                self.advance()
-                continue
-            if self.at(stop):
-                return decls
-            kind, text, pos, _ = self.peek()
-            raise ParseError(
-                f"unexpected {kind} {text!r}",
-                pos,
-                frozenset((",", stop)),
-            )
+            if atom and words[i] == "->":
+                stack.append(t)
+                i += 1
+                break
+            if not stack:
+                return t, i
+            frame = stack.pop()
+            if frame is None:
+                if words[i] != ")":
+                    raise _unexpected(text, words, i, frozenset((")",)))
+                i += 1
+                atom = True
+            elif type(frame) is not tuple:
+                t = Arrow(frame, t)
+                atom = False
+            elif len(frame) == 4:
+                binder, binder_i, guard, outer_guard = frame
+                if guard[1]:
+                    raise ParseError(
+                        f"bound of 'All {binder}' mentions the binder name {binder!r}, which it does not bind",
+                        _starts(text, words, binder_i + 1)[binder_i],
+                    )
+                if words[i] != ".":
+                    raise _unexpected(text, words, i, frozenset((".",)))
+                if outer_guard is None:
+                    del guards[binder]
+                else:
+                    guards[binder] = outer_guard
+                stack.append((t, binder, levels.get(binder)))
+                levels[binder] = depth
+                depth += 1
+                i += 1
+                break
+            else:
+                bound, binder, outer_level = frame
+                t = Forall(bound, t)
+                depth -= 1
+                if outer_level is None:
+                    del levels[binder]
+                else:
+                    levels[binder] = outer_level
+                atom = False
 
-    def slice_text(self, start: int, end: int) -> str:
-        # Raw input between the first and last token of a section.
-        if start >= end:
-            return ""
-        return self.text[self.tokens[start][2] : self.tokens[end - 1][3]]
+
+def _bindings(text: str, words: list[str], i: int, stop: str) -> tuple[list[tuple[VarName, Ty]], int]:
+    # The bindings of an environment starting at token `i` and ending at a
+    # token of kind `stop`, and the index of that token.
+    decls: list[tuple[VarName, Ty]] = []
+    if _kind(words[i]) == stop:
+        return decls, i
+    if words[i] == "empty" and _kind(words[i + 1]) == stop:
+        return decls, i + 1
+    while True:
+        name = words[i]
+        if _kind(name) != "ident":
+            raise _unexpected(text, words, i, frozenset(("ident",)))
+        if words[i + 1] != "<:":
+            raise _unexpected(text, words, i + 1, frozenset(("<:",)))
+        bound, i = _ty(text, words, i + 2)
+        decls.append((name, bound))
+        word = words[i]
+        if word == ",":
+            i += 1
+        elif _kind(word) == stop:
+            return decls, i
+        else:
+            raise _unexpected(text, words, i, frozenset((",", stop)))
+
+
+def _end(text: str, words: list[str], i: int) -> None:
+    if words[i]:
+        raise _unexpected(text, words, i, frozenset(("eof",)))
 
 
 def parse_type(text: str) -> Ty:
     """Parse a complete type.  Every identifier outside a binder scope is free."""
-    p = _Parser(text, _lex(text))
-    t = p.ty()
-    p.expect("eof")
+    words = _lex(text)
+    t, i = _ty(text, words, 0)
+    _end(text, words, i)
     return t
 
 
 def parse_env(text: str) -> Env:
     """Parse a comma-separated environment; empty input or `empty` is the empty one."""
-    p = _Parser(text, _lex(text))
-    decls = p.env_bindings(stop="eof")
-    p.expect("eof")
+    words = _lex(text)
+    decls, _ = _bindings(text, words, 0, "eof")
     return Env.from_decls(decls)
 
 
-def _parse_judgment(p: _Parser) -> tuple[Env, Ty, Ty, tuple[int, int, int, int, int]]:
+def env_parser() -> Callable[[str], Env]:
+    """`parse_env` as a function that parses each distinct binding text once
+    over all its calls.  Types contain no `,`, so the text of an environment
+    is its bindings' texts joined by commas.  When a piece is not exactly one
+    binding, the whole text goes to `parse_env`, which reads a blank text and
+    `empty` as the empty environment and otherwise raises its own error."""
+    memo: dict[str, tuple[VarName, Ty]] = {}
+
+    def parse(text: str) -> Env:
+        decls = []
+        for piece in text.split(","):
+            binding = memo.get(piece)
+            if binding is None:
+                try:
+                    found, _ = _bindings(piece, _lex(piece), 0, "eof")
+                except ParseError:
+                    found = []
+                if len(found) != 1:
+                    return parse_env(text)
+                binding = memo[piece] = found[0]
+            decls.append(binding)
+        return Env.from_decls(decls)
+
+    return parse
+
+
+def env_printer(type_text: Callable[[Ty], str]) -> Callable[[Env], str]:
+    """`print_env` as a function that prints each distinct binding once over
+    all its calls, taking the text of each bound from `type_text` (a memo of
+    `print_type`, say).  Environments that grow one binding at a time share
+    the text of their bindings."""
+    memo: dict[tuple[VarName, Ty], str] = {}
+
+    def show(g: Env) -> str:
+        parts = []
+        for binding in reversed(g.bindings):
+            text = memo.get(binding)
+            if text is None:
+                text = memo[binding] = f"{binding[0]} <: {type_text(binding[1])}"
+            parts.append(text)
+        return ", ".join(parts)
+
+    return show
+
+
+def _parse_judgment(text: str, words: list[str]) -> tuple[Env, Ty, Ty, tuple[int, int, int, int, int]]:
     # The three components, and the token indices where the sections end and
     # start: env end, lhs start and end, rhs start and end.
-    decls = p.env_bindings(stop="|-")
-    env_end = p.index
-    p.expect("|-")
-    lhs_start = p.index
-    lhs = p.ty()
-    lhs_end = p.index
-    p.expect("<:")
-    rhs_start = p.index
-    rhs = p.ty()
-    rhs_end = p.index
-    p.expect("eof")
-    return Env.from_decls(decls), lhs, rhs, (env_end, lhs_start, lhs_end, rhs_start, rhs_end)
+    decls, env_end = _bindings(text, words, 0, "|-")
+    lhs, lhs_end = _ty(text, words, env_end + 1)
+    if words[lhs_end] != "<:":
+        raise _unexpected(text, words, lhs_end, frozenset(("<:",)))
+    rhs, rhs_end = _ty(text, words, lhs_end + 1)
+    _end(text, words, rhs_end)
+    return Env.from_decls(decls), lhs, rhs, (env_end, env_end + 1, lhs_end, lhs_end + 1, rhs_end)
 
 
 def parse_judgment(text: str) -> tuple[Env, Ty, Ty]:
     """Parse `Env |- Ty <: Ty` into its three components."""
-    g, lhs, rhs, _ = _parse_judgment(_Parser(text, _lex(text)))
+    g, lhs, rhs, _ = _parse_judgment(text, _lex(text))
     return g, lhs, rhs
 
 
 def scan_judgment(text: str) -> SourceJudgment:
     """Parse a judgment line and report its raw sections and token spans."""
-    p = _Parser(text, _lex(text))
-    _, _, _, (env_end, lhs_start, lhs_end, rhs_start, rhs_end) = _parse_judgment(p)
+    words = _lex(text)
+    _, _, _, (env_end, lhs_start, lhs_end, rhs_start, rhs_end) = _parse_judgment(text, words)
+    words.pop()
+    starts = _starts(text, words, len(words))
+
+    def section(start: int, end: int) -> str:
+        # Raw input between the first and last token of a section.
+        return text[starts[start] : starts[end - 1] + len(words[end - 1])] if start < end else ""
+
     return SourceJudgment(
-        env_text=p.slice_text(0, env_end),
-        lhs_text=p.slice_text(lhs_start, lhs_end),
-        rhs_text=p.slice_text(rhs_start, rhs_end),
-        tokens=tuple(Token(*tok) for tok in p.tokens[:-1]),
+        env_text=section(0, env_end),
+        lhs_text=section(lhs_start, lhs_end),
+        rhs_text=section(rhs_start, rhs_end),
+        tokens=tuple(Token(_kind(word), word, pos, pos + len(word)) for word, pos in zip(words, starts)),
     )
 
 
-def _print_ty(t: Ty) -> str:
-    # Left to right from a stack of pending types and literal strings; the
-    # parts of a node are pushed in reverse so that they pop in order.
-    out: list[str] = []
-    stack: list[Ty | str] = [t]
+_NO_INDICES: frozenset[int] = frozenset()
+
+
+def _escaping(t: Ty, memo: dict[Ty, frozenset[int]]) -> frozenset[int]:
+    # The amounts k by which bound occurrences escape `t`: an occurrence
+    # `BoundIdx(d + k)` under d of `t`'s own binders.  Postorder on an
+    # explicit stack over the nodes that have an escaping index; `memo` keeps
+    # each node's set.
+    stack = [t]
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, FreeVar):
-            out.append(item.name)
-        elif isinstance(item, Arrow):
-            if isinstance(item.dom, (Arrow, Forall)):
-                stack += (item.cod, ") -> ", item.dom, "(")
-            else:
-                stack += (item.cod, " -> ", item.dom)
-        elif isinstance(item, Top):
-            out.append("Top")
-        elif isinstance(item, Forall):
-            # The binder must avoid capture in the body and must not appear in
-            # the bound, which would make the printed form unparseable.
-            name = fresh(fv(item))
-            stack += (open_ty(item.body, name), " . ", item.bound, f"All {name} <: ")
-        else:
-            raise MalformedTypeError(f"cannot print: {item!r}")
-    return "".join(out)
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is BoundIdx:
+            memo[node] = frozenset((node.index,))
+            stack.pop()
+            continue
+        first, second = (node.dom, node.cod) if kind is Arrow else (node.bound, node.body)
+        pending = [child for child in (first, second) if child._esc and child not in memo]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        a = memo[first] if first._esc else _NO_INDICES
+        b = memo[second] if second._esc else _NO_INDICES
+        if kind is Forall:
+            b = frozenset(k - 1 for k in b if k)
+        memo[node] = a | b
+    return memo[t]
 
 
 def print_type(t: Ty) -> str:
@@ -309,7 +385,54 @@ def print_type(t: Ty) -> str:
     Binder names are chosen deterministically, so the output is canonical up to
     the names of free variables; `parse_type` maps it back to `t` exactly.
     """
-    return _print_ty(t)
+    if not isinstance(t, Ty) or t._esc:
+        raise MalformedTypeError(f"cannot print: {t!r}")
+    # Left to right from a stack of pending types and literal strings; the
+    # parts of a node are pushed in reverse so that they pop in order.  A
+    # 1-tuple `(name,)` ends a bound and brings its binder into scope, and
+    # None takes it out again after the body.
+    out: list[str] = []
+    names: list[VarName] = []
+    escaping: dict[Ty, frozenset[int]] = {}
+    stack: list[object] = [t]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is str:
+            out.append(item)
+        elif kind is FreeVar:
+            out.append(item.name)
+        elif kind is Arrow:
+            if isinstance(item.dom, (Arrow, Forall)):
+                out.append("(")
+                stack += (item.cod, ") -> ", item.dom)
+            else:
+                stack += (item.cod, " -> ", item.dom)
+        elif kind is BoundIdx:
+            out.append(names[-1 - item.index])
+        elif kind is Forall:
+            # The binder must avoid capture in the body and must not appear in
+            # the bound, which would make the printed form unparseable: it
+            # avoids the free names of the quantifier with each escaping index
+            # replaced by its binder's name.  An escape level of e means that
+            # index e - 1 escapes, and no other when e is 1.
+            avoid = fv(item)
+            e = item._esc
+            if e == 1:
+                avoid = avoid | {names[-1]}
+            elif e:
+                avoid = avoid | {names[-1 - k] for k in _escaping(item, escaping)}
+            name = fresh(avoid)
+            out.append(f"All {name} <: ")
+            stack += (None, item.body, (name,), item.bound)
+        elif kind is tuple:
+            out.append(" . ")
+            names.append(item[0])
+        elif kind is Top:
+            out.append("Top")
+        else:
+            names.pop()
+    return "".join(out)
 
 
 def print_env(g: Env) -> str:

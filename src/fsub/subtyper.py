@@ -20,8 +20,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from .errors import InternalCheckError, PreconditionError
-from .judgments import Env, closed, gfresh, lookup, names_in_env, ok
-from .parser import parse_env, parse_type, print_env, print_judgment, print_type
+from .judgments import Env, closed, lookup, names_in_env, ok
+from .parser import env_parser, env_printer, parse_type, print_type
 from .syntax import (
     Arrow,
     Forall,
@@ -264,8 +264,11 @@ def _fmt_path(path: tuple[int, ...]) -> str:
     return "root" if not path else "root." + ".".join(str(i) for i in path)
 
 
-def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
+def _diagnose_node(d: Derivation, implicit: bool, oks: _Memo[Env, bool], scopes: _Memo[Env, dict]) -> Optional[str]:
     # The first violated condition of this node alone; premises are not visited.
+    # `oks[g]` is `ok(g)` and `scopes[g]` maps each name declared in `g` to its
+    # bound, both kept for the whole check: nodes share environments, and
+    # scanning one at every leaf would cost leaves x bindings.
     ruleset = IMPLICIT_RULES if implicit else EXPLICIT_RULES
     if d.rule not in ruleset:
         system = "implicit" if implicit else "explicit"
@@ -283,22 +286,22 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
         if not isinstance(t, Top):
             return "right side of a top node must be Top"
         if not implicit:
-            if not ok(g):
+            if not oks[g]:
                 return "environment is not ok"
-            if not closed(s, g):
+            if not fv(s) <= scopes[g].keys():
                 return "left side is not closed in the environment"
     elif shape == Rule.VAR:
         if not (isinstance(s, FreeVar) and s == t):
             return "a reflexivity node relates a variable to itself"
         if not implicit:
-            if not ok(g):
+            if not oks[g]:
                 return "environment is not ok"
-            if lookup(g, s.name) is None:
+            if s.name not in scopes[g]:
                 return f"variable {s.name!r} is not declared"
     elif shape == Rule.TRS:
         if not isinstance(s, FreeVar):
             return "left side of a bound-chaining node must be a variable"
-        bound = lookup(g, s.name)
+        bound = scopes[g].get(s.name)
         if bound is None:
             return f"variable {s.name!r} is not declared"
         if d.premises[0].concl != (g, bound, t):
@@ -315,7 +318,7 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
             return "both sides of a quantifier node must be universals"
         w = d.witness
         assert w is not None
-        if not gfresh(g, w):
+        if w in scopes[g]:
             return f"witness {w!r} is already declared"
         if w in fv(s.body) or w in fv(t.body):
             return f"witness {w!r} occurs free under a quantifier body"
@@ -331,9 +334,12 @@ def _diagnose(d: Derivation, implicit: bool) -> Optional[str]:
     # Preorder, so the problem reported is the first a depth-first check meets.
     # path[1:] is the current node's path, spelled out only for a bad node.
     path: list[int] = []
+    oks = _Memo(ok)
+    # Oldest first, so that a later binding of a name overrides an earlier one.
+    scopes = _Memo(lambda g: dict(g.decls()))
     for depth, i, node in preorder(d):
         path[depth:] = (i,)
-        problem = _diagnose_node(node, implicit)
+        problem = _diagnose_node(node, implicit, oks, scopes)
         if problem is not None:
             return f"{_fmt_path(tuple(path[1:]))}: {problem}"
     return None
@@ -566,13 +572,18 @@ def decide_sub_declarative(
 
 
 def derivation_to_text(d: Derivation) -> str:
-    """Indented one-node-per-line rendering; quantifier nodes show their witness."""
+    """Indented one-node-per-line rendering; quantifier nodes show their witness.
+    Each distinct environment, binding and type is printed once per call."""
+    types = _Memo(print_type)
+    envs = _Memo(env_printer(types.__getitem__))
     lines: list[str] = []
     for depth, _, node in preorder(d):
         tag = node.rule.value
         if node.witness is not None:
             tag += f" {node.witness}"
-        lines.append("  " * depth + f"({tag}) " + print_judgment(node.env, node.lhs, node.rhs))
+        env_text = envs[node.env]
+        judgment = f"|- {types[node.lhs]} <: {types[node.rhs]}"
+        lines.append("  " * depth + f"({tag}) " + (f"{env_text} {judgment}" if env_text else judgment))
     return "\n".join(lines)
 
 
@@ -582,13 +593,15 @@ _JSON_NODE_OPEN = '{"rule": %s, "env": %s, "lhs": %s, "rhs": %s, "witness": %s, 
 def derivation_to_json(d: Derivation) -> str:
     """Serialize with a fixed key order: rule, env, lhs, rhs, witness, premises.
     Types and environments use the surface syntax, so output re-parses exactly.
-    Each distinct environment and type is printed once per call."""
+    Each distinct environment, binding and type is printed once per call."""
     # The text `json.dumps` gives the nested objects, emitted from a stack of
     # pending nodes and literal strings; strings are quoted by json's own
     # encoder.  Environments and types are interned, so the memos of their
     # quoted text are keyed by identity.
-    envs = _Memo(lambda g: _quote(print_env(g)))
-    types = _Memo(lambda t: _quote(print_type(t)))
+    texts = _Memo(print_type)
+    env_text = env_printer(texts.__getitem__)
+    envs = _Memo(lambda g: _quote(env_text(g)))
+    types = _Memo(lambda t: _quote(texts[t]))
     parts: list[str] = []
     stack: list[Union[Derivation, str]] = [d]
     while stack:
@@ -638,5 +651,5 @@ def _from_obj(obj: object, envs: _Memo[str, Env], types: _Memo[str, Ty]) -> Deri
 
 def derivation_from_json(text: str) -> Derivation:
     """Inverse of `derivation_to_json`.  Raises ValueError on schema violations.
-    Each distinct environment and type string is parsed once per call."""
-    return _from_obj(json.loads(text), _Memo(parse_env), _Memo(parse_type))
+    Each distinct environment, binding and type string is parsed once per call."""
+    return _from_obj(json.loads(text), _Memo(env_parser()), _Memo(parse_type))

@@ -389,7 +389,7 @@ def size(t: Ty) -> int:
 
 def fresh(avoid: Iterable[VarName]) -> VarName:
     """Least name in the sequence X0, X1, ... not contained in `avoid`."""
-    taken = set(avoid)
+    taken = avoid if isinstance(avoid, (set, frozenset)) else set(avoid)
     n = 0
     while f"X{n}" in taken:
         n += 1

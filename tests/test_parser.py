@@ -1,12 +1,15 @@
 """Surface syntax: lexing, parsing, printing, and the round-trip contract."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
+import reference_parser as ref
+from fsub import parser
 from fsub.judgments import Env, dom, ok
 from fsub.parser import (
     ParseError,
     Token,
+    env_parser,
     parse_env,
     parse_judgment,
     parse_type,
@@ -16,7 +19,8 @@ from fsub.parser import (
     scan_judgment,
 )
 from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, alpha_eq, fv
-from strategies import envs_with_closed_ty
+from naive import NAll, NArr, NTop, NTy, NVar, to_ln
+from strategies import envs_with_closed_ty, named_types, variable_chain
 
 
 class TestParseType:
@@ -265,3 +269,172 @@ class TestRoundTrip:
         shown = print_judgment(g, t, t)
         g2, lhs2, rhs2 = parse_judgment(shown)
         assert g2 == g and alpha_eq(lhs2, t) and rhs2 == t
+
+
+def show_named(t: NTy) -> str:
+    """Surface text of a named type, every compound parenthesized, binders as
+    spelled: unlike `print_type`, it can spell a binder inside its own bound."""
+    match t:
+        case NTop():
+            return "Top"
+        case NVar(name):
+            return name
+        case NArr(left, right):
+            return f"({show_named(left)}) -> ({show_named(right)})"
+        case NAll(binder, bound, body):
+            return f"All {binder} <: ({show_named(bound)}) . ({show_named(body)})"
+    raise AssertionError(t)
+
+
+@st.composite
+def source_texts(draw: st.DrawFn) -> str:
+    """A printed type, environment or judgment, or a named type spelled out."""
+    g, t = draw(envs_with_closed_ty())
+    form = draw(st.sampled_from(("type", "env", "judgment", "named", "named judgment")))
+    if form == "type":
+        return print_type(t)
+    if form == "env":
+        return print_env(g)
+    if form == "judgment":
+        return print_judgment(g, t, t)
+    named = show_named(draw(named_types(max_depth=3)))
+    return named if form == "named" else f"{print_env(g)} |- {named} <: {print_type(t)}"
+
+
+STRAYS = ("+", "\u00e9", "1", "'", "-", "<", "|", "\x0b", "\u00b2")
+
+
+@st.composite
+def corrupted_texts(draw: st.DrawFn) -> str:
+    """A source text, as it is or with one edit: a token deleted, duplicated or
+    swapped with the next, a stray or non-ASCII character, an unbalanced
+    parenthesis, or a trailing comma."""
+    text = draw(source_texts())
+    spans = [(pos, end) for _, _, pos, end in ref.lex(text)[:-1]]
+    edit = draw(st.sampled_from(("none", "delete", "duplicate", "swap", "stray", "paren", "comma")))
+    if edit == "comma":
+        return text + ","
+    if edit in ("stray", "paren"):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(STRAYS if edit == "stray" else ("(", ")")))
+        return text[:at] + char + text[at:]
+    if edit == "none" or len(spans) < 2:
+        return text
+    k = draw(st.integers(0, len(spans) - 2))
+    (a, b), (c, d) = spans[k], spans[k + 1]
+    if edit == "delete":
+        return text[:a] + text[b:]
+    if edit == "duplicate":
+        return text[:b] + " " + text[a:b] + text[b:]
+    return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+
+
+def outcome(parse, text: str):
+    """What `parse` gives for `text`: its result, or the parts of its error.
+    Types and environments are interned and compare by identity, so equal
+    outcomes hold the identical objects."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return ("error", err.message, err.pos, err.expected)
+
+
+class TestAgainstReference:
+    """The iterative parser and the stack-of-names printer agree with the
+    recursive-descent reference and the opening printer in `reference_parser`."""
+
+    @given(corrupted_texts())
+    def test_same_result_or_same_error(self, text):
+        for new, old in (
+            (parse_type, ref.parse_type),
+            (parse_env, ref.parse_env),
+            (env_parser(), ref.parse_env),
+            (parse_judgment, ref.parse_judgment),
+            (scan_judgment, ref.scan_judgment),
+        ):
+            assert outcome(new, text) == outcome(old, text), (new, text)
+
+    @given(st.lists(st.sampled_from(("X", "Top", "All", "<:", "->", ".", "(", ")", ",", "|-", "empty", " ", "\t",
+                                     "-", "<", "|", "1", "\u00e9")), max_size=14))
+    def test_token_soup(self, parts):
+        text = "".join(parts)
+        for new, old in (
+            (parse_type, ref.parse_type),
+            (parse_env, ref.parse_env),
+            (parse_judgment, ref.parse_judgment),
+            (scan_judgment, ref.scan_judgment),
+        ):
+            assert outcome(new, text) == outcome(old, text), (new, text)
+
+    @given(named_types(max_depth=4))
+    def test_printer_gives_the_reference_text(self, named):
+        # Nested binders whose bodies mention outer binders make indices
+        # escape inner quantifiers by several levels.
+        t = to_ln(named)
+        text = print_type(t)
+        assert text == ref.print_type(t)
+        assert parse_type(text) is t
+
+    def test_env_parser_lexes_each_distinct_binding_once(self, monkeypatch):
+        lexed = []
+        lex = parser._lex
+        monkeypatch.setattr(parser, "_lex", lambda text: lexed.append(text) or lex(text))
+        g, _, _ = variable_chain(3)
+        longer = g.extend("X4", FreeVar("X3"))
+        parse = env_parser()
+        assert parse(print_env(g)) is g
+        assert parse(print_env(g)) is g
+        assert parse(print_env(longer)) is longer
+        assert lexed == ["X0 <: Top", " X1 <: X0", " X2 <: X1", " X3 <: X2", " X4 <: X3"]
+
+
+DEPTH = 10_000
+
+
+class TestDeepInput:
+    """Nothing in the parser or the printer recurses: 10,000 levels of every
+    kind of nesting parse and print at the default recursion limit."""
+
+    def test_nested_parentheses(self):
+        assert parse_type("(" * DEPTH + "X" + ")" * DEPTH) is FreeVar("X")
+
+    def test_nested_quantifiers(self):
+        t = parse_type("".join(f"All Y{i} <: Top . " for i in range(DEPTH)) + "Y0")
+        for i in range(DEPTH):
+            assert type(t) is Forall and t.bound is Top()
+            t = t.body
+        assert t is BoundIdx(DEPTH - 1)
+
+    def test_left_nested_arrows(self):
+        t = parse_type("(" * DEPTH + "X" + ") -> X" * DEPTH)
+        for _ in range(DEPTH):
+            assert t.cod is FreeVar("X")
+            t = t.dom
+        assert t is FreeVar("X")
+
+    def test_environment_chain(self):
+        text = ", ".join(["X0 <: Top"] + [f"X{i} <: X{i - 1}" for i in range(1, DEPTH + 1)])
+        g, _, _ = variable_chain(DEPTH)
+        assert parse_env(text) is g
+        assert env_parser()(text) is g
+
+    def test_print_nested_quantifiers(self):
+        # Each bound names the binder just outside it, so binders alternate
+        # between the two least names.
+        t = BoundIdx(0)
+        for _ in range(DEPTH - 1):
+            t = Forall(BoundIdx(0), t)
+        t = Forall(Top(), t)
+        text = "All X0 <: Top . " + "".join(f"All X{i % 2} <: X{(i - 1) % 2} . " for i in range(1, DEPTH)) + "X1"
+        assert print_type(t) == text
+        assert parse_type(text) is t
+
+    def test_print_quantifiers_under_an_outer_binder(self):
+        # The body names the outermost binder, so its index escapes every
+        # inner quantifier, by a different amount at each.
+        t = BoundIdx(DEPTH - 1)
+        for _ in range(DEPTH):
+            t = Forall(Top(), t)
+        text = "All X0 <: Top . " + "All X1 <: Top . " * (DEPTH - 1) + "X0"
+        assert print_type(t) == text
+        assert parse_type(text) is t

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from fsub.gen import GenConfig, gen_derivation
 from fsub import subtyper
 from fsub.judgments import EMPTY_ENV, Env, names_in_env
-from fsub.parser import ParseError, parse_env, parse_judgment, parse_type, print_judgment
+from fsub.parser import ParseError, parse_env, parse_judgment, parse_type, print_judgment, print_type
 from fsub.subtyper import (
     DEFAULT_FUEL,
     DeclarativeSearch,
@@ -369,6 +369,19 @@ class TestSerialization:
         assert str(info.value) == str(alone.value)
         assert (info.value.pos, info.value.expected) == (alone.value.pos, alone.value.expected)
 
+    def test_writers_print_each_distinct_type_once(self, monkeypatch):
+        # Below a quantifier node the environment grows by one binding, so
+        # the bounds of a long environment recur at every node beneath it.
+        d = decide_yes("|- All A <: Top . All B <: A . All C <: B . C <: All A <: Top . All B <: A . All C <: B . C")
+        types = {t for _, node in iter_nodes(d) for t in (node.lhs, node.rhs, *(b for _, b in node.env.bindings))}
+        writers = {write: write(d) for write in (derivation_to_text, derivation_to_json)}
+        printed = []
+        monkeypatch.setattr(subtyper, "print_type", lambda t: printed.append(t) or print_type(t))
+        for write, text in writers.items():
+            printed.clear()
+            assert write(d) == text
+            assert sorted(map(id, printed)) == sorted(map(id, types))
+
     def test_rejects_unknown_rule(self):
         for tag in ("mystery", "D-Hyp", "D-Refl", "D-Trans"):
             with pytest.raises(ValueError, match="unknown rule tag"):
@@ -512,6 +525,18 @@ class TestLinearWalks:
         t = parse_type(" -> ".join(["X"] * (n + 1)))
         d = decide_sub(X_TOP, t, t, fuel=2 * n + 1).derivation
         decide = best_of_three(lambda: decide_sub(X_TOP, t, t, fuel=2 * n + 1))
+        check = best_of_three(lambda: check_derivation(d))
+        assert check <= 3 * decide, (check, decide)
+
+    def test_checking_scans_each_environment_once(self):
+        # Every leaf of the reflexivity derivation is a `var` node in an
+        # environment of 2,001 bindings whose oldest one declares X: its ok
+        # check and its lookup of X are answered once for the whole tree.
+        n = 1_000
+        g = Env.from_decls([("X", Top())] + [(f"P{i}", Top()) for i in range(2_000)])
+        t = parse_type(" -> ".join(["X"] * (n + 1)))
+        d = decide_sub(g, t, t, fuel=2 * n + 1).derivation
+        decide = best_of_three(lambda: decide_sub(g, t, t, fuel=2 * n + 1))
         check = best_of_three(lambda: check_derivation(d))
         assert check <= 3 * decide, (check, decide)
 
