@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import KernelError, PreconditionError
 from .gen import (
@@ -191,13 +191,25 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if disagreements == 0 else 1
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    # An argparse `type` for integers of at least `low`; argparse reports any
+    # other value as a malformed invocation.
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fsub", description="Subtyping kernel for pure F-sub types.")
     sub = top.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="decide judgments from a file, one per line")
     check.add_argument("file")
-    check.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    check.add_argument("--fuel", type=_at_least(0), default=DEFAULT_FUEL)
     check.add_argument("--derivation", action="store_true", help="print each derivation")
     check.add_argument("--json", action="store_true", help="derivations as JSON")
     check.set_defaults(fn=_cmd_check)
@@ -221,18 +233,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="emit a reproducible corpus")
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--count", type=int, required=True)
-    gen.add_argument("--max-env", type=int, default=4)
-    gen.add_argument("--max-size", type=int, default=8)
-    gen.add_argument("--max-depth", type=int, default=4)
+    gen.add_argument("--count", type=_at_least(0), required=True)
+    gen.add_argument("--max-env", type=_at_least(0), default=4)
+    gen.add_argument("--max-size", type=_at_least(1), default=8)
+    gen.add_argument("--max-depth", type=_at_least(1), default=4)
     gen.add_argument("--derivations", action="store_true", help="serialized derivation pairs instead of judgments")
     gen.set_defaults(fn=_cmd_gen)
 
     oracle = sub.add_parser("oracle", help="compare the decider against declarative search on all small judgments")
-    oracle.add_argument("--max-size", type=int, default=3)
-    oracle.add_argument("--max-env", type=int, default=2)
-    oracle.add_argument("--vars", type=int, default=2)
-    oracle.add_argument("--fuel", type=int, default=50)
+    oracle.add_argument("--max-size", type=_at_least(0), default=3)
+    oracle.add_argument("--max-env", type=_at_least(0), default=2)
+    oracle.add_argument("--vars", type=_at_least(0), default=2)
+    oracle.add_argument("--fuel", type=_at_least(0), default=50)
     oracle.set_defaults(fn=_cmd_oracle)
 
     return top

@@ -15,16 +15,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 from .errors import PreconditionError
-from .judgments import Env, closed, fresh_for_env, lookup, ok
+from .judgments import Env, dom, fresh_for_env, gfresh, lookup, witness_for
 from .metatheory import EnvSplit, derive_refl
-from .subtyper import (
-    Derivation,
-    Rule,
-    Yes,
-    decide_sub,
-    preorder,
-    witness_for,
-)
+from .subtyper import Derivation, Rule, Yes, decide_sub, preorder
 from .syntax import Arrow, Forall, FreeVar, Top, Ty, VarName, close_ty, fresh, fv, open_ty, size
 
 _MASK = (1 << 64) - 1
@@ -332,7 +325,7 @@ def shrink_ty(t: Ty, g: Env = Env()) -> Iterator[Ty]:
             yield bound
             for b2 in shrink_ty(bound, g):
                 yield Forall(b2, body)
-            opener = fresh(fv(bound) | fv(body) | {name for name, _ in g.bindings})
+            opener = witness_for(g, bound, body)
             inner = g.extend(opener, bound)
             for s2 in shrink_ty(open_ty(body, opener), inner):
                 yield Forall(bound, close_ty(s2, opener))
@@ -402,11 +395,10 @@ def enumerate_ok_envs(names: list[VarName], max_len: int, max_bound_size: int) -
     for _ in range(max_len):
         next_frontier: list[Env] = []
         for g in frontier:
-            declared = [n for n, _ in g.decls()]
             for name in names:
-                if name in declared:
+                if not gfresh(g, name):
                     continue
-                for bound in enumerate_types(declared, max_bound_size):
+                for bound in enumerate_types(dom(g), max_bound_size):
                     extended = g.extend(name, bound)
                     next_frontier.append(extended)
         out.extend(next_frontier)
@@ -420,8 +412,7 @@ def enumerate_judgments(
     """Every judgment with an ok environment over `names` (length <= max_env_len)
     and both sides of size <= max_size closed in it."""
     for g in enumerate_ok_envs(names, max_env_len, max_size):
-        declared = [n for n, _ in g.decls()]
-        universe = enumerate_types(declared, max_size)
+        universe = enumerate_types(dom(g), max_size)
         for s in universe:
             for t in universe:
                 yield g, s, t

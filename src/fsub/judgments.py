@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .syntax import HashConsed, Ty, VarName, _set_field, fresh, fv
+from .syntax import HashConsed, Ty, VarName, _set_field, fv
 
 _ENVS: dict = {}
 
@@ -16,9 +16,12 @@ class Env(HashConsed):
     also the order the printer uses.  Duplicate names are representable (they
     simply fail `ok`); `lookup` resolves to the most recent binding.  Like
     types, environments are hash-consed: equal bindings give the same object.
+    The first scope question asked of an environment fills `_scope`, each
+    declared name's newest bound, and `_ok`, the `ok` verdict, in one
+    oldest-first scan; every later question reads them.
     """
 
-    __slots__ = ("bindings",)
+    __slots__ = ("bindings", "_scope", "_ok")
     __match_args__ = ("bindings",)
     bindings: tuple[tuple[VarName, Ty], ...]
 
@@ -28,6 +31,7 @@ class Env(HashConsed):
         if node is None:
             node = object.__new__(cls)
             _set_field(node, "bindings", bindings)
+            _set_field(node, "_scope", None)
             node._intern(_ENVS, bindings)
         return node
 
@@ -56,39 +60,56 @@ def dom(g: Env) -> list[VarName]:
     return [name for name, _ in g.decls()]
 
 
+def _scope(g: Env) -> dict[VarName, Ty]:
+    # Each name declared in `g` to the bound of its newest binding.
+    if g._scope is None:
+        scope: dict[VarName, Ty] = {}
+        declared = scope.keys()  # a view, so it grows with `scope`
+        good = True
+        for name, bound in reversed(g.bindings):
+            good = good and name not in scope and fv(bound) <= declared
+            scope[name] = bound
+        _set_field(g, "_ok", good)
+        _set_field(g, "_scope", scope)
+    return g._scope
+
+
 def lookup(g: Env, x: VarName) -> Optional[Ty]:
     """Bound of the most recent binding of `x`, or None."""
-    for name, bound in g.bindings:
-        if name == x:
-            return bound
-    return None
+    return _scope(g).get(x)
 
 
 def gfresh(g: Env, x: VarName) -> bool:
     """True if `x` is not declared in `g`."""
-    return all(name != x for name, _ in g.bindings)
+    return x not in _scope(g)
 
 
 def closed(t: Ty, g: Env) -> bool:
     """True if every free variable of `t` is declared in `g`."""
-    names = {name for name, _ in g.bindings}
-    return fv(t) <= names
+    return fv(t) <= _scope(g).keys()
 
 
 def ok(g: Env) -> bool:
     """Well-formedness: scanning oldest-first, each name is new and each bound
     mentions only previously declared names."""
-    seen: set[VarName] = set()
-    for name, bound in g.decls():
-        if name in seen or not fv(bound) <= seen:
-            return False
-        seen.add(name)
-    return True
+    _scope(g)
+    return g._ok
+
+
+def witness_for(g: Env, *tys: Ty) -> VarName:
+    """Deterministic witness: the name `fresh` picks to avoid every name
+    declared in `g` and every name free in `tys`."""
+    scope = _scope(g)
+    free = frozenset().union(*map(fv, tys))
+    n = 0
+    while f"X{n}" in scope or f"X{n}" in free:
+        n += 1
+    return f"X{n}"
 
 
 def fresh_for_env(g: Env) -> VarName:
     """Deterministic name not declared in `g`."""
-    return fresh(name for name, _ in g.bindings)
+    return witness_for(g)
 
 
 def env_concat(g: Env, delta: Env) -> Env:

@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from .errors import InternalCheckError, PreconditionError
-from .judgments import Env, closed, lookup, names_in_env, ok
+from .judgments import Env, closed, gfresh, lookup, names_in_env, ok, witness_for
 from .parser import env_parser, env_printer, parse_type, print_type
 from .syntax import (
     Arrow,
@@ -29,9 +29,9 @@ from .syntax import (
     Top,
     Ty,
     VarName,
-    fresh,
     fv,
     is_locally_closed,
+    is_var_name,
     nodes,
     open_ty,
     renamer,
@@ -249,14 +249,6 @@ def replace_witness(d: Derivation, new: VarName) -> Derivation:
     )
 
 
-def witness_for(g: Env, *tys: Ty) -> VarName:
-    """Deterministic witness: fresh for the environment and for the given types."""
-    avoid = {name for name, _ in g.bindings}
-    for t in tys:
-        avoid |= fv(t)
-    return fresh(avoid)
-
-
 # ---------------------------------------------------------------- checking
 
 
@@ -264,11 +256,8 @@ def _fmt_path(path: tuple[int, ...]) -> str:
     return "root" if not path else "root." + ".".join(str(i) for i in path)
 
 
-def _diagnose_node(d: Derivation, implicit: bool, oks: _Memo[Env, bool], scopes: _Memo[Env, dict]) -> Optional[str]:
+def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
     # The first violated condition of this node alone; premises are not visited.
-    # `oks[g]` is `ok(g)` and `scopes[g]` maps each name declared in `g` to its
-    # bound, both kept for the whole check: nodes share environments, and
-    # scanning one at every leaf would cost leaves x bindings.
     ruleset = IMPLICIT_RULES if implicit else EXPLICIT_RULES
     if d.rule not in ruleset:
         system = "implicit" if implicit else "explicit"
@@ -286,22 +275,22 @@ def _diagnose_node(d: Derivation, implicit: bool, oks: _Memo[Env, bool], scopes:
         if not isinstance(t, Top):
             return "right side of a top node must be Top"
         if not implicit:
-            if not oks[g]:
+            if not ok(g):
                 return "environment is not ok"
-            if not fv(s) <= scopes[g].keys():
+            if not closed(s, g):
                 return "left side is not closed in the environment"
     elif shape == Rule.VAR:
         if not (isinstance(s, FreeVar) and s == t):
             return "a reflexivity node relates a variable to itself"
         if not implicit:
-            if not oks[g]:
+            if not ok(g):
                 return "environment is not ok"
-            if s.name not in scopes[g]:
+            if gfresh(g, s.name):
                 return f"variable {s.name!r} is not declared"
     elif shape == Rule.TRS:
         if not isinstance(s, FreeVar):
             return "left side of a bound-chaining node must be a variable"
-        bound = scopes[g].get(s.name)
+        bound = lookup(g, s.name)
         if bound is None:
             return f"variable {s.name!r} is not declared"
         if d.premises[0].concl != (g, bound, t):
@@ -318,7 +307,9 @@ def _diagnose_node(d: Derivation, implicit: bool, oks: _Memo[Env, bool], scopes:
             return "both sides of a quantifier node must be universals"
         w = d.witness
         assert w is not None
-        if w in scopes[g]:
+        if not (isinstance(w, str) and is_var_name(w)):
+            return f"witness {w!r} is not a variable name"
+        if not gfresh(g, w):
             return f"witness {w!r} is already declared"
         if w in fv(s.body) or w in fv(t.body):
             return f"witness {w!r} occurs free under a quantifier body"
@@ -334,12 +325,9 @@ def _diagnose(d: Derivation, implicit: bool) -> Optional[str]:
     # Preorder, so the problem reported is the first a depth-first check meets.
     # path[1:] is the current node's path, spelled out only for a bad node.
     path: list[int] = []
-    oks = _Memo(ok)
-    # Oldest first, so that a later binding of a name overrides an earlier one.
-    scopes = _Memo(lambda g: dict(g.decls()))
     for depth, i, node in preorder(d):
         path[depth:] = (i,)
-        problem = _diagnose_node(node, implicit, oks, scopes)
+        problem = _diagnose_node(node, implicit)
         if problem is not None:
             return f"{_fmt_path(tuple(path[1:]))}: {problem}"
     return None
@@ -637,8 +625,8 @@ def _from_obj(obj: object, envs: _Memo[str, Env], types: _Memo[str, Ty]) -> Deri
     except ValueError:
         raise ValueError(f"unknown rule tag: {obj['rule']!r}") from None
     witness = obj["witness"]
-    if witness is not None and not isinstance(witness, str):
-        raise ValueError("witness must be a name or null")
+    if witness is not None and not (isinstance(witness, str) and is_var_name(witness)):
+        raise ValueError(f"witness must be a variable name or null, got {witness!r}")
     premises = obj["premises"]
     if not isinstance(premises, list):
         raise ValueError("premises must be a list")

@@ -176,6 +176,15 @@ class TestTransNarrow:
         assert code == 4
         assert "middle types differ" in capsys.readouterr().err
 
+    def test_witness_that_is_not_a_name_is_malformed_input(self, judgment_file, capsys, tmp_path):
+        path = judgment_file("|- All X <: Top . X\n")
+        assert run(["refl", path, "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        obj["witness"] = "1x"
+        (tmp_path / "bad.json").write_text(json.dumps(obj))
+        assert run(["trans", str(tmp_path / "bad.json"), str(tmp_path / "bad.json")]) == 3
+        assert "witness must be a variable name" in capsys.readouterr().err
+
     def test_narrow(self, judgment_file, capsys, tmp_path):
         check_path = judgment_file("A <: Top, X <: Top |- X -> X <: X -> Top\n")
         assert run(["check", check_path, "--derivation", "--json"]) == 0
@@ -277,3 +286,24 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "FILE", "--fuel", "-1"],
+            ["gen", "--seed", "1", "--count", "-3"],
+            ["gen", "--seed", "1", "--count", "1", "--max-env", "-1"],
+            ["gen", "--seed", "1", "--count", "1", "--max-size", "0"],
+            ["gen", "--seed", "1", "--count", "1", "--max-depth", "0"],
+            ["oracle", "--max-size", "-1"],
+            ["oracle", "--max-env", "-1"],
+            ["oracle", "--vars", "-1"],
+            ["oracle", "--fuel", "-1"],
+        ],
+    )
+    def test_out_of_range_number_is_a_malformed_invocation(self, argv, judgment_file, capsys):
+        path = judgment_file("|- Top <: Top\n")
+        assert run([path if arg == "FILE" else arg for arg in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be at least" in captured.err

@@ -1,11 +1,13 @@
 """Environments and the scoping predicates over them."""
 
+import copy
 import gc
+import pickle
 import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from fsub.judgments import (
     EMPTY_ENV,
@@ -17,10 +19,12 @@ from fsub.judgments import (
     gfresh,
     lookup,
     ok,
+    witness_for,
 )
 from fsub.parser import parse_env
-from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fv
+from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, close_ty, fv
 from strategies import envs_with_closed_ty, ok_envs
+import reference_scope as reference
 
 X_TOP_Y_X = Env.from_decls([("X", Top()), ("Y", FreeVar("X"))])
 
@@ -153,9 +157,18 @@ class TestInterning:
         assert lookup(Env.from_decls([("Dropped", Top())]), "Dropped") is Top()
 
     def test_bindings_cannot_be_assigned(self):
-        with pytest.raises(FrozenInstanceError):
-            X_TOP_Y_X.bindings = ()
+        assert ok(X_TOP_Y_X)  # fills the scope slots, which are as fixed
+        for name, value in (("bindings", ()), ("_scope", {}), ("_ok", False)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(X_TOP_Y_X, name, value)
         assert len(X_TOP_Y_X) == 2
+        assert ok(X_TOP_Y_X)
+
+    def test_copies_and_pickles_are_the_interned_environment(self):
+        assert lookup(X_TOP_Y_X, "Y") is FreeVar("X")
+        assert copy.copy(X_TOP_Y_X) is X_TOP_Y_X
+        assert copy.deepcopy(X_TOP_Y_X) is X_TOP_Y_X
+        assert pickle.loads(pickle.dumps(X_TOP_Y_X)) is X_TOP_Y_X
 
     def test_match_and_repr(self):
         match X_TOP_Y_X:
@@ -164,3 +177,41 @@ class TestInterning:
             case _:
                 pytest.fail("no case matched")
         assert repr(X_TOP_Y_X) == "Env(bindings=(('Y', FreeVar(name='X')), ('X', Top())))"
+
+
+# Names that `fresh_for_env` and `witness_for` draw first, so that generated
+# environments and types collide with their choices.
+SCOPE_NAMES = st.sampled_from(("X0", "X1", "X2", "X", "Y"))
+SCOPE_TYPES = st.recursive(
+    st.one_of(st.just(Top()), st.builds(FreeVar, SCOPE_NAMES)),
+    lambda inner: st.one_of(
+        st.builds(Arrow, inner, inner),
+        st.builds(lambda bound, x, body: Forall(bound, close_ty(body, x)), inner, SCOPE_NAMES, inner),
+    ),
+    max_leaves=6,
+)
+# Generated ok environments; the same with one binding `X <: Y` added, which
+# may shadow a name, mention itself or mention an undeclared one; and
+# arbitrary binding lists, where duplicates and forward references abound.
+# Half their bounds are Top, so that a list is often ok but for one duplicate.
+ANY_ENVS = st.one_of(
+    ok_envs(),
+    st.builds(lambda g, x, y: g.extend(x, FreeVar(y)), ok_envs(), SCOPE_NAMES, SCOPE_NAMES),
+    st.lists(st.tuples(SCOPE_NAMES, st.one_of(st.just(Top()), SCOPE_TYPES)), max_size=6).map(Env.from_decls),
+)
+
+
+class TestScopeTable:
+    """Each environment answers scope questions from one scan, kept in its
+    slots; the answers are those of the linear scans in `reference_scope`."""
+
+    @given(ANY_ENVS, SCOPE_NAMES, SCOPE_TYPES, SCOPE_TYPES)
+    def test_answers_match_linear_scans(self, g, x, s, t):
+        # The second round reads what the first one cached.
+        for _ in range(2):
+            assert ok(g) == reference.ok(g)
+            assert lookup(g, x) is reference.lookup(g, x)
+            assert gfresh(g, x) == reference.gfresh(g, x)
+            assert closed(s, g) == reference.closed(s, g)
+            assert fresh_for_env(g) == reference.fresh_for_env(g)
+            assert witness_for(g, s, t) == reference.witness_for(g, s, t)

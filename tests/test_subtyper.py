@@ -28,6 +28,7 @@ from fsub.subtyper import (
     derivation_to_json,
     derivation_to_text,
     diagnose_derivation,
+    diagnose_derivation_implicit,
     iter_nodes,
     names_in_derivation,
     rename_var_in_derivation,
@@ -130,6 +131,15 @@ class TestChecker:
         )
         # body premises still use X9, conclusion says X0
         assert not check_derivation(clashing)
+
+    @pytest.mark.parametrize("implicit", [False, True])
+    def test_reports_a_witness_that_is_not_a_name(self, implicit):
+        d = decide_yes("|- All X <: Top . X <: All X <: Top . Top")
+        if implicit:
+            d = to_implicit(d)
+        bad = Derivation(d.rule, d.env, d.lhs, d.rhs, d.premises, witness="1x")
+        diagnose = diagnose_derivation_implicit if implicit else diagnose_derivation
+        assert diagnose(bad) == "root: witness '1x' is not a variable name"
 
     def test_arr_premises_flip(self):
         d = decide_yes("X <: Top |- Top -> X <: X -> Top")
@@ -393,6 +403,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             derivation_from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("witness", ["1x", "", "X Y", 7])
+    def test_rejects_a_witness_that_is_not_a_name(self, witness):
+        obj = json.loads(derivation_to_json(decide_yes("|- All X <: Top . X <: All X <: Top . Top")))
+        obj["witness"] = witness
+        with pytest.raises(ValueError, match="witness must be a variable name or null"):
+            derivation_from_json(json.dumps(obj))
+
     def test_rejects_non_object(self):
         with pytest.raises(ValueError):
             derivation_from_json("[1, 2]")
@@ -539,6 +556,28 @@ class TestLinearWalks:
         decide = best_of_three(lambda: decide_sub(g, t, t, fuel=2 * n + 1))
         check = best_of_three(lambda: check_derivation(d))
         assert check <= 3 * decide, (check, decide)
+
+    def test_deciding_and_checking_a_chain_scan_its_environment_once(self, monkeypatch):
+        # Each of the 4,000 `trs` goals and nodes looks its variable up; one
+        # scan of the bindings, on the first scope question, answers them all.
+        g, lhs, rhs = variable_chain(4_000)
+        field = Env.bindings
+        reads = []
+
+        class Counted:
+            def __get__(self, env, owner=None):
+                if env is g:
+                    reads.append(env)
+                return field.__get__(env, owner)
+
+            def __set__(self, env, value):
+                field.__set__(env, value)
+
+        monkeypatch.setattr(Env, "bindings", Counted())
+        result = decide_sub(g, lhs, rhs, fuel=4_001)
+        assert isinstance(result, Yes)
+        assert check_derivation(result.derivation)
+        assert len(reads) == 1
 
     def test_names_scan_each_environment_once(self, monkeypatch):
         g, lhs, rhs = variable_chain(2_000)
