@@ -238,9 +238,7 @@ def _trans(d1: Derivation, d2: Derivation, parent: Optional[Measure]) -> Derivat
         p_bound = _trans(b_bound, a_bound, measure)
         # Harmonize both body premises on one witness, move the left body
         # premise from the middle bound to the right bound, then compose.
-        w = fresh(
-            names_in_derivation(d1) | names_in_derivation(d2) | names_in_env(g)
-        )
+        w = fresh(names_in_derivation(d1) | names_in_derivation(d2))
         a_body = replace_witness(d1, w).premises[1]
         b_body = replace_witness(d2, w).premises[1]
         split = EnvSplit(g, w, q.bound, EMPTY_ENV)

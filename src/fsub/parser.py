@@ -132,15 +132,16 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
     next atom; the inner loop then finishes every production that the atom
     completes.  The stack holds the productions waiting for a type: the left
     operand of an arrow (the operand itself), an open parenthesis (None), a
-    quantifier's bound `(binder, binder token, guard, outer guard)` and its
-    body `(bound, binder, outer level)`.  `levels` maps each binder name in
-    scope to the level of its innermost binder (0 for the outermost);
-    `guards` maps a name to the innermost quantifier of that name whose bound
-    is being parsed, as `[scope depth at its bound, bound names the binder]`.
+    quantifier's bound `(binder, binder token)` and its body `(bound, binder,
+    outer level)`.  `levels` maps each binder name in scope to the level of
+    its innermost binder (0 for the outermost).  A finished bound names its
+    own binder when the name is free in it or when one of its indices escapes
+    to an outer binder of that name.  `escaping` keeps `_escaping`'s sets
+    for every bound of the call, so that deep input stays linear.
     """
     stack: list[object] = []
     levels: dict[VarName, int] = {}
-    guards: dict[VarName, list] = {}
+    escaping: dict[Ty, frozenset[int]] = {}
     depth = 0
     while True:
         word = words[i]
@@ -150,9 +151,7 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
                 raise _unexpected(text, words, i + 1, frozenset(("ident",)))
             if words[i + 2] != "<:":
                 raise _unexpected(text, words, i + 2, frozenset(("<:",)))
-            guard = [depth, False]
-            stack.append((binder, i + 1, guard, guards.get(binder)))
-            guards[binder] = guard
+            stack.append((binder, i + 1))
             i += 3
             continue
         if word == "(":
@@ -166,12 +165,6 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
         else:
             level = levels.get(word, -1) if levels else -1
             t = FreeVar(word) if level < 0 else BoundIdx(depth - 1 - level)
-            # The name escapes the innermost bound being parsed for a binder
-            # of the same name: that bound spells its own binder.
-            if guards:
-                guard = guards.get(word)
-                if guard is not None and guard[0] > level:
-                    guard[1] = True
         i += 1
         atom = True
         while True:
@@ -190,19 +183,16 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
             elif type(frame) is not tuple:
                 t = Arrow(frame, t)
                 atom = False
-            elif len(frame) == 4:
-                binder, binder_i, guard, outer_guard = frame
-                if guard[1]:
+            elif len(frame) == 2:
+                binder, binder_i = frame
+                k = depth - 1 - levels.get(binder, depth)
+                if binder in t._fv or 0 <= k < t._esc and k in _escaping(t, escaping):
                     raise ParseError(
                         f"bound of 'All {binder}' mentions the binder name {binder!r}, which it does not bind",
                         _starts(text, words, binder_i + 1)[binder_i],
                     )
                 if words[i] != ".":
                     raise _unexpected(text, words, i, frozenset((".",)))
-                if outer_guard is None:
-                    del guards[binder]
-                else:
-                    guards[binder] = outer_guard
                 stack.append((t, binder, levels.get(binder)))
                 levels[binder] = depth
                 depth += 1

@@ -28,8 +28,9 @@ _NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 
 def is_var_name(text: str) -> bool:
-    """True if `text` is a well-formed variable name."""
-    return _NAME_RE.match(text) is not None
+    """True if `text` is a well-formed variable name: an identifier that is
+    not one of the keywords `Top` and `All`."""
+    return _NAME_RE.match(text) is not None and text not in ("Top", "All")
 
 
 class _Entry(weakref.ref):
@@ -103,8 +104,8 @@ class Ty(HashConsed):
     Every node carries three facts about its tree: `_size`, the node count;
     `_esc`, its escape level, the number of enclosing binders it needs to be
     locally closed (one more than its largest escaping index, 0 if none
-    escapes); and `_fv`, its free names, left None by `Arrow` and `Forall`
-    until `fv` first asks."""
+    escapes); and `_fv`, its free names.  The constructor sets all three
+    when it builds the node, an inner node from its children's."""
 
     __slots__ = ("_size", "_esc", "_fv")
 
@@ -207,7 +208,9 @@ class Arrow(Ty):
                 raise _not_a_type(dom, cod) from None
             e, f = dom._esc, cod._esc
             _set_esc(node, e if e >= f else f)
-            _set_fv(node, None)
+            # The free names reuse a child's set when the union adds nothing.
+            a, b = dom._fv, cod._fv
+            _set_fv(node, a if b <= a else b if a <= b else a | b)
             node._intern(_ARROWS, key)
         return node
 
@@ -234,7 +237,8 @@ class Forall(Ty):
                 raise _not_a_type(bound, body) from None
             e, f = bound._esc, body._esc - 1
             _set_esc(node, e if e >= f else f)
-            _set_fv(node, None)
+            a, b = bound._fv, body._fv
+            _set_fv(node, a if b <= a else b if a <= b else a | b)
             node._intern(_FORALLS, key)
         return node
 
@@ -302,32 +306,7 @@ def _map_leaves(
 
 
 def fv(t: Ty) -> frozenset[VarName]:
-    """Free variable names of `t`.  Bound indices contribute nothing.  The
-    first call computes the set for every node of `t` that lacks it; later
-    calls read it."""
-    names = t._fv
-    if names is not None:
-        return names
-    # Postorder on an explicit stack: a node stays on the stack until both of
-    # its children have their sets.  A node reached twice through sharing is
-    # done the second time.
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if node._fv is not None:
-            stack.pop()
-            continue
-        first, second = (node.dom, node.cod) if type(node) is Arrow else (node.bound, node.body)
-        a, b = first._fv, second._fv
-        if a is None or b is None:
-            if a is None:
-                stack.append(first)
-            if b is None:
-                stack.append(second)
-            continue
-        stack.pop()
-        # Reuse a child's set when the union adds nothing to it.
-        _set_fv(node, a if b <= a else b if a <= b else a | b)
+    """Free variable names of `t`.  Bound indices contribute nothing."""
     return t._fv
 
 
@@ -350,7 +329,6 @@ def open_ty(body: Ty, name: VarName) -> Ty:
 
 def close_ty(t: Ty, name: VarName) -> Ty:
     """Abstract the free variable `name` out of `t`, producing a body for `Forall`."""
-    fv(t)  # gives every node of `t` the free names the skip test reads
     return _map_leaves(t, lambda node, d: name not in node._fv, BoundIdx, {})
 
 
@@ -368,7 +346,6 @@ def renamer(old: VarName, new: VarName) -> Callable[[Ty], Ty]:
     memo: dict[tuple[Ty, int], Ty] = {}
 
     def rename(t: Ty) -> Ty:
-        fv(t)  # as in `close_ty`
         return _map_leaves(t, lambda node, d: old not in node._fv, lambda d: FreeVar(new), memo, 0)
 
     return rename

@@ -180,10 +180,11 @@ class TestTransNarrow:
         path = judgment_file("|- All X <: Top . X\n")
         assert run(["refl", path, "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        obj["witness"] = "1x"
-        (tmp_path / "bad.json").write_text(json.dumps(obj))
-        assert run(["trans", str(tmp_path / "bad.json"), str(tmp_path / "bad.json")]) == 3
-        assert "witness must be a variable name" in capsys.readouterr().err
+        for witness in ("1x", "Top", "All"):
+            obj["witness"] = witness
+            (tmp_path / "bad.json").write_text(json.dumps(obj))
+            assert run(["trans", str(tmp_path / "bad.json"), str(tmp_path / "bad.json")]) == 3
+            assert "witness must be a variable name" in capsys.readouterr().err
 
     def test_narrow(self, judgment_file, capsys, tmp_path):
         check_path = judgment_file("A <: Top, X <: Top |- X -> X <: X -> Top\n")
@@ -233,6 +234,26 @@ class TestTransNarrow:
             ]
         )
         assert code == 4
+
+    @pytest.mark.parametrize("pivot", ["1x", "Top", "All"])
+    def test_narrow_pivot_that_is_not_a_name_is_malformed_input(self, judgment_file, capsys, tmp_path, pivot):
+        path = judgment_file("A <: Top |- A\n")
+        assert run(["refl", path, "--json"]) == 0
+        (tmp_path / "d.json").write_text(capsys.readouterr().out)
+        code = run(
+            [
+                "narrow",
+                str(tmp_path / "d.json"),
+                "--pivot",
+                pivot,
+                "--new-bound",
+                "Top",
+                "--evidence",
+                str(tmp_path / "d.json"),
+            ]
+        )
+        assert code == 3
+        assert f"invalid variable name {pivot!r}" in capsys.readouterr().err
 
 
 class TestGen:

@@ -85,6 +85,10 @@ class TestForallBoundScoping:
         t = parse_type("All X <: Y . X")
         assert t == Forall(FreeVar("Y"), BoundIdx(0))
 
+    def test_bound_may_reach_past_a_shadowed_binder_of_its_name(self):
+        t = parse_type("All Z <: Top . All X <: Top . All X <: Z . X")
+        assert t == Forall(Top(), Forall(Top(), Forall(BoundIdx(1), BoundIdx(0))))
+
     @pytest.mark.parametrize(
         "text, pos",
         [
@@ -92,6 +96,8 @@ class TestForallBoundScoping:
             ("All Y <: Top . All Y <: Top -> Y . Y", 19),
             # Spelled by an index that escapes a quantifier inside the bound.
             ("All Z <: Top . All X <: (All W <: Z . X) . X", 19),
+            # Spelled by an index to a shadowed binder two levels up.
+            ("All X <: Top . All Y <: Top . All X <: X -> Y . X", 34),
         ],
     )
     def test_message_points_at_the_binder(self, text, pos):
@@ -404,6 +410,14 @@ class TestDeepInput:
             assert type(t) is Forall and t.bound is Top()
             t = t.body
         assert t is BoundIdx(DEPTH - 1)
+
+    def test_shadowing_quantifiers_bounded_by_an_outer_binder(self):
+        t = parse_type("All Z <: Top . " + "All X <: Z . " * DEPTH + "X")
+        t = t.body
+        for i in range(DEPTH):
+            assert type(t) is Forall and t.bound is BoundIdx(i)
+            t = t.body
+        assert t is BoundIdx(0)
 
     def test_left_nested_arrows(self):
         t = parse_type("(" * DEPTH + "X" + ") -> X" * DEPTH)

@@ -137,9 +137,10 @@ class TestChecker:
         d = decide_yes("|- All X <: Top . X <: All X <: Top . Top")
         if implicit:
             d = to_implicit(d)
-        bad = Derivation(d.rule, d.env, d.lhs, d.rhs, d.premises, witness="1x")
         diagnose = diagnose_derivation_implicit if implicit else diagnose_derivation
-        assert diagnose(bad) == "root: witness '1x' is not a variable name"
+        for witness in ("1x", "Top", "All"):
+            bad = Derivation(d.rule, d.env, d.lhs, d.rhs, d.premises, witness=witness)
+            assert diagnose(bad) == f"root: witness {witness!r} is not a variable name"
 
     def test_arr_premises_flip(self):
         d = decide_yes("X <: Top |- Top -> X <: X -> Top")
@@ -403,7 +404,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             derivation_from_json(json.dumps(obj))
 
-    @pytest.mark.parametrize("witness", ["1x", "", "X Y", 7])
+    @pytest.mark.parametrize("witness", ["1x", "", "X Y", 7, "Top", "All"])
     def test_rejects_a_witness_that_is_not_a_name(self, witness):
         obj = json.loads(derivation_to_json(decide_yes("|- All X <: Top . X <: All X <: Top . Top")))
         obj["witness"] = witness

@@ -201,6 +201,9 @@ class TestMalformed:
             FreeVar("3x")
         with pytest.raises(MalformedTypeError):
             FreeVar("")
+        for keyword in ("Top", "All"):
+            with pytest.raises(MalformedTypeError):
+                FreeVar(keyword)
 
     def test_negative_index(self):
         with pytest.raises(MalformedTypeError):
@@ -411,7 +414,7 @@ class TestCachedFacts:
         gc.collect()
         assert ref() is None
         again = build()
-        assert again._fv is None
+        assert again._fv == {"Rebuilt", "Again"}
         assert (fv(again), size(again), again._esc) == ({"Rebuilt", "Again"}, 5, 2)
         assert not is_locally_closed(again)
 
