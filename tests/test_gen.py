@@ -1,10 +1,16 @@
 """Seeded generation, shrinking, and the exhaustive enumerators."""
 
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fsub.cli import run
 from fsub.errors import PreconditionError
 from fsub.gen import (
     GenConfig,
+    _gen_ty,
     SplitMix64,
     child_seeds,
     enumerate_judgments,
@@ -24,10 +30,12 @@ from fsub.gen import (
 )
 from fsub.judgments import EMPTY_ENV, Env, closed, env_concat, ok
 from fsub.metatheory import derive_narrow, derive_trans
-from fsub.parser import parse_env, parse_type
+from fsub.parser import parse_env, parse_type, print_judgment
 from fsub.subtyper import Rule, check_derivation, decide_sub, derivation_height, derivation_to_json
 from fsub.syntax import Forall, FreeVar, Top, fresh, fv, open_ty, size
-from strategies import variable_chain
+from strategies import seeds, variable_chain
+
+import reference_gen as reference
 
 
 class TestSplitMix64:
@@ -248,3 +256,68 @@ class TestEnumerators:
     def test_judgments_are_scoped(self):
         for g, s, t in enumerate_judgments(["X0"], 2, 1):
             assert ok(g) and closed(s, g) and closed(t, g)
+
+
+class TestPinnedOutput:
+    """SHA-256 digests of generated output, so that the corpus for a seed
+    stays the same from one version to the next."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--seed", "1001", "--count", "500", "--max-env", "6", "--max-size", "16"],
+                "13ec690a1bf1b25efe8346a79156fbc4854573b752063a721eb0dd63c193eca2",
+            ),
+            (
+                ["--seed", "1001", "--count", "50", "--derivations"],
+                "6eb7bb7586bb5ab0a64b37fda9e7f3b30fabd764088aab52f519a59b5d766ef4",
+            ),
+        ],
+    )
+    def test_gen_command(self, argv, digest, capsys):
+        assert run(["gen", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_enumerated_judgments(self):
+        h = hashlib.sha256()
+        for g, s, t in enumerate_judgments(["X0", "X1"], 3, 2):
+            h.update(print_judgment(g, s, t).encode())
+            h.update(b"\n")
+        assert h.hexdigest() == "ebab67b6fb7084962e322d46ebbc117a10b40be1718d0869b80ae6954376c1c1"
+
+
+# Environments whose names are not all `X<n>`, one with a duplicate name and
+# one whose bound mentions an undeclared name, beside the generated ones.
+HAND_WRITTEN_ENVS = (
+    EMPTY_ENV,
+    parse_env("A <: Top, B <: A -> A"),
+    parse_env("X1 <: Top, Y <: All Z <: X1 . Z -> Y0"),
+    Env.from_decls([("X0", Top()), ("X0", FreeVar("X0"))]),
+    Env.from_decls([("Y", FreeVar("X0"))]),
+)
+
+GEN_ENVS = st.one_of(
+    st.builds(lambda seed, n: gen_env(GenConfig(seed=seed, max_env_len=n)), seeds, st.integers(0, 6)),
+    st.builds(
+        lambda seed, base: gen_env_extension(base, GenConfig(seed=seed, max_env_len=3)),
+        seeds,
+        st.sampled_from(HAND_WRITTEN_ENVS),
+    ),
+    st.sampled_from(HAND_WRITTEN_ENVS),
+)
+
+
+class TestAgainstReference:
+    """The index-building generator and enumerator agree with the named ones
+    in `reference_gen`."""
+
+    @given(GEN_ENVS, st.integers(1, 40), seeds)
+    def test_gen_ty_same_type_and_stream(self, g, budget, seed):
+        rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+        assert _gen_ty(g, budget, rng) is reference._gen_ty(g, budget, ref_rng)
+        assert rng._state == ref_rng._state
+
+    @pytest.mark.parametrize("names", [[], ["X0"], ["X0", "X1"], ["X1", "Y"]])
+    def test_enumerate_types_same_list(self, names):
+        assert enumerate_types(names, 6) == reference.enumerate_types(names, 6)
