@@ -7,6 +7,10 @@ state.  It is trivial to reimplement bit-for-bit in any language, so corpora are
 reproducible across implementations.  Every generator is a pure function of its
 config; streams derive one child seed per element, so samples are independent
 of each other's internals.
+
+Binders are generated as indices: a quantifier body is built in locally
+nameless form with one more bound index in scope, so generating or
+enumerating a type never names, opens or closes a binder.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .errors import PreconditionError
 from .judgments import Env, dom, fresh_for_env, gfresh, lookup, witness_for
 from .metatheory import EnvSplit, derive_refl
 from .subtyper import Derivation, Rule, Yes, decide_sub, preorder
-from .syntax import Arrow, Forall, FreeVar, Top, Ty, VarName, close_ty, fresh, fv, open_ty, size
+from .syntax import Arrow, BoundIdx, Forall, FreeVar, Top, Ty, VarName, close_ty, fv, open_ty, size
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -84,41 +88,39 @@ def child_seeds(seed: int, count: int) -> list[int]:
 # ---------------------------------------------------------------- generators
 
 
-_W_TOP, _W_VAR, _W_ARROW, _W_ALL = 20, 30, 25, 25
+# The constructor menu for (a variable is in scope, budget >= 3): the total
+# weight, then the rolls below which the draw is Top, a variable and an arrow;
+# the rest draw a quantifier.  The weights are Top 20, variable 30, arrow 25
+# and quantifier 25, less those of the constructors that do not fit.
+_MENUS = {
+    (False, False): (20, 20, 20, 20),
+    (True, False): (50, 20, 50, 50),
+    (False, True): (70, 20, 20, 45),
+    (True, True): (100, 20, 50, 75),
+}
 
 
 def _gen_ty(g: Env, budget: int, rng: SplitMix64) -> Ty:
-    # Weighted constructor choice, restricted to what the env and budget allow.
-    choices: list[tuple[int, str]] = [(_W_TOP, "top")]
-    if len(g) > 0:
-        choices.append((_W_VAR, "var"))
-    if budget >= 3:
-        choices.append((_W_ARROW, "arrow"))
-        choices.append((_W_ALL, "all"))
-    total = sum(w for w, _ in choices)
-    roll = rng.below(total)
-    kind = "top"
-    for weight, name in choices:
-        if roll < weight:
-            kind = name
-            break
-        roll -= weight
+    return _gen_under(dom(g), 0, budget, rng)
 
-    if kind == "top":
+
+def _gen_under(names: list[VarName], k: int, budget: int, rng: SplitMix64) -> Ty:
+    # A type over the declared `names` (oldest-first) under `k` generated
+    # binders.  Variable draw `i` is `names[i]`; past them it is the binder
+    # `j = i - len(names)`, counted outermost-first, whose index is `k - 1 - j`.
+    width = len(names) + k
+    total, top_end, var_end, arrow_end = _MENUS[width > 0, budget >= 3]
+    roll = rng.below(total)
+    if roll < top_end:
         return Top()
-    if kind == "var":
-        names = [name for name, _ in g.decls()]
-        return FreeVar(names[rng.below(len(names))])
-    if kind == "arrow":
-        left = 1 + rng.below(budget - 2)
-        dom = _gen_ty(g, left, rng)
-        cod = _gen_ty(g, budget - 1 - size(dom), rng)
-        return Arrow(dom, cod)
-    bound_budget = 1 + rng.below(budget - 2)
-    bound = _gen_ty(g, bound_budget, rng)
-    binder = fresh_for_env(g)
-    body = _gen_ty(g.extend(binder, bound), budget - 1 - size(bound), rng)
-    return Forall(bound, close_ty(body, binder))
+    if roll < var_end:
+        i = rng.below(width)
+        return FreeVar(names[i]) if i < len(names) else BoundIdx(width - 1 - i)
+    if roll < arrow_end:
+        dom = _gen_under(names, k, 1 + rng.below(budget - 2), rng)
+        return Arrow(dom, _gen_under(names, k, budget - 1 - size(dom), rng))
+    bound = _gen_under(names, k, 1 + rng.below(budget - 2), rng)
+    return Forall(bound, _gen_under(names, k + 1, budget - 1 - size(bound), rng))
 
 
 def gen_closed_ty(g: Env, cfg: GenConfig) -> Ty:
@@ -355,35 +357,39 @@ def shrink(value: object, g: Env = Env()) -> Iterator[object]:
 
 def enumerate_types(names: list[VarName], max_size: int) -> list[Ty]:
     """All types of exact sizes 1..max_size whose free variables are among
-    `names`.  Quantifier bodies are enumerated opened with a fresh name per
-    nesting level and closed again, which reaches every abstraction exactly
-    once."""
-    memo: dict[tuple[int, tuple[VarName, ...]], list[Ty]] = {}
+    `names`.  Binders are generated as indices: a quantifier body is
+    enumerated with one more bound index in scope, which reaches every
+    abstraction exactly once."""
+    leaves = [Top()] + [FreeVar(v) for v in names]
+    memo: dict[tuple[int, int], list[Ty]] = {}
 
-    def of_size(n: int, allowed: tuple[VarName, ...]) -> list[Ty]:
-        key = (n, allowed)
+    def of_size(n: int, k: int) -> list[Ty]:
+        # The types of size `n` under `k` binders; the leaves list the bound
+        # indices outermost binder first, from `k - 1` down to 0.
+        key = (n, k)
         if key in memo:
             return memo[key]
-        out: list[Ty] = []
         if n == 1:
-            out.append(Top())
-            out.extend(FreeVar(v) for v in allowed)
+            out = leaves + [BoundIdx(i) for i in reversed(range(k))]
         else:
-            for left in range(1, n - 1):
-                for d in of_size(left, allowed):
-                    for c in of_size(n - 1 - left, allowed):
-                        out.append(Arrow(d, c))
-            opener = fresh(allowed)
-            for b_size in range(1, n - 1):
-                for bound in of_size(b_size, allowed):
-                    for body in of_size(n - 1 - b_size, allowed + (opener,)):
-                        out.append(Forall(bound, close_ty(body, opener)))
+            out = [
+                Arrow(d, c)
+                for left in range(1, n - 1)
+                for d in of_size(left, k)
+                for c in of_size(n - 1 - left, k)
+            ]
+            out += [
+                Forall(bound, body)
+                for b_size in range(1, n - 1)
+                for bound in of_size(b_size, k)
+                for body in of_size(n - 1 - b_size, k + 1)
+            ]
         memo[key] = out
         return out
 
     result: list[Ty] = []
     for n in range(1, max_size + 1):
-        result.extend(of_size(n, tuple(names)))
+        result.extend(of_size(n, 0))
     return result
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .syntax import HashConsed, Ty, VarName, _set_field, fv
+from .syntax import HashConsed, Ty, VarName, _set_field, fv, is_var_name
 
 _ENVS: dict = {}
 
@@ -13,12 +13,14 @@ class Env(HashConsed):
     """Ordered bindings (name, bound), stored newest-first.
 
     Declaration order is the reverse: `decls()` yields oldest-first, which is
-    also the order the printer uses.  Duplicate names are representable (they
-    simply fail `ok`); `lookup` resolves to the most recent binding.  Like
-    types, environments are hash-consed: equal bindings give the same object.
-    The first scope question asked of an environment fills `_scope`, each
-    declared name's newest bound, and `_ok`, the `ok` verdict, in one
-    oldest-first scan; every later question reads them.
+    also the order the printer uses.  Any string is representable as a name,
+    but `ok` holds only if each one is a variable name (`is_var_name`), so
+    an ok environment prints as text that parses back.  Duplicate names are
+    representable too (they simply fail `ok`); `lookup` resolves to the most
+    recent binding.  Like types, environments are hash-consed: equal bindings
+    give the same object.  The first scope question asked of an environment
+    fills `_scope`, each declared name's newest bound, and `_ok`, the `ok`
+    verdict, in one oldest-first scan; every later question reads them.
     """
 
     __slots__ = ("bindings", "_scope", "_ok")
@@ -67,7 +69,7 @@ def _scope(g: Env) -> dict[VarName, Ty]:
         declared = scope.keys()  # a view, so it grows with `scope`
         good = True
         for name, bound in reversed(g.bindings):
-            good = good and name not in scope and fv(bound) <= declared
+            good = good and name not in scope and is_var_name(name) and fv(bound) <= declared
             scope[name] = bound
         _set_field(g, "_ok", good)
         _set_field(g, "_scope", scope)
@@ -90,8 +92,8 @@ def closed(t: Ty, g: Env) -> bool:
 
 
 def ok(g: Env) -> bool:
-    """Well-formedness: scanning oldest-first, each name is new and each bound
-    mentions only previously declared names."""
+    """Well-formedness: scanning oldest-first, each name is a new variable
+    name and each bound mentions only previously declared names."""
     _scope(g)
     return g._ok
 

@@ -22,6 +22,7 @@ from fsub.judgments import (
     witness_for,
 )
 from fsub.parser import parse_env
+from fsub.subtyper import Derivation, No, Rule, check_derivation, decide_sub
 from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, close_ty, fv
 from strategies import envs_with_closed_ty, ok_envs
 import reference_scope as reference
@@ -108,6 +109,20 @@ class TestOk:
     @given(ok_envs())
     def test_generated_envs_are_ok(self, g):
         assert ok(g)
+
+    @pytest.mark.parametrize("name", ["Top", "All", "1x", ""])
+    def test_name_that_is_not_a_variable_name(self, name):
+        assert not ok(Env.from_decls([(name, Top())]))
+        assert not ok(Env.from_decls([("X", Top()), (name, FreeVar("X"))]))
+
+    def test_checker_and_decider_refuse_a_keyword_name(self):
+        # Such an environment would print as `Top <: Top`, which does not
+        # parse back as an environment.
+        g = Env.from_decls([("Top", Top())])
+        assert not check_derivation(Derivation(Rule.TOP, g, Top(), Top()))
+        result = decide_sub(g, Top(), Top())
+        assert isinstance(result, No)
+        assert result.reason == "environment is not ok"
 
 
 class TestFreshForEnv:
