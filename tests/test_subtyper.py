@@ -38,6 +38,7 @@ from fsub.subtyper import (
 )
 from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fresh, subst_var
 from strategies import seeds, variable_chain
+import reference_walks as reference
 
 X_TOP = parse_env("X <: Top")
 X_TOP_Y_X = parse_env("X <: Top, Y <: X")
@@ -593,3 +594,21 @@ class TestLinearWalks:
         assert node_count(d) == 2_001
         assert names_in_derivation(d) == {f"X{i}" for i in range(2_001)}
         assert scanned == [g]
+
+
+class TestWalksAgainstReference:
+    """The node walk, the height and both writers agree with the recursive
+    definitions in `reference_walks`, the writers byte for byte."""
+
+    @given(seeds, st.integers(1, 6), st.booleans())
+    def test_walks_match_recursion(self, seed, depth, implicit):
+        d = gen_derivation(GenConfig(seed=seed, max_deriv_depth=depth))
+        if implicit:
+            d = to_implicit(d)
+        expected = reference.iter_nodes(d)
+        walked = list(iter_nodes(d))
+        assert [path for path, _ in walked] == [path for path, _ in expected]
+        assert all(a is b for (_, a), (_, b) in zip(walked, expected))
+        assert derivation_height(d) == reference.derivation_height(d)
+        assert derivation_to_text(d) == reference.derivation_to_text(d)
+        assert derivation_to_json(d) == reference.derivation_to_json(d)
