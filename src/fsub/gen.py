@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 
 from .errors import PreconditionError
 from .judgments import Env, dom, fresh_for_env, gfresh, lookup, witness_for
-from .metatheory import EnvSplit, derive_refl
+from .metatheory import EnvSplit, derive_refl, split_env
 from .subtyper import Derivation, Rule, Yes, decide_sub, preorder
 from .syntax import Arrow, BoundIdx, Forall, FreeVar, Top, Ty, VarName, close_ty, fv, open_ty, size
 
@@ -272,19 +272,13 @@ def gen_narrow_instance(
     node at the pivot variable itself."""
     rng = SplitMix64(cfg.seed)
     g = _gen_env(rng.split(), 1 + rng.below(max(cfg.max_env_len, 1)), cfg.max_ty_size)
-    decls = g.decls()
-    pivot_pos = rng.below(len(decls))
-    pivot_var, pivot_bound = decls[pivot_pos]
-    split = EnvSplit(
-        prefix=Env.from_decls(decls[:pivot_pos]),
-        pivot_var=pivot_var,
-        pivot_bound=pivot_bound,
-        suffix=Env.from_decls(decls[pivot_pos + 1 :]),
-    )
-    d_pq = _synth_sub_of(split.prefix, pivot_bound, cfg.max_deriv_depth, rng)
+    pivot_pos = rng.below(len(g))
+    pivot_var = dom(g)[pivot_pos]
+    split = split_env(g, pivot_var)
+    d_pq = _synth_sub_of(split.prefix, split.pivot_bound, cfg.max_deriv_depth, rng)
     p = d_pq.lhs
     if force_pivot_chain:
-        premise = _synth_sup_of(g, pivot_bound, cfg.max_deriv_depth, rng)
+        premise = _synth_sup_of(g, split.pivot_bound, cfg.max_deriv_depth, rng)
         d = Derivation(Rule.TRS, g, FreeVar(pivot_var), premise.rhs, (premise,))
     else:
         anchor = _gen_ty(g, cfg.max_ty_size, rng)

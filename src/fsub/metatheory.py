@@ -25,10 +25,12 @@ from .subtyper import (
     Rule,
     Yes,
     _decide,
+    _fold,
     derivation_height,
     diagnose_derivation,
     iter_nodes,
     names_in_derivation,
+    preorder,
     replace_witness,
 )
 from .syntax import Forall, FreeVar, Top, Ty, VarName, fresh, size
@@ -113,31 +115,32 @@ def _rebase(d: Derivation, old: Env, new: Env, narrowing: Optional[_Narrowing] =
     # start from the new bound.  The input was validated at the public entry
     # point and is not re-checked here.
     #
-    # Postorder on an explicit stack of (node, bindings added above it, its
-    # new environment or None): on the way down a node re-freshens a
-    # colliding witness and pushes its premises, on the way up it is rebuilt.
+    # A preorder walk gives each node its new environment: the bindings added
+    # above a node are its parent's, plus the parent's witness binding under
+    # a quantifier's body premise.  A colliding witness is re-freshened before
+    # the node's premises are reached, so each node is read from its parent
+    # as re-freshened; renaming keeps the tree's shape, so the walk's depths
+    # and indices still apply.  `_fold` then rebuilds every node.
     pivot = None if narrowing is None else FreeVar(narrowing[0].pivot_var)
-    stack: list[tuple[Derivation, Env, Optional[Env]]] = [(d, EMPTY_ENV, None)]
-    out: list[Derivation] = []
-    while stack:
-        node, ext, env = stack.pop()
-        if env is None:
-            if node.env != env_concat(old, ext):
-                raise InternalCheckError("derivation environment does not match its parent")
-            env = env_concat(new, ext)
-            if node.rule == Rule.ALL and not gfresh(env, node.witness):
-                node = replace_witness(node, fresh(names_in_derivation(node) | names_in_env(env)))
-            stack.append((node, ext, env))
-            if node.rule == Rule.ALL:
-                assert node.witness is not None and isinstance(node.rhs, Forall)
-                stack.append((node.premises[1], ext.extend(node.witness, node.rhs.bound), None))
-                stack.append((node.premises[0], ext, None))
-            else:
-                stack.extend((p, ext, None) for p in reversed(node.premises))
-            continue
-        first = len(out) - len(node.premises)
-        premises = tuple(out[first:])
-        del out[first:]
+    above: list[tuple[Derivation, Env]] = []
+    visits: list[tuple[Derivation, Env]] = []
+    for depth, i, node in preorder(d):
+        ext = EMPTY_ENV
+        if depth:
+            parent, ext = above[depth - 1]
+            node = parent.premises[i]
+            if parent.rule == Rule.ALL and i == 1:
+                assert parent.witness is not None and isinstance(parent.rhs, Forall)
+                ext = ext.extend(parent.witness, parent.rhs.bound)
+        if node.env != env_concat(old, ext):
+            raise InternalCheckError("derivation environment does not match its parent")
+        env = env_concat(new, ext)
+        if node.rule == Rule.ALL and not gfresh(env, node.witness):
+            node = replace_witness(node, fresh(names_in_derivation(node) | names_in_env(env)))
+        above[depth:] = ((node, ext),)
+        visits.append((node, env))
+
+    def rebuild(node: Derivation, env: Env, premises: tuple[Derivation, ...]) -> Derivation:
         if node.rule == Rule.TRS and node.lhs == pivot:
             # Chaining through the pivot itself: the old chain went through
             # the old bound q.  Weaken `p <: q` over this node's environment
@@ -146,8 +149,9 @@ def _rebase(d: Derivation, old: Env, new: Env, narrowing: Optional[_Narrowing] =
             assert node.premises[0].lhs == split.pivot_bound
             measure = _step(parent, (size(split.pivot_bound), _NARROW_RANK, derivation_height(node)))
             premises = (_trans(_rebase(d_pq, split.prefix, env), premises[0], measure),)
-        out.append(Derivation(node.rule, env, node.lhs, node.rhs, premises, node.witness))
-    return out[0]
+        return Derivation(node.rule, env, node.lhs, node.rhs, premises, node.witness)
+
+    return _fold(visits, rebuild)
 
 
 @dataclass(frozen=True, slots=True)

@@ -281,22 +281,14 @@ def env_parser() -> Callable[[str], Env]:
 
 
 def env_printer(type_text: Callable[[Ty], str]) -> Callable[[Env], str]:
-    """`print_env` as a function that prints each distinct binding once over
-    all its calls, taking the text of each bound from `type_text` (a memo of
-    `print_type`, say).  Environments that grow one binding at a time share
-    the text of their bindings."""
-    memo: dict[tuple[VarName, Ty], str] = {}
+    """`print_env` with the text of each bound taken from `type_text` (a memo
+    of `print_type`, say)."""
 
-    def show(g: Env) -> str:
-        parts = []
-        for binding in reversed(g.bindings):
-            text = memo.get(binding)
-            if text is None:
-                text = memo[binding] = f"{binding[0]} <: {type_text(binding[1])}"
-            parts.append(text)
-        return ", ".join(parts)
+    def print_env(g: Env) -> str:
+        """Render bindings oldest-first; the empty environment prints as ''."""
+        return ", ".join(f"{name} <: {type_text(bound)}" for name, bound in reversed(g.bindings))
 
-    return show
+    return print_env
 
 
 def _parse_judgment(text: str, words: list[str]) -> tuple[Env, Ty, Ty, tuple[int, int, int, int, int]]:
@@ -425,9 +417,7 @@ def print_type(t: Ty) -> str:
     return "".join(out)
 
 
-def print_env(g: Env) -> str:
-    """Render bindings oldest-first; the empty environment prints as ''."""
-    return ", ".join(f"{name} <: {print_type(bound)}" for name, bound in g.decls())
+print_env = env_printer(print_type)
 
 
 def print_judgment(g: Env, lhs: Ty, rhs: Ty) -> str:

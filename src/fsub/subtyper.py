@@ -134,6 +134,7 @@ DEFAULT_FUEL = 10000
 _T = TypeVar("_T")
 _K = TypeVar("_K")
 _V = TypeVar("_V")
+_X = TypeVar("_X")
 
 
 class _Memo(dict[_K, _V]):
@@ -149,30 +150,6 @@ class _Memo(dict[_K, _V]):
         return value
 
 
-def _fold(d: Derivation, combine: Callable[[Derivation, tuple], _T]) -> _T:
-    # `combine(node, results for its premises)`, applied from the leaves up.
-    # Postorder on an explicit stack: a node is visited once to push its
-    # premises and once more, flagged, to combine their results.
-    stack: list[tuple[Derivation, bool]] = [(d, False)]
-    out: list[_T] = []
-    while stack:
-        node, premises_done = stack.pop()
-        if premises_done:
-            first = len(out) - len(node.premises)
-            results = tuple(out[first:])
-            del out[first:]
-            out.append(combine(node, results))
-        else:
-            stack.append((node, True))
-            stack.extend((p, False) for p in reversed(node.premises))
-    return out[0]
-
-
-def derivation_height(d: Derivation) -> int:
-    """Longest node path from this node to a leaf, counting nodes."""
-    return _fold(d, lambda node, heights: 1 + max(heights, default=0))
-
-
 def preorder(d: Derivation) -> Iterator[tuple[int, int, Derivation]]:
     """All nodes in preorder, each with its depth and its index among its
     parent's premises (0 at the root).  Linear in the size of the tree."""
@@ -185,16 +162,31 @@ def preorder(d: Derivation) -> Iterator[tuple[int, int, Derivation]]:
             stack.append((depth + 1, j, premises[j]))
 
 
+def _fold(visits: list[tuple[Derivation, _X]], combine: Callable[[Derivation, _X, tuple], _T]) -> _T:
+    # `combine(node, extra, results for its premises)` for the (node, extra)
+    # pairs of a preorder list, applied from the leaves up.  In reverse
+    # preorder every premise comes before its node, and the results of a
+    # node's premises are the last ones made, its first premise's on top.
+    out: list[_T] = []
+    for node, extra in reversed(visits):
+        out.append(combine(node, extra, tuple(out.pop() for _ in node.premises)))
+    return out[0]
+
+
+def derivation_height(d: Derivation) -> int:
+    """Longest node path from this node to a leaf, counting nodes."""
+    return 1 + max(depth for depth, _, _ in preorder(d))
+
+
 def iter_nodes(d: Derivation) -> Iterator[tuple[tuple[int, ...], Derivation]]:
     """All nodes with their child-index paths, preorder.  Each path is a new
     tuple as long as the node is deep, so the walk is quadratic in depth;
     `preorder` gives depths alone in linear time."""
-    stack = [((), d)]
-    while stack:
-        path, node = stack.pop()
-        yield path, node
-        for i in reversed(range(len(node.premises))):
-            stack.append((path + (i,), node.premises[i]))
+    # path[1:] is the current node's path.
+    path: list[int] = []
+    for depth, i, node in preorder(d):
+        path[depth:] = (i,)
+        yield tuple(path[1:]), node
 
 
 def names_in_derivation(d: Derivation) -> frozenset[VarName]:
@@ -223,11 +215,11 @@ def rename_var_in_derivation(d: Derivation, old: VarName, new: VarName) -> Deriv
     rename_ty = renamer(old, new)
     envs = _Memo(lambda g: Env(tuple((new if x == old else x, rename_ty(b)) for x, b in g.bindings)))
 
-    def rename(node: Derivation, premises: tuple[Derivation, ...]) -> Derivation:
+    def rename(node: Derivation, env: Env, premises: tuple[Derivation, ...]) -> Derivation:
         lhs, rhs = rename_ty(node.lhs), rename_ty(node.rhs)
-        return Derivation(node.rule, envs[node.env], lhs, rhs, premises, new if node.witness == old else node.witness)
+        return Derivation(node.rule, env, lhs, rhs, premises, new if node.witness == old else node.witness)
 
-    return _fold(d, rename)
+    return _fold([(node, envs[node.env]) for _, _, node in preorder(d)], rename)
 
 
 def replace_witness(d: Derivation, new: VarName) -> Derivation:
@@ -356,10 +348,10 @@ def check_derivation_implicit(d: Derivation) -> bool:
 
 
 def _retag(d: Derivation, mapping: dict[Rule, Rule]) -> Derivation:
-    def retag(node: Derivation, premises: tuple[Derivation, ...]) -> Derivation:
-        return Derivation(mapping[node.rule], node.env, node.lhs, node.rhs, premises, node.witness)
+    def retag(node: Derivation, rule: Rule, premises: tuple[Derivation, ...]) -> Derivation:
+        return Derivation(rule, node.env, node.lhs, node.rhs, premises, node.witness)
 
-    return _fold(d, retag)
+    return _fold([(node, mapping[node.rule]) for _, _, node in preorder(d)], retag)
 
 
 def to_implicit(d: Derivation) -> Derivation:
@@ -561,7 +553,7 @@ def decide_sub_declarative(
 
 def derivation_to_text(d: Derivation) -> str:
     """Indented one-node-per-line rendering; quantifier nodes show their witness.
-    Each distinct environment, binding and type is printed once per call."""
+    Each distinct environment and type is printed once per call."""
     types = _Memo(print_type)
     envs = _Memo(env_printer(types.__getitem__))
     lines: list[str] = []
@@ -581,30 +573,25 @@ _JSON_NODE_OPEN = '{"rule": %s, "env": %s, "lhs": %s, "rhs": %s, "witness": %s, 
 def derivation_to_json(d: Derivation) -> str:
     """Serialize with a fixed key order: rule, env, lhs, rhs, witness, premises.
     Types and environments use the surface syntax, so output re-parses exactly.
-    Each distinct environment, binding and type is printed once per call."""
-    # The text `json.dumps` gives the nested objects, emitted from a stack of
-    # pending nodes and literal strings; strings are quoted by json's own
-    # encoder.  Environments and types are interned, so the memos of their
-    # quoted text are keyed by identity.
+    Each distinct environment and type is printed once per call."""
+    # The text `json.dumps` gives the nested objects, emitted in preorder: a
+    # node at depth k first closes every open node at depth k or deeper.
+    # Strings are quoted by json's own encoder.  Environments and types are
+    # interned, so the memos of their quoted text are keyed by identity.
     texts = _Memo(print_type)
     env_text = env_printer(texts.__getitem__)
     envs = _Memo(lambda g: _quote(env_text(g)))
     types = _Memo(lambda t: _quote(texts[t]))
     parts: list[str] = []
-    stack: list[Union[Derivation, str]] = [d]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            parts.append(item)
-            continue
-        witness = "null" if item.witness is None else _quote(item.witness)
-        fields = (_quote(item.rule.value), envs[item.env], types[item.lhs], types[item.rhs], witness)
+    last = -1
+    for depth, _, node in preorder(d):
+        if depth <= last:
+            parts.append("]}" * (last - depth + 1) + ", ")
+        witness = "null" if node.witness is None else _quote(node.witness)
+        fields = (_quote(node.rule.value), envs[node.env], types[node.lhs], types[node.rhs], witness)
         parts.append(_JSON_NODE_OPEN % fields)
-        stack.append("]}")
-        for i in reversed(range(len(item.premises))):
-            stack.append(item.premises[i])
-            if i:
-                stack.append(", ")
+        last = depth
+    parts.append("]}" * (last + 1))
     return "".join(parts)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from fsub.judgments import Env
-from fsub.syntax import Ty, VarName, fresh, fv
+from fsub.syntax import Ty, VarName, fresh, fv, is_var_name
 
 
 def lookup(g: Env, x: VarName) -> Optional[Ty]:
@@ -31,7 +31,7 @@ def closed(t: Ty, g: Env) -> bool:
 def ok(g: Env) -> bool:
     seen: set[VarName] = set()
     for name, bound in g.decls():
-        if name in seen or not fv(bound) <= seen:
+        if not is_var_name(name) or name in seen or not fv(bound) <= seen:
             return False
         seen.add(name)
     return True

@@ -205,14 +205,17 @@ SCOPE_TYPES = st.recursive(
     ),
     max_leaves=6,
 )
+# Binding names add two strings that are not variable names, which no
+# environment with them may pass `ok` with; types cannot hold them.
+BINDING_NAMES = st.sampled_from(("X0", "X1", "X2", "X", "Y", "1x", "Top"))
 # Generated ok environments; the same with one binding `X <: Y` added, which
 # may shadow a name, mention itself or mention an undeclared one; and
 # arbitrary binding lists, where duplicates and forward references abound.
 # Half their bounds are Top, so that a list is often ok but for one duplicate.
 ANY_ENVS = st.one_of(
     ok_envs(),
-    st.builds(lambda g, x, y: g.extend(x, FreeVar(y)), ok_envs(), SCOPE_NAMES, SCOPE_NAMES),
-    st.lists(st.tuples(SCOPE_NAMES, st.one_of(st.just(Top()), SCOPE_TYPES)), max_size=6).map(Env.from_decls),
+    st.builds(lambda g, x, y: g.extend(x, FreeVar(y)), ok_envs(), BINDING_NAMES, SCOPE_NAMES),
+    st.lists(st.tuples(BINDING_NAMES, st.one_of(st.just(Top()), SCOPE_TYPES)), max_size=6).map(Env.from_decls),
 )
 
 
