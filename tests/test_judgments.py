@@ -205,8 +205,9 @@ SCOPE_TYPES = st.recursive(
     ),
     max_leaves=6,
 )
-# Binding names add two strings that are not variable names, which no
-# environment with them may pass `ok` with; types cannot hold them.
+# Binding names also include two strings that are not variable names, so an
+# environment that declares one is not ok.  Only bindings draw them: a type
+# cannot hold them, since `FreeVar("1x")` raises.
 BINDING_NAMES = st.sampled_from(("X0", "X1", "X2", "X", "Y", "1x", "Top"))
 # Generated ok environments; the same with one binding `X <: Y` added, which
 # may shadow a name, mention itself or mention an undeclared one; and
