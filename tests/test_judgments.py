@@ -220,17 +220,35 @@ ANY_ENVS = st.one_of(
 )
 
 
+# Bindings added one at a time on top of an environment: names that shadow,
+# that are not variable names, and that fill the `X<n>` sequence.
+LINKS = st.lists(st.tuples(BINDING_NAMES, st.one_of(st.just(Top()), SCOPE_TYPES)), min_size=1, max_size=6)
+
+
+def assert_answers_match_linear_scans(g, x, s, t):
+    assert ok(g) == reference.ok(g)
+    assert lookup(g, x) is reference.lookup(g, x)
+    assert gfresh(g, x) == reference.gfresh(g, x)
+    assert closed(s, g) == reference.closed(s, g)
+    assert fresh_for_env(g) == reference.fresh_for_env(g)
+    assert witness_for(g, s, t) == reference.witness_for(g, s, t)
+
+
 class TestScopeTable:
-    """Each environment answers scope questions from one scan, kept in its
+    """Each environment answers scope questions from a table, kept in its
     slots; the answers are those of the linear scans in `reference_scope`."""
 
     @given(ANY_ENVS, SCOPE_NAMES, SCOPE_TYPES, SCOPE_TYPES)
     def test_answers_match_linear_scans(self, g, x, s, t):
         # The second round reads what the first one cached.
         for _ in range(2):
-            assert ok(g) == reference.ok(g)
-            assert lookup(g, x) is reference.lookup(g, x)
-            assert gfresh(g, x) == reference.gfresh(g, x)
-            assert closed(s, g) == reference.closed(s, g)
-            assert fresh_for_env(g) == reference.fresh_for_env(g)
-            assert witness_for(g, s, t) == reference.witness_for(g, s, t)
+            assert_answers_match_linear_scans(g, x, s, t)
+
+    @given(ANY_ENVS, LINKS, SCOPE_NAMES, SCOPE_TYPES, SCOPE_TYPES)
+    def test_extensions_of_an_asked_environment_match_linear_scans(self, g, links, x, s, t):
+        # Every link extends an environment that has already answered, so a
+        # table built from its parent's is asked, and then extended in turn.
+        assert_answers_match_linear_scans(g, x, s, t)
+        for name, bound in links:
+            g = g.extend(name, bound)
+            assert_answers_match_linear_scans(g, x, s, t)
