@@ -25,7 +25,7 @@ from .gen import (
     gen_derivation_pair,
     gen_refl_case,
 )
-from .judgments import Env, closed, ok
+from .judgments import closed, ok
 from .metatheory import derive_narrow, derive_refl, derive_trans, split_env
 from .parser import (
     ParseError,

@@ -15,8 +15,8 @@ enumerating a type never names, opens or closes a binder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import PreconditionError
 from .judgments import Env, dom, fresh_for_env, gfresh, lookup, witness_for

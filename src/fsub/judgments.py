@@ -18,12 +18,14 @@ class Env(HashConsed):
     an ok environment prints as text that parses back.  Duplicate names are
     representable too (they simply fail `ok`); `lookup` resolves to the most
     recent binding.  Like types, environments are hash-consed: equal bindings
-    give the same object.  The first scope question asked of an environment
-    fills `_scope`, each declared name's newest bound, and `_ok`, the `ok`
-    verdict, in one oldest-first scan; every later question reads them.
+    give the same object.  Scope questions read `_scope`, a `_Scope` table.
+    `extend` on an environment whose table is filled inherits it: the child's
+    table is a copy of the parent's with one more binding declared.  Any other
+    environment fills its table with one oldest-first scan, the first time it
+    is asked.
     """
 
-    __slots__ = ("bindings", "_scope", "_ok")
+    __slots__ = ("bindings", "_scope")
     __match_args__ = ("bindings",)
     bindings: tuple[tuple[VarName, Ty], ...]
 
@@ -48,7 +50,10 @@ class Env(HashConsed):
 
     def extend(self, name: VarName, bound: Ty) -> "Env":
         """A new environment with (name, bound) as its newest binding."""
-        return Env(((name, bound),) + self.bindings)
+        child = Env(((name, bound),) + self.bindings)
+        if child._scope is None and self._scope is not None:
+            _set_field(child, "_scope", self._scope.inherit(name, bound))
+        return child
 
     def __len__(self) -> int:
         return len(self.bindings)
@@ -62,18 +67,43 @@ def dom(g: Env) -> list[VarName]:
     return [name for name, _ in g.decls()]
 
 
-def _scope(g: Env) -> dict[VarName, Ty]:
-    # Each name declared in `g` to the bound of its newest binding.
-    if g._scope is None:
-        scope: dict[VarName, Ty] = {}
-        declared = scope.keys()  # a view, so it grows with `scope`
-        good = True
+class _Scope(dict):
+    # Each name declared in an environment to the bound of its newest binding,
+    # with the environment's `ok` verdict and `next`, the least n such that
+    # `X<n>` is not declared.
+
+    __slots__ = ("ok", "next")
+
+    def declare(self, name: VarName, bound: Ty) -> None:
+        # The one scope step, for a binding newer than all in the table: it
+        # keeps `ok` if the name is a new variable name and the bound's free
+        # names are declared, then records the bound.
+        self.ok = self.ok and name not in self and is_var_name(name) and fv(bound) <= self.keys()
+        self[name] = bound
+        n = self.next
+        while f"X{n}" in self:
+            n += 1
+        self.next = n
+
+    def inherit(self, name: VarName, bound: Ty) -> "_Scope":
+        # The table of an extension by (name, bound): a copy and one step.
+        table = _Scope(self)
+        table.ok, table.next = self.ok, self.next
+        table.declare(name, bound)
+        return table
+
+
+def _scope(g: Env) -> _Scope:
+    # The table of `g`: inherited at `extend` if the parent's was filled,
+    # else filled here by one oldest-first scan.
+    scope = g._scope
+    if scope is None:
+        scope = _Scope()
+        scope.ok, scope.next = True, 0
         for name, bound in reversed(g.bindings):
-            good = good and name not in scope and is_var_name(name) and fv(bound) <= declared
-            scope[name] = bound
-        _set_field(g, "_ok", good)
+            scope.declare(name, bound)
         _set_field(g, "_scope", scope)
-    return g._scope
+    return scope
 
 
 def lookup(g: Env, x: VarName) -> Optional[Ty]:
@@ -94,16 +124,16 @@ def closed(t: Ty, g: Env) -> bool:
 def ok(g: Env) -> bool:
     """Well-formedness: scanning oldest-first, each name is a new variable
     name and each bound mentions only previously declared names."""
-    _scope(g)
-    return g._ok
+    return _scope(g).ok
 
 
 def witness_for(g: Env, *tys: Ty) -> VarName:
     """Deterministic witness: the name `fresh` picks to avoid every name
-    declared in `g` and every name free in `tys`."""
+    declared in `g` and every name free in `tys`.  The search starts at the
+    first `X<n>` that `g` does not declare, which its table keeps."""
     scope = _scope(g)
     free = frozenset().union(*map(fv, tys))
-    n = 0
+    n = scope.next
     while f"X{n}" in scope or f"X{n}" in free:
         n += 1
     return f"X{n}"

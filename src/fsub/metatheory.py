@@ -115,29 +115,29 @@ def _rebase(d: Derivation, old: Env, new: Env, narrowing: Optional[_Narrowing] =
     # start from the new bound.  The input was validated at the public entry
     # point and is not re-checked here.
     #
-    # A preorder walk gives each node its new environment: the bindings added
-    # above a node are its parent's, plus the parent's witness binding under
-    # a quantifier's body premise.  A colliding witness is re-freshened before
+    # A preorder walk gives each node its old and new environments: its
+    # parent's, each extended by the parent's witness binding under a
+    # quantifier's body premise.  A colliding witness is re-freshened before
     # the node's premises are reached, so each node is read from its parent
     # as re-freshened; renaming keeps the tree's shape, so the walk's depths
     # and indices still apply.  `_fold` then rebuilds every node.
     pivot = None if narrowing is None else FreeVar(narrowing[0].pivot_var)
-    above: list[tuple[Derivation, Env]] = []
+    above: list[tuple[Derivation, Env, Env]] = []
     visits: list[tuple[Derivation, Env]] = []
     for depth, i, node in preorder(d):
-        ext = EMPTY_ENV
+        g, env = old, new
         if depth:
-            parent, ext = above[depth - 1]
+            parent, g, env = above[depth - 1]
             node = parent.premises[i]
             if parent.rule == Rule.ALL and i == 1:
                 assert parent.witness is not None and isinstance(parent.rhs, Forall)
-                ext = ext.extend(parent.witness, parent.rhs.bound)
-        if node.env != env_concat(old, ext):
+                g = g.extend(parent.witness, parent.rhs.bound)
+                env = env.extend(parent.witness, parent.rhs.bound)
+        if node.env is not g:
             raise InternalCheckError("derivation environment does not match its parent")
-        env = env_concat(new, ext)
         if node.rule == Rule.ALL and not gfresh(env, node.witness):
             node = replace_witness(node, fresh(names_in_derivation(node) | names_in_env(env)))
-        above[depth:] = ((node, ext),)
+        above[depth:] = ((node, g, env),)
         visits.append((node, env))
 
     def rebuild(node: Derivation, env: Env, premises: tuple[Derivation, ...]) -> Derivation:

@@ -307,7 +307,8 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
             return f"witness {w!r} occurs free under a quantifier body"
         if d.premises[0].concl != (g, t.bound, s.bound):
             return "first premise must compare bounds contravariantly"
-        expected = (g.extend(w, t.bound), open_ty(s.body, w), open_ty(t.body, w))
+        body = open_ty(s.body, w)
+        expected = (g.extend(w, t.bound), body, body if t.body is s.body else open_ty(t.body, w))
         if d.premises[1].concl != expected:
             return "second premise must compare bodies under the witness binding"
     return None
@@ -440,7 +441,8 @@ def _decide(g: Env, s: Ty, t: Ty, fuel: int) -> SubResult:
                 rule, subgoals = Rule.ARR, ((g, t.dom, s.dom), (g, s.cod, t.cod))
             elif isinstance(s, Forall) and isinstance(t, Forall):
                 witness = witness_for(g, s.body, t.body)
-                opened = (g.extend(witness, t.bound), open_ty(s.body, witness), open_ty(t.body, witness))
+                body = open_ty(s.body, witness)
+                opened = (g.extend(witness, t.bound), body, body if t.body is s.body else open_ty(t.body, witness))
                 rule, subgoals = Rule.ALL, ((g, t.bound, s.bound), opened)
             else:
                 return No(tuple(frame[0] for frame in stack) + (goal,), reason="no rule applies")
@@ -513,8 +515,9 @@ class DeclarativeSearch:
         if isinstance(s, Forall) and isinstance(t, Forall):
             if self.provable(g, t.bound, s.bound, rest):
                 w = witness_for(g, s.body, t.body)
-                g2 = g.extend(w, t.bound)
-                if self.provable(g2, open_ty(s.body, w), open_ty(t.body, w), rest):
+                body = open_ty(s.body, w)
+                other = body if t.body is s.body else open_ty(t.body, w)
+                if self.provable(g.extend(w, t.bound), body, other, rest):
                     return True
         for m in self._midpoints(g, s, t):
             if self.provable(g, s, m, rest) and self.provable(g, m, t, rest):

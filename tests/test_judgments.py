@@ -9,6 +9,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
+from fsub import judgments
 from fsub.judgments import (
     EMPTY_ENV,
     Env,
@@ -21,7 +22,8 @@ from fsub.judgments import (
     ok,
     witness_for,
 )
-from fsub.parser import parse_env
+from fsub.metatheory import derive_weaken
+from fsub.parser import parse_env, parse_type
 from fsub.subtyper import Derivation, No, Rule, check_derivation, decide_sub
 from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, close_ty, fv
 from strategies import envs_with_closed_ty, ok_envs
@@ -173,7 +175,7 @@ class TestInterning:
 
     def test_bindings_cannot_be_assigned(self):
         assert ok(X_TOP_Y_X)  # fills the scope slots, which are as fixed
-        for name, value in (("bindings", ()), ("_scope", {}), ("_ok", False)):
+        for name, value in (("bindings", ()), ("_scope", {})):
             with pytest.raises(FrozenInstanceError):
                 setattr(X_TOP_Y_X, name, value)
         assert len(X_TOP_Y_X) == 2
@@ -252,3 +254,46 @@ class TestScopeTable:
         for name, bound in links:
             g = g.extend(name, bound)
             assert_answers_match_linear_scans(g, x, s, t)
+
+
+@pytest.fixture()
+def steps(monkeypatch):
+    """The names declared by every call of the per-binding scope step."""
+    names = []
+    declare = judgments._Scope.declare
+
+    def counting(table, name, bound):
+        names.append(name)
+        declare(table, name, bound)
+
+    monkeypatch.setattr(judgments._Scope, "declare", counting)
+    return names
+
+
+class TestInheritedScope:
+    """`extend` on an environment that has answered a scope question builds
+    the child's table from its parent's with one scope step."""
+
+    def test_extension_of_an_asked_environment_takes_one_step(self, steps):
+        g = Env.from_decls([("Inherit0", Top()), ("Inherit1", FreeVar("Inherit0"))])
+        assert ok(g) and steps == ["Inherit0", "Inherit1"]
+        child = g.extend("X0", FreeVar("Inherit1"))
+        assert steps[2:] == ["X0"]
+        assert lookup(child, "X0") is FreeVar("Inherit1") and fresh_for_env(child) == "X1"
+        assert len(steps) == 3
+
+    def test_extension_of_an_unasked_environment_scans_when_asked(self, steps):
+        g = Env.from_decls([("Unasked0", Top())]).extend("Unasked1", Top())
+        assert steps == []
+        assert ok(g) and steps == ["Unasked0", "Unasked1"]
+
+    def test_nested_quantifiers_take_linear_steps(self, steps):
+        # Every context of the nest extends the one outside it, so deciding,
+        # checking and weakening take a bounded number of steps per quantifier
+        # (scanning each context anew took about n * n / 2).
+        n = 2_000
+        t = parse_type("".join(f"All Y{i} <: Top . " for i in range(n)) + "Top")
+        d = decide_sub(EMPTY_ENV, t, t, fuel=2 * n + 1).derivation
+        assert check_derivation(d)
+        assert check_derivation(derive_weaken(d, parse_env("W <: Top")))
+        assert n <= len(steps) <= 4 * n
