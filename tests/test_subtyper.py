@@ -38,6 +38,7 @@ from fsub.subtyper import (
 )
 from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fresh, subst_var
 from strategies import seeds, variable_chain
+import reference_json
 import reference_walks as reference
 
 X_TOP = parse_env("X <: Top")
@@ -612,3 +613,90 @@ class TestWalksAgainstReference:
         assert derivation_height(d) == reference.derivation_height(d)
         assert derivation_to_text(d) == reference.derivation_to_text(d)
         assert derivation_to_json(d) == reference.derivation_to_json(d)
+
+
+def respell_type(t, names=()):
+    """Surface text of `t` that is not the printer's: binders named b0, b1,
+    ... by depth, every operand in parentheses, blanks doubled."""
+    if isinstance(t, Top):
+        return "Top"
+    if isinstance(t, FreeVar):
+        return t.name
+    if isinstance(t, BoundIdx):
+        return names[-1 - t.index]
+    if isinstance(t, Arrow):
+        return f"( {respell_type(t.dom, names)} )  ->  ( {respell_type(t.cod, names)} )"
+    name = f"b{len(names)}"
+    return f"All  {name}  <:  ( {respell_type(t.bound, names)} )  .  ( {respell_type(t.body, names + (name,))} )"
+
+
+def respell_env(g):
+    return ",  ".join(f"{name}  <:  {respell_type(bound)}" for name, bound in g.decls()) or "empty"
+
+
+CORRUPTIONS = ("type", "env", "witness", "missing key", "premise")
+
+
+@st.composite
+def json_documents(draw):
+    """`gen_derivation` JSON, with some strings respelled or keys reordered
+    at drawn nodes, and at most one corruption."""
+    d = gen_derivation(GenConfig(seed=draw(seeds), max_deriv_depth=draw(st.integers(1, 6))))
+    root = json.loads(derivation_to_json(d))
+    objs = [root]
+    for obj in objs:
+        objs += obj["premises"]
+    nodes = [node for _, node in iter_nodes(d)]
+    index = st.integers(0, len(objs) - 1)
+    for i, edit in draw(st.lists(st.tuples(index, st.sampled_from(("env", "lhs", "rhs", "keys"))), max_size=4)):
+        obj, node = objs[i], nodes[i]
+        if edit == "env":
+            obj["env"] = respell_env(node.env)
+        elif edit == "keys":
+            items = list(reversed(obj.items()))
+            obj.clear()
+            obj.update(items)
+        else:
+            obj[edit] = respell_type(getattr(node, edit))
+    corruption = draw(st.none() | st.tuples(index, st.sampled_from(CORRUPTIONS)))
+    if corruption is not None:
+        i, kind = corruption
+        obj = objs[i]
+        if kind == "type":
+            obj[draw(st.sampled_from(("lhs", "rhs")))] += " ->"
+        elif kind == "env":
+            obj["env"] += draw(st.sampled_from((",", " <: Top", " X")))
+        elif kind == "witness":
+            obj["witness"] = draw(st.sampled_from(("1x", "", "Top", 7)))
+        elif kind == "missing key":
+            del obj[draw(st.sampled_from(("rule", "env", "lhs", "rhs", "witness", "premises")))]
+        else:
+            obj["premises"].append(draw(st.sampled_from((7, "X", [], None))))
+    return json.dumps(root)
+
+
+def read(reader, text):
+    try:
+        return reader(text), None
+    except (ValueError, ParseError) as err:
+        return None, err
+
+
+class TestReaderAgainstReference:
+    """`derivation_from_json` agrees with the recursive reader in
+    `reference_json`: the same nodes with the very same interned
+    conclusions, or the same exception."""
+
+    @given(json_documents())
+    def test_reader_matches_reference(self, text):
+        expected, expected_err = read(reference_json.derivation_from_json, text)
+        got, err = read(derivation_from_json, text)
+        if expected_err is not None:
+            assert type(err) is type(expected_err) and str(err) == str(expected_err)
+            if isinstance(err, ParseError):
+                assert (err.message, err.pos, err.expected) == (expected_err.message, expected_err.pos, expected_err.expected)
+            return
+        assert err is None
+        rows = [(path, node.rule, node.witness, len(node.premises)) for path, node in iter_nodes(expected)]
+        assert [(path, node.rule, node.witness, len(node.premises)) for path, node in iter_nodes(got)] == rows
+        assert all(a is b for (_, x), (_, y) in zip(iter_nodes(expected), iter_nodes(got)) for a, b in zip(x.concl, y.concl))
