@@ -29,6 +29,7 @@ from .judgments import closed, ok
 from .metatheory import derive_narrow, derive_refl, derive_trans, split_env
 from .parser import (
     ParseError,
+    Printer,
     check_name,
     parse_env,
     parse_judgment,
@@ -42,6 +43,8 @@ from .subtyper import (
     SubResult,
     Unknown,
     Yes,
+    _to_json,
+    _to_text,
     decide_sub,
     decide_sub_declarative,
     derivation_from_json,
@@ -79,21 +82,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"{args.file}:{lineno}: {problem}", file=sys.stderr)
             return 3
         result: SubResult = decide_sub(g, lhs, rhs, fuel=args.fuel)
-        shown = print_judgment(g, lhs, rhs)
+        # One printer for the line: the derivation's root and the stuck goal
+        # share the verdict's environment and types.
+        printer = Printer()
+        shown = printer.judgment_text(g, lhs, rhs)
         if isinstance(result, Yes):
             print(f"YES {shown}")
             if args.derivation:
-                if args.json:
-                    print(derivation_to_json(result.derivation))
-                else:
-                    print(derivation_to_text(result.derivation))
+                write = _to_json if args.json else _to_text
+                print(write(result.derivation, printer))
         elif isinstance(result, No):
             any_no = True
             print(f"NO {shown}")
             if args.derivation:
-                goal_env, goal_lhs, goal_rhs = result.trace[-1]
                 reason = result.reason or "fails"
-                print(f"  stuck at: {print_judgment(goal_env, goal_lhs, goal_rhs)} ({reason})")
+                print(f"  stuck at: {printer.judgment_text(*result.trace[-1])} ({reason})")
         else:
             assert isinstance(result, Unknown)
             any_unknown = True

@@ -13,7 +13,8 @@ variable of the same spelling, which this syntax refuses to express.
 
 Nothing here recurses.  The lexer gives a flat list of token texts, the parser
 is one loop over it with an explicit stack of pending productions, and the
-printer keeps the names of the binders it is inside on a stack.  Binder names
+printer composes each node's text from its children's on an explicit stack,
+keeping the names of the binders it is inside on another.  Binder names
 exist only in this module: the parser turns them into indices and the printer
 turns indices back into names.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from string import ascii_letters
-from typing import Callable
+from typing import Callable, Collection
 
 from .errors import MalformedTypeError
 from .judgments import Env
@@ -36,7 +37,6 @@ from .syntax import (
     Top,
     Ty,
     VarName,
-    fresh,
     fv,
     is_var_name,
 )
@@ -280,17 +280,6 @@ def env_parser() -> Callable[[str], Env]:
     return parse
 
 
-def env_printer(type_text: Callable[[Ty], str]) -> Callable[[Env], str]:
-    """`print_env` with the text of each bound taken from `type_text` (a memo
-    of `print_type`, say)."""
-
-    def print_env(g: Env) -> str:
-        """Render bindings oldest-first; the empty environment prints as ''."""
-        return ", ".join(f"{name} <: {type_text(bound)}" for name, bound in reversed(g.bindings))
-
-    return print_env
-
-
 def _parse_judgment(text: str, words: list[str]) -> tuple[Env, Ty, Ty, tuple[int, int, int, int, int]]:
     # The three components, and the token indices where the sections end and
     # start: env end, lhs start and end, rhs start and end.
@@ -361,70 +350,141 @@ def _escaping(t: Ty, memo: dict[Ty, frozenset[int]]) -> frozenset[int]:
     return memo[t]
 
 
+class Printer:
+    """The texts of `print_type`, `print_env` and `print_judgment`, each
+    composed once.
+
+    A type's text is built from its children's texts, and every composed
+    text is kept, so a printer that prints many types sharing subterms does
+    Python work once per distinct node.  The text of a node that has
+    escaping indices depends on the names of the binders those indices
+    reach, so it is kept under the node together with those names.  An
+    environment's text is its tail's text plus one binding when the tail has
+    been printed.  A printer only grows; make one per document.
+    """
+
+    __slots__ = ("texts", "envs", "escaping")
+
+    def __init__(self) -> None:
+        self.texts: dict[object, str] = {}
+        self.envs: dict[Env, str] = {}
+        self.escaping: dict[Ty, frozenset[int]] = {}
+
+    def type_text(self, t: Ty) -> str:
+        """The text of a locally closed type, with minimal parentheses."""
+        kind = type(t)
+        if kind is FreeVar:
+            return t.name
+        if kind is Top:
+            return "Top"
+        if not isinstance(t, Ty) or t._esc:
+            raise MalformedTypeError(f"cannot print: {t!r}")
+        texts = self.texts
+        text = texts.get(t)
+        if text is not None:
+            return text
+        # Postorder from a stack of pending types and frames.  A frame
+        # `(node, key, binder)` composes a node's text from its children's,
+        # the last two texts made; a string brings a binder into scope and the
+        # frame of its quantifier takes it out again.
+        names: list[VarName] = []
+        out: list[str] = []
+        stack: list[object] = [t]
+        while stack:
+            item = stack.pop()
+            kind = type(item)
+            if kind is tuple:
+                node, key, binder = item
+                second = out.pop()
+                first = out.pop()
+                if binder is None:
+                    text = f"({first}) -> {second}" if type(node.dom) in _COMPOUND else f"{first} -> {second}"
+                else:
+                    names.pop()
+                    text = f"All {binder} <: {first} . {second}"
+                texts[key] = text
+                out.append(text)
+            elif kind is Top:
+                out.append("Top")
+            elif kind is FreeVar:
+                out.append(item.name)
+            elif kind is BoundIdx:
+                out.append(names[-1 - item.index])
+            elif kind is str:
+                names.append(item)
+            else:
+                e = item._esc
+                key = (item, *names[-e:]) if e else item
+                text = texts.get(key)
+                if text is not None:
+                    out.append(text)
+                elif kind is Arrow:
+                    stack += ((item, key, None), item.cod, item.dom)
+                else:
+                    # The binder must avoid capture in the body and must not
+                    # appear in the bound, which would make the text
+                    # unparseable: it is `fresh` for the free names of the
+                    # quantifier and the names of the binders its escaping
+                    # indices reach.  An escape level of e means that index
+                    # e - 1 escapes, and no other when e is 1.
+                    free = fv(item)
+                    if e > 1:
+                        reached: Collection[VarName] = {names[-1 - k] for k in _escaping(item, self.escaping)}
+                    else:
+                        reached = names[-1:] if e else ()
+                    n = 0
+                    binder = "X0"
+                    while binder in free or binder in reached:
+                        n += 1
+                        binder = f"X{n}"
+                    stack += ((item, key, binder), item.body, binder, item.bound)
+        return out[0]
+
+    def env_text(self, g: Env) -> str:
+        """Bindings oldest-first; the empty environment is ''."""
+        envs = self.envs
+        text = envs.get(g)
+        if text is None:
+            bindings = g.bindings
+            # In a derivation every environment but the root's is its
+            # parent's, printed before it, or an extension of it by one
+            # binding.  The first environment printed has no printed tail.
+            tail = envs.get(Env(bindings[1:])) if envs and len(bindings) > 1 else None
+            if tail is None:
+                text = ", ".join([f"{name} <: {self.type_text(bound)}" for name, bound in reversed(bindings)])
+            else:
+                name, bound = bindings[0]
+                text = f"{tail}, {name} <: {self.type_text(bound)}"
+            envs[g] = text
+        return text
+
+    def judgment_text(self, g: Env, lhs: Ty, rhs: Ty) -> str:
+        """`Env |- Ty <: Ty`; an empty environment leaves the left side blank."""
+        body = f"|- {self.type_text(lhs)} <: {self.type_text(rhs)}"
+        env_text = self.env_text(g)
+        return f"{env_text} {body}" if env_text else body
+
+
+_COMPOUND = (Arrow, Forall)
+
+
 def print_type(t: Ty) -> str:
     """Render a locally closed type with minimal parentheses.
 
     Binder names are chosen deterministically, so the output is canonical up to
     the names of free variables; `parse_type` maps it back to `t` exactly.
     """
-    if not isinstance(t, Ty) or t._esc:
-        raise MalformedTypeError(f"cannot print: {t!r}")
-    # Left to right from a stack of pending types and literal strings; the
-    # parts of a node are pushed in reverse so that they pop in order.  A
-    # 1-tuple `(name,)` ends a bound and brings its binder into scope, and
-    # None takes it out again after the body.
-    out: list[str] = []
-    names: list[VarName] = []
-    escaping: dict[Ty, frozenset[int]] = {}
-    stack: list[object] = [t]
-    while stack:
-        item = stack.pop()
-        kind = type(item)
-        if kind is str:
-            out.append(item)
-        elif kind is FreeVar:
-            out.append(item.name)
-        elif kind is Arrow:
-            if isinstance(item.dom, (Arrow, Forall)):
-                out.append("(")
-                stack += (item.cod, ") -> ", item.dom)
-            else:
-                stack += (item.cod, " -> ", item.dom)
-        elif kind is BoundIdx:
-            out.append(names[-1 - item.index])
-        elif kind is Forall:
-            # The binder must avoid capture in the body and must not appear in
-            # the bound, which would make the printed form unparseable: it
-            # avoids the free names of the quantifier with each escaping index
-            # replaced by its binder's name.  An escape level of e means that
-            # index e - 1 escapes, and no other when e is 1.
-            avoid = fv(item)
-            e = item._esc
-            if e == 1:
-                avoid = avoid | {names[-1]}
-            elif e:
-                avoid = avoid | {names[-1 - k] for k in _escaping(item, escaping)}
-            name = fresh(avoid)
-            out.append(f"All {name} <: ")
-            stack += (None, item.body, (name,), item.bound)
-        elif kind is tuple:
-            out.append(" . ")
-            names.append(item[0])
-        elif kind is Top:
-            out.append("Top")
-        else:
-            names.pop()
-    return "".join(out)
+    return Printer().type_text(t)
 
 
-print_env = env_printer(print_type)
+def print_env(g: Env) -> str:
+    """Render bindings oldest-first; the empty environment prints as ''."""
+    return Printer().env_text(g)
 
 
 def print_judgment(g: Env, lhs: Ty, rhs: Ty) -> str:
     """Render `Env |- Ty <: Ty`; an empty environment leaves the left side blank."""
-    body = f"|- {print_type(lhs)} <: {print_type(rhs)}"
-    env_text = print_env(g)
-    return f"{env_text} {body}" if env_text else body
+    return Printer().judgment_text(g, lhs, rhs)
 
 
 def check_name(text: str) -> VarName:

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from .errors import InternalCheckError, PreconditionError
 from .judgments import Env, closed, gfresh, lookup, names_in_env, ok, witness_for
-from .parser import env_parser, env_printer, parse_type, print_type
+from .parser import Printer, env_parser, parse_type
 from .syntax import (
     Arrow,
     Forall,
@@ -248,6 +248,27 @@ def _fmt_path(path: tuple[int, ...]) -> str:
     return "root" if not path else "root." + ".".join(str(i) for i in path)
 
 
+def _premise_goals(shape: Rule, g: Env, s: Ty, t: Ty, witness: Optional[VarName]) -> tuple[Goal, ...]:
+    # The conclusions that the premises of a node of explicit rule `shape`
+    # (or its implicit counterpart) concluding `g |- s <: t` must have, in
+    # order, with `witness` opening the bodies at a quantifier node; () when
+    # the sides do not have the rule's shape or the variable of a
+    # bound-chaining node is not declared.
+    if shape is Rule.TRS:
+        bound = lookup(g, s.name) if isinstance(s, FreeVar) else None
+        if bound is not None:
+            return ((g, bound, t),)
+    elif shape is Rule.ARR:
+        if isinstance(s, Arrow) and isinstance(t, Arrow):
+            return ((g, t.dom, s.dom), (g, s.cod, t.cod))
+    elif shape is Rule.ALL:
+        if isinstance(s, Forall) and isinstance(t, Forall) and witness is not None:
+            body = open_ty(s.body, witness)
+            opened = (g.extend(witness, t.bound), body, body if t.body is s.body else open_ty(t.body, witness))
+            return ((g, t.bound, s.bound), opened)
+    return ()
+
+
 def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
     # The first violated condition of this node alone; premises are not visited.
     ruleset = IMPLICIT_RULES if implicit else EXPLICIT_RULES
@@ -282,18 +303,13 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
     elif shape == Rule.TRS:
         if not isinstance(s, FreeVar):
             return "left side of a bound-chaining node must be a variable"
-        bound = lookup(g, s.name)
-        if bound is None:
+        if gfresh(g, s.name):
             return f"variable {s.name!r} is not declared"
-        if d.premises[0].concl != (g, bound, t):
-            return "premise must conclude the declared bound below the right side"
+        problems: tuple[str, ...] = ("premise must conclude the declared bound below the right side",)
     elif shape == Rule.ARR:
         if not (isinstance(s, Arrow) and isinstance(t, Arrow)):
             return "both sides of an arrow node must be arrows"
-        if d.premises[0].concl != (g, t.dom, s.dom):
-            return "first premise must compare domains contravariantly"
-        if d.premises[1].concl != (g, s.cod, t.cod):
-            return "second premise must compare codomains covariantly"
+        problems = ("first premise must compare domains contravariantly", "second premise must compare codomains covariantly")
     elif shape == Rule.ALL:
         if not (isinstance(s, Forall) and isinstance(t, Forall)):
             return "both sides of a quantifier node must be universals"
@@ -305,12 +321,17 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
             return f"witness {w!r} is already declared"
         if w in fv(s.body) or w in fv(t.body):
             return f"witness {w!r} occurs free under a quantifier body"
-        if d.premises[0].concl != (g, t.bound, s.bound):
-            return "first premise must compare bounds contravariantly"
-        body = open_ty(s.body, w)
-        expected = (g.extend(w, t.bound), body, body if t.body is s.body else open_ty(t.body, w))
-        if d.premises[1].concl != expected:
-            return "second premise must compare bodies under the witness binding"
+        problems = (
+            "first premise must compare bounds contravariantly",
+            "second premise must compare bodies under the witness binding",
+        )
+    if d.premises:
+        # Only the three rules above take premises (the arity check), and
+        # each has named what a premise off its goal violates.
+        goals = _premise_goals(shape, g, s, t, d.witness)
+        for premise, goal, problem in zip(d.premises, goals, problems):
+            if premise.concl != goal:
+                return problem
     return None
 
 
@@ -434,18 +455,14 @@ def _decide(g: Env, s: Ty, t: Ty, fuel: int) -> SubResult:
         else:
             witness = None
             if isinstance(s, FreeVar):
-                bound = lookup(g, s.name)
-                assert bound is not None  # s is closed in g
-                rule, subgoals = Rule.TRS, ((g, bound, t),)
+                rule = Rule.TRS  # s is closed in g, so declared
             elif isinstance(s, Arrow) and isinstance(t, Arrow):
-                rule, subgoals = Rule.ARR, ((g, t.dom, s.dom), (g, s.cod, t.cod))
+                rule = Rule.ARR
             elif isinstance(s, Forall) and isinstance(t, Forall):
-                witness = witness_for(g, s.body, t.body)
-                body = open_ty(s.body, witness)
-                opened = (g.extend(witness, t.bound), body, body if t.body is s.body else open_ty(t.body, witness))
-                rule, subgoals = Rule.ALL, ((g, t.bound, s.bound), opened)
+                rule, witness = Rule.ALL, witness_for(g, s.body, t.body)
             else:
                 return No(tuple(frame[0] for frame in stack) + (goal,), reason="no rule applies")
+            subgoals = _premise_goals(rule, g, s, t, witness)
             stack.append((goal, rule, subgoals, witness, []))
             goal = subgoals[0]
             continue
@@ -555,10 +572,15 @@ def decide_sub_declarative(
 
 
 def derivation_to_text(d: Derivation) -> str:
-    """Indented one-node-per-line rendering; quantifier nodes show their witness.
-    Each distinct environment and type is printed once per call."""
-    types = _Memo(print_type)
-    envs = _Memo(env_printer(types.__getitem__))
+    """Indented one-node-per-line rendering; quantifier nodes show their witness."""
+    return _to_text(d, Printer())
+
+
+def _to_text(d: Derivation, printer: Printer) -> str:
+    # `derivation_to_text` with the texts of `printer`, which may already
+    # hold some.
+    envs = _Memo(printer.env_text)
+    types = _Memo(printer.type_text)
     lines: list[str] = []
     for depth, _, node in preorder(d):
         tag = node.rule.value
@@ -575,16 +597,18 @@ _JSON_NODE_OPEN = '{"rule": %s, "env": %s, "lhs": %s, "rhs": %s, "witness": %s, 
 
 def derivation_to_json(d: Derivation) -> str:
     """Serialize with a fixed key order: rule, env, lhs, rhs, witness, premises.
-    Types and environments use the surface syntax, so output re-parses exactly.
-    Each distinct environment and type is printed once per call."""
-    # The text `json.dumps` gives the nested objects, emitted in preorder: a
-    # node at depth k first closes every open node at depth k or deeper.
-    # Strings are quoted by json's own encoder.  Environments and types are
-    # interned, so the memos of their quoted text are keyed by identity.
-    texts = _Memo(print_type)
-    env_text = env_printer(texts.__getitem__)
-    envs = _Memo(lambda g: _quote(env_text(g)))
-    types = _Memo(lambda t: _quote(texts[t]))
+    Types and environments use the surface syntax, so output re-parses exactly."""
+    return _to_json(d, Printer())
+
+
+def _to_json(d: Derivation, printer: Printer) -> str:
+    # `derivation_to_json` with the texts of `printer`, which may already
+    # hold some.  The text `json.dumps` gives the nested objects, emitted in
+    # preorder: a node at depth k first closes every open node at depth k or
+    # deeper.  Strings are quoted by json's own encoder, once per distinct
+    # environment and type.
+    envs = _Memo(lambda g: _quote(printer.env_text(g)))
+    types = _Memo(lambda t: _quote(printer.type_text(t)))
     parts: list[str] = []
     last = -1
     for depth, _, node in preorder(d):
@@ -599,12 +623,12 @@ def derivation_to_json(d: Derivation) -> str:
 
 
 _JSON_KEYS = ("rule", "env", "lhs", "rhs", "witness", "premises")
+_NO_GOAL = (None, None, None)
 
 
-def _from_obj(obj: object, envs: _Memo[str, Env], types: _Memo[str, Ty]) -> Derivation:
-    # `envs` and `types` parse each string of this document once.  A bad
-    # string is not stored, so it raises where it first occurs, exactly as it
-    # would unmemoized.
+def _read_node(obj: object) -> tuple[Rule, Optional[VarName], list]:
+    # The rule, witness and premise list of a decoded node, whose env, lhs
+    # and rhs are strings.
     if not isinstance(obj, dict):
         raise ValueError(f"derivation node must be an object, got {type(obj).__name__}")
     for key in _JSON_KEYS:
@@ -623,11 +647,49 @@ def _from_obj(obj: object, envs: _Memo[str, Env], types: _Memo[str, Ty]) -> Deri
     for key in ("env", "lhs", "rhs"):
         if not isinstance(obj[key], str):
             raise ValueError(f"{key} must be a string of surface syntax")
-    env, lhs, rhs = envs[obj["env"]], types[obj["lhs"]], types[obj["rhs"]]
-    return Derivation(rule, env, lhs, rhs, tuple(_from_obj(p, envs, types) for p in premises), witness)
+    return rule, witness, premises
 
 
 def derivation_from_json(text: str) -> Derivation:
-    """Inverse of `derivation_to_json`.  Raises ValueError on schema violations.
-    Each distinct environment, binding and type string is parsed once per call."""
-    return _from_obj(json.loads(text), _Memo(env_parser()), _Memo(parse_type))
+    """Inverse of `derivation_to_json`.  Raises ValueError on schema violations."""
+    # Preorder on an explicit stack, each premise paired with the conclusion
+    # its parent's rule demands of it.  Each distinct string is read once: a
+    # string that is the canonical text of the demanded environment or type
+    # stands for it, since parsing that text gives the very same interned
+    # object, and any other string is parsed, so that a bad one raises where
+    # it first occurs.
+    printer = Printer()
+    envs: dict[str, Env] = {}
+    types: dict[str, Ty] = {}
+    parse_env = env_parser()
+    visits: list[tuple[Rule, Env, Ty, Ty, Optional[VarName], int]] = []
+    stack: list[tuple[object, tuple]] = [(json.loads(text), _NO_GOAL)]
+    while stack:
+        obj, (want_g, want_s, want_t) = stack.pop()
+        rule, witness, premises = _read_node(obj)
+        env_text, lhs_text, rhs_text = obj["env"], obj["lhs"], obj["rhs"]
+        g = envs.get(env_text)
+        if g is None:
+            same = want_g is not None and printer.env_text(want_g) == env_text
+            g = envs[env_text] = want_g if same else parse_env(env_text)
+        s = types.get(lhs_text)
+        if s is None:
+            same = want_s is not None and printer.type_text(want_s) == lhs_text
+            s = types[lhs_text] = want_s if same else parse_type(lhs_text)
+        t = types.get(rhs_text)
+        if t is None:
+            same = want_t is not None and printer.type_text(want_t) == rhs_text
+            t = types[rhs_text] = want_t if same else parse_type(rhs_text)
+        visits.append((rule, g, s, t, witness, len(premises)))
+        if premises:
+            goals = _premise_goals(_TO_EXPLICIT.get(rule, rule), g, s, t, witness)
+            for i in range(len(premises) - 1, -1, -1):
+                stack.append((premises[i], goals[i] if i < len(goals) else _NO_GOAL))
+    # Build from the leaves up: in reverse preorder every premise comes
+    # before its node, its first premise's result last.
+    out: list[Derivation] = []
+    for rule, g, s, t, witness, count in reversed(visits):
+        premises = tuple(out[-1 : -1 - count : -1])
+        del out[len(out) - count :]
+        out.append(Derivation(rule, g, s, t, premises, witness))
+    return out[0]

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fsub.gen import GenConfig, gen_derivation
-from fsub import subtyper
+from fsub import parser, subtyper
 from fsub.judgments import EMPTY_ENV, Env, names_in_env
-from fsub.parser import ParseError, parse_env, parse_judgment, parse_type, print_judgment, print_type
+from fsub.parser import ParseError, Printer, parse_env, parse_judgment, parse_type, print_judgment, print_type
 from fsub.subtyper import (
     DEFAULT_FUEL,
     DeclarativeSearch,
@@ -36,7 +36,7 @@ from fsub.subtyper import (
     to_explicit,
     to_implicit,
 )
-from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fresh, subst_var
+from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fresh, nodes, subst_var
 from strategies import seeds, variable_chain
 import reference_json
 import reference_walks as reference
@@ -382,19 +382,6 @@ class TestSerialization:
         assert str(info.value) == str(alone.value)
         assert (info.value.pos, info.value.expected) == (alone.value.pos, alone.value.expected)
 
-    def test_writers_print_each_distinct_type_once(self, monkeypatch):
-        # Below a quantifier node the environment grows by one binding, so
-        # the bounds of a long environment recur at every node beneath it.
-        d = decide_yes("|- All A <: Top . All B <: A . All C <: B . C <: All A <: Top . All B <: A . All C <: B . C")
-        types = {t for _, node in iter_nodes(d) for t in (node.lhs, node.rhs, *(b for _, b in node.env.bindings))}
-        writers = {write: write(d) for write in (derivation_to_text, derivation_to_json)}
-        printed = []
-        monkeypatch.setattr(subtyper, "print_type", lambda t: printed.append(t) or print_type(t))
-        for write, text in writers.items():
-            printed.clear()
-            assert write(d) == text
-            assert sorted(map(id, printed)) == sorted(map(id, types))
-
     def test_rejects_unknown_rule(self):
         for tag in ("mystery", "D-Hyp", "D-Refl", "D-Trans"):
             with pytest.raises(ValueError, match="unknown rule tag"):
@@ -416,6 +403,97 @@ class TestSerialization:
     def test_rejects_non_object(self):
         with pytest.raises(ValueError):
             derivation_from_json("[1, 2]")
+
+
+def quantifier_nest(n: int) -> str:
+    """n nested quantifiers, each bounded by the one outside it, compared
+    with themselves."""
+    t = " ".join(["All Y0 <: Top ."] + [f"All Y{i} <: Y{i - 1} ." for i in range(1, n)]) + f" Y{n - 1}"
+    return f"X <: Top |- {t} <: {t}"
+
+
+def arrow_tower(n: int) -> str:
+    """A_n <: A_n with A_0 = X and A_k = A_(k-1) -> X, nested to the left."""
+    t = "X"
+    for _ in range(n):
+        t = f"({t}) -> X"
+    return f"X <: Top |- {t} <: {t}"
+
+
+@pytest.fixture()
+def composed(monkeypatch):
+    """The key of every text composed by a printer that a writer makes."""
+    keys = []
+
+    class Texts(dict):
+        def __setitem__(self, key, text):
+            keys.append(key)
+            super().__setitem__(key, text)
+
+    class CountingPrinter(Printer):
+        def __init__(self):
+            super().__init__()
+            self.texts = Texts()
+
+    monkeypatch.setattr(subtyper, "Printer", CountingPrinter)
+    return keys
+
+
+@pytest.fixture()
+def parsed(monkeypatch):
+    """Every string the reader hands to a parser."""
+    strings = []
+
+    def parse_type(text):
+        strings.append(text)
+        return parser.parse_type(text)
+
+    def env_parser():
+        parse = parser.env_parser()
+
+        def parse_env(text):
+            strings.append(text)
+            return parse(text)
+
+        return parse_env
+
+    monkeypatch.setattr(subtyper, "parse_type", parse_type)
+    monkeypatch.setattr(subtyper, "env_parser", env_parser)
+    return strings
+
+
+class TestTextWorkIsLinear:
+    """On a 200-quantifier nest and a 200-arrow tower, whose n + 1 distinct
+    conclusions repeat the subterms of the root, the writers compose each
+    text once and the reader parses only the root's strings."""
+
+    N = 200
+    LINES = [quantifier_nest(N), arrow_tower(N)]
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_writers_compose_each_node_under_its_binder_names_once(self, composed, line):
+        d = decide_yes(line, fuel=10 * self.N)
+        types = {node.lhs for _, node in iter_nodes(d)} | {node.rhs for _, node in iter_nodes(d)}
+        types |= {bound for _, node in iter_nodes(d) for _, bound in node.env.bindings}
+        compound = {node for t in types for node, _ in nodes(t) if isinstance(node, (Arrow, Forall))}
+        for write in (derivation_to_text, derivation_to_json):
+            composed.clear()
+            write(d)
+            # A key is a node, or a node with the names of the binders its
+            # escaping indices reach.
+            assert len(set(composed)) == len(composed)
+            assert {key[0] if isinstance(key, tuple) else key for key in composed} == compound
+            assert len(composed) <= 4 * self.N
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_reader_parses_only_the_root_strings(self, parsed, line):
+        d = decide_yes(line, fuel=10 * self.N)
+        text = derivation_to_json(d)
+        root = json.loads(text)
+        back = derivation_from_json(text)
+        assert derivation_to_json(back) == text
+        assert all(a is b for (_, x), (_, y) in zip(iter_nodes(d), iter_nodes(back)) for a, b in zip(x.concl, y.concl))
+        assert sorted(parsed) == sorted({root["env"], root["lhs"], root["rhs"]})
 
 
 class TestHeight:
