@@ -398,7 +398,7 @@ class Printer:
                 second = out.pop()
                 first = out.pop()
                 if binder is None:
-                    text = f"({first}) -> {second}" if type(node.dom) in _COMPOUND else f"{first} -> {second}"
+                    text = f"({first}) -> {second}" if isinstance(node.dom, (Arrow, Forall)) else f"{first} -> {second}"
                 else:
                     names.pop()
                     text = f"All {binder} <: {first} . {second}"
@@ -460,12 +460,10 @@ class Printer:
 
     def judgment_text(self, g: Env, lhs: Ty, rhs: Ty) -> str:
         """`Env |- Ty <: Ty`; an empty environment leaves the left side blank."""
-        body = f"|- {self.type_text(lhs)} <: {self.type_text(rhs)}"
         env_text = self.env_text(g)
-        return f"{env_text} {body}" if env_text else body
-
-
-_COMPOUND = (Arrow, Forall)
+        if env_text:
+            return f"{env_text} |- {self.type_text(lhs)} <: {self.type_text(rhs)}"
+        return f"|- {self.type_text(lhs)} <: {self.type_text(rhs)}"
 
 
 def print_type(t: Ty) -> str:

@@ -283,7 +283,7 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
         return "conclusion contains an escaped bound index"
 
     shape = _TO_EXPLICIT.get(d.rule, d.rule)
-    g, s, t = d.concl
+    g, s, t = d.env, d.lhs, d.rhs
     if shape == Rule.TOP:
         if not isinstance(t, Top):
             return "right side of a top node must be Top"
@@ -292,7 +292,8 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
                 return "environment is not ok"
             if not closed(s, g):
                 return "left side is not closed in the environment"
-    elif shape == Rule.VAR:
+        return None
+    if shape == Rule.VAR:
         if not (isinstance(s, FreeVar) and s == t):
             return "a reflexivity node relates a variable to itself"
         if not implicit:
@@ -300,7 +301,8 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
                 return "environment is not ok"
             if gfresh(g, s.name):
                 return f"variable {s.name!r} is not declared"
-    elif shape == Rule.TRS:
+        return None
+    if shape == Rule.TRS:
         if not isinstance(s, FreeVar):
             return "left side of a bound-chaining node must be a variable"
         if gfresh(g, s.name):
@@ -309,8 +311,11 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
     elif shape == Rule.ARR:
         if not (isinstance(s, Arrow) and isinstance(t, Arrow)):
             return "both sides of an arrow node must be arrows"
-        problems = ("first premise must compare domains contravariantly", "second premise must compare codomains covariantly")
-    elif shape == Rule.ALL:
+        problems = (
+            "first premise must compare domains contravariantly",
+            "second premise must compare codomains covariantly",
+        )
+    else:
         if not (isinstance(s, Forall) and isinstance(t, Forall)):
             return "both sides of a quantifier node must be universals"
         w = d.witness
@@ -325,25 +330,26 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
             "first premise must compare bounds contravariantly",
             "second premise must compare bodies under the witness binding",
         )
-    if d.premises:
-        # Only the three rules above take premises (the arity check), and
-        # each has named what a premise off its goal violates.
-        goals = _premise_goals(shape, g, s, t, d.witness)
-        for premise, goal, problem in zip(d.premises, goals, problems):
-            if premise.concl != goal:
-                return problem
+    goals = _premise_goals(shape, g, s, t, d.witness)
+    for i, premise in enumerate(d.premises):
+        if (premise.env, premise.lhs, premise.rhs) != goals[i]:
+            return problems[i]
     return None
 
 
 def _diagnose(d: Derivation, implicit: bool) -> Optional[str]:
     # Preorder, so the problem reported is the first a depth-first check meets.
-    # path[1:] is the current node's path, spelled out only for a bad node.
-    path: list[int] = []
-    for depth, i, node in preorder(d):
-        path[depth:] = (i,)
+    for _, _, node in preorder(d):
         problem = _diagnose_node(node, implicit)
         if problem is not None:
-            return f"{_fmt_path(tuple(path[1:]))}: {problem}"
+            # A node met before in the walk would have failed there, so the
+            # bad node's path is that of its first occurrence.  path[1:] is
+            # the current node's path.
+            path: list[int] = []
+            for depth, i, other in preorder(d):
+                path[depth:] = (i,)
+                if other is node:
+                    return f"{_fmt_path(tuple(path[1:]))}: {problem}"
     return None
 
 
@@ -623,7 +629,6 @@ def _to_json(d: Derivation, printer: Printer) -> str:
 
 
 _JSON_KEYS = ("rule", "env", "lhs", "rhs", "witness", "premises")
-_NO_GOAL = (None, None, None)
 
 
 def _read_node(obj: object) -> tuple[Rule, Optional[VarName], list]:
@@ -650,41 +655,37 @@ def _read_node(obj: object) -> tuple[Rule, Optional[VarName], list]:
     return rule, witness, premises
 
 
+def _read_text(memo: dict[str, _V], text: str, want: Optional[_V], printed: Callable, parse: Callable) -> _V:
+    # The environment or type that `text` spells: `want` when `text` is its
+    # canonical text, since parsing that text gives the very same interned
+    # object, and otherwise what `parse` makes of it.  `memo` holds each
+    # distinct text read so far; a bad text raises where it first occurs.
+    found = memo.get(text)
+    if found is None:
+        found = memo[text] = want if want is not None and printed(want) == text else parse(text)
+    return found
+
+
 def derivation_from_json(text: str) -> Derivation:
     """Inverse of `derivation_to_json`.  Raises ValueError on schema violations."""
     # Preorder on an explicit stack, each premise paired with the conclusion
-    # its parent's rule demands of it.  Each distinct string is read once: a
-    # string that is the canonical text of the demanded environment or type
-    # stands for it, since parsing that text gives the very same interned
-    # object, and any other string is parsed, so that a bad one raises where
-    # it first occurs.
+    # its parent's rule demands of it.
     printer = Printer()
     envs: dict[str, Env] = {}
     types: dict[str, Ty] = {}
     parse_env = env_parser()
     visits: list[tuple[Rule, Env, Ty, Ty, Optional[VarName], int]] = []
-    stack: list[tuple[object, tuple]] = [(json.loads(text), _NO_GOAL)]
+    stack: list[tuple[object, tuple]] = [(json.loads(text), (None, None, None))]
     while stack:
         obj, (want_g, want_s, want_t) = stack.pop()
         rule, witness, premises = _read_node(obj)
-        env_text, lhs_text, rhs_text = obj["env"], obj["lhs"], obj["rhs"]
-        g = envs.get(env_text)
-        if g is None:
-            same = want_g is not None and printer.env_text(want_g) == env_text
-            g = envs[env_text] = want_g if same else parse_env(env_text)
-        s = types.get(lhs_text)
-        if s is None:
-            same = want_s is not None and printer.type_text(want_s) == lhs_text
-            s = types[lhs_text] = want_s if same else parse_type(lhs_text)
-        t = types.get(rhs_text)
-        if t is None:
-            same = want_t is not None and printer.type_text(want_t) == rhs_text
-            t = types[rhs_text] = want_t if same else parse_type(rhs_text)
+        g = _read_text(envs, obj["env"], want_g, printer.env_text, parse_env)
+        s = _read_text(types, obj["lhs"], want_s, printer.type_text, parse_type)
+        t = _read_text(types, obj["rhs"], want_t, printer.type_text, parse_type)
         visits.append((rule, g, s, t, witness, len(premises)))
-        if premises:
-            goals = _premise_goals(_TO_EXPLICIT.get(rule, rule), g, s, t, witness)
-            for i in range(len(premises) - 1, -1, -1):
-                stack.append((premises[i], goals[i] if i < len(goals) else _NO_GOAL))
+        goals = _premise_goals(_TO_EXPLICIT.get(rule, rule), g, s, t, witness) if premises else ()
+        for i in range(len(premises) - 1, -1, -1):
+            stack.append((premises[i], goals[i] if i < len(goals) else (None, None, None)))
     # Build from the leaves up: in reverse preorder every premise comes
     # before its node, its first premise's result last.
     out: list[Derivation] = []

@@ -470,7 +470,7 @@ class TestTextWorkIsLinear:
     N = 200
     LINES = [quantifier_nest(N), arrow_tower(N)]
 
-    @pytest.mark.parametrize("line", LINES)
+    @pytest.mark.parametrize("line", LINES, ids=["forall", "arrow"])
     def test_writers_compose_each_node_under_its_binder_names_once(self, composed, line):
         d = decide_yes(line, fuel=10 * self.N)
         types = {node.lhs for _, node in iter_nodes(d)} | {node.rhs for _, node in iter_nodes(d)}
@@ -485,7 +485,7 @@ class TestTextWorkIsLinear:
             assert {key[0] if isinstance(key, tuple) else key for key in composed} == compound
             assert len(composed) <= 4 * self.N
 
-    @pytest.mark.parametrize("line", LINES)
+    @pytest.mark.parametrize("line", LINES, ids=["forall", "arrow"])
     def test_reader_parses_only_the_root_strings(self, parsed, line):
         d = decide_yes(line, fuel=10 * self.N)
         text = derivation_to_json(d)
