@@ -418,8 +418,9 @@ class Printer:
                 text = texts.get(key)
                 if text is not None:
                     out.append(text)
-                elif kind is Arrow:
-                    stack += ((item, key, None), item.cod, item.dom)
+                    continue
+                if kind is Arrow:
+                    first, second, binder = item.dom, item.cod, None
                 else:
                     # The binder must avoid capture in the body and must not
                     # appear in the bound, which would make the text
@@ -437,7 +438,36 @@ class Printer:
                     while binder in free or binder in reached:
                         n += 1
                         binder = f"X{n}"
-                    stack += ((item, key, binder), item.body, binder, item.bound)
+                    first, second = item.bound, item.body
+                # A child that is a leaf is read at once instead of pushed,
+                # and a node whose children are both leaves is composed here.
+                kind = type(first)
+                a = (
+                    first.name if kind is FreeVar else "Top" if kind is Top
+                    else names[-1 - first.index] if kind is BoundIdx else None
+                )
+                if a is None:
+                    frame = (item, key, binder)
+                    stack += (frame, second, first) if binder is None else (frame, second, binder, first)
+                    continue
+                if binder is not None:
+                    names.append(binder)
+                kind = type(second)
+                b = (
+                    second.name if kind is FreeVar else "Top" if kind is Top
+                    else names[-1 - second.index] if kind is BoundIdx else None
+                )
+                if b is None:
+                    out.append(a)
+                    stack += ((item, key, binder), second)
+                    continue
+                if binder is None:
+                    text = f"{a} -> {b}"
+                else:
+                    names.pop()
+                    text = f"All {binder} <: {a} . {b}"
+                texts[key] = text
+                out.append(text)
         return out[0]
 
     def env_text(self, g: Env) -> str:

@@ -53,6 +53,11 @@ class Rule(str, Enum):
     I_ALL = "All"
 
 
+# The explicit rules, read from module globals on the hot paths: looking a
+# member up on an Enum class costs several times as much (CPython 3.11).
+_TOP, _VAR, _TRS, _ARR, _ALL = Rule.TOP, Rule.VAR, Rule.TRS, Rule.ARR, Rule.ALL
+_QUANTIFIER_RULES = frozenset((Rule.ALL, Rule.I_ALL))
+
 EXPLICIT_RULES = frozenset((Rule.TOP, Rule.VAR, Rule.TRS, Rule.ARR, Rule.ALL))
 IMPLICIT_RULES = frozenset((Rule.I_TOP, Rule.I_REFL, Rule.I_TRANS, Rule.I_ARR, Rule.I_ALL))
 
@@ -254,14 +259,14 @@ def _premise_goals(shape: Rule, g: Env, s: Ty, t: Ty, witness: Optional[VarName]
     # order, with `witness` opening the bodies at a quantifier node; () when
     # the sides do not have the rule's shape or the variable of a
     # bound-chaining node is not declared.
-    if shape is Rule.TRS:
+    if shape is _TRS:
         bound = lookup(g, s.name) if isinstance(s, FreeVar) else None
         if bound is not None:
             return ((g, bound, t),)
-    elif shape is Rule.ARR:
+    elif shape is _ARR:
         if isinstance(s, Arrow) and isinstance(t, Arrow):
             return ((g, t.dom, s.dom), (g, s.cod, t.cod))
-    elif shape is Rule.ALL:
+    elif shape is _ALL:
         if isinstance(s, Forall) and isinstance(t, Forall) and witness is not None:
             body = open_ty(s.body, witness)
             opened = (g.extend(witness, t.bound), body, body if t.body is s.body else open_ty(t.body, witness))
@@ -277,14 +282,14 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
         return f"rule {d.rule.value!r} does not belong to the {system} system"
     if len(d.premises) != ARITY[d.rule]:
         return f"rule {d.rule.value!r} takes {ARITY[d.rule]} premises, got {len(d.premises)}"
-    if (d.witness is not None) != (d.rule in (Rule.ALL, Rule.I_ALL)):
+    if (d.witness is not None) != (d.rule in _QUANTIFIER_RULES):
         return "witness must be present exactly at quantifier nodes"
     if not (is_locally_closed(d.lhs) and is_locally_closed(d.rhs)):
         return "conclusion contains an escaped bound index"
 
     shape = _TO_EXPLICIT.get(d.rule, d.rule)
     g, s, t = d.env, d.lhs, d.rhs
-    if shape == Rule.TOP:
+    if shape == _TOP:
         if not isinstance(t, Top):
             return "right side of a top node must be Top"
         if not implicit:
@@ -293,7 +298,7 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
             if not closed(s, g):
                 return "left side is not closed in the environment"
         return None
-    if shape == Rule.VAR:
+    if shape == _VAR:
         if not (isinstance(s, FreeVar) and s == t):
             return "a reflexivity node relates a variable to itself"
         if not implicit:
@@ -302,13 +307,13 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
             if gfresh(g, s.name):
                 return f"variable {s.name!r} is not declared"
         return None
-    if shape == Rule.TRS:
+    if shape == _TRS:
         if not isinstance(s, FreeVar):
             return "left side of a bound-chaining node must be a variable"
         if gfresh(g, s.name):
             return f"variable {s.name!r} is not declared"
         problems: tuple[str, ...] = ("premise must conclude the declared bound below the right side",)
-    elif shape == Rule.ARR:
+    elif shape == _ARR:
         if not (isinstance(s, Arrow) and isinstance(t, Arrow)):
             return "both sides of an arrow node must be arrows"
         problems = (
@@ -455,20 +460,22 @@ def _decide(g: Env, s: Ty, t: Ty, fuel: int) -> SubResult:
         spent += 1
         g, s, t = goal
         if isinstance(t, Top):
-            done = Derivation(Rule.TOP, g, s, t)
+            done = Derivation(_TOP, g, s, t)
         elif isinstance(s, FreeVar) and s == t:
-            done = Derivation(Rule.VAR, g, s, t)
+            done = Derivation(_VAR, g, s, t)
         else:
+            # A variable on the left is closed in g, so declared; any other
+            # goal is an arrow or quantifier goal, or no rule applies.
             witness = None
             if isinstance(s, FreeVar):
-                rule = Rule.TRS  # s is closed in g, so declared
-            elif isinstance(s, Arrow) and isinstance(t, Arrow):
-                rule = Rule.ARR
+                rule = _TRS
             elif isinstance(s, Forall) and isinstance(t, Forall):
-                rule, witness = Rule.ALL, witness_for(g, s.body, t.body)
+                rule, witness = _ALL, witness_for(g, s.body, t.body)
             else:
-                return No(tuple(frame[0] for frame in stack) + (goal,), reason="no rule applies")
+                rule = _ARR
             subgoals = _premise_goals(rule, g, s, t, witness)
+            if not subgoals:
+                return No(tuple(frame[0] for frame in stack) + (goal,), reason="no rule applies")
             stack.append((goal, rule, subgoals, witness, []))
             goal = subgoals[0]
             continue

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from fsub.gen import GenConfig, gen_derivation
 from fsub import parser, subtyper
 from fsub.judgments import EMPTY_ENV, Env, names_in_env
-from fsub.parser import ParseError, Printer, parse_env, parse_judgment, parse_type, print_judgment, print_type
+from fsub.parser import ParseError, Printer, parse_env, parse_judgment, parse_type, print_judgment
 from fsub.subtyper import (
     DEFAULT_FUEL,
     DeclarativeSearch,
