@@ -386,41 +386,41 @@ class Printer:
         # Postorder from a stack of pending types and frames.  A frame
         # `(node, key, binder)` composes a node's text from its children's,
         # the last two texts made; a string brings a binder into scope and the
-        # frame of its quantifier takes it out again.
+        # frame of its quantifier takes it out again.  A child that is a leaf
+        # is read at once instead of pushed, and a node whose children are
+        # both leaves is composed without a frame.
         names: list[VarName] = []
         out: list[str] = []
         stack: list[object] = [t]
         while stack:
             item = stack.pop()
             kind = type(item)
+            if kind is Top:
+                out.append("Top")
+                continue
+            if kind is FreeVar:
+                out.append(item.name)
+                continue
+            if kind is BoundIdx:
+                out.append(names[-1 - item.index])
+                continue
+            if kind is str:
+                names.append(item)
+                continue
             if kind is tuple:
                 node, key, binder = item
                 second = out.pop()
                 first = out.pop()
-                if binder is None:
-                    text = f"({first}) -> {second}" if isinstance(node.dom, (Arrow, Forall)) else f"{first} -> {second}"
-                else:
-                    names.pop()
-                    text = f"All {binder} <: {first} . {second}"
-                texts[key] = text
-                out.append(text)
-            elif kind is Top:
-                out.append("Top")
-            elif kind is FreeVar:
-                out.append(item.name)
-            elif kind is BoundIdx:
-                out.append(names[-1 - item.index])
-            elif kind is str:
-                names.append(item)
             else:
-                e = item._esc
-                key = (item, *names[-e:]) if e else item
+                node = item
+                e = node._esc
+                key = (node, *names[-e:]) if e else node
                 text = texts.get(key)
                 if text is not None:
                     out.append(text)
                     continue
                 if kind is Arrow:
-                    first, second, binder = item.dom, item.cod, None
+                    first, second, binder = node.dom, node.cod, None
                 else:
                     # The binder must avoid capture in the body and must not
                     # appear in the bound, which would make the text
@@ -428,9 +428,9 @@ class Printer:
                     # quantifier and the names of the binders its escaping
                     # indices reach.  An escape level of e means that index
                     # e - 1 escapes, and no other when e is 1.
-                    free = fv(item)
+                    free = fv(node)
                     if e > 1:
-                        reached: Collection[VarName] = {names[-1 - k] for k in _escaping(item, self.escaping)}
+                        reached: Collection[VarName] = {names[-1 - k] for k in _escaping(node, self.escaping)}
                     else:
                         reached = names[-1:] if e else ()
                     n = 0
@@ -438,36 +438,28 @@ class Printer:
                     while binder in free or binder in reached:
                         n += 1
                         binder = f"X{n}"
-                    first, second = item.bound, item.body
-                # A child that is a leaf is read at once instead of pushed,
-                # and a node whose children are both leaves is composed here.
+                    first, second = node.bound, node.body
                 kind = type(first)
-                a = (
-                    first.name if kind is FreeVar else "Top" if kind is Top
-                    else names[-1 - first.index] if kind is BoundIdx else None
-                )
-                if a is None:
-                    frame = (item, key, binder)
+                if kind is not FreeVar and kind is not Top and kind is not BoundIdx:
+                    frame = (node, key, binder)
                     stack += (frame, second, first) if binder is None else (frame, second, binder, first)
                     continue
+                first = first.name if kind is FreeVar else "Top" if kind is Top else names[-1 - first.index]
                 if binder is not None:
                     names.append(binder)
                 kind = type(second)
-                b = (
-                    second.name if kind is FreeVar else "Top" if kind is Top
-                    else names[-1 - second.index] if kind is BoundIdx else None
-                )
-                if b is None:
-                    out.append(a)
-                    stack += ((item, key, binder), second)
+                if kind is not FreeVar and kind is not Top and kind is not BoundIdx:
+                    out.append(first)
+                    stack += ((node, key, binder), second)
                     continue
-                if binder is None:
-                    text = f"{a} -> {b}"
-                else:
-                    names.pop()
-                    text = f"All {binder} <: {a} . {b}"
-                texts[key] = text
-                out.append(text)
+                second = second.name if kind is FreeVar else "Top" if kind is Top else names[-1 - second.index]
+            if binder is None:
+                text = f"({first}) -> {second}" if isinstance(node.dom, (Arrow, Forall)) else f"{first} -> {second}"
+            else:
+                names.pop()
+                text = f"All {binder} <: {first} . {second}"
+            texts[key] = text
+            out.append(text)
         return out[0]
 
     def env_text(self, g: Env) -> str:

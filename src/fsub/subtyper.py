@@ -591,7 +591,7 @@ def derivation_to_text(d: Derivation) -> str:
 
 def _to_text(d: Derivation, printer: Printer) -> str:
     # `derivation_to_text` with the texts of `printer`, which may already
-    # hold some.
+    # hold some.  The memos make a repeated environment or type one dict hit.
     envs = _Memo(printer.env_text)
     types = _Memo(printer.type_text)
     lines: list[str] = []
