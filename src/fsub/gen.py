@@ -21,7 +21,7 @@ from typing import Iterator
 from .errors import PreconditionError
 from .judgments import Env, dom, fresh_for_env, gfresh, lookup, witness_for
 from .metatheory import EnvSplit, derive_refl, split_env
-from .subtyper import Derivation, Rule, Yes, decide_sub, preorder
+from .subtyper import Derivation, Yes, _ALL, _ARR, _TOP, _TRS, decide_sub, preorder
 from .syntax import Arrow, BoundIdx, Forall, FreeVar, Top, Ty, VarName, close_ty, fv, open_ty, size
 
 _MASK = (1 << 64) - 1
@@ -168,22 +168,22 @@ def _synth_sub_of(g: Env, target: Ty, depth: int, rng: SplitMix64) -> Derivation
 
     if kind == "top":
         s = _gen_ty(g, 1 + rng.below(6), rng)
-        return Derivation(Rule.TOP, g, s, Top())
+        return Derivation(_TOP, g, s, Top())
     if kind == "chain":
         name, evidence = chains[rng.below(len(chains))]
-        return Derivation(Rule.TRS, g, FreeVar(name), target, (evidence,))
+        return Derivation(_TRS, g, FreeVar(name), target, (evidence,))
     if kind == "structural" and isinstance(target, Arrow):
         p_dom = _synth_sup_of(g, target.dom, depth - 1, rng)
         p_cod = _synth_sub_of(g, target.cod, depth - 1, rng)
         s = Arrow(p_dom.rhs, p_cod.lhs)
-        return Derivation(Rule.ARR, g, s, target, (p_dom, p_cod))
+        return Derivation(_ARR, g, s, target, (p_dom, p_cod))
     if kind == "structural" and isinstance(target, Forall):
         p_bound = _synth_sup_of(g, target.bound, depth - 1, rng)
         w = witness_for(g, target.body, p_bound.rhs)
         inner = g.extend(w, target.bound)
         p_body = _synth_sub_of(inner, open_ty(target.body, w), depth - 1, rng)
         s = Forall(p_bound.rhs, close_ty(p_body.lhs, w))
-        return Derivation(Rule.ALL, g, s, target, (p_bound, p_body), witness=w)
+        return Derivation(_ALL, g, s, target, (p_bound, p_body), witness=w)
     return derive_refl(g, target)
 
 
@@ -199,17 +199,17 @@ def _synth_sup_of(g: Env, source: Ty, depth: int, rng: SplitMix64) -> Derivation
     kind = rng.choose(options)
 
     if kind == "top":
-        return Derivation(Rule.TOP, g, source, Top())
+        return Derivation(_TOP, g, source, Top())
     if kind == "chain" and isinstance(source, FreeVar):
         bound = lookup(g, source.name)
         assert bound is not None
         premise = _synth_sup_of(g, bound, depth - 1, rng)
-        return Derivation(Rule.TRS, g, source, premise.rhs, (premise,))
+        return Derivation(_TRS, g, source, premise.rhs, (premise,))
     if kind == "structural" and isinstance(source, Arrow):
         p_dom = _synth_sub_of(g, source.dom, depth - 1, rng)
         p_cod = _synth_sup_of(g, source.cod, depth - 1, rng)
         t = Arrow(p_dom.lhs, p_cod.rhs)
-        return Derivation(Rule.ARR, g, source, t, (p_dom, p_cod))
+        return Derivation(_ARR, g, source, t, (p_dom, p_cod))
     if kind == "structural" and isinstance(source, Forall):
         p_bound = _synth_sub_of(g, source.bound, depth - 1, rng)
         t_bound = p_bound.lhs
@@ -217,7 +217,7 @@ def _synth_sup_of(g: Env, source: Ty, depth: int, rng: SplitMix64) -> Derivation
         inner = g.extend(w, t_bound)
         p_body = _synth_sup_of(inner, open_ty(source.body, w), depth - 1, rng)
         t = Forall(t_bound, close_ty(p_body.rhs, w))
-        return Derivation(Rule.ALL, g, source, t, (p_bound, p_body), witness=w)
+        return Derivation(_ALL, g, source, t, (p_bound, p_body), witness=w)
     return derive_refl(g, source)
 
 
@@ -279,7 +279,7 @@ def gen_narrow_instance(
     p = d_pq.lhs
     if force_pivot_chain:
         premise = _synth_sup_of(g, split.pivot_bound, cfg.max_deriv_depth, rng)
-        d = Derivation(Rule.TRS, g, FreeVar(pivot_var), premise.rhs, (premise,))
+        d = Derivation(_TRS, g, FreeVar(pivot_var), premise.rhs, (premise,))
     else:
         anchor = _gen_ty(g, cfg.max_ty_size, rng)
         if rng.chance(1, 2):

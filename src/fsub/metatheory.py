@@ -22,8 +22,12 @@ from .errors import InternalCheckError, PreconditionError
 from .judgments import EMPTY_ENV, Env, closed, env_concat, gfresh, names_in_env, ok
 from .subtyper import (
     Derivation,
-    Rule,
     Yes,
+    _ALL,
+    _ARR,
+    _TOP,
+    _TRS,
+    _VAR,
     _decide,
     _fold,
     derivation_height,
@@ -129,19 +133,19 @@ def _rebase(d: Derivation, old: Env, new: Env, narrowing: Optional[_Narrowing] =
         if depth:
             parent, g, env = above[depth - 1]
             node = parent.premises[i]
-            if parent.rule == Rule.ALL and i == 1:
+            if parent.rule is _ALL and i == 1:
                 assert parent.witness is not None and isinstance(parent.rhs, Forall)
                 g = g.extend(parent.witness, parent.rhs.bound)
                 env = env.extend(parent.witness, parent.rhs.bound)
         if node.env is not g:
             raise InternalCheckError("derivation environment does not match its parent")
-        if node.rule == Rule.ALL and not gfresh(env, node.witness):
+        if node.rule is _ALL and not gfresh(env, node.witness):
             node = replace_witness(node, fresh(names_in_derivation(node) | names_in_env(env)))
         above[depth:] = ((node, g, env),)
         visits.append((node, env))
 
     def rebuild(node: Derivation, env: Env, premises: tuple[Derivation, ...]) -> Derivation:
-        if node.rule == Rule.TRS and node.lhs == pivot:
+        if node.rule is _TRS and node.lhs is pivot:
             # Chaining through the pivot itself: the old chain went through
             # the old bound q.  Weaken `p <: q` over this node's environment
             # and compose it with the rebuilt premise before chaining at p.
@@ -219,23 +223,23 @@ def _trans(d1: Derivation, d2: Derivation, parent: Optional[Measure]) -> Derivat
     if isinstance(q, Top):
         # d2 can only end in the Top rule, so t = Top and the left side is
         # closed by d1's own leaf obligations.
-        return Derivation(Rule.TOP, g, d1.lhs, d2.rhs)
-    if d1.rule == Rule.VAR:
+        return Derivation(_TOP, g, d1.lhs, d2.rhs)
+    if d1.rule is _VAR:
         return d2
-    if d1.rule == Rule.TRS:
+    if d1.rule is _TRS:
         inner = _trans(d1.premises[0], d2, measure)
-        return Derivation(Rule.TRS, g, d1.lhs, d2.rhs, (inner,))
-    if d2.rule == Rule.TOP:
-        return Derivation(Rule.TOP, g, d1.lhs, d2.rhs)
+        return Derivation(_TRS, g, d1.lhs, d2.rhs, (inner,))
+    if d2.rule is _TOP:
+        return Derivation(_TOP, g, d1.lhs, d2.rhs)
 
-    if d1.rule == Rule.ARR and d2.rule == Rule.ARR:
+    if d1.rule is _ARR and d2.rule is _ARR:
         a_dom, a_cod = d1.premises
         b_dom, b_cod = d2.premises
         p_dom = _trans(b_dom, a_dom, measure)
         p_cod = _trans(a_cod, b_cod, measure)
-        return Derivation(Rule.ARR, g, d1.lhs, d2.rhs, (p_dom, p_cod))
+        return Derivation(_ARR, g, d1.lhs, d2.rhs, (p_dom, p_cod))
 
-    if d1.rule == Rule.ALL and d2.rule == Rule.ALL:
+    if d1.rule is _ALL and d2.rule is _ALL:
         assert isinstance(q, Forall) and isinstance(d2.rhs, Forall)
         b_bound, _ = d2.premises
         a_bound, _ = d1.premises
@@ -248,7 +252,7 @@ def _trans(d1: Derivation, d2: Derivation, parent: Optional[Measure]) -> Derivat
         split = EnvSplit(g, w, q.bound, EMPTY_ENV)
         a_body = _rebase(a_body, split.assemble(), split.assemble(d2.rhs.bound), (split, b_bound, measure))
         p_body = _trans(a_body, b_body, measure)
-        return Derivation(Rule.ALL, g, d1.lhs, d2.rhs, (p_bound, p_body), witness=w)
+        return Derivation(_ALL, g, d1.lhs, d2.rhs, (p_bound, p_body), witness=w)
 
     raise InternalCheckError(
         f"no composition case for rules {d1.rule.value!r} and {d2.rule.value!r}"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from string import ascii_letters
-from typing import Callable, Collection
+from typing import Collection
 
 from .errors import MalformedTypeError
 from .judgments import Env
@@ -252,32 +252,6 @@ def parse_env(text: str) -> Env:
     words = _lex(text)
     decls, _ = _bindings(text, words, 0, "eof")
     return Env.from_decls(decls)
-
-
-def env_parser() -> Callable[[str], Env]:
-    """`parse_env` as a function that parses each distinct binding text once
-    over all its calls.  Types contain no `,`, so the text of an environment
-    is its bindings' texts joined by commas.  When a piece is not exactly one
-    binding, the whole text goes to `parse_env`, which reads a blank text and
-    `empty` as the empty environment and otherwise raises its own error."""
-    memo: dict[str, tuple[VarName, Ty]] = {}
-
-    def parse(text: str) -> Env:
-        decls = []
-        for piece in text.split(","):
-            binding = memo.get(piece)
-            if binding is None:
-                try:
-                    found, _ = _bindings(piece, _lex(piece), 0, "eof")
-                except ParseError:
-                    found = []
-                if len(found) != 1:
-                    return parse_env(text)
-                binding = memo[piece] = found[0]
-            decls.append(binding)
-        return Env.from_decls(decls)
-
-    return parse
 
 
 def _parse_judgment(text: str, words: list[str]) -> tuple[Env, Ty, Ty, tuple[int, int, int, int, int]]:

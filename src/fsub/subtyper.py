@@ -21,14 +21,16 @@ from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from .errors import InternalCheckError, PreconditionError
 from .judgments import Env, closed, gfresh, lookup, names_in_env, ok, witness_for
-from .parser import Printer, env_parser, parse_type
+from .parser import Printer, parse_env, parse_type
 from .syntax import (
     Arrow,
     Forall,
     FreeVar,
+    HashConsed,
     Top,
     Ty,
     VarName,
+    _set_field,
     fv,
     is_locally_closed,
     is_var_name,
@@ -56,49 +58,64 @@ class Rule(str, Enum):
 # The explicit rules, read from module globals on the hot paths: looking a
 # member up on an Enum class costs several times as much (CPython 3.11).
 _TOP, _VAR, _TRS, _ARR, _ALL = Rule.TOP, Rule.VAR, Rule.TRS, Rule.ARR, Rule.ALL
-_QUANTIFIER_RULES = frozenset((Rule.ALL, Rule.I_ALL))
+_QUANTIFIER_RULES = frozenset((_ALL, Rule.I_ALL))
 
-EXPLICIT_RULES = frozenset((Rule.TOP, Rule.VAR, Rule.TRS, Rule.ARR, Rule.ALL))
-IMPLICIT_RULES = frozenset((Rule.I_TOP, Rule.I_REFL, Rule.I_TRANS, Rule.I_ARR, Rule.I_ALL))
-
-ARITY = {
-    Rule.TOP: 0,
-    Rule.VAR: 0,
-    Rule.TRS: 1,
-    Rule.ARR: 2,
-    Rule.ALL: 2,
-    Rule.I_TOP: 0,
-    Rule.I_REFL: 0,
-    Rule.I_TRANS: 1,
-    Rule.I_ARR: 2,
-    Rule.I_ALL: 2,
-}
-
-_TO_IMPLICIT = {
-    Rule.TOP: Rule.I_TOP,
-    Rule.VAR: Rule.I_REFL,
-    Rule.TRS: Rule.I_TRANS,
-    Rule.ARR: Rule.I_ARR,
-    Rule.ALL: Rule.I_ALL,
-}
+# The rule tables are written for the explicit rules; the implicit entries
+# are derived from them.
+_TO_IMPLICIT = {_TOP: Rule.I_TOP, _VAR: Rule.I_REFL, _TRS: Rule.I_TRANS, _ARR: Rule.I_ARR, _ALL: Rule.I_ALL}
 _TO_EXPLICIT = {v: k for k, v in _TO_IMPLICIT.items()}
+EXPLICIT_RULES = frozenset(_TO_IMPLICIT)
+IMPLICIT_RULES = frozenset(_TO_EXPLICIT)
+ARITY = {_TOP: 0, _VAR: 0, _TRS: 1, _ARR: 2, _ALL: 2}
+ARITY.update({_TO_IMPLICIT[rule]: arity for rule, arity in ARITY.items()})
 
 
-@dataclass(frozen=True, slots=True)
-class Derivation:
+_DERIVATIONS: dict = {}
+# Each rule under itself.  A tag string equals its rule and hashes the same,
+# so both find one node, which must hold the rule.
+_RULES = {rule: rule for rule in Rule}
+
+
+class Derivation(HashConsed):
     """One node of a derivation tree concluding `env |- lhs <: rhs`.
 
     `witness` is the name used to compare quantifier bodies and is present
     exactly at `all`/`All` nodes.  Construction is unchecked; validity is the
     checker's business, so malformed trees can be built for negative tests.
+    Nodes are hash-consed like types, so `premises` must be a tuple, and keep
+    their height (the longest node path to a leaf) in `_height`.
     """
 
+    __slots__ = ("rule", "env", "lhs", "rhs", "premises", "witness", "_height")
+    __match_args__ = ("rule", "env", "lhs", "rhs", "premises", "witness")
     rule: Rule
     env: Env
     lhs: Ty
     rhs: Ty
-    premises: tuple["Derivation", ...] = ()
-    witness: Optional[VarName] = None
+    premises: tuple["Derivation", ...]
+    witness: Optional[VarName]
+
+    def __new__(
+        cls, rule: Rule, env: Env, lhs: Ty, rhs: Ty, premises: tuple = (), witness: Optional[VarName] = None
+    ) -> "Derivation":
+        key = (rule, env, lhs, rhs, premises, witness)
+        entry = _DERIVATIONS.get(key)
+        node = None if entry is None else entry()
+        if node is None:
+            node = object.__new__(cls)
+            _set_field(node, "rule", _RULES.get(rule, rule))
+            _set_field(node, "env", env)
+            _set_field(node, "lhs", lhs)
+            _set_field(node, "rhs", rhs)
+            _set_field(node, "premises", premises)
+            _set_field(node, "witness", witness)
+            height = 0
+            for premise in premises:
+                if premise._height > height:
+                    height = premise._height
+            _set_field(node, "_height", height + 1)
+            node._intern(_DERIVATIONS, key)
+        return node
 
     @property
     def concl(self) -> tuple[Env, Ty, Ty]:
@@ -180,7 +197,7 @@ def _fold(visits: list[tuple[Derivation, _X]], combine: Callable[[Derivation, _X
 
 def derivation_height(d: Derivation) -> int:
     """Longest node path from this node to a leaf, counting nodes."""
-    return 1 + max(depth for depth, _, _ in preorder(d))
+    return d._height
 
 
 def iter_nodes(d: Derivation) -> Iterator[tuple[tuple[int, ...], Derivation]]:
@@ -231,7 +248,7 @@ def replace_witness(d: Derivation, new: VarName) -> Derivation:
     """Rename the witness of a quantifier node, consistently through the body
     premise.  `new` must be fresh for that subtree and for the node's
     environment; validity is then preserved."""
-    if d.rule not in (Rule.ALL, Rule.I_ALL) or d.witness is None:
+    if d.rule not in _QUANTIFIER_RULES or d.witness is None:
         raise PreconditionError(f"not a quantifier node: {d.rule}")
     if new == d.witness:
         return d
@@ -289,7 +306,7 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
 
     shape = _TO_EXPLICIT.get(d.rule, d.rule)
     g, s, t = d.env, d.lhs, d.rhs
-    if shape == _TOP:
+    if shape is _TOP:
         if not isinstance(t, Top):
             return "right side of a top node must be Top"
         if not implicit:
@@ -298,7 +315,7 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
             if not closed(s, g):
                 return "left side is not closed in the environment"
         return None
-    if shape == _VAR:
+    if shape is _VAR:
         if not (isinstance(s, FreeVar) and s == t):
             return "a reflexivity node relates a variable to itself"
         if not implicit:
@@ -307,13 +324,13 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
             if gfresh(g, s.name):
                 return f"variable {s.name!r} is not declared"
         return None
-    if shape == _TRS:
+    if shape is _TRS:
         if not isinstance(s, FreeVar):
             return "left side of a bound-chaining node must be a variable"
         if gfresh(g, s.name):
             return f"variable {s.name!r} is not declared"
         problems: tuple[str, ...] = ("premise must conclude the declared bound below the right side",)
-    elif shape == _ARR:
+    elif shape is _ARR:
         if not (isinstance(s, Arrow) and isinstance(t, Arrow)):
             return "both sides of an arrow node must be arrows"
         problems = (
@@ -680,7 +697,6 @@ def derivation_from_json(text: str) -> Derivation:
     printer = Printer()
     envs: dict[str, Env] = {}
     types: dict[str, Ty] = {}
-    parse_env = env_parser()
     visits: list[tuple[Rule, Env, Ty, Ty, Optional[VarName], int]] = []
     stack: list[tuple[object, tuple]] = [(json.loads(text), (None, None, None))]
     while stack:

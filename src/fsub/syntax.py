@@ -80,21 +80,29 @@ class HashConsed:
 
     def __repr__(self) -> str:
         # `Name(field=value, ...)` as a dataclass prints it, emitted from a
-        # stack of pending nodes and literal strings so that depth is no limit.
+        # stack of pending nodes, tuples and literal strings so that depth is
+        # no limit: a tuple (premises, bindings) is unfolded here too.
         parts: list[str] = []
         stack: list[object] = [self]
         while stack:
             item = stack.pop()
-            if type(item) is str:
+            kind = type(item)
+            if kind is str:
                 parts.append(item)
                 continue
-            names = item.__match_args__
-            parts.append(type(item).__qualname__ + "(")
-            stack.append(")")
-            for i in reversed(range(len(names))):
-                value = getattr(item, names[i])
-                stack.append(value if isinstance(value, HashConsed) else repr(value))
-                stack.append(f"{', ' if i else ''}{names[i]}=")
+            if kind is tuple:
+                values, labels = item, ("",) * len(item)
+                parts.append("(")
+                stack.append(",)" if len(item) == 1 else ")")
+            else:
+                labels = tuple(name + "=" for name in item.__match_args__)
+                values = tuple(getattr(item, name) for name in item.__match_args__)
+                parts.append(kind.__qualname__ + "(")
+                stack.append(")")
+            for i in reversed(range(len(values))):
+                value = values[i]
+                stack.append(value if type(value) is tuple or isinstance(value, HashConsed) else repr(value))
+                stack.append(", " + labels[i] if i else labels[i])
         return "".join(parts)
 
 

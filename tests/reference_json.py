@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from fsub.parser import env_parser, parse_type
+from fsub.parser import parse_env, parse_type
 from fsub.subtyper import Derivation, Rule
 from fsub.syntax import is_var_name
 
@@ -51,4 +51,4 @@ def from_obj(obj: object, envs: dict, types: dict, parse_env) -> Derivation:
 
 
 def derivation_from_json(text: str) -> Derivation:
-    return from_obj(json.loads(text), {}, {}, env_parser())
+    return from_obj(json.loads(text), {}, {}, parse_env)

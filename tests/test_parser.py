@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_parser as ref
-from fsub import parser
 from fsub.judgments import Env, dom, ok
 from fsub.parser import (
     ParseError,
     Token,
-    env_parser,
     parse_env,
     parse_judgment,
     parse_type,
@@ -53,7 +51,6 @@ class TestParseType:
         assert t == Arrow(FreeVar("A"), Arrow(FreeVar("B"), inner))
 
     def test_deep_arrow_chain_round_trips(self):
-        # Compared as text: structural equality of deep types still recurses.
         text = " -> ".join(["X"] * 10_001)
         assert print_type(parse_type(text)) == text
 
@@ -354,7 +351,6 @@ class TestAgainstReference:
         for new, old in (
             (parse_type, ref.parse_type),
             (parse_env, ref.parse_env),
-            (env_parser(), ref.parse_env),
             (parse_judgment, ref.parse_judgment),
             (scan_judgment, ref.scan_judgment),
         ):
@@ -380,18 +376,6 @@ class TestAgainstReference:
         text = print_type(t)
         assert text == ref.print_type(t)
         assert parse_type(text) is t
-
-    def test_env_parser_lexes_each_distinct_binding_once(self, monkeypatch):
-        lexed = []
-        lex = parser._lex
-        monkeypatch.setattr(parser, "_lex", lambda text: lexed.append(text) or lex(text))
-        g, _, _ = variable_chain(3)
-        longer = g.extend("X4", FreeVar("X3"))
-        parse = env_parser()
-        assert parse(print_env(g)) is g
-        assert parse(print_env(g)) is g
-        assert parse(print_env(longer)) is longer
-        assert lexed == ["X0 <: Top", " X1 <: X0", " X2 <: X1", " X3 <: X2", " X4 <: X3"]
 
 
 DEPTH = 10_000
@@ -430,7 +414,6 @@ class TestDeepInput:
         text = ", ".join(["X0 <: Top"] + [f"X{i} <: X{i - 1}" for i in range(1, DEPTH + 1)])
         g, _, _ = variable_chain(DEPTH)
         assert parse_env(text) is g
-        assert env_parser()(text) is g
 
     def test_print_nested_quantifiers(self):
         # Each bound names the binder just outside it, so binders alternate

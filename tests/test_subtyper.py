@@ -1,8 +1,13 @@
 """Derivation trees, the two checkers, the decision procedure, the
 declarative comparison system, and both serialization formats."""
 
+import copy
+import gc
 import json
+import pickle
 import time
+import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +15,7 @@ from hypothesis import given, strategies as st
 from fsub.gen import GenConfig, gen_derivation
 from fsub import parser, subtyper
 from fsub.judgments import EMPTY_ENV, Env, names_in_env
-from fsub.parser import ParseError, Printer, parse_env, parse_judgment, parse_type, print_judgment
+from fsub.parser import ParseError, Printer, parse_env, parse_judgment, parse_type
 from fsub.subtyper import (
     DEFAULT_FUEL,
     DeclarativeSearch,
@@ -343,7 +348,7 @@ class TestSerialization:
     def test_json_round_trip(self):
         d = decide_yes("X <: Top |- All Y <: X . Y -> Y <: All Y <: X . Y -> Top")
         back = derivation_from_json(derivation_to_json(d))
-        assert back == d
+        assert back is d
         assert check_derivation(back)
 
     def test_json_key_order(self):
@@ -356,12 +361,7 @@ class TestSerialization:
         from fsub.gen import GenConfig, gen_derivation
 
         d = gen_derivation(GenConfig(seed=seed))
-        back = derivation_from_json(derivation_to_json(d))
-        assert back == d
-        # Node by node, each conclusion the very same interned objects.
-        rows = [(path, node.rule, node.witness) for path, node in iter_nodes(d)]
-        assert [(path, node.rule, node.witness) for path, node in iter_nodes(back)] == rows
-        assert all(a is b for (_, x), (_, y) in zip(iter_nodes(d), iter_nodes(back)) for a, b in zip(x.concl, y.concl))
+        assert derivation_from_json(derivation_to_json(d)) is d
 
     # GOLDEN_JSON repeats its environment at both nodes.  Only strings that
     # parse are memoized, so a bad one fails wherever it occurs first.
@@ -448,17 +448,12 @@ def parsed(monkeypatch):
         strings.append(text)
         return parser.parse_type(text)
 
-    def env_parser():
-        parse = parser.env_parser()
-
-        def parse_env(text):
-            strings.append(text)
-            return parse(text)
-
-        return parse_env
+    def parse_env(text):
+        strings.append(text)
+        return parser.parse_env(text)
 
     monkeypatch.setattr(subtyper, "parse_type", parse_type)
-    monkeypatch.setattr(subtyper, "env_parser", env_parser)
+    monkeypatch.setattr(subtyper, "parse_env", parse_env)
     return strings
 
 
@@ -490,9 +485,7 @@ class TestTextWorkIsLinear:
         d = decide_yes(line, fuel=10 * self.N)
         text = derivation_to_json(d)
         root = json.loads(text)
-        back = derivation_from_json(text)
-        assert derivation_to_json(back) == text
-        assert all(a is b for (_, x), (_, y) in zip(iter_nodes(d), iter_nodes(back)) for a, b in zip(x.concl, y.concl))
+        assert derivation_from_json(text) is d
         assert sorted(parsed) == sorted({root["env"], root["lhs"], root["rhs"]})
 
 
@@ -503,6 +496,74 @@ class TestHeight:
     def test_chain(self):
         d = decide_yes("X <: Top, Y <: X |- Y <: X")
         assert derivation_height(d) == 2
+
+    def test_height_is_kept_not_walked(self, monkeypatch):
+        d = decide_yes("X <: Top, Y <: X |- All Z <: Y . Z -> Y <: All Z <: Y . Z -> X")
+
+        def preorder(_):
+            raise AssertionError("derivation_height walked the tree")
+
+        monkeypatch.setattr(subtyper, "preorder", preorder)
+        assert derivation_height(d) == 4
+
+
+SMALL_REPR = (
+    "Derivation(rule=<Rule.TRS: 'trs'>, env=Env(bindings=(('Y', FreeVar(name='X')), ('X', Top()))),"
+    " lhs=FreeVar(name='Y'), rhs=FreeVar(name='X'), premises=(Derivation(rule=<Rule.VAR: 'var'>,"
+    " env=Env(bindings=(('Y', FreeVar(name='X')), ('X', Top()))), lhs=FreeVar(name='X'),"
+    " rhs=FreeVar(name='X'), premises=(), witness=None),), witness=None)"
+)
+
+
+class TestHashConsed:
+    """Derivations are hash-consed like types and environments: equal fields
+    give the same node, which stays immutable, prints as the dataclass it
+    used to be, and comes back from copies and pickles as itself."""
+
+    def test_equal_fields_give_one_node(self):
+        leaf = Derivation(Rule.VAR, X_TOP_Y_X, FreeVar("X"), FreeVar("X"))
+        d = Derivation(Rule.TRS, X_TOP_Y_X, FreeVar("Y"), FreeVar("X"), (leaf,))
+        assert d is decide_yes("X <: Top, Y <: X |- Y <: X")
+        assert d is Derivation(Rule.TRS, X_TOP_Y_X, FreeVar("Y"), FreeVar("X"), premises=(leaf,), witness=None)
+        assert d is not Derivation(Rule.I_TRANS, X_TOP_Y_X, FreeVar("Y"), FreeVar("X"), (leaf,))
+
+    def test_a_tag_string_gives_the_node_of_its_rule(self):
+        # "top" == Rule.TOP, so both spellings share one node, which holds
+        # the rule whichever is built first.
+        first = Derivation("top", EMPTY_ENV, FreeVar("Tagged"), Top())
+        assert first.rule is Rule.TOP
+        assert Derivation(Rule.TOP, EMPTY_ENV, FreeVar("Tagged"), Top()) is first
+
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(decide_yes("X <: Top, Y <: X |- Y <: X")) == SMALL_REPR
+
+    def test_a_dropped_derivation_is_released(self):
+        d = Derivation(Rule.TOP, EMPTY_ENV, FreeVar("Dropped"), Top())
+        ref = weakref.ref(d)
+        del d
+        gc.collect()
+        assert ref() is None
+
+    def test_copies_and_pickles_are_the_node(self):
+        d = decide_yes("X <: Top |- All Y <: X . Y -> Y <: All Y <: X . Y -> Top")
+        assert copy.copy(d) is d
+        assert copy.deepcopy(d) is d
+        assert pickle.loads(pickle.dumps(d)) is d
+
+    def test_fields_cannot_be_assigned(self):
+        d = decide_yes("X <: Top, Y <: X |- Y <: X")
+        with pytest.raises(FrozenInstanceError):
+            d.rule = Rule.VAR
+        with pytest.raises(FrozenInstanceError):
+            del d.premises
+
+    def test_match_binds_the_fields(self):
+        match decide_yes("X <: Top, Y <: X |- Y <: X"):
+            case Derivation(rule, env, lhs, rhs, (premise,), witness):
+                assert (rule, env, lhs, rhs, witness) == (Rule.TRS, X_TOP_Y_X, FreeVar("Y"), FreeVar("X"), None)
+                assert premise.rule == Rule.VAR
+            case _:
+                pytest.fail("no match")
 
 
 def node_count(d: Derivation) -> int:
@@ -529,8 +590,7 @@ class TestFuelIsTheOnlyLimit:
         result = decide_sub(X_TOP, t, t, fuel=2 * n + 1)
         assert isinstance(result, Yes)
         assert node_count(result.derivation) == 2 * n + 1
-        # Compared as text: structural equality of deep types still recurses.
-        assert print_judgment(*result.derivation.concl) == print_judgment(X_TOP, t, t)
+        assert result.derivation.concl == (X_TOP, t, t)
 
     def test_long_variable_chain_decides_and_checks(self):
         g, lhs, rhs = variable_chain(2_000)
@@ -570,13 +630,6 @@ class TestFuelIsTheOnlyLimit:
         )
 
 
-def node_rows(d: Derivation) -> list:
-    """Each node's rule, conclusion and witness in preorder: equality of deep
-    derivations without the recursive dataclass `__eq__` of `Derivation`.
-    Conclusions compare by identity: types and environments are hash-consed."""
-    return [(node.rule, node.concl, node.witness) for _, node in iter_nodes(d)]
-
-
 class TestDeepDerivations:
     """The derivation walks run on explicit stacks: a derivation deeper than
     the interpreter stack goes through each of them."""
@@ -592,7 +645,27 @@ class TestDeepDerivations:
     def test_retagging_round_trip(self, chain):
         implicit = to_implicit(chain)
         assert implicit.rule == Rule.I_TRANS
-        assert node_rows(to_explicit(implicit)) == node_rows(chain)
+        assert to_explicit(implicit) is chain
+
+    def test_a_long_chain_is_one_value(self, chain):
+        # Decided again, the chain is the very same node; equality and
+        # hashing read no deeper than the root.
+        g, lhs, rhs = variable_chain(2_000)
+        again = decide_sub(g, lhs, rhs, fuel=2_001).derivation
+        assert again is chain and again == chain
+        assert hash(again) == hash(chain)
+        assert {chain: 1}[again] == 1
+
+    def test_repr_of_a_deep_derivation(self):
+        # The chain's text repeats its 2,001 bindings at each of its 2,001
+        # nodes; a tower of as many nodes over the empty environment, which
+        # unchecked construction allows, prints in text linear in its height.
+        d = Derivation(Rule.VAR, EMPTY_ENV, Top(), Top())
+        for _ in range(2_000):
+            d = Derivation(Rule.TRS, EMPTY_ENV, Top(), Top(), (d,))
+        text = repr(d)
+        assert text.count("Derivation(") == 2_001
+        assert text.endswith("premises=(), witness=None)" + ",), witness=None)" * 2_000)
 
     def test_replace_witness_through_a_deep_body(self):
         n = 1_000
