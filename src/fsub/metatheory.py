@@ -49,6 +49,8 @@ _Narrowing = tuple["EnvSplit", Derivation, Optional[Measure]]
 
 
 def _require_valid(d: Derivation, what: str) -> None:
+    # The checker examines only nodes not yet found valid, so an input built
+    # from checked parts (another transformer's output) costs its new nodes.
     problem = diagnose_derivation(d)
     if problem is not None:
         raise PreconditionError(f"{what} is not a valid derivation: {problem}")

@@ -83,10 +83,11 @@ class Derivation(HashConsed):
     exactly at `all`/`All` nodes.  Construction is unchecked; validity is the
     checker's business, so malformed trees can be built for negative tests.
     Nodes are hash-consed like types, so `premises` must be a tuple, and keep
-    their height (the longest node path to a leaf) in `_height`.
+    their height (the longest node path to a leaf) in `_height`.  `_valid`
+    is left unset until the explicit checker finds the node's tree valid.
     """
 
-    __slots__ = ("rule", "env", "lhs", "rhs", "premises", "witness", "_height")
+    __slots__ = ("rule", "env", "lhs", "rhs", "premises", "witness", "_height", "_valid")
     __match_args__ = ("rule", "env", "lhs", "rhs", "premises", "witness")
     rule: Rule
     env: Env
@@ -120,6 +121,9 @@ class Derivation(HashConsed):
     @property
     def concl(self) -> tuple[Env, Ty, Ty]:
         return (self.env, self.lhs, self.rhs)
+
+
+_set_valid = Derivation._valid.__set__
 
 
 Goal = tuple[Env, Ty, Ty]
@@ -285,8 +289,7 @@ def _premise_goals(shape: Rule, g: Env, s: Ty, t: Ty, witness: Optional[VarName]
             return ((g, t.dom, s.dom), (g, s.cod, t.cod))
     elif shape is _ALL:
         if isinstance(s, Forall) and isinstance(t, Forall) and witness is not None:
-            body = open_ty(s.body, witness)
-            opened = (g.extend(witness, t.bound), body, body if t.body is s.body else open_ty(t.body, witness))
+            opened = (g.extend(witness, t.bound), open_ty(s.body, witness), open_ty(t.body, witness))
             return ((g, t.bound, s.bound), opened)
     return ()
 
@@ -361,17 +364,33 @@ def _diagnose_node(d: Derivation, implicit: bool) -> Optional[str]:
 
 def _diagnose(d: Derivation, implicit: bool) -> Optional[str]:
     # Preorder, so the problem reported is the first a depth-first check meets.
-    for _, _, node in preorder(d):
+    # Explicit validity is local (a node's own conditions and its premises'
+    # validity) and a node is interned on all it is checked against, so an
+    # explicit check skips every subtree already found valid, and marks the
+    # nodes it checked once the whole tree has passed.
+    checked: list[Derivation] = []
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if not implicit and getattr(node, "_valid", False):
+            continue
         problem = _diagnose_node(node, implicit)
-        if problem is not None:
-            # A node met before in the walk would have failed there, so the
-            # bad node's path is that of its first occurrence.  path[1:] is
-            # the current node's path.
+        if problem is None:
+            checked.append(node)
+            stack += reversed(node.premises)
+        else:
+            # A node met before in the walk would have failed there, and no
+            # subtree skipped as valid holds it, so the bad node's path is
+            # that of its first occurrence.  path[1:] is the current node's
+            # path.
             path: list[int] = []
             for depth, i, other in preorder(d):
                 path[depth:] = (i,)
                 if other is node:
                     return f"{_fmt_path(tuple(path[1:]))}: {problem}"
+    if not implicit:
+        for node in checked:
+            _set_valid(node, True)
     return None
 
 
@@ -562,9 +581,7 @@ class DeclarativeSearch:
         if isinstance(s, Forall) and isinstance(t, Forall):
             if self.provable(g, t.bound, s.bound, rest):
                 w = witness_for(g, s.body, t.body)
-                body = open_ty(s.body, w)
-                other = body if t.body is s.body else open_ty(t.body, w)
-                if self.provable(g.extend(w, t.bound), body, other, rest):
+                if self.provable(g.extend(w, t.bound), open_ty(s.body, w), open_ty(t.body, w), rest):
                     return True
         for m in self._midpoints(g, s, t):
             if self.provable(g, s, m, rest) and self.provable(g, m, t, rest):

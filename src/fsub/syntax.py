@@ -113,16 +113,19 @@ class Ty(HashConsed):
     `_esc`, its escape level, the number of enclosing binders it needs to be
     locally closed (one more than its largest escaping index, 0 if none
     escapes); and `_fv`, its free names.  The constructor sets all three
-    when it builds the node, an inner node from its children's."""
+    when it builds the node, an inner node from its children's.  A fourth,
+    `_opened`, is left unset until `open_ty` first opens the node as an
+    abstraction body, and then holds its last (name, opened body) pair."""
 
-    __slots__ = ("_size", "_esc", "_fv")
+    __slots__ = ("_size", "_esc", "_fv", "_opened")
 
 
-# Setters of the three facts, straight through their slots: cheaper than
+# Setters of the facts, straight through their slots: cheaper than
 # `_set_field`, and a node is built often.
 _set_size = Ty._size.__set__
 _set_esc = Ty._esc.__set__
 _set_fv = Ty._fv.__set__
+_set_opened = Ty._opened.__set__
 
 
 def _not_a_type(*children: object) -> TypeError:
@@ -324,15 +327,22 @@ def is_locally_closed(t: Ty) -> bool:
 
 
 def open_ty(body: Ty, name: VarName) -> Ty:
-    """Instantiate index 0 of an abstraction body with the free variable `name`."""
+    """Instantiate index 0 of an abstraction body with the free variable `name`.
+    The body keeps the last result, so opening it again with the same name
+    costs a slot read."""
     if body._esc > 1:
         raise MalformedTypeError(f"abstraction body has an escaped index: {body!r}")
     repl = FreeVar(name)
     if body._esc == 0:
         return body
+    last = getattr(body, "_opened", None)
+    if last is not None and last[0] == name:
+        return last[1]
     # A subtree under d binders holds an occurrence of index 0 exactly when its
     # escape level exceeds d; the one leaf that does is `BoundIdx(d)`.
-    return _map_leaves(body, lambda node, d: node._esc <= d, lambda d: repl, {})
+    opened = _map_leaves(body, lambda node, d: node._esc <= d, lambda d: repl, {})
+    _set_opened(body, (name, opened))
+    return opened
 
 
 def close_ty(t: Ty, name: VarName) -> Ty:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import strategies as st
 
 from fsub.gen import GenConfig, gen_closed_ty, gen_env
@@ -49,3 +51,13 @@ def variable_chain(n: int) -> tuple[Env, Ty, Ty]:
     """X0 <: Top, X1 <: X0, ..., Xn <: X(n-1) |- Xn <: X0."""
     decls = [("X0", Top())] + [(f"X{i}", FreeVar(f"X{i - 1}")) for i in range(1, n + 1)]
     return Env.from_decls(decls), FreeVar(f"X{n}"), FreeVar("X0")
+
+
+_unseen = itertools.count()
+
+
+def unseen_name() -> str:
+    """A variable name that no earlier call returned and no test spells.  A
+    type or environment that declares or mentions it shares no node with
+    anything another test built, so it has never been checked or opened."""
+    return f"Unseen{next(_unseen)}"

@@ -9,7 +9,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 
-from fsub import metatheory, subtyper
+from fsub import metatheory, subtyper, syntax
 from fsub.errors import InternalCheckError, PreconditionError
 from fsub.gen import (
     GenConfig,
@@ -39,13 +39,14 @@ from fsub.subtyper import (
     Yes,
     check_derivation,
     decide_sub,
+    derivation_from_json,
     derivation_height,
     derivation_to_json,
     diagnose_derivation,
     iter_nodes,
 )
-from fsub.syntax import FreeVar, Top, size
-from strategies import seeds, variable_chain
+from fsub.syntax import Forall, FreeVar, Top, size
+from strategies import seeds, unseen_name, variable_chain
 
 
 def decide_yes(text: str) -> Derivation:
@@ -439,15 +440,42 @@ class TestDeepDerivations:
         self.assert_rebuilt_chain(out, split.assemble(p), chain)
 
 
-def nested_quantifiers(n: int):
-    """n nested quantifiers, each bounded by the one outside it."""
+def nested_quantifiers(n: int, tail: str = ""):
+    """n nested quantifiers, each bounded by the one outside it; the
+    innermost body is `Y<n-1>`, or `Y<n-1> -> tail` when `tail` is given."""
     binders = ["All Y0 <: Top ."] + [f"All Y{i} <: Y{i - 1} ." for i in range(1, n)]
-    return parse_type(" ".join(binders) + f" Y{n - 1}")
+    return parse_type(" ".join(binders) + f" Y{n - 1}" + (f" -> {tail}" if tail else ""))
+
+
+def tree_nodes(*ds: Derivation) -> set[Derivation]:
+    return {node for d in ds for _, node in iter_nodes(d)}
+
+
+def not_yet_valid(*ds: Derivation) -> list[Derivation]:
+    """The nodes an explicit check of each of `ds` has to examine: every
+    occurrence, in preorder, of a node outside the subtrees that an earlier
+    check found valid."""
+    out = []
+    for d in ds:
+        stack = [d]
+        while stack:
+            node = stack.pop()
+            if not getattr(node, "_valid", False):
+                out.append(node)
+                stack += reversed(node.premises)
+    return out
 
 
 class TestValidateOnce:
-    """Each public transformer runs the checker once per input derivation;
-    the internal recursion trusts what the entry point validated."""
+    """Each public transformer runs the checker once per input derivation,
+    and that check examines only the input nodes no earlier check found
+    valid; the internal recursion trusts what the entry point validated.
+
+    Validity is kept on interned nodes, so an equal derivation that another
+    test keeps alive would be valid already.  The weakening test builds its
+    input over a root binding of `unseen_name()`, so no other test can hold
+    any of its nodes; the narrowing test, over generated instances that other
+    tests also build, counts only the nodes not yet valid (`not_yet_valid`)."""
 
     @pytest.fixture()
     def checker_calls(self, monkeypatch):
@@ -460,10 +488,16 @@ class TestValidateOnce:
         monkeypatch.setattr(metatheory, "diagnose_derivation", counting)
         return calls
 
-    def test_weaken_nested_quantifiers(self, checker_calls):
-        d = derive_refl(parse_env("X <: Top"), nested_quantifiers(10))
+    def test_weaken_nested_quantifiers(self, checker_calls, diagnosed):
+        g = parse_env("X <: Top").extend(unseen_name(), Top())
+        d = derive_refl(g, nested_quantifiers(10))
         out = derive_weaken(d, parse_env("X0 <: Top, W <: Top"))
         assert len(checker_calls) == 1
+        assert len(diagnosed) == len(tree_nodes(d)) == 21
+        assert set(diagnosed) == tree_nodes(d)
+        diagnosed.clear()
+        assert derive_weaken(d, parse_env("X0 <: Top, W <: Top")) is out
+        assert diagnosed == []
         assert check_derivation(out)
 
     def test_refl_scopes_its_input_once(self, monkeypatch):
@@ -480,13 +514,82 @@ class TestValidateOnce:
         assert calls == []
         assert check_derivation(d) and d.concl[0] is g
 
-    def test_narrow_pivot_chains(self, checker_calls):
+    def test_narrow_pivot_chains(self, checker_calls, diagnosed):
         for seed in child_seeds(3003, 20):
             split, p, d, d_pq = gen_narrow_instance(GenConfig(seed=seed), force_pivot_chain=True)
+            unchecked = not_yet_valid(d, d_pq)
             checker_calls.clear()
+            diagnosed.clear()
             out = derive_narrow(split, p, d, d_pq)
             assert len(checker_calls) <= 2
+            assert diagnosed == unchecked
+            diagnosed.clear()
+            derive_narrow(split, p, d, d_pq)
+            assert diagnosed == []
             assert check_derivation(out)
+
+    def test_narrow_of_a_trans_output_checks_only_what_trans_built(self, diagnosed):
+        # The transitivity inputs are checked in full by `derive_trans`; the
+        # narrowing of its output then examines only nodes it built, and of
+        # those only the ones not yet valid (another test may hold an equal
+        # output).  The evidence is checked before, so it adds nothing.
+        composed = 0
+        for seed in child_seeds(2002, 40):
+            d1, d2 = gen_derivation_pair(GenConfig(seed=seed, max_deriv_depth=6))
+            if not len(d1.env):
+                continue
+            out = derive_trans(d1, d2)
+            x, bound = out.env.bindings[-1]
+            split = split_env(out.env, x)
+            d_pq = derive_refl(split.prefix, bound)
+            assert check_derivation(d_pq)
+            built = tree_nodes(out) - tree_nodes(d1, d2)
+            unchecked = not_yet_valid(out)
+            diagnosed.clear()
+            narrowed = derive_narrow(split, bound, out, d_pq)
+            assert diagnosed == unchecked
+            assert set(unchecked) <= built
+            composed += bool(diagnosed)
+            assert confirms(narrowed)
+        assert composed >= 10
+
+
+class TestOpenedBodies:
+    """Deciding an n-quantifier nest against itself, checking the result,
+    writing and reading its JSON, reflexivity and weakening open each
+    quantifier body once with its witness: a body keeps its last opening.
+    The nest ends in `unseen_name()`, so every body is a new type that no
+    other test has opened."""
+
+    @pytest.mark.parametrize("n", [10, 64])
+    def test_deep_pipeline_opens_each_body_once(self, monkeypatch, n):
+        # open_ty maps the leaves of a body with escape level 1, the only
+        # kind it opens; nothing else in this pipeline maps one.
+        opened = []
+        map_leaves = syntax._map_leaves
+
+        def counting(t, *args):
+            result = map_leaves(t, *args)
+            if t._esc == 1:
+                opened.append((t, result))
+            return result
+
+        monkeypatch.setattr(syntax, "_map_leaves", counting)
+        name = unseen_name()
+        g = parse_env("X <: Top").extend(name, Top())
+        t = nested_quantifiers(n, tail=name)
+        d = decide_sub(g, t, t).derivation
+        assert check_derivation(d)
+        assert derivation_from_json(derivation_to_json(d)) is d
+        refl = derive_refl(g, t)
+        weakened = derive_weaken(refl, parse_env("W <: X"))
+        bodies = []
+        while isinstance(t, Forall):
+            bodies.append(t.body)
+            t = t.body
+        assert len(opened) == len(set(opened)) == n
+        assert [body for body, _ in opened] == bodies
+        assert confirms(weakened)
 
 
 # SHA-256 over the JSON of every output below, one line each; any change to a

@@ -41,8 +41,9 @@ from fsub.subtyper import (
     to_explicit,
     to_implicit,
 )
-from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fresh, nodes, subst_var
-from strategies import seeds, variable_chain
+from fsub.subtyper import _diagnose_node as diagnose_node
+from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fresh, nodes, open_ty, size, subst_var
+from strategies import seeds, unseen_name, variable_chain
 import reference_json
 import reference_walks as reference
 
@@ -100,7 +101,13 @@ class TestChecker:
 
         d = decide_yes("|- Top -> Top -> Top <: Top -> Top -> Top")
         problem = "a reflexivity node relates a variable to itself"
-        assert diagnose_derivation(swap(d, where)) == f"{path}: {problem}"
+        bad = swap(d, where)
+        assert diagnose_derivation(bad) == f"{path}: {problem}"
+        assert diagnose_derivation(bad) == f"{path}: {problem}"
+        # Every subtree of `bad` but the swapped node's ancestors is valid
+        # and now marked so.
+        assert check_derivation(d)
+        assert diagnose_derivation(bad) == f"{path}: {problem}"
 
     def test_rejects_not_ok_env(self):
         g = parse_env("X <: Y")
@@ -507,6 +514,108 @@ class TestHeight:
         assert derivation_height(d) == 4
 
 
+def first_problem(d: Derivation):
+    """The explicit checker's answer by its definition: the first node in
+    preorder whose own conditions fail, with its path, or None."""
+    for path, node in iter_nodes(d):
+        problem = diagnose_node(node, False)
+        if problem is not None:
+            return f"{'.'.join(('root',) + tuple(map(str, path)))}: {problem}"
+    return None
+
+
+def corrupt(d: Derivation, path: tuple[int, ...], kind: str) -> Derivation:
+    """`d` with the node at `path` replaced: by a `var` node with its
+    conclusion, by itself with its premises reversed, with the newest name
+    of its environment (or X0) as its witness, or retagged into the implicit
+    system."""
+    if path:
+        premises = list(d.premises)
+        premises[path[0]] = corrupt(premises[path[0]], path[1:], kind)
+        return Derivation(d.rule, d.env, d.lhs, d.rhs, tuple(premises), d.witness)
+    if kind == "var":
+        return Derivation(Rule.VAR, d.env, d.lhs, d.rhs)
+    if kind == "premises":
+        return Derivation(d.rule, d.env, d.lhs, d.rhs, d.premises[::-1], d.witness)
+    if kind == "witness":
+        return Derivation(d.rule, d.env, d.lhs, d.rhs, d.premises, d.env.bindings[0][0] if len(d.env) else "X0")
+    return Derivation(subtyper._TO_IMPLICIT[d.rule], d.env, d.lhs, d.rhs, d.premises, d.witness)
+
+
+class TestValidity:
+    """Explicit validity is a fact of the interned node: the first check of a
+    tree examines each node not yet found valid, marks them all once the tree
+    passes, and a later check of any tree skips the marked subtrees.  Trees
+    that a count must see unchecked are built over a binding of
+    `unseen_name()`, which no other test can hold."""
+
+    def unseen(self, text: str) -> Derivation:
+        g, lhs, rhs = parse_judgment(text)
+        result = decide_sub(g.extend(unseen_name(), Top()), lhs, rhs)
+        assert isinstance(result, Yes)
+        return result.derivation
+
+    def test_a_second_check_examines_no_node(self, diagnosed):
+        d = self.unseen("X <: Top, Y <: X |- All Z <: Y . Z -> Y <: All Z <: Y . Z -> X")
+        assert check_derivation(d)
+        assert len(diagnosed) == node_count(d)
+        diagnosed.clear()
+        assert check_derivation(d) and diagnose_derivation(d) is None
+        assert diagnosed == []
+
+    def test_a_tree_over_checked_parts_examines_only_the_new_nodes(self, diagnosed):
+        d = self.unseen("X <: Top |- Top -> X <: X -> Top")
+        assert check_derivation(d)
+        diagnosed.clear()
+        bigger = Derivation(Rule.ARR, d.env, Arrow(d.rhs, d.lhs), Arrow(d.lhs, d.rhs), (d, d))
+        assert check_derivation(bigger)
+        assert diagnosed == [bigger]
+
+    @given(seeds, st.integers(1, 6), st.integers(0, 1 << 16), st.sampled_from(("var", "premises", "witness", "implicit")),
+           st.booleans())
+    def test_a_corrupted_tree_reports_the_same_problem_every_time(self, seed, depth, where, kind, marked_first):
+        d = gen_derivation(GenConfig(seed=seed, max_deriv_depth=depth))
+        paths = [path for path, _ in iter_nodes(d)]
+        bad = corrupt(d, paths[where % len(paths)], kind)
+        expected = first_problem(bad)
+        if marked_first:
+            assert check_derivation(d)
+        assert diagnose_derivation(bad) == expected
+        assert diagnose_derivation(bad) == expected
+        # Every subtree of `bad` that is one of `d` is valid and now marked.
+        assert check_derivation(d)
+        assert diagnose_derivation(bad) == expected
+        assert check_derivation(bad) == (expected is None)
+
+    def test_implicit_checks_are_not_cached(self, diagnosed):
+        d = self.unseen("X <: Top |- All Y <: X . Y -> Y <: All Y <: X . Y -> Top")
+        assert check_derivation(d)
+        diagnosed.clear()
+        assert diagnose_derivation_implicit(d) == "root: rule 'all' does not belong to the implicit system"
+        assert not check_derivation_implicit(d)
+        assert len(diagnosed) == 2
+        implicit = to_implicit(d)
+        diagnosed.clear()
+        assert check_derivation_implicit(implicit) and check_derivation_implicit(implicit)
+        assert len(diagnosed) == 2 * node_count(implicit)
+        assert diagnose_derivation(implicit) == "root: rule 'All' does not belong to the explicit system"
+        assert to_explicit(implicit) is d
+
+    def test_copies_and_pickles_of_checked_nodes_are_the_node(self, diagnosed):
+        d = self.unseen("X <: Top |- All Y <: X . Y -> Y <: All Y <: X . Y -> Top")
+        assert check_derivation(d)
+        diagnosed.clear()
+        for other in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert other is d
+            assert check_derivation(other)
+        assert diagnosed == []
+        # A body that keeps its opening copies and pickles as itself too.
+        body = d.lhs.body
+        assert open_ty(body, d.witness) is d.premises[1].lhs
+        for other in (copy.copy(body), copy.deepcopy(body), pickle.loads(pickle.dumps(body))):
+            assert other is body
+
+
 SMALL_REPR = (
     "Derivation(rule=<Rule.TRS: 'trs'>, env=Env(bindings=(('Y', FreeVar(name='X')), ('X', Top()))),"
     " lhs=FreeVar(name='Y'), rhs=FreeVar(name='X'), premises=(Derivation(rule=<Rule.VAR: 'var'>,"
@@ -686,17 +795,30 @@ def best_of_three(fn) -> float:
     return best
 
 
+def cold_check_seconds(g: Env, t) -> float:
+    """Best of three checks of the reflexivity derivation of `t`.  Each round
+    decides it over `g` plus a binding of an unseen name, so that every check
+    meets only nodes that no check has found valid before."""
+    best = float("inf")
+    for _ in range(3):
+        d = decide_sub(g.extend(unseen_name(), Top()), t, t, fuel=size(t)).derivation
+        start = time.perf_counter()
+        assert check_derivation(d)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 class TestLinearWalks:
     """Checking and collecting names cost time linear in the derivation: each
     node reads its types' cached facts, and each distinct environment is
-    scanned once."""
+    scanned once.  The checker is timed on derivations it has not seen
+    (`cold_check_seconds`): on a tree it found valid it returns at once."""
 
     def test_checking_costs_no_more_than_deciding(self):
         n = 2_000
         t = parse_type(" -> ".join(["X"] * (n + 1)))
-        d = decide_sub(X_TOP, t, t, fuel=2 * n + 1).derivation
         decide = best_of_three(lambda: decide_sub(X_TOP, t, t, fuel=2 * n + 1))
-        check = best_of_three(lambda: check_derivation(d))
+        check = cold_check_seconds(X_TOP, t)
         assert check <= 3 * decide, (check, decide)
 
     def test_checking_scans_each_environment_once(self):
@@ -706,9 +828,8 @@ class TestLinearWalks:
         n = 1_000
         g = Env.from_decls([("X", Top())] + [(f"P{i}", Top()) for i in range(2_000)])
         t = parse_type(" -> ".join(["X"] * (n + 1)))
-        d = decide_sub(g, t, t, fuel=2 * n + 1).derivation
         decide = best_of_three(lambda: decide_sub(g, t, t, fuel=2 * n + 1))
-        check = best_of_three(lambda: check_derivation(d))
+        check = cold_check_seconds(g, t)
         assert check <= 3 * decide, (check, decide)
 
     def test_deciding_and_checking_a_chain_scan_its_environment_once(self, monkeypatch):
