@@ -37,6 +37,7 @@ from .syntax import (
     Top,
     Ty,
     VarName,
+    _set_text,
     fv,
     is_var_name,
 )
@@ -329,12 +330,19 @@ class Printer:
     composed once.
 
     A type's text is built from its children's texts, and every composed
-    text is kept, so a printer that prints many types sharing subterms does
-    Python work once per distinct node.  The text of a node that has
-    escaping indices depends on the names of the binders those indices
-    reach, so it is kept under the node together with those names.  An
-    environment's text is its tail's text plus one binding when the tail has
-    been printed.  A printer only grows; make one per document.
+    text is kept, so printing many types that share subterms does Python
+    work once per distinct node.  A locally closed arrow or quantifier has
+    one canonical text, which is kept on the node itself (`Ty._text`) and
+    serves every printer for as long as the node lives.  The text of a node
+    that has escaping indices depends on the names of the binders those
+    indices reach, so this printer keeps it under the node together with
+    those names.  An environment's text is its tail's text plus one binding
+    when the tail has been printed by this printer.  Environment texts stay
+    with the printer and are not kept on `Env` nodes: every environment of a
+    live derivation would then hold its text, and a prototype that kept them
+    raised the `check` benchmark's peak memory by 14%, past its 10% bound
+    (the type texts alone: 8%).  A printer only grows; make one per
+    document.
     """
 
     __slots__ = ("texts", "envs", "escaping")
@@ -353,10 +361,10 @@ class Printer:
             return "Top"
         if not isinstance(t, Ty) or t._esc:
             raise MalformedTypeError(f"cannot print: {t!r}")
-        texts = self.texts
-        text = texts.get(t)
+        text = t._text
         if text is not None:
             return text
+        texts = self.texts
         # Postorder from a stack of pending types and frames.  A frame
         # `(node, key, binder)` composes a node's text from its children's,
         # the last two texts made; a string brings a binder into scope and the
@@ -388,8 +396,12 @@ class Printer:
             else:
                 node = item
                 e = node._esc
-                key = (node, *names[-e:]) if e else node
-                text = texts.get(key)
+                if e:
+                    key = (node, *names[-e:])
+                    text = texts.get(key)
+                else:
+                    key = node
+                    text = node._text
                 if text is not None:
                     out.append(text)
                     continue
@@ -432,7 +444,10 @@ class Printer:
             else:
                 names.pop()
                 text = f"All {binder} <: {first} . {second}"
-            texts[key] = text
+            if key is node:
+                _set_text(node, text)
+            else:
+                texts[key] = text
             out.append(text)
         return out[0]
 

@@ -10,6 +10,9 @@ same fields, so structurally equal types are the same object, `==` is `is`
 and `hash` costs the same at any depth.  Each node also keeps its size, its
 escape level and its free names, computed once from its children's, so
 `size`, `is_locally_closed` and `fv` read a slot instead of walking the tree.
+Two more facts are filled on first use: the last opening of a node as an
+abstraction body, and the canonical text of a locally closed arrow or
+quantifier, which the printer composes once for the node's lifetime.
 """
 
 from __future__ import annotations
@@ -115,9 +118,15 @@ class Ty(HashConsed):
     escapes); and `_fv`, its free names.  The constructor sets all three
     when it builds the node, an inner node from its children's.  A fourth,
     `_opened`, is left unset until `open_ty` first opens the node as an
-    abstraction body, and then holds its last (name, opened body) pair."""
+    abstraction body, and then holds its last (name, opened body) pair.  A
+    fifth, `_text`, is the canonical text `parser.Printer` gives a locally
+    closed `Arrow` or `Forall`: None until the node is first printed, and
+    never set on a leaf or on a node with an escaping index, whose text
+    depends on the names of the binders above it.  A closed node's text
+    depends on the node alone, since its binder names are chosen from its
+    free names."""
 
-    __slots__ = ("_size", "_esc", "_fv", "_opened")
+    __slots__ = ("_size", "_esc", "_fv", "_opened", "_text")
 
 
 # Setters of the facts, straight through their slots: cheaper than
@@ -126,6 +135,7 @@ _set_size = Ty._size.__set__
 _set_esc = Ty._esc.__set__
 _set_fv = Ty._fv.__set__
 _set_opened = Ty._opened.__set__
+_set_text = Ty._text.__set__
 
 
 def _not_a_type(*children: object) -> TypeError:
@@ -222,6 +232,7 @@ class Arrow(Ty):
             # The free names reuse a child's set when the union adds nothing.
             a, b = dom._fv, cod._fv
             _set_fv(node, a if b <= a else b if a <= b else a | b)
+            _set_text(node, None)
             node._intern(_ARROWS, key)
         return node
 
@@ -250,6 +261,7 @@ class Forall(Ty):
             _set_esc(node, e if e >= f else f)
             a, b = bound._fv, body._fv
             _set_fv(node, a if b <= a else b if a <= b else a | b)
+            _set_text(node, None)
             node._intern(_FORALLS, key)
         return node
 

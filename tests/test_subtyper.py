@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from fsub.gen import GenConfig, gen_derivation
 from fsub import parser, subtyper
 from fsub.judgments import EMPTY_ENV, Env, names_in_env
-from fsub.parser import ParseError, Printer, parse_env, parse_judgment, parse_type
+from fsub.parser import ParseError, Printer, parse_env, parse_judgment, parse_type, print_judgment, print_type
 from fsub.subtyper import (
     DEFAULT_FUEL,
     DeclarativeSearch,
@@ -43,8 +43,10 @@ from fsub.subtyper import (
 )
 from fsub.subtyper import _diagnose_node as diagnose_node
 from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fresh, nodes, open_ty, size, subst_var
-from strategies import seeds, unseen_name, variable_chain
+from naive import to_ln
+from strategies import envs_with_closed_ty, named_types, seeds, unseen_name, variable_chain
 import reference_json
+import reference_parser
 import reference_walks as reference
 
 X_TOP = parse_env("X <: Top")
@@ -412,24 +414,27 @@ class TestSerialization:
             derivation_from_json("[1, 2]")
 
 
-def quantifier_nest(n: int) -> str:
-    """n nested quantifiers, each bounded by the one outside it, compared
-    with themselves."""
-    t = " ".join(["All Y0 <: Top ."] + [f"All Y{i} <: Y{i - 1} ." for i in range(1, n)]) + f" Y{n - 1}"
-    return f"X <: Top |- {t} <: {t}"
+def quantifier_nest(n: int, name: str) -> str:
+    """n nested quantifiers, each bounded by the one outside it, with the
+    innermost body `Y<n-1> -> name`, compared with themselves."""
+    t = " ".join(["All Y0 <: Top ."] + [f"All Y{i} <: Y{i - 1} ." for i in range(1, n)]) + f" Y{n - 1} -> {name}"
+    return f"X <: Top, {name} <: Top |- {t} <: {t}"
 
 
-def arrow_tower(n: int) -> str:
-    """A_n <: A_n with A_0 = X and A_k = A_(k-1) -> X, nested to the left."""
-    t = "X"
+def arrow_tower(n: int, name: str) -> str:
+    """A_n <: A_n with A_0 = name and A_k = A_(k-1) -> X, nested to the left."""
+    t = name
     for _ in range(n):
         t = f"({t}) -> X"
-    return f"X <: Top |- {t} <: {t}"
+    return f"X <: Top, {name} <: Top |- {t} <: {t}"
 
 
 @pytest.fixture()
 def composed(monkeypatch):
-    """The key of every text composed by a printer that a writer makes."""
+    """Every text a printer composes, wherever it keeps it: the node, for a
+    locally closed node, whose text is kept on the node itself, or the node
+    with the names of the binders its escaping indices reach, for a text the
+    printer keeps."""
     keys = []
 
     class Texts(dict):
@@ -437,12 +442,20 @@ def composed(monkeypatch):
             keys.append(key)
             super().__setitem__(key, text)
 
-    class CountingPrinter(Printer):
-        def __init__(self):
-            super().__init__()
-            self.texts = Texts()
+    init = Printer.__init__
 
-    monkeypatch.setattr(subtyper, "Printer", CountingPrinter)
+    def counting_init(self):
+        init(self)
+        self.texts = Texts()
+
+    set_text = parser._set_text
+
+    def counting_set_text(node, text):
+        keys.append(node)
+        set_text(node, text)
+
+    monkeypatch.setattr(Printer, "__init__", counting_init)
+    monkeypatch.setattr(parser, "_set_text", counting_set_text)
     return keys
 
 
@@ -464,36 +477,136 @@ def parsed(monkeypatch):
     return strings
 
 
+def compound_nodes(d: Derivation) -> set:
+    """Every arrow and quantifier node of the conclusions and environment
+    bounds of `d`."""
+    types = {node.lhs for _, node in iter_nodes(d)} | {node.rhs for _, node in iter_nodes(d)}
+    types |= {bound for _, node in iter_nodes(d) for _, bound in node.env.bindings}
+    return {node for t in types for node, _ in nodes(t) if isinstance(node, (Arrow, Forall))}
+
+
 class TestTextWorkIsLinear:
     """On a 200-quantifier nest and a 200-arrow tower, whose n + 1 distinct
     conclusions repeat the subterms of the root, the writers compose each
-    text once and the reader parses only the root's strings."""
+    text once and the reader parses only the root's strings.  A locally
+    closed node keeps its text, so each test builds its derivation over a
+    name from `unseen_name()`: every closed node of it is new, and no other
+    test can have printed it."""
 
     N = 200
-    LINES = [quantifier_nest(N), arrow_tower(N)]
+    SHAPES = [quantifier_nest, arrow_tower]
 
-    @pytest.mark.parametrize("line", LINES, ids=["forall", "arrow"])
-    def test_writers_compose_each_node_under_its_binder_names_once(self, composed, line):
-        d = decide_yes(line, fuel=10 * self.N)
-        types = {node.lhs for _, node in iter_nodes(d)} | {node.rhs for _, node in iter_nodes(d)}
-        types |= {bound for _, node in iter_nodes(d) for _, bound in node.env.bindings}
-        compound = {node for t in types for node, _ in nodes(t) if isinstance(node, (Arrow, Forall))}
+    def unseen(self, shape) -> Derivation:
+        d = decide_yes(shape(self.N, unseen_name()), fuel=10 * self.N)
+        assert all(node._text is None for node in compound_nodes(d))
+        return d
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["forall", "arrow"])
+    def test_writers_compose_each_node_under_its_binder_names_once(self, composed, shape):
         for write in (derivation_to_text, derivation_to_json):
+            d = self.unseen(shape)
             composed.clear()
             write(d)
             # A key is a node, or a node with the names of the binders its
             # escaping indices reach.
             assert len(set(composed)) == len(composed)
-            assert {key[0] if isinstance(key, tuple) else key for key in composed} == compound
+            assert {key[0] if isinstance(key, tuple) else key for key in composed} == compound_nodes(d)
             assert len(composed) <= 4 * self.N
 
-    @pytest.mark.parametrize("line", LINES, ids=["forall", "arrow"])
-    def test_reader_parses_only_the_root_strings(self, parsed, line):
-        d = decide_yes(line, fuel=10 * self.N)
+    @pytest.mark.parametrize("shape", SHAPES, ids=["forall", "arrow"])
+    def test_a_second_writer_call_composes_nothing(self, composed, shape):
+        # Every type a writer prints at the top level is locally closed, so
+        # once its text is on the node no writer composes it or its subterms.
+        d = self.unseen(shape)
+        text = derivation_to_json(d)
+        composed.clear()
+        assert derivation_to_json(d) == text
+        derivation_to_text(d)
+        assert composed == []
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["forall", "arrow"])
+    def test_printing_subterms_first_composes_each_closed_node_once(self, composed, shape):
+        # Printed leaves first, each conclusion's closed subterms already
+        # have their texts, which the printer reads instead of composing.
+        d = self.unseen(shape)
+        composed.clear()
+        for _, node in reversed(list(iter_nodes(d))):
+            print_type(node.lhs)
+        closed = [key for key in composed if not isinstance(key, tuple)]
+        assert len(closed) == len(set(closed))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["forall", "arrow"])
+    def test_reading_back_composes_nothing(self, composed, shape):
+        d = self.unseen(shape)
+        text = derivation_to_json(d)
+        composed.clear()
+        assert derivation_from_json(text) is d
+        assert composed == []
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["forall", "arrow"])
+    def test_reader_parses_only_the_root_strings(self, parsed, shape):
+        d = decide_yes(shape(self.N, "U"), fuel=10 * self.N)
         text = derivation_to_json(d)
         root = json.loads(text)
         assert derivation_from_json(text) is d
         assert sorted(parsed) == sorted({root["env"], root["lhs"], root["rhs"]})
+
+
+def slot_free_env(g: Env) -> str:
+    """`print_env` by the reference printer, which keeps no text."""
+    return ", ".join(f"{name} <: {reference_parser.print_type(bound)}" for name, bound in g.decls())
+
+
+def slot_free_judgment(g: Env, lhs, rhs) -> str:
+    """`print_judgment` by the reference printer."""
+    env = slot_free_env(g)
+    judgment = f"|- {reference_parser.print_type(lhs)} <: {reference_parser.print_type(rhs)}"
+    return f"{env} {judgment}" if env else judgment
+
+
+def slot_free_json(d: Derivation) -> str:
+    """`derivation_to_json` by the reference printer, recursively."""
+
+    def obj(node: Derivation) -> dict:
+        show = reference_parser.print_type
+        return {"rule": node.rule.value, "env": slot_free_env(node.env), "lhs": show(node.lhs),
+                "rhs": show(node.rhs), "witness": node.witness, "premises": [obj(p) for p in node.premises]}
+
+    return json.dumps(obj(d))
+
+
+class TestTextsKeptOnNodes:
+    """A locally closed arrow or quantifier keeps its text on the node, and
+    nothing else keeps one.  The printers and writers still give the texts
+    of the reference printer, which keeps nothing, on the first and on the
+    second printing, and whether subterms are printed before their parents
+    or after them."""
+
+    @given(envs_with_closed_ty(), named_types(max_depth=4), seeds, st.booleans())
+    def test_texts_are_the_reference_texts(self, pair, named, seed, subterms_first):
+        g, s = pair
+        t = to_ln(named)
+        d = gen_derivation(GenConfig(seed=seed, max_deriv_depth=4))
+        types = [s, t] + [bound for _, bound in g.bindings]
+        subterms = [node for u in types for node, _ in nodes(u) if isinstance(node, (Arrow, Forall))]
+        subterms += sorted(compound_nodes(d), key=size, reverse=True)
+        subterms = [node for node in subterms if node._esc == 0]
+        for _ in range(2):
+            if subterms_first:
+                for node in reversed(subterms):
+                    assert print_type(node) == reference_parser.print_type(node)
+            assert print_judgment(g, s, t) == slot_free_judgment(g, s, t)
+            assert derivation_to_json(d) == slot_free_json(d)
+            if not subterms_first:
+                for node in subterms:
+                    assert print_type(node) == reference_parser.print_type(node)
+            for u in types + list(compound_nodes(d)):
+                for node, _ in nodes(u):
+                    text = getattr(node, "_text", None)
+                    if node._esc or not isinstance(node, (Arrow, Forall)):
+                        assert text is None, node
+                    else:
+                        assert text == reference_parser.print_type(node)
 
 
 class TestHeight:
