@@ -43,6 +43,7 @@ from .subtyper import (
     SubResult,
     Unknown,
     Yes,
+    _decide,
     _to_json,
     _to_text,
     decide_sub,
@@ -81,7 +82,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if problem is not None:
             print(f"{args.file}:{lineno}: {problem}", file=sys.stderr)
             return 3
-        result: SubResult = decide_sub(g, lhs, rhs, fuel=args.fuel)
+        # Scoped above, so the decider need not scope the line again.
+        result: SubResult = _decide(g, lhs, rhs, args.fuel)
         # One printer for the line: the derivation's root and the stuck goal
         # share the verdict's environment and types.
         printer = Printer()

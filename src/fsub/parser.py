@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from string import ascii_letters
-from typing import Collection
+from typing import Collection, Iterator
 
 from .errors import MalformedTypeError
 from .judgments import Env
@@ -137,12 +137,11 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
     outer level)`.  `levels` maps each binder name in scope to the level of
     its innermost binder (0 for the outermost).  A finished bound names its
     own binder when the name is free in it or when one of its indices escapes
-    to an outer binder of that name.  `escaping` keeps `_escaping`'s sets
-    for every bound of the call, so that deep input stays linear.
+    to an outer binder of that name: when the bit of that binder is set in
+    the bound's `_escapes` mask.
     """
     stack: list[object] = []
     levels: dict[VarName, int] = {}
-    escaping: dict[Ty, frozenset[int]] = {}
     depth = 0
     while True:
         word = words[i]
@@ -187,7 +186,7 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
             elif len(frame) == 2:
                 binder, binder_i = frame
                 k = depth - 1 - levels.get(binder, depth)
-                if binder in t._fv or 0 <= k < t._esc and k in _escaping(t, escaping):
+                if binder in t._fv or k >= 0 and t._escapes >> k & 1:
                     raise ParseError(
                         f"bound of 'All {binder}' mentions the binder name {binder!r}, which it does not bind",
                         _starts(text, words, binder_i + 1)[binder_i],
@@ -292,37 +291,14 @@ def scan_judgment(text: str) -> SourceJudgment:
     )
 
 
-_NO_INDICES: frozenset[int] = frozenset()
-
-
-def _escaping(t: Ty, memo: dict[Ty, frozenset[int]]) -> frozenset[int]:
-    # The amounts k by which bound occurrences escape `t`: an occurrence
-    # `BoundIdx(d + k)` under d of `t`'s own binders.  Postorder on an
-    # explicit stack over the nodes that have an escaping index; `memo` keeps
-    # each node's set.
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        kind = type(node)
-        if kind is BoundIdx:
-            memo[node] = frozenset((node.index,))
-            stack.pop()
-            continue
-        first, second = (node.dom, node.cod) if kind is Arrow else (node.bound, node.body)
-        pending = [child for child in (first, second) if child._esc and child not in memo]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        a = memo[first] if first._esc else _NO_INDICES
-        b = memo[second] if second._esc else _NO_INDICES
-        if kind is Forall:
-            b = frozenset(k - 1 for k in b if k)
-        memo[node] = a | b
-    return memo[t]
+def _set_bits(mask: int) -> Iterator[int]:
+    # The positions of the set bits of `mask`, lowest first.  Each step
+    # clears the lowest set bit, so a wide mask with few bits set takes few
+    # steps.
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Printer:
@@ -345,12 +321,11 @@ class Printer:
     document.
     """
 
-    __slots__ = ("texts", "envs", "escaping")
+    __slots__ = ("texts", "envs")
 
     def __init__(self) -> None:
         self.texts: dict[object, str] = {}
         self.envs: dict[Env, str] = {}
-        self.escaping: dict[Ty, frozenset[int]] = {}
 
     def type_text(self, t: Ty) -> str:
         """The text of a locally closed type, with minimal parentheses."""
@@ -359,7 +334,7 @@ class Printer:
             return t.name
         if kind is Top:
             return "Top"
-        if not isinstance(t, Ty) or t._esc:
+        if not isinstance(t, Ty) or t._escapes:
             raise MalformedTypeError(f"cannot print: {t!r}")
         text = t._text
         if text is not None:
@@ -395,9 +370,9 @@ class Printer:
                 first = out.pop()
             else:
                 node = item
-                e = node._esc
-                if e:
-                    key = (node, *names[-e:])
+                m = node._escapes
+                if m:
+                    key = (node, *names[-m.bit_length() :])
                     text = texts.get(key)
                 else:
                     key = node
@@ -412,13 +387,13 @@ class Printer:
                     # appear in the bound, which would make the text
                     # unparseable: it is `fresh` for the free names of the
                     # quantifier and the names of the binders its escaping
-                    # indices reach.  An escape level of e means that index
-                    # e - 1 escapes, and no other when e is 1.
+                    # indices reach.  Bit k of the mask is set when index k
+                    # escapes, and it reaches the binder `names[-1 - k]`.
                     free = fv(node)
-                    if e > 1:
-                        reached: Collection[VarName] = {names[-1 - k] for k in _escaping(node, self.escaping)}
+                    if m > 1:
+                        reached: Collection[VarName] = {names[-1 - k] for k in _set_bits(m)}
                     else:
-                        reached = names[-1:] if e else ()
+                        reached = names[-1:] if m else ()
                     n = 0
                     binder = "X0"
                     while binder in free or binder in reached:

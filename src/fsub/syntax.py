@@ -8,8 +8,8 @@ only in names.
 Types are hash-consed: each constructor returns the one live node with the
 same fields, so structurally equal types are the same object, `==` is `is`
 and `hash` costs the same at any depth.  Each node also keeps its size, its
-escape level and its free names, computed once from its children's, so
-`size`, `is_locally_closed` and `fv` read a slot instead of walking the tree.
+escaping bound indices and its free names, computed once from its children's,
+so `size`, `is_locally_closed` and `fv` read a slot instead of walking a tree.
 Two more facts are filled on first use: the last opening of a node as an
 abstraction body, and the canonical text of a locally closed arrow or
 quantifier, which the printer composes once for the node's lifetime.
@@ -113,26 +113,26 @@ class Ty(HashConsed):
     """Base class of type nodes; values are immutable and hash-consed.
 
     Every node carries three facts about its tree: `_size`, the node count;
-    `_esc`, its escape level, the number of enclosing binders it needs to be
-    locally closed (one more than its largest escaping index, 0 if none
-    escapes); and `_fv`, its free names.  The constructor sets all three
-    when it builds the node, an inner node from its children's.  A fourth,
-    `_opened`, is left unset until `open_ty` first opens the node as an
-    abstraction body, and then holds its last (name, opened body) pair.  A
-    fifth, `_text`, is the canonical text `parser.Printer` gives a locally
+    `_escapes`, a bitmask of its escaping indices, with bit k set when an
+    occurrence under d of its own binders is `BoundIdx(d + k)` (0 if it is
+    locally closed); and `_fv`, its free names.  The constructor sets all
+    three when it builds the node, an inner node from its children's.  A
+    fourth, `_opened`, is left unset until `open_ty` first opens the node as
+    an abstraction body, and then holds its last (name, opened body) pair.
+    A fifth, `_text`, is the canonical text `parser.Printer` gives a locally
     closed `Arrow` or `Forall`: None until the node is first printed, and
     never set on a leaf or on a node with an escaping index, whose text
     depends on the names of the binders above it.  A closed node's text
     depends on the node alone, since its binder names are chosen from its
     free names."""
 
-    __slots__ = ("_size", "_esc", "_fv", "_opened", "_text")
+    __slots__ = ("_size", "_escapes", "_fv", "_opened", "_text")
 
 
 # Setters of the facts, straight through their slots: cheaper than
 # `_set_field`, and a node is built often.
 _set_size = Ty._size.__set__
-_set_esc = Ty._esc.__set__
+_set_escapes = Ty._escapes.__set__
 _set_fv = Ty._fv.__set__
 _set_opened = Ty._opened.__set__
 _set_text = Ty._text.__set__
@@ -155,7 +155,7 @@ class Top(Ty):
 _NO_NAMES: frozenset[VarName] = frozenset()
 _TOP = object.__new__(Top)
 _set_size(_TOP, 1)
-_set_esc(_TOP, 0)
+_set_escapes(_TOP, 0)
 _set_fv(_TOP, _NO_NAMES)
 _FREE_VARS: dict = {}
 _BOUND_IDXS: dict = {}
@@ -179,7 +179,7 @@ class FreeVar(Ty):
             node = object.__new__(cls)
             _set_field(node, "name", name)
             _set_size(node, 1)
-            _set_esc(node, 0)
+            _set_escapes(node, 0)
             _set_fv(node, frozenset((name,)))
             node._intern(_FREE_VARS, name)
         return node
@@ -201,7 +201,7 @@ class BoundIdx(Ty):
             node = object.__new__(cls)
             _set_field(node, "index", index)
             _set_size(node, 1)
-            _set_esc(node, index + 1)
+            _set_escapes(node, 1 << index)
             _set_fv(node, _NO_NAMES)
             node._intern(_BOUND_IDXS, index)
         return node
@@ -227,8 +227,7 @@ class Arrow(Ty):
                 _set_size(node, 1 + dom._size + cod._size)
             except AttributeError:
                 raise _not_a_type(dom, cod) from None
-            e, f = dom._esc, cod._esc
-            _set_esc(node, e if e >= f else f)
+            _set_escapes(node, dom._escapes | cod._escapes)
             # The free names reuse a child's set when the union adds nothing.
             a, b = dom._fv, cod._fv
             _set_fv(node, a if b <= a else b if a <= b else a | b)
@@ -257,8 +256,7 @@ class Forall(Ty):
                 _set_size(node, 1 + bound._size + body._size)
             except AttributeError:
                 raise _not_a_type(bound, body) from None
-            e, f = bound._esc, body._esc - 1
-            _set_esc(node, e if e >= f else f)
+            _set_escapes(node, bound._escapes | body._escapes >> 1)
             a, b = bound._fv, body._fv
             _set_fv(node, a if b <= a else b if a <= b else a | b)
             _set_text(node, None)
@@ -335,24 +333,25 @@ def fv(t: Ty) -> frozenset[VarName]:
 
 def is_locally_closed(t: Ty) -> bool:
     """True if no bound index of `t` escapes its binders."""
-    return t._esc == 0
+    return t._escapes == 0
 
 
 def open_ty(body: Ty, name: VarName) -> Ty:
     """Instantiate index 0 of an abstraction body with the free variable `name`.
     The body keeps the last result, so opening it again with the same name
     costs a slot read."""
-    if body._esc > 1:
+    if body._escapes > 1:
         raise MalformedTypeError(f"abstraction body has an escaped index: {body!r}")
     repl = FreeVar(name)
-    if body._esc == 0:
+    if body._escapes == 0:
         return body
     last = getattr(body, "_opened", None)
     if last is not None and last[0] == name:
         return last[1]
-    # A subtree under d binders holds an occurrence of index 0 exactly when its
-    # escape level exceeds d; the one leaf that does is `BoundIdx(d)`.
-    opened = _map_leaves(body, lambda node, d: node._esc <= d, lambda d: repl, {})
+    # A subtree under d binders holds an occurrence of index 0 exactly when an
+    # index d or above escapes it, since no index above 0 escapes the body;
+    # the one leaf that does is `BoundIdx(d)`.
+    opened = _map_leaves(body, lambda node, d: node._escapes >> d == 0, lambda d: repl, {})
     _set_opened(body, (name, opened))
     return opened
 

@@ -563,14 +563,14 @@ class TestOpenedBodies:
 
     @pytest.mark.parametrize("n", [10, 64])
     def test_deep_pipeline_opens_each_body_once(self, monkeypatch, n):
-        # open_ty maps the leaves of a body with escape level 1, the only
-        # kind it opens; nothing else in this pipeline maps one.
+        # open_ty maps the leaves of a body whose only escaping index is 0,
+        # the only kind it opens; nothing else in this pipeline maps one.
         opened = []
         map_leaves = syntax._map_leaves
 
         def counting(t, *args):
             result = map_leaves(t, *args)
-            if t._esc == 1:
+            if t._escapes == 1:
                 opened.append((t, result))
             return result
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_parser as ref
-from fsub.judgments import Env, dom, ok
+from fsub.judgments import EMPTY_ENV, Env, dom, ok
 from fsub.parser import (
     ParseError,
     Token,
@@ -17,6 +17,7 @@ from fsub.parser import (
     scan_judgment,
 )
 from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, alpha_eq, fv
+from fsub.subtyper import check_derivation, decide_sub
 from naive import NAll, NArr, NTop, NTy, NVar, to_ln
 from strategies import envs_with_closed_ty, named_types, variable_chain
 
@@ -435,3 +436,17 @@ class TestDeepInput:
         text = "All X0 <: Top . " + "All X1 <: Top . " * (DEPTH - 1) + "X0"
         assert print_type(t) == text
         assert parse_type(text) is t
+
+    def test_far_reaching_nest_is_decided_and_checked(self):
+        # The body names the outermost of 1,000 binders: its mask is the one
+        # bit 999, far wider than a machine word, and each quantifier around
+        # it shifts that bit down by one.
+        n = 1_000
+        t = parse_type("".join(f"All Y{i} <: Top . " for i in range(n)) + "Y0")
+        assert parse_type(print_type(t)) is t
+        body = t
+        for _ in range(n):
+            body = body.body
+        assert body._escapes == 1 << (n - 1)
+        d = decide_sub(EMPTY_ENV, t, t).derivation
+        assert check_derivation(d)

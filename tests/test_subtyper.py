@@ -590,7 +590,7 @@ class TestTextsKeptOnNodes:
         types = [s, t] + [bound for _, bound in g.bindings]
         subterms = [node for u in types for node, _ in nodes(u) if isinstance(node, (Arrow, Forall))]
         subterms += sorted(compound_nodes(d), key=size, reverse=True)
-        subterms = [node for node in subterms if node._esc == 0]
+        subterms = [node for node in subterms if node._escapes == 0]
         for _ in range(2):
             if subterms_first:
                 for node in reversed(subterms):
@@ -603,7 +603,7 @@ class TestTextsKeptOnNodes:
             for u in types + list(compound_nodes(d)):
                 for node, _ in nodes(u):
                     text = getattr(node, "_text", None)
-                    if node._esc or not isinstance(node, (Arrow, Forall)):
+                    if node._escapes or not isinstance(node, (Arrow, Forall)):
                         assert text is None, node
                     else:
                         assert text == reference_parser.print_type(node)

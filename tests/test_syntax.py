@@ -359,6 +359,16 @@ def walked_escape(t) -> int:
     return max([0] + [node.index + 1 - d for node, d in nodes(t) if isinstance(node, BoundIdx)])
 
 
+def walked_escapes(t) -> int:
+    # The escaping indices as a bitmask: bit k for every occurrence
+    # `BoundIdx(d + k)` under d binders.
+    mask = 0
+    for node, d in nodes(t):
+        if isinstance(node, BoundIdx) and node.index >= d:
+            mask |= 1 << (node.index - d)
+    return mask
+
+
 def plain_map(t, leaf, d: int = 0):
     # The map with no pruning and no memo: every leaf through `leaf(node, d)`.
     if isinstance(t, Arrow):
@@ -369,7 +379,7 @@ def plain_map(t, leaf, d: int = 0):
 
 
 class TestCachedFacts:
-    """Every node keeps its size, escape level and free names; the cached
+    """Every node keeps its size, escaping indices and free names; the cached
     values agree with a walk over the tree, and the maps that prune on them
     return exactly what an unpruned map builds."""
 
@@ -378,18 +388,19 @@ class TestCachedFacts:
         walked = list(nodes(t))
         assert fv(t) == frozenset(node.name for node, _ in walked if isinstance(node, FreeVar))
         assert size(t) == len(walked)
-        assert t._esc == walked_escape(t)
+        assert t._escapes == walked_escapes(t)
+        assert t._escapes.bit_length() == walked_escape(t)
         assert is_locally_closed(t) == all(node.index < d for node, d in walked if isinstance(node, BoundIdx))
 
     @given(ln_types(), var_names)
     def test_pruned_open_is_the_unpruned_map(self, body, x):
-        assume(body._esc <= 1)
+        assume(body._escapes <= 1)
         expected = plain_map(body, lambda node, d: FreeVar(x) if node == BoundIdx(d) else node)
         assert open_ty(body, x) is expected
 
     @given(ln_types(), var_names)
     def test_open_rejects_an_index_escaping_two_binders(self, body, x):
-        assume(body._esc > 1)
+        assume(body._escapes > 1)
         with pytest.raises(MalformedTypeError):
             open_ty(body, x)
 
@@ -408,14 +419,14 @@ class TestCachedFacts:
             return Forall(FreeVar("Rebuilt"), Arrow(BoundIdx(2), FreeVar("Again")))
 
         t = build()
-        assert (fv(t), size(t), t._esc) == ({"Rebuilt", "Again"}, 5, 2)
+        assert (fv(t), size(t), t._escapes) == ({"Rebuilt", "Again"}, 5, 0b10)
         ref = weakref.ref(t)
         del t
         gc.collect()
         assert ref() is None
         again = build()
         assert again._fv == {"Rebuilt", "Again"}
-        assert (fv(again), size(again), again._esc) == ({"Rebuilt", "Again"}, 5, 2)
+        assert (fv(again), size(again), again._escapes) == ({"Rebuilt", "Again"}, 5, 0b10)
         assert not is_locally_closed(again)
 
     def test_a_shared_dag_is_measured_without_unfolding(self):
@@ -425,7 +436,7 @@ class TestCachedFacts:
             t, body = Arrow(t, t), Arrow(body, body)
         assert size(t) == 2**65 - 1
         assert fv(t) == {"X"}
-        assert is_locally_closed(t) and body._esc == 1
+        assert is_locally_closed(t) and body._escapes == 1
         assert close_ty(t, "X") is body
         assert open_ty(body, "X") is t
 
