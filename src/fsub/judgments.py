@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Optional
 
 from .syntax import HashConsed, Ty, VarName, _set_field, fv, is_var_name
@@ -10,56 +11,125 @@ _ENVS: dict = {}
 
 
 class Env(HashConsed):
-    """Ordered bindings (name, bound), stored newest-first.
+    """Ordered bindings (name, bound), newest first.
 
-    Declaration order is the reverse: `decls()` yields oldest-first, which is
-    also the order the printer uses.  Any string is representable as a name,
-    but `ok` holds only if each one is a variable name (`is_var_name`), so
-    an ok environment prints as text that parses back.  Duplicate names are
-    representable too (they simply fail `ok`); `lookup` resolves to the most
-    recent binding.  Like types, environments are hash-consed: equal bindings
-    give the same object.  Scope questions read `_scope`, a `_Scope` table.
-    `extend` on an environment whose table is filled inherits it: the child's
-    table is a copy of the parent's with one more binding declared.  Any other
-    environment fills its table with one oldest-first scan, the first time it
-    is asked.
+    An environment is a cons cell: its newest binding `name <: bound` on top of
+    `parent`, the environment of the older bindings, with `EMPTY_ENV` as the
+    root (whose three fields are None).  Cells are hash-consed on
+    `(parent, name, bound)`, so equal bindings give the same object and
+    `extend` is one intern lookup or one new cell, at any depth.  `bindings`
+    is the newest-first tuple, built on each read; `decls()` yields the
+    oldest-first order the printer uses.  Any string is representable as a
+    name (a name that is not a string, or a bound that is not a type, raises
+    `TypeError`), but `ok` holds only if each one is a variable name
+    (`is_var_name`), so an ok environment prints as text that parses back.  Duplicate names
+    are representable too (they simply fail `ok`); `lookup` resolves to the
+    most recent binding.
+
+    Scope questions read a `_Scope` table, one per thread, which describes one
+    cell at a time and is moved to the cell asked about by undoing and
+    replaying the bindings between the two (Baker's rerooting).  The first
+    time a cell's binding is applied, one scope step (`_Scope.declare`) sets
+    the cell's `ok` verdict and the first `X<n>` it does not declare, which it
+    keeps.  `extend` on the cell the table describes moves the table to the
+    child, so a walk down a quantifier nest steps each context once.
     """
 
-    __slots__ = ("bindings", "_scope")
+    __slots__ = ("parent", "name", "bound", "_depth", "_ok", "_next", "_shadowed")
     __match_args__ = ("bindings",)
-    bindings: tuple[tuple[VarName, Ty], ...]
+    parent: Optional["Env"]
+    name: Optional[VarName]
+    bound: Optional[Ty]
 
-    def __new__(cls, bindings: tuple[tuple[VarName, Ty], ...] = ()) -> "Env":
-        entry = _ENVS.get(bindings)
-        node = None if entry is None else entry()
-        if node is None:
-            node = object.__new__(cls)
-            _set_field(node, "bindings", bindings)
-            _set_field(node, "_scope", None)
-            node._intern(_ENVS, bindings)
-        return node
+    def __new__(cls, bindings: Iterable[tuple[VarName, Ty]] = ()) -> "Env":
+        return Env.from_decls(reversed(tuple(bindings)))
 
     @classmethod
     def from_decls(cls, decls: Iterable[tuple[VarName, Ty]]) -> "Env":
         """Build an environment from bindings given oldest-first."""
-        return cls(tuple(reversed(tuple(decls))))
+        g = EMPTY_ENV
+        for name, bound in decls:
+            g = _cell(g, name, bound)
+        return g
+
+    @property
+    def bindings(self) -> tuple[tuple[VarName, Ty], ...]:
+        """Bindings newest-first."""
+        return tuple(_walk(self))
 
     def decls(self) -> tuple[tuple[VarName, Ty], ...]:
         """Bindings oldest-first."""
-        return tuple(reversed(self.bindings))
+        out = _walk(self)
+        out.reverse()
+        return tuple(out)
 
     def extend(self, name: VarName, bound: Ty) -> "Env":
         """A new environment with (name, bound) as its newest binding."""
-        child = Env(((name, bound),) + self.bindings)
-        if child._scope is None and self._scope is not None:
-            _set_field(child, "_scope", self._scope.inherit(name, bound))
+        child = _cell(self, name, bound)
+        table = _TABLES.scope
+        if table.at is self:
+            table.move(child)
         return child
 
     def __len__(self) -> int:
-        return len(self.bindings)
+        return self._depth
 
 
-EMPTY_ENV = Env()
+_set_parent = Env.parent.__set__
+_set_name = Env.name.__set__
+_set_bound = Env.bound.__set__
+_set_depth = Env._depth.__set__
+_set_ok = Env._ok.__set__
+_set_next = Env._next.__set__
+_set_shadowed = Env._shadowed.__set__
+
+
+def _cell(parent: Env, name: VarName, bound: Ty) -> Env:
+    # The interned environment `parent` extended by (name, bound).
+    key = (parent, name, bound)
+    entry = _ENVS.get(key)
+    node = None if entry is None else entry()
+    if node is None:
+        if type(name) is not str or not isinstance(bound, Ty):
+            raise TypeError(f"a binding is a name and a type, got {name!r} <: {bound!r}")
+        node = object.__new__(Env)
+        _set_parent(node, parent)
+        _set_name(node, name)
+        _set_bound(node, bound)
+        _set_depth(node, parent._depth + 1)
+        _set_ok(node, None)
+        node._intern(_ENVS, key)
+    return node
+
+
+def _walk(g: Env) -> list[tuple[VarName, Ty]]:
+    # The bindings of `g`, newest first, read off its chain of cells.
+    out = []
+    while g is not EMPTY_ENV:
+        out.append((g.name, g.bound))
+        g = g.parent
+    return out
+
+
+def _graft(base: Env, top: Env, count: int) -> Env:
+    # `base` extended by the `count` newest bindings of `top`, oldest first.
+    if base is EMPTY_ENV and count == top._depth:
+        return top
+    cells = []
+    for _ in range(count):
+        cells.append(top)
+        top = top.parent
+    for cell in reversed(cells):
+        base = _cell(base, cell.name, cell.bound)
+    return base
+
+
+EMPTY_ENV = object.__new__(Env)
+for _field in ("parent", "name", "bound", "_shadowed"):
+    _set_field(EMPTY_ENV, _field, None)
+_set_depth(EMPTY_ENV, 0)
+_set_ok(EMPTY_ENV, True)
+_set_next(EMPTY_ENV, 0)
 
 
 def dom(g: Env) -> list[VarName]:
@@ -68,11 +138,16 @@ def dom(g: Env) -> list[VarName]:
 
 
 class _Scope(dict):
-    # Each name declared in an environment to the bound of its newest binding,
-    # with the environment's `ok` verdict and `next`, the least n such that
-    # `X<n>` is not declared.
+    # Each name declared in the environment `at` to the bound of its newest
+    # binding.  `ok` and `next` are scratch for `declare`: the `ok` verdict and
+    # the least n such that `X<n>` is not declared, of the environment the
+    # table held before the step.
 
-    __slots__ = ("ok", "next")
+    __slots__ = ("at", "ok", "next")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.at = EMPTY_ENV
 
     def declare(self, name: VarName, bound: Ty) -> None:
         # The one scope step, for a binding newer than all in the table: it
@@ -85,56 +160,122 @@ class _Scope(dict):
             n += 1
         self.next = n
 
-    def inherit(self, name: VarName, bound: Ty) -> "_Scope":
-        # The table of an extension by (name, bound): a copy and one step.
-        table = _Scope(self)
-        table.ok, table.next = self.ok, self.next
-        table.declare(name, bound)
-        return table
+    def move(self, g: Env) -> None:
+        # Make the table describe `g`: undo the bindings of `at` up to the
+        # newest environment both extend, restoring each shadowed binding,
+        # then apply those of `g` down from it.  A cell applied for the first
+        # time takes its scope step and keeps the binding it shadows.
+        try:
+            at = self.at
+            if at.parent is g:
+                # One step up, the most common move.
+                shadowed = at._shadowed
+                if shadowed is None:
+                    del self[at.name]
+                else:
+                    self[at.name] = shadowed
+                self.at = g
+                return
+            if g.parent is at and g._ok is not None:
+                # One step down to a cell that has taken its step.
+                self[g.name] = g.bound
+                self.at = g
+                return
+            undone, path = [], []
+            while at._depth > g._depth:
+                undone.append(at)
+                at = at.parent
+            while g._depth > at._depth:
+                path.append(g)
+                g = g.parent
+            while at is not g:
+                undone.append(at)
+                at = at.parent
+                path.append(g)
+                g = g.parent
+            for cell in undone:
+                shadowed = cell._shadowed
+                if shadowed is None:
+                    del self[cell.name]
+                else:
+                    self[cell.name] = shadowed
+            for cell in reversed(path):
+                name = cell.name
+                if cell._ok is None:
+                    parent = cell.parent
+                    self.ok, self.next = parent._ok, parent._next
+                    _set_shadowed(cell, self.get(name))
+                    self.declare(name, cell.bound)
+                    # `_ok` last: another thread reads a cell whose `_ok` is
+                    # set as one that has taken its step.
+                    _set_next(cell, self.next)
+                    _set_ok(cell, self.ok)
+                else:
+                    self[name] = cell.bound
+            self.at = path[0] if path else at
+        except BaseException:
+            # Interrupted half way: the root's empty table is still right.
+            self.clear()
+            self.at = EMPTY_ENV
+            raise
 
 
-def _scope(g: Env) -> _Scope:
-    # The table of `g`: inherited at `extend` if the parent's was filled,
-    # else filled here by one oldest-first scan.
-    scope = g._scope
-    if scope is None:
-        scope = _Scope()
-        scope.ok, scope.next = True, 0
-        for name, bound in reversed(g.bindings):
-            scope.declare(name, bound)
-        _set_field(g, "_scope", scope)
-    return scope
+class _Tables(threading.local):
+    # Each thread's scope table: a move is several dict operations, so
+    # threads must not share one.  The slots a step sets on a cell do not
+    # depend on the thread that sets them.
+    def __init__(self) -> None:
+        self.scope = _Scope()
+
+
+_TABLES = _Tables()
 
 
 def lookup(g: Env, x: VarName) -> Optional[Ty]:
     """Bound of the most recent binding of `x`, or None."""
-    return _scope(g).get(x)
+    table = _TABLES.scope
+    if table.at is not g:
+        table.move(g)
+    return table.get(x)
 
 
 def gfresh(g: Env, x: VarName) -> bool:
     """True if `x` is not declared in `g`."""
-    return x not in _scope(g)
+    table = _TABLES.scope
+    if table.at is not g:
+        table.move(g)
+    return x not in table
 
 
 def closed(t: Ty, g: Env) -> bool:
     """True if every free variable of `t` is declared in `g`."""
-    return fv(t) <= _scope(g).keys()
+    free = fv(t)
+    if not free:
+        return True
+    table = _TABLES.scope
+    if table.at is not g:
+        table.move(g)
+    return free <= table.keys()
 
 
 def ok(g: Env) -> bool:
     """Well-formedness: scanning oldest-first, each name is a new variable
     name and each bound mentions only previously declared names."""
-    return _scope(g).ok
+    if g._ok is None:
+        _TABLES.scope.move(g)
+    return g._ok
 
 
 def witness_for(g: Env, *tys: Ty) -> VarName:
     """Deterministic witness: the name `fresh` picks to avoid every name
     declared in `g` and every name free in `tys`.  The search starts at the
-    first `X<n>` that `g` does not declare, which its table keeps."""
-    scope = _scope(g)
+    first `X<n>` that `g` does not declare, which its cell keeps."""
+    table = _TABLES.scope
+    if table.at is not g:
+        table.move(g)
     free = frozenset().union(*map(fv, tys))
-    n = scope.next
-    while f"X{n}" in scope or f"X{n}" in free:
+    n = g._next
+    while f"X{n}" in table or f"X{n}" in free:
         n += 1
     return f"X{n}"
 
@@ -146,13 +287,13 @@ def fresh_for_env(g: Env) -> VarName:
 
 def env_concat(g: Env, delta: Env) -> Env:
     """`g` followed by `delta`; every binding of `delta` is newer than all of `g`."""
-    return Env(delta.bindings + g.bindings)
+    return _graft(g, delta, delta._depth)
 
 
 def names_in_env(g: Env) -> frozenset[VarName]:
     """Declared names together with every name free in some bound."""
     names = set()
-    for name, bound in g.bindings:
+    for name, bound in _walk(g):
         names.add(name)
         names |= fv(bound)
     return frozenset(names)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalCheckError, PreconditionError
-from .judgments import EMPTY_ENV, Env, closed, env_concat, gfresh, names_in_env, ok
+from .judgments import EMPTY_ENV, Env, _graft, closed, env_concat, gfresh, names_in_env, ok
 from .subtyper import (
     Derivation,
     Yes,
@@ -174,19 +174,17 @@ class EnvSplit:
     def assemble(self, bound: Optional[Ty] = None) -> Env:
         if bound is None:
             bound = self.pivot_bound
-        return Env(self.suffix.bindings + ((self.pivot_var, bound),) + self.prefix.bindings)
+        return env_concat(self.prefix.extend(self.pivot_var, bound), self.suffix)
 
 
 def split_env(g: Env, x: VarName) -> EnvSplit:
     """Split `g` at the most recent binding of `x`."""
-    for i, (name, bound) in enumerate(g.bindings):
-        if name == x:
-            return EnvSplit(
-                prefix=Env(g.bindings[i + 1 :]),
-                pivot_var=x,
-                pivot_bound=bound,
-                suffix=Env(g.bindings[:i]),
-            )
+    pivot = g
+    while pivot is not EMPTY_ENV:
+        if pivot.name == x:
+            suffix = _graft(EMPTY_ENV, g, len(g) - len(pivot))
+            return EnvSplit(prefix=pivot.parent, pivot_var=x, pivot_bound=pivot.bound, suffix=suffix)
+        pivot = pivot.parent
     raise PreconditionError(f"variable {x!r} is not declared")
 
 

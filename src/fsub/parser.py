@@ -27,7 +27,7 @@ from string import ascii_letters
 from typing import Collection, Iterator
 
 from .errors import MalformedTypeError
-from .judgments import Env
+from .judgments import EMPTY_ENV, Env
 from .syntax import (
     NAME_PATTERN,
     Arrow,
@@ -431,16 +431,20 @@ class Printer:
         envs = self.envs
         text = envs.get(g)
         if text is None:
-            bindings = g.bindings
             # In a derivation every environment but the root's is its
             # parent's, printed before it, or an extension of it by one
             # binding.  The first environment printed has no printed tail.
-            tail = envs.get(Env(bindings[1:])) if envs and len(bindings) > 1 else None
+            tail = envs.get(g.parent) if envs and g.parent is not EMPTY_ENV else None
             if tail is None:
-                text = ", ".join([f"{name} <: {self.type_text(bound)}" for name, bound in reversed(bindings)])
+                parts = []
+                cell = g
+                while cell is not EMPTY_ENV:
+                    parts.append(f"{cell.name} <: {self.type_text(cell.bound)}")
+                    cell = cell.parent
+                parts.reverse()
+                text = ", ".join(parts)
             else:
-                name, bound = bindings[0]
-                text = f"{tail}, {name} <: {self.type_text(bound)}"
+                text = f"{tail}, {g.name} <: {self.type_text(g.bound)}"
             envs[g] = text
         return text
 

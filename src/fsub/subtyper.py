@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from .errors import InternalCheckError, PreconditionError
-from .judgments import Env, closed, gfresh, lookup, names_in_env, ok, witness_for
+from .judgments import EMPTY_ENV, Env, closed, gfresh, lookup, names_in_env, ok, witness_for
 from .parser import Printer, parse_env, parse_type
 from .syntax import (
     Arrow,
@@ -237,9 +237,22 @@ def rename_var_in_derivation(d: Derivation, old: VarName, new: VarName) -> Deriv
     bounds, conclusions, witnesses.  The caller must pick `new` fresh for the
     whole tree; nothing is re-checked here."""
     # One memo per call for types and one for environments: nodes share
-    # subterms and environments, and each distinct one is renamed once.
+    # subterms and environments, and each distinct one is renamed once.  An
+    # environment is renamed by extending its renamed parent.
     rename_ty = renamer(old, new)
-    envs = _Memo(lambda g: Env(tuple((new if x == old else x, rename_ty(b)) for x, b in g.bindings)))
+
+    def rename_env(g: Env) -> Env:
+        cells = []
+        while g not in envs:
+            cells.append(g)
+            g = g.parent
+        out = envs[g]
+        for cell in reversed(cells):
+            out = envs[cell] = out.extend(new if cell.name == old else cell.name, rename_ty(cell.bound))
+        return out
+
+    envs = _Memo(rename_env)
+    envs[EMPTY_ENV] = EMPTY_ENV
 
     def rename(node: Derivation, env: Env, premises: tuple[Derivation, ...]) -> Derivation:
         lhs, rhs = rename_ty(node.lhs), rename_ty(node.rhs)
@@ -591,8 +604,9 @@ class DeclarativeSearch:
     @staticmethod
     def _midpoints(g: Env, s: Ty, t: Ty) -> list[Ty]:
         raw: list[Ty] = [Top()]
-        for _, bound in g.bindings:
-            raw.append(bound)
+        while g is not EMPTY_ENV:
+            raw.append(g.bound)
+            g = g.parent
         # Subterms that are types in their own right: quantifier bodies are
         # abstractions, so only nodes outside every body qualify.
         for side in (s, t):

@@ -5,6 +5,7 @@ import copy
 import gc
 import json
 import pickle
+import random
 import time
 import weakref
 from dataclasses import FrozenInstanceError
@@ -12,8 +13,8 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
-from fsub.gen import GenConfig, gen_derivation
-from fsub import parser, subtyper
+from fsub.gen import GenConfig, enumerate_judgments, gen_derivation
+from fsub import judgments, parser, subtyper
 from fsub.judgments import EMPTY_ENV, Env, names_in_env
 from fsub.parser import ParseError, Printer, parse_env, parse_judgment, parse_type, print_judgment, print_type
 from fsub.subtyper import (
@@ -260,7 +261,7 @@ class TestImplicitExplicit:
 
     @given(seeds)
     def test_generated_round_trips(self, seed):
-        from fsub.gen import GenConfig, gen_derivation
+        from fsub.gen import GenConfig, enumerate_judgments, gen_derivation
 
         d = gen_derivation(GenConfig(seed=seed))
         i = to_implicit(d)
@@ -328,6 +329,29 @@ class TestDeclarative:
         g, lhs, rhs = parse_judgment("X <: Top |- X <: Top")
         assert decide_sub_declarative(g, lhs, rhs, 4, search=search)
 
+    def test_one_search_at_the_cap_answers_as_deepening_does(self):
+        # Provability within height d is monotone in d, so iterative
+        # deepening to d and one `provable` call at d agree.  Checked on a
+        # seeded sample of the oracle's default judgments at every depth of
+        # the oracle's range, with a third search asked only at depth 8, so
+        # that its memo holds no answer from a lower depth.
+        judgments = list(enumerate_judgments(["X0", "X1"], 3, 2))
+        sample = random.Random(20).sample(judgments, 3_000)
+        deepening, direct, capped = DeclarativeSearch(), DeclarativeSearch(), DeclarativeSearch()
+        positives = deeper = 0
+        for g, s, t in sample:
+            answers = []
+            for depth in range(1, 9):
+                answer = decide_sub_declarative(g, s, t, depth, search=deepening)
+                assert direct.provable(g, s, t, depth) == answer, (g, s, t, depth)
+                answers.append(answer)
+            assert answers == sorted(answers), (g, s, t, answers)
+            assert capped.provable(g, s, t, 8) == answers[-1], (g, s, t)
+            positives += answers[-1]
+            deeper += answers[-1] and not answers[0]
+        # Not vacuous: both verdicts occur, and some positive needs depth > 1.
+        assert 0 < positives < len(sample) and deeper > 0
+
 
 GOLDEN_TEXT = """\
 (trs) X <: Top, Y <: X |- Y <: X
@@ -367,7 +391,7 @@ class TestSerialization:
 
     @given(seeds)
     def test_generated_round_trips(self, seed):
-        from fsub.gen import GenConfig, gen_derivation
+        from fsub.gen import GenConfig, enumerate_judgments, gen_derivation
 
         d = gen_derivation(GenConfig(seed=seed))
         assert derivation_from_json(derivation_to_json(d)) is d
@@ -946,11 +970,22 @@ class TestLinearWalks:
         assert check <= 3 * decide, (check, decide)
 
     def test_deciding_and_checking_a_chain_scan_its_environment_once(self, monkeypatch):
-        # Each of the 4,000 `trs` goals and nodes looks its variable up; one
-        # scan of the bindings, on the first scope question, answers them all.
-        g, lhs, rhs = variable_chain(4_000)
+        # Each of the 4,000 `trs` goals and nodes looks its variable up; the
+        # first scope question takes one scope step per binding, which
+        # answers them all, and no call builds the bindings tuple.  The names
+        # are unseen, so no cell of the chain has taken its step before.
+        n, root = 4_000, unseen_name()
+        names = [f"{root}_{i}" for i in range(n + 1)]
+        g = Env.from_decls([(names[0], Top())] + [(names[i], FreeVar(names[i - 1])) for i in range(1, n + 1)])
+        lhs, rhs = FreeVar(names[n]), FreeVar(names[0])
         field = Env.bindings
         reads = []
+        steps = []
+        declare = judgments._Scope.declare
+
+        def counting(table, name, bound):
+            steps.append(name)
+            declare(table, name, bound)
 
         class Counted:
             def __get__(self, env, owner=None):
@@ -962,10 +997,11 @@ class TestLinearWalks:
                 field.__set__(env, value)
 
         monkeypatch.setattr(Env, "bindings", Counted())
+        monkeypatch.setattr(judgments._Scope, "declare", counting)
         result = decide_sub(g, lhs, rhs, fuel=4_001)
         assert isinstance(result, Yes)
         assert check_derivation(result.derivation)
-        assert len(reads) == 1
+        assert reads == [] and steps == names
 
     def test_names_scan_each_environment_once(self, monkeypatch):
         g, lhs, rhs = variable_chain(2_000)
