@@ -35,7 +35,7 @@ class Env(HashConsed):
     child, so a walk down a quantifier nest steps each context once.
     """
 
-    __slots__ = ("parent", "name", "bound", "_depth", "_ok", "_next", "_shadowed")
+    __slots__ = ("parent", "name", "bound", "_depth", "_first", "_ok", "_next", "_shadowed")
     __match_args__ = ("bindings",)
     parent: Optional["Env"]
     name: Optional[VarName]
@@ -79,6 +79,7 @@ _set_parent = Env.parent.__set__
 _set_name = Env.name.__set__
 _set_bound = Env.bound.__set__
 _set_depth = Env._depth.__set__
+_set_first = Env._first.__set__
 _set_ok = Env._ok.__set__
 _set_next = Env._next.__set__
 _set_shadowed = Env._shadowed.__set__
@@ -97,6 +98,7 @@ def _cell(parent: Env, name: VarName, bound: Ty) -> Env:
         _set_name(node, name)
         _set_bound(node, bound)
         _set_depth(node, parent._depth + 1)
+        _set_first(node, parent._first if parent._depth else node)
         _set_ok(node, None)
         node._intern(_ENVS, key)
     return node
@@ -125,7 +127,7 @@ def _graft(base: Env, top: Env, count: int) -> Env:
 
 
 EMPTY_ENV = object.__new__(Env)
-for _field in ("parent", "name", "bound", "_shadowed"):
+for _field in ("parent", "name", "bound", "_first", "_shadowed"):
     _set_field(EMPTY_ENV, _field, None)
 _set_depth(EMPTY_ENV, 0)
 _set_ok(EMPTY_ENV, True)
@@ -182,6 +184,11 @@ class _Scope(dict):
                 self.at = g
                 return
             undone, path = [], []
+            if at._first is not g._first:
+                # No binding in common: emptying the table is cheaper than
+                # undoing every binding of `at`.
+                self.clear()
+                at = EMPTY_ENV
             while at._depth > g._depth:
                 undone.append(at)
                 at = at.parent
