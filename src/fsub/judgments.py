@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Optional
 
 from .syntax import HashConsed, Ty, VarName, _set_field, fv, is_var_name
@@ -22,17 +21,19 @@ class Env(HashConsed):
     oldest-first order the printer uses.  Any string is representable as a
     name (a name that is not a string, or a bound that is not a type, raises
     `TypeError`), but `ok` holds only if each one is a variable name
-    (`is_var_name`), so an ok environment prints as text that parses back.  Duplicate names
-    are representable too (they simply fail `ok`); `lookup` resolves to the
-    most recent binding.
+    (`is_var_name`), so an ok environment prints as text that parses back.
+    Duplicate names are representable too (they simply fail `ok`); `lookup`
+    resolves to the most recent binding.
 
-    Scope questions read a `_Scope` table, one per thread, which describes one
+    Scope questions read one `_Scope` table, `_SCOPE`, which describes one
     cell at a time and is moved to the cell asked about by undoing and
-    replaying the bindings between the two (Baker's rerooting).  The first
-    time a cell's binding is applied, one scope step (`_Scope.declare`) sets
-    the cell's `ok` verdict and the first `X<n>` it does not declare, which it
-    keeps.  `extend` on the cell the table describes moves the table to the
-    child, so a walk down a quantifier nest steps each context once.
+    replaying the bindings between the two (Baker's rerooting).  Each cell
+    keeps the cell of its oldest binding, so that a move between cells with
+    no binding in common empties the table instead.  The first time a cell's
+    binding is applied, one scope step (`_Scope.declare`) sets the cell's
+    `ok` verdict and the first `X<n>` it does not declare, which it keeps.
+    `extend` on the cell the table describes moves the table to the child,
+    so a walk down a quantifier nest steps each context once.
     """
 
     __slots__ = ("parent", "name", "bound", "_depth", "_first", "_ok", "_next", "_shadowed")
@@ -66,9 +67,8 @@ class Env(HashConsed):
     def extend(self, name: VarName, bound: Ty) -> "Env":
         """A new environment with (name, bound) as its newest binding."""
         child = _cell(self, name, bound)
-        table = _TABLES.scope
-        if table.at is self:
-            table.move(child)
+        if _SCOPE.at is self:
+            _SCOPE.move(child)
         return child
 
     def __len__(self) -> int:
@@ -164,23 +164,19 @@ class _Scope(dict):
 
     def move(self, g: Env) -> None:
         # Make the table describe `g`: undo the bindings of `at` up to the
-        # newest environment both extend, restoring each shadowed binding,
-        # then apply those of `g` down from it.  A cell applied for the first
-        # time takes its scope step and keeps the binding it shadows.
+        # newest environment both extend, then apply those of `g` down from
+        # it.  A cell applied for the first time takes its scope step and
+        # keeps the binding it shadows.
         try:
             at = self.at
             if at.parent is g:
                 # One step up, the most common move.
-                shadowed = at._shadowed
-                if shadowed is None:
-                    del self[at.name]
-                else:
-                    self[at.name] = shadowed
+                self._undo(at)
                 self.at = g
                 return
-            if g.parent is at and g._ok is not None:
-                # One step down to a cell that has taken its step.
-                self[g.name] = g.bound
+            if g.parent is at:
+                # One step down, the move of every quantifier step.
+                self._apply(g)
                 self.at = g
                 return
             undone, path = [], []
@@ -201,24 +197,9 @@ class _Scope(dict):
                 path.append(g)
                 g = g.parent
             for cell in undone:
-                shadowed = cell._shadowed
-                if shadowed is None:
-                    del self[cell.name]
-                else:
-                    self[cell.name] = shadowed
+                self._undo(cell)
             for cell in reversed(path):
-                name = cell.name
-                if cell._ok is None:
-                    parent = cell.parent
-                    self.ok, self.next = parent._ok, parent._next
-                    _set_shadowed(cell, self.get(name))
-                    self.declare(name, cell.bound)
-                    # `_ok` last: another thread reads a cell whose `_ok` is
-                    # set as one that has taken its step.
-                    _set_next(cell, self.next)
-                    _set_ok(cell, self.ok)
-                else:
-                    self[name] = cell.bound
+                self._apply(cell)
             self.at = path[0] if path else at
         except BaseException:
             # Interrupted half way: the root's empty table is still right.
@@ -226,32 +207,43 @@ class _Scope(dict):
             self.at = EMPTY_ENV
             raise
 
+    def _undo(self, cell: Env) -> None:
+        # Take the binding of `cell` back out, restoring the one it shadowed.
+        shadowed = cell._shadowed
+        if shadowed is None:
+            del self[cell.name]
+        else:
+            self[cell.name] = shadowed
 
-class _Tables(threading.local):
-    # Each thread's scope table: a move is several dict operations, so
-    # threads must not share one.  The slots a step sets on a cell do not
-    # depend on the thread that sets them.
-    def __init__(self) -> None:
-        self.scope = _Scope()
+    def _apply(self, cell: Env) -> None:
+        # Apply the binding of `cell` to the table of its parent.
+        name = cell.name
+        if cell._ok is None:
+            parent = cell.parent
+            self.ok, self.next = parent._ok, parent._next
+            _set_shadowed(cell, self.get(name))
+            self.declare(name, cell.bound)
+            _set_ok(cell, self.ok)
+            _set_next(cell, self.next)
+        else:
+            self[name] = cell.bound
 
 
-_TABLES = _Tables()
+_SCOPE = _Scope()
 
 
 def lookup(g: Env, x: VarName) -> Optional[Ty]:
     """Bound of the most recent binding of `x`, or None."""
-    table = _TABLES.scope
-    if table.at is not g:
-        table.move(g)
-    return table.get(x)
+    if _SCOPE.at is not g:
+        _SCOPE.move(g)
+    return _SCOPE.get(x)
 
 
 def gfresh(g: Env, x: VarName) -> bool:
     """True if `x` is not declared in `g`."""
-    table = _TABLES.scope
-    if table.at is not g:
-        table.move(g)
-    return x not in table
+    if _SCOPE.at is not g:
+        _SCOPE.move(g)
+    return x not in _SCOPE
 
 
 def closed(t: Ty, g: Env) -> bool:
@@ -259,17 +251,16 @@ def closed(t: Ty, g: Env) -> bool:
     free = fv(t)
     if not free:
         return True
-    table = _TABLES.scope
-    if table.at is not g:
-        table.move(g)
-    return free <= table.keys()
+    if _SCOPE.at is not g:
+        _SCOPE.move(g)
+    return free <= _SCOPE.keys()
 
 
 def ok(g: Env) -> bool:
     """Well-formedness: scanning oldest-first, each name is a new variable
     name and each bound mentions only previously declared names."""
     if g._ok is None:
-        _TABLES.scope.move(g)
+        _SCOPE.move(g)
     return g._ok
 
 
@@ -277,12 +268,11 @@ def witness_for(g: Env, *tys: Ty) -> VarName:
     """Deterministic witness: the name `fresh` picks to avoid every name
     declared in `g` and every name free in `tys`.  The search starts at the
     first `X<n>` that `g` does not declare, which its cell keeps."""
-    table = _TABLES.scope
-    if table.at is not g:
-        table.move(g)
+    if _SCOPE.at is not g:
+        _SCOPE.move(g)
     free = frozenset().union(*map(fv, tys))
     n = g._next
-    while f"X{n}" in table or f"X{n}" in free:
+    while f"X{n}" in _SCOPE or f"X{n}" in free:
         n += 1
     return f"X{n}"
 

@@ -3,8 +3,6 @@
 import copy
 import gc
 import pickle
-import sys
-import threading
 import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError
@@ -29,7 +27,7 @@ from fsub.metatheory import derive_weaken, split_env
 from fsub.parser import parse_env, parse_type
 from fsub.subtyper import Derivation, No, Rule, check_derivation, decide_sub
 from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, close_ty, fv
-from strategies import envs_with_closed_ty, ok_envs, unseen_name
+from strategies import envs_with_closed_ty, ok_envs
 import reference_scope as reference
 
 X_TOP_Y_X = Env.from_decls([("X", Top()), ("Y", FreeVar("X"))])
@@ -358,12 +356,15 @@ class TestCells:
             Env.from_decls([(0, Top())])
 
     def test_an_interrupted_move_leaves_the_answers_right(self, monkeypatch):
+        # The move from the cell of Halt0 to g is interrupted after it has
+        # applied Halt1, so the table holds a binding its cell does not have.
         g = Env.from_decls([("Halt0", Top()), ("Halt1", FreeVar("Halt0")), ("Halt2", Top())])
-        assert ok(X_TOP_Y_X)
+        start = g.parent.parent
+        assert ok(start)
         declare = judgments._Scope.declare
 
         def interrupted(table, name, bound):
-            if name == "Halt1":
+            if name == "Halt2":
                 raise KeyboardInterrupt
             declare(table, name, bound)
 
@@ -371,48 +372,8 @@ class TestCells:
         with pytest.raises(KeyboardInterrupt):
             lookup(g, "Halt0")
         monkeypatch.undo()
-        for env in cells(g) + cells(X_TOP_Y_X) + cells(g):
-            assert_answers_match_linear_scans(env, "Halt0", FreeVar("Halt0"), FreeVar("Y"))
-
-    def test_threads_answer_as_the_linear_scans(self):
-        # Each thread moves its own table over cells shared between threads,
-        # which take their step in whichever thread reaches them first.
-        root = unseen_name()
-        names = [f"{root}_{i}" for i in range(24)]
-        decls = [(names[0], Top())] + [(names[i], FreeVar(names[i - 1])) for i in range(1, 24)]
-        envs = [Env.from_decls(decls[:cut] + [(names[cut], Top()), ("X0", FreeVar(names[0]))]) for cut in range(1, 24, 3)]
-        everywhere = list(dict.fromkeys(cell for g in envs for cell in cells(g)))
-        expected = [
-            (reference.ok(g), reference.lookup(g, names[5]), reference.gfresh(g, "X0"), reference.witness_for(g))
-            for g in everywhere
-        ]
-        failures = []
-
-        def ask(order):
-            try:
-                for _ in range(200):
-                    for i in order:
-                        g = everywhere[i]
-                        answers = (ok(g), lookup(g, names[5]), gfresh(g, "X0"), witness_for(g))
-                        if answers != expected[i]:
-                            failures.append((g, answers, expected[i]))
-            except Exception as err:  # reported by the main thread
-                failures.append(err)
-
-        indices = list(range(len(everywhere)))
-        orders = [indices, indices[::-1], indices[1::2] + indices[::2], indices[::3] + indices[1::3] + indices[2::3]]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=ask, args=(order,)) for order in orders]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
+        for env in [start] + cells(g) + cells(X_TOP_Y_X):
+            assert_answers_match_linear_scans(env, "Halt1", FreeVar("Halt0"), FreeVar("Y"))
 
     def test_nested_quantifiers_take_linear_memory(self):
         # Deciding, checking and weakening the n-quantifier nest: one cell per
