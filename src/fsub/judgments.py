@@ -147,10 +147,6 @@ class _Scope(dict):
 
     __slots__ = ("at", "ok", "next")
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.at = EMPTY_ENV
-
     def declare(self, name: VarName, bound: Ty) -> None:
         # The one scope step, for a binding newer than all in the table: it
         # keeps `ok` if the name is a new variable name and the bound's free
@@ -230,6 +226,7 @@ class _Scope(dict):
 
 
 _SCOPE = _Scope()
+_SCOPE.at = EMPTY_ENV
 
 
 def lookup(g: Env, x: VarName) -> Optional[Ty]:

@@ -261,7 +261,7 @@ class TestImplicitExplicit:
 
     @given(seeds)
     def test_generated_round_trips(self, seed):
-        from fsub.gen import GenConfig, enumerate_judgments, gen_derivation
+        from fsub.gen import GenConfig, gen_derivation
 
         d = gen_derivation(GenConfig(seed=seed))
         i = to_implicit(d)
@@ -335,8 +335,8 @@ class TestDeclarative:
         # seeded sample of the oracle's default judgments at every depth of
         # the oracle's range, with a third search asked only at depth 8, so
         # that its memo holds no answer from a lower depth.
-        judgments = list(enumerate_judgments(["X0", "X1"], 3, 2))
-        sample = random.Random(20).sample(judgments, 3_000)
+        every = list(enumerate_judgments(["X0", "X1"], 3, 2))
+        sample = random.Random(20).sample(every, 3_000)
         deepening, direct, capped = DeclarativeSearch(), DeclarativeSearch(), DeclarativeSearch()
         positives = deeper = 0
         for g, s, t in sample:
@@ -391,7 +391,7 @@ class TestSerialization:
 
     @given(seeds)
     def test_generated_round_trips(self, seed):
-        from fsub.gen import GenConfig, enumerate_judgments, gen_derivation
+        from fsub.gen import GenConfig, gen_derivation
 
         d = gen_derivation(GenConfig(seed=seed))
         assert derivation_from_json(derivation_to_json(d)) is d
