@@ -141,9 +141,9 @@ def dom(g: Env) -> list[VarName]:
 
 class _Scope(dict):
     # Each name declared in the environment `at` to the bound of its newest
-    # binding.  `ok` and `next` are scratch for `declare`: the `ok` verdict and
-    # the least n such that `X<n>` is not declared, of the environment the
-    # table held before the step.
+    # binding.  `ok` and `next` are the working values of `declare`: the `ok`
+    # verdict and the least n such that `X<n>` is not declared, of the
+    # environment the table held before the step.
 
     __slots__ = ("at", "ok", "next")
 
