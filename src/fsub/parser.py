@@ -13,10 +13,10 @@ variable of the same spelling, which this syntax refuses to express.
 
 Nothing here recurses.  The lexer gives a flat list of token texts, the parser
 is one loop over it with an explicit stack of pending productions, and the
-printer composes each node's text from its children's on an explicit stack,
-keeping the names of the binders it is inside on another.  Binder names
-exist only in this module: the parser turns them into indices and the printer
-turns indices back into names.
+printer is one postorder loop over an explicit stack that composes each
+node's text from its children's, keeping the names of the binders it is
+inside on another.  Binder names exist only in this module: the parser turns
+them into indices and the printer turns indices back into names.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from string import ascii_letters
-from typing import Collection, Iterator
+from typing import Iterator
 
 from .errors import MalformedTypeError
 from .judgments import EMPTY_ENV, Env
@@ -310,12 +310,13 @@ class Printer:
     work once per distinct node.  A locally closed arrow or quantifier has
     one canonical text, which is kept on the node itself (`Ty._text`) and
     serves every printer for as long as the node lives.  The text of a node
-    that has escaping indices depends on the names of the binders those
-    indices reach, so this printer keeps it under the node together with
-    those names.  An environment's text is its tail's text plus one binding
-    when the tail has been printed by this printer.  Environment texts stay
-    with the printer and are not kept on `Env` nodes: every environment of a
-    live derivation would then hold its text, and a prototype that kept them
+    that has escaping indices depends only on the names of the binders those
+    indices reach, so this printer keeps it under the node followed by those
+    names, one for each set bit of the node's `_escapes` mask.  An
+    environment's text is its tail's text plus one binding when the tail
+    has been printed by this printer.  Environment texts stay with the
+    printer and are not kept on `Env` nodes: every environment of a live
+    derivation would then hold its text, and a prototype that kept them
     raised the `check` benchmark's peak memory by 14%, past its 10% bound
     (the type texts alone: 8%).  A printer only grows; make one per
     document.
@@ -329,6 +330,10 @@ class Printer:
 
     def type_text(self, t: Ty) -> str:
         """The text of a locally closed type, with minimal parentheses."""
+        # A root that needs no composing returns at once.  Most calls from
+        # the writers print a leaf or a closed type that keeps its text, and
+        # sending those through the loop below cost the `check` benchmark
+        # about 8% of its throughput (BENCH_21.json).
         kind = type(t)
         if kind is FreeVar:
             return t.name
@@ -340,90 +345,73 @@ class Printer:
         if text is not None:
             return text
         texts = self.texts
-        # Postorder from a stack of pending types and frames.  A frame
-        # `(node, key, binder)` composes a node's text from its children's,
-        # the last two texts made; a string brings a binder into scope and the
-        # frame of its quantifier takes it out again.  A child that is a leaf
-        # is read at once instead of pushed, and a node whose children are
-        # both leaves is composed without a frame.
+        # Postorder from a stack of pending items.  A leaf gives its text
+        # and a binder name comes into scope.  An inner node gives its kept
+        # text, or pushes a frame `(node, key, binder)` under its children:
+        # the bound, the binder name and the body, for a quantifier.  The
+        # frame composes the node's text from the last two texts made, takes
+        # the binder out of scope again and keeps the text.
         names: list[VarName] = []
         out: list[str] = []
         stack: list[object] = [t]
         while stack:
             item = stack.pop()
             kind = type(item)
-            if kind is Top:
-                out.append("Top")
-                continue
             if kind is FreeVar:
                 out.append(item.name)
-                continue
-            if kind is BoundIdx:
+            elif kind is Top:
+                out.append("Top")
+            elif kind is BoundIdx:
                 out.append(names[-1 - item.index])
-                continue
-            if kind is str:
+            elif kind is str:
                 names.append(item)
-                continue
-            if kind is tuple:
+            elif kind is tuple:
                 node, key, binder = item
                 second = out.pop()
                 first = out.pop()
+                if binder is None:
+                    text = f"({first}) -> {second}" if isinstance(node.dom, (Arrow, Forall)) else f"{first} -> {second}"
+                else:
+                    names.pop()
+                    text = f"All {binder} <: {first} . {second}"
+                if key is node:
+                    _set_text(node, text)
+                else:
+                    texts[key] = text
+                out.append(text)
             else:
-                node = item
-                m = node._escapes
+                m = item._escapes
                 if m:
-                    key = (node, *names[-m.bit_length() :])
+                    # The text depends on the names of the binders the
+                    # escaping indices reach, and on nothing else of the
+                    # context: bit k of the mask is set when index k escapes,
+                    # and it reaches `names[-1 - k]`.  The names are distinct
+                    # (each binder avoids those its quantifier reaches), and
+                    # a dict keeps them in order for the key and answers
+                    # membership for the binder.
+                    reached = {names[-1 - k]: None for k in _set_bits(m)}
+                    key = (item, *reached)
                     text = texts.get(key)
                 else:
-                    key = node
-                    text = node._text
+                    reached = ()
+                    key = item
+                    text = item._text
                 if text is not None:
                     out.append(text)
-                    continue
-                if kind is Arrow:
-                    first, second, binder = node.dom, node.cod, None
+                elif kind is Arrow:
+                    stack += ((item, key, None), item.cod, item.dom)
                 else:
                     # The binder must avoid capture in the body and must not
                     # appear in the bound, which would make the text
-                    # unparseable: it is `fresh` for the free names of the
-                    # quantifier and the names of the binders its escaping
-                    # indices reach.  Bit k of the mask is set when index k
-                    # escapes, and it reaches the binder `names[-1 - k]`.
-                    free = fv(node)
-                    if m > 1:
-                        reached: Collection[VarName] = {names[-1 - k] for k in _set_bits(m)}
-                    else:
-                        reached = names[-1:] if m else ()
+                    # unparseable: it is fresh for the free names of the
+                    # quantifier and the names it reaches.
+                    free = fv(item)
                     n = 0
                     binder = "X0"
                     while binder in free or binder in reached:
                         n += 1
                         binder = f"X{n}"
-                    first, second = node.bound, node.body
-                kind = type(first)
-                if kind is not FreeVar and kind is not Top and kind is not BoundIdx:
-                    frame = (node, key, binder)
-                    stack += (frame, second, first) if binder is None else (frame, second, binder, first)
-                    continue
-                first = first.name if kind is FreeVar else "Top" if kind is Top else names[-1 - first.index]
-                if binder is not None:
-                    names.append(binder)
-                kind = type(second)
-                if kind is not FreeVar and kind is not Top and kind is not BoundIdx:
-                    out.append(first)
-                    stack += ((node, key, binder), second)
-                    continue
-                second = second.name if kind is FreeVar else "Top" if kind is Top else names[-1 - second.index]
-            if binder is None:
-                text = f"({first}) -> {second}" if isinstance(node.dom, (Arrow, Forall)) else f"{first} -> {second}"
-            else:
-                names.pop()
-                text = f"All {binder} <: {first} . {second}"
-            if key is node:
-                _set_text(node, text)
-            else:
-                texts[key] = text
-            out.append(text)
+                    stack += ((item, key, binder), item.body, binder, item.bound)
         return out[0]
 
     def env_text(self, g: Env) -> str:

@@ -394,13 +394,10 @@ def _diagnose(d: Derivation, implicit: bool) -> Optional[str]:
         else:
             # A node met before in the walk would have failed there, and no
             # subtree skipped as valid holds it, so the bad node's path is
-            # that of its first occurrence.  path[1:] is the current node's
-            # path.
-            path: list[int] = []
-            for depth, i, other in preorder(d):
-                path[depth:] = (i,)
+            # that of its first occurrence.
+            for path, other in iter_nodes(d):
                 if other is node:
-                    return f"{_fmt_path(tuple(path[1:]))}: {problem}"
+                    return f"{_fmt_path(path)}: {problem}"
     if not implicit:
         for node in checked:
             _set_valid(node, True)

@@ -7,6 +7,7 @@ import reference_parser as ref
 from fsub.judgments import EMPTY_ENV, Env, dom, ok
 from fsub.parser import (
     ParseError,
+    Printer,
     Token,
     parse_env,
     parse_judgment,
@@ -450,3 +451,22 @@ class TestDeepInput:
         assert body._escapes == 1 << (n - 1)
         d = decide_sub(EMPTY_ENV, t, t).derivation
         assert check_derivation(d)
+
+
+class TestEscapingTextKeys:
+    """The printer keeps the text of a node with escaping indices under the
+    node and the names of the binders those indices reach, and no others."""
+
+    def test_far_reaching_nest_keeps_one_name_per_escaping_index(self):
+        # Inside `All Y0 <: Top . ... All Y999 <: Top . Y0` every quantifier
+        # but the outermost has one escaping index, and it reaches Y0's
+        # binder across up to 999 others.
+        n = 1_000
+        t = parse_type("".join(f"All Y{i} <: Top . " for i in range(n)) + "Y0")
+        assert t._text is None
+        printer = Printer()
+        assert printer.type_text(t) == ref.print_type(t)
+        assert printer.texts
+        for node, *names in printer.texts:
+            assert len(names) == node._escapes.bit_count()
+        assert sum(len(key) - 1 for key in printer.texts) <= n
