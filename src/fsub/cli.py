@@ -29,7 +29,6 @@ from .judgments import closed, ok
 from .metatheory import derive_narrow, derive_refl, derive_trans, split_env
 from .parser import (
     ParseError,
-    Printer,
     check_name,
     parse_env,
     parse_judgment,
@@ -44,8 +43,6 @@ from .subtyper import (
     Unknown,
     Yes,
     _decide,
-    _to_json,
-    _to_text,
     decide_sub,
     decide_sub_declarative,
     derivation_from_json,
@@ -84,21 +81,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
             return 3
         # Scoped above, so the decider need not scope the line again.
         result: SubResult = _decide(g, lhs, rhs, args.fuel)
-        # One printer for the line: the derivation's root and the stuck goal
-        # share the verdict's environment and types.
-        printer = Printer()
-        shown = printer.judgment_text(g, lhs, rhs)
+        shown = print_judgment(g, lhs, rhs)
         if isinstance(result, Yes):
             print(f"YES {shown}")
             if args.derivation:
-                write = _to_json if args.json else _to_text
-                print(write(result.derivation, printer))
+                write = derivation_to_json if args.json else derivation_to_text
+                print(write(result.derivation))
         elif isinstance(result, No):
             any_no = True
             print(f"NO {shown}")
             if args.derivation:
                 reason = result.reason or "fails"
-                print(f"  stuck at: {printer.judgment_text(*result.trace[-1])} ({reason})")
+                print(f"  stuck at: {print_judgment(*result.trace[-1])} ({reason})")
         else:
             assert isinstance(result, Unknown)
             any_unknown = True

@@ -16,7 +16,7 @@ enumerating a type never names, opens or closes a binder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import PreconditionError
 from .judgments import EMPTY_ENV, Env, _graft, dom, fresh_for_env, gfresh, lookup, witness_for
@@ -307,24 +307,35 @@ def shrink_env(g: Env) -> Iterator[Env]:
 
 def shrink_ty(t: Ty, g: Env = Env()) -> Iterator[Ty]:
     """Strictly smaller types still closed in `g`."""
-    if size(t) > 1:
-        yield Top()
-    match t:
-        case Arrow(dom, cod):
-            yield dom
-            yield cod
-            for d2 in shrink_ty(dom, g):
-                yield Arrow(d2, cod)
-            for c2 in shrink_ty(cod, g):
-                yield Arrow(dom, c2)
-        case Forall(bound, body):
-            yield bound
-            for b2 in shrink_ty(bound, g):
-                yield Forall(b2, body)
-            opener = witness_for(g, bound, body)
-            inner = g.extend(opener, bound)
-            for s2 in shrink_ty(open_ty(body, opener), inner):
-                yield Forall(bound, close_ty(s2, opener))
+    # A preorder over the positions of `t` on an explicit stack, so a type of
+    # any depth shrinks.  A position is a subterm, its environment and the
+    # chain of steps that rebuild the whole type around a candidate for the
+    # subterm, innermost first.  Each position offers Top and its children.
+    stack: list[tuple[Ty, Env, Optional[tuple]]] = [(t, g, None)]
+    while stack:
+        t, g, chain = stack.pop()
+        if size(t) > 1:
+            yield _rebuild(Top(), chain)
+        match t:
+            case Arrow(dom, cod):
+                yield _rebuild(dom, chain)
+                yield _rebuild(cod, chain)
+                stack.append((cod, g, (lambda c, dom=dom: Arrow(dom, c), chain)))
+                stack.append((dom, g, (lambda c, cod=cod: Arrow(c, cod), chain)))
+            case Forall(bound, body):
+                yield _rebuild(bound, chain)
+                opener = witness_for(g, bound, body)
+                step = lambda c, bound=bound, opener=opener: Forall(bound, close_ty(c, opener))
+                stack.append((open_ty(body, opener), g.extend(opener, bound), (step, chain)))
+                stack.append((bound, g, (lambda c, body=body: Forall(c, body), chain)))
+
+
+def _rebuild(candidate: Ty, chain: Optional[tuple]) -> Ty:
+    # The whole type with `candidate` at the position `chain` leads back from.
+    while chain is not None:
+        step, chain = chain
+        candidate = step(candidate)
+    return candidate
 
 
 def shrink_derivation(d: Derivation) -> Iterator[Derivation]:

@@ -26,12 +26,14 @@ class Env(HashConsed):
     resolves to the most recent binding.
 
     Scope questions read one `_Scope` table, `_SCOPE`, which describes one
-    cell at a time and is moved to the cell asked about by undoing and
-    replaying the bindings between the two (Baker's rerooting).  Each cell
-    keeps the cell of its oldest binding, so that a move between cells with
-    no binding in common empties the table instead.  The first time a cell's
-    binding is applied, one scope step (`_Scope.declare`) sets the cell's
-    `ok` verdict and the first `X<n>` it does not declare, which it keeps.
+    cell at a time.  One loop moves it to the cell asked about: the deeper
+    of the two steps up (the table's undoing its binding) until they meet,
+    and the asked cell's bindings are replayed from there (Baker's
+    rerooting).  Each cell keeps the cell of its oldest binding, so that a
+    move between cells with no binding in common empties the table instead.
+    The first time a cell's binding is applied, one scope step
+    (`_Scope.declare`) sets the cell's `ok` verdict and the first `X<n>` it
+    does not declare, which it keeps.
     `extend` on the cell the table describes moves the table to the child,
     so a walk down a quantifier nest steps each context once.
     """
@@ -159,70 +161,47 @@ class _Scope(dict):
         self.next = n
 
     def move(self, g: Env) -> None:
-        # Make the table describe `g`: undo the bindings of `at` up to the
-        # newest environment both extend, then apply those of `g` down from
-        # it.  A cell applied for the first time takes its scope step and
-        # keeps the binding it shadows.
+        # Make the table describe `g` in one loop: step whichever of `at` and
+        # `g` is deeper (`at` when they are level) up a binding, undoing
+        # `at`'s binding as it steps, until the two meet at the newest
+        # environment both extend; then apply the collected cells of `g`
+        # oldest first.  A cell applied for the first time takes its scope
+        # step and keeps the binding it shadows.
         try:
-            at = self.at
-            if at.parent is g:
-                # One step up, the most common move.
-                self._undo(at)
-                self.at = g
-                return
-            if g.parent is at:
-                # One step down, the move of every quantifier step.
-                self._apply(g)
-                self.at = g
-                return
-            undone, path = [], []
+            at, to, path = self.at, g, []
             if at._first is not g._first:
                 # No binding in common: emptying the table is cheaper than
                 # undoing every binding of `at`.
                 self.clear()
                 at = EMPTY_ENV
-            while at._depth > g._depth:
-                undone.append(at)
-                at = at.parent
-            while g._depth > at._depth:
-                path.append(g)
-                g = g.parent
-            while at is not g:
-                undone.append(at)
-                at = at.parent
-                path.append(g)
-                g = g.parent
-            for cell in undone:
-                self._undo(cell)
+            while at is not to:
+                if at._depth >= to._depth:
+                    shadowed = at._shadowed
+                    if shadowed is None:
+                        del self[at.name]
+                    else:
+                        self[at.name] = shadowed
+                    at = at.parent
+                else:
+                    path.append(to)
+                    to = to.parent
             for cell in reversed(path):
-                self._apply(cell)
-            self.at = path[0] if path else at
+                name = cell.name
+                if cell._ok is None:
+                    parent = cell.parent
+                    self.ok, self.next = parent._ok, parent._next
+                    _set_shadowed(cell, self.get(name))
+                    self.declare(name, cell.bound)
+                    _set_ok(cell, self.ok)
+                    _set_next(cell, self.next)
+                else:
+                    self[name] = cell.bound
+            self.at = g
         except BaseException:
             # Interrupted half way: the root's empty table is still right.
             self.clear()
             self.at = EMPTY_ENV
             raise
-
-    def _undo(self, cell: Env) -> None:
-        # Take the binding of `cell` back out, restoring the one it shadowed.
-        shadowed = cell._shadowed
-        if shadowed is None:
-            del self[cell.name]
-        else:
-            self[cell.name] = shadowed
-
-    def _apply(self, cell: Env) -> None:
-        # Apply the binding of `cell` to the table of its parent.
-        name = cell.name
-        if cell._ok is None:
-            parent = cell.parent
-            self.ok, self.next = parent._ok, parent._next
-            _set_shadowed(cell, self.get(name))
-            self.declare(name, cell.bound)
-            _set_ok(cell, self.ok)
-            _set_next(cell, self.next)
-        else:
-            self[name] = cell.bound
 
 
 _SCOPE = _Scope()

@@ -266,7 +266,7 @@ def replace_witness(d: Derivation, new: VarName) -> Derivation:
     premise.  `new` must be fresh for that subtree and for the node's
     environment; validity is then preserved."""
     if d.rule not in _QUANTIFIER_RULES or d.witness is None:
-        raise PreconditionError(f"not a quantifier node: {d.rule}")
+        raise PreconditionError(f"not a quantifier node: {d.rule.value!r}")
     if new == d.witness:
         return d
     p_bound, p_body = d.premises
@@ -380,24 +380,25 @@ def _diagnose(d: Derivation, implicit: bool) -> Optional[str]:
     # Explicit validity is local (a node's own conditions and its premises'
     # validity) and a node is interned on all it is checked against, so an
     # explicit check skips every subtree already found valid, and marks the
-    # nodes it checked once the whole tree has passed.
+    # nodes it checked once the whole tree has passed.  Each stack entry
+    # carries its node's depth and index among its parent's premises, and
+    # path[1:] is the path of the node being examined, as in `iter_nodes`;
+    # only the failing node's path becomes a tuple.
     checked: list[Derivation] = []
-    stack = [d]
+    path: list[int] = []
+    stack = [(0, 0, d)]
     while stack:
-        node = stack.pop()
+        depth, i, node = stack.pop()
         if not implicit and getattr(node, "_valid", False):
             continue
+        path[depth:] = (i,)
         problem = _diagnose_node(node, implicit)
-        if problem is None:
-            checked.append(node)
-            stack += reversed(node.premises)
-        else:
-            # A node met before in the walk would have failed there, and no
-            # subtree skipped as valid holds it, so the bad node's path is
-            # that of its first occurrence.
-            for path, other in iter_nodes(d):
-                if other is node:
-                    return f"{_fmt_path(path)}: {problem}"
+        if problem is not None:
+            return f"{_fmt_path(tuple(path[1:]))}: {problem}"
+        checked.append(node)
+        premises = node.premises
+        for j in range(len(premises) - 1, -1, -1):
+            stack.append((depth + 1, j, premises[j]))
     if not implicit:
         for node in checked:
             _set_valid(node, True)
@@ -631,12 +632,9 @@ def decide_sub_declarative(
 
 def derivation_to_text(d: Derivation) -> str:
     """Indented one-node-per-line rendering; quantifier nodes show their witness."""
-    return _to_text(d, Printer())
-
-
-def _to_text(d: Derivation, printer: Printer) -> str:
-    # `derivation_to_text` with the texts of `printer`, which may already
-    # hold some.  The memos make a repeated environment or type one dict hit.
+    # One printer for the call; the memos make a repeated environment or
+    # type one dict hit.
+    printer = Printer()
     envs = _Memo(printer.env_text)
     types = _Memo(printer.type_text)
     lines: list[str] = []
@@ -656,15 +654,11 @@ _JSON_NODE_OPEN = '{"rule": %s, "env": %s, "lhs": %s, "rhs": %s, "witness": %s, 
 def derivation_to_json(d: Derivation) -> str:
     """Serialize with a fixed key order: rule, env, lhs, rhs, witness, premises.
     Types and environments use the surface syntax, so output re-parses exactly."""
-    return _to_json(d, Printer())
-
-
-def _to_json(d: Derivation, printer: Printer) -> str:
-    # `derivation_to_json` with the texts of `printer`, which may already
-    # hold some.  The text `json.dumps` gives the nested objects, emitted in
-    # preorder: a node at depth k first closes every open node at depth k or
-    # deeper.  Strings are quoted by json's own encoder, once per distinct
-    # environment and type.
+    # The text `json.dumps` gives the nested objects, emitted in preorder: a
+    # node at depth k first closes every open node at depth k or deeper.
+    # Strings are quoted by json's own encoder, once per distinct environment
+    # and type, with the texts of one printer for the call.
+    printer = Printer()
     envs = _Memo(lambda g: _quote(printer.env_text(g)))
     types = _Memo(lambda t: _quote(printer.type_text(t)))
     parts: list[str] = []

@@ -1,18 +1,23 @@
-"""Named reference for the type generator and the type enumerator.
+"""Named reference for the type generator and the type enumerator, and the
+recursive type shrinker.
 
 Both go under each quantifier the textbook way: extend the environment (or
 the list of allowed names) with a fresh binder name, generate the body over
 that name, then close the body over it again.  The package builds quantifier
 bodies with bound indices directly; the differential tests in `test_gen.py`
 require both to return the same interned types and, for the generator, to
-leave the random stream in the same state.
+leave the random stream in the same state.  The shrinker recurses once per
+level of the type; the package's walks the type's positions on an explicit
+stack, and the tests require the same candidates in the same order.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from fsub.gen import SplitMix64
-from fsub.judgments import Env, fresh_for_env
-from fsub.syntax import Arrow, Forall, FreeVar, Top, Ty, VarName, close_ty, fresh, size
+from fsub.judgments import Env, fresh_for_env, witness_for
+from fsub.syntax import Arrow, Forall, FreeVar, Top, Ty, VarName, close_ty, fresh, open_ty, size
 
 _W_TOP, _W_VAR, _W_ARROW, _W_ALL = 20, 30, 25, 25
 
@@ -83,3 +88,27 @@ def enumerate_types(names: list[VarName], max_size: int) -> list[Ty]:
     for n in range(1, max_size + 1):
         result.extend(of_size(n, tuple(names)))
     return result
+
+
+def shrink_ty(t: Ty, g: Env = Env()) -> Iterator[Ty]:
+    """Strictly smaller types still closed in `g`: Top, then the children,
+    then each child's own candidates in place, quantifier bodies opened with
+    the witness of `g`."""
+    if size(t) > 1:
+        yield Top()
+    match t:
+        case Arrow(dom, cod):
+            yield dom
+            yield cod
+            for d2 in shrink_ty(dom, g):
+                yield Arrow(d2, cod)
+            for c2 in shrink_ty(cod, g):
+                yield Arrow(dom, c2)
+        case Forall(bound, body):
+            yield bound
+            for b2 in shrink_ty(bound, g):
+                yield Forall(b2, body)
+            opener = witness_for(g, bound, body)
+            inner = g.extend(opener, bound)
+            for s2 in shrink_ty(open_ty(body, opener), inner):
+                yield Forall(bound, close_ty(s2, opener))

@@ -297,6 +297,15 @@ class TestOracle:
         out = capsys.readouterr().out
         assert out.endswith("0 disagreements\n")
 
+    def test_disagreement_is_reported(self, capsys):
+        # With no fuel the algorithmic decider answers Unknown, which is not
+        # a proof, while the declarative search proves Top <: Top.
+        code = run(["oracle", "--fuel", "0", "--max-size", "1", "--max-env", "0", "--vars", "0"])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "DISAGREE |- Top <: Top: algorithmic=False declarative=True\n1 judgments, 1 disagreements\n"
+        )
+
 
 class TestUsage:
     def test_unknown_flag(self, capsys):

@@ -1,6 +1,8 @@
 """Seeded generation, shrinking, and the exhaustive enumerators."""
 
 import hashlib
+import inspect
+import sys
 
 import pytest
 from hypothesis import given
@@ -209,6 +211,29 @@ class TestShrink:
 
     def test_top_has_no_ty_shrinks(self):
         assert list(shrink_ty(Top())) == []
+
+    def test_ty_candidates_match_the_recursive_shrinker(self):
+        for seed in child_seeds(5, 300):
+            g, t = gen_refl_case(GenConfig(seed=seed))
+            assert list(shrink_ty(t, g)) == list(reference.shrink_ty(t, g))
+
+    @pytest.mark.parametrize(
+        "text, count",
+        [(" -> ".join(["X"] * 201), 600), ("".join(f"All Y{i} <: Top . " for i in range(200)) + "X", 400)],
+        ids=["arrows", "quantifiers"],
+    )
+    def test_deep_types_shrink_without_recursing(self, text, count):
+        # Every arrow offers Top and its two sides, every quantifier Top and
+        # its bound.  The interpreter's stack is capped 100 frames above this
+        # test's own, which a shrinker recursing once per level overruns.
+        g, t = parse_env("X <: Top"), parse_type(text)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            candidates = list(shrink(t, g))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(candidates) == count
 
     def test_derivation_candidates_valid_and_lower(self):
         cfg = GenConfig(seed=21, max_deriv_depth=4)

@@ -13,11 +13,13 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
+from fsub.errors import PreconditionError
 from fsub.gen import GenConfig, enumerate_judgments, gen_derivation
 from fsub import judgments, parser, subtyper
 from fsub.judgments import EMPTY_ENV, Env, names_in_env
 from fsub.parser import ParseError, Printer, parse_env, parse_judgment, parse_type, print_judgment, print_type
 from fsub.subtyper import (
+    ARITY,
     DEFAULT_FUEL,
     DeclarativeSearch,
     Derivation,
@@ -163,6 +165,41 @@ class TestChecker:
         d = decide_yes("X <: Top |- Top -> X <: X -> Top")
         assert d.rule == Rule.ARR
         assert d.premises[0].concl == (X_TOP, FreeVar("X"), Top())
+
+    @pytest.mark.parametrize(
+        "rule, env, lhs, rhs, witness, problem",
+        [
+            (Rule.TOP, X_TOP, BoundIdx(0), Top(), None, "conclusion contains an escaped bound index"),
+            (Rule.TOP, EMPTY_ENV, Top(), Arrow(Top(), Top()), None, "right side of a top node must be Top"),
+            (Rule.VAR, parse_env("X <: Y"), FreeVar("X"), FreeVar("X"), None, "environment is not ok"),
+            (Rule.VAR, EMPTY_ENV, FreeVar("X"), FreeVar("X"), None, "variable 'X' is not declared"),
+            (Rule.TRS, X_TOP, Top(), Top(), None, "left side of a bound-chaining node must be a variable"),
+            (Rule.TRS, X_TOP, FreeVar("Z"), Top(), None, "variable 'Z' is not declared"),
+            (Rule.ARR, X_TOP, Top(), Arrow(Top(), Top()), None, "both sides of an arrow node must be arrows"),
+            (Rule.ALL, X_TOP, Top(), Top(), "X0", "both sides of a quantifier node must be universals"),
+            (
+                Rule.ALL,
+                EMPTY_ENV,
+                parse_type("All Y <: Top . X"),
+                parse_type("All Y <: Top . Top"),
+                "X",
+                "witness 'X' occurs free under a quantifier body",
+            ),
+        ],
+    )
+    def test_reports_each_condition_of_a_node(self, rule, env, lhs, rhs, witness, problem):
+        # A node of `rule` over premises that are themselves valid leaves, so
+        # the root's own condition is the problem reported.
+        premises = tuple(Derivation(Rule.TOP, EMPTY_ENV, Top(), Top()) for _ in range(ARITY[rule]))
+        d = Derivation(rule, env, lhs, rhs, premises, witness)
+        assert diagnose_derivation(d) == f"root: {problem}"
+
+    def test_rejections_outside_the_checker(self):
+        result = decide_sub(X_TOP, Top(), FreeVar("Z"))
+        assert isinstance(result, No) and result.reason == "right type is not closed in the environment"
+        with pytest.raises(PreconditionError) as info:
+            replace_witness(Derivation(Rule.TOP, EMPTY_ENV, Top(), Top()), "X0")
+        assert str(info.value) == "not a quantifier node: 'top'"
 
 
 class TestDecideSub:
@@ -436,6 +473,17 @@ class TestSerialization:
     def test_rejects_non_object(self):
         with pytest.raises(ValueError):
             derivation_from_json("[1, 2]")
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [("premises", {}, "premises must be a list"), ("env", 1, "env must be a string of surface syntax")],
+    )
+    def test_rejects_a_field_of_the_wrong_type(self, key, value, problem):
+        obj = json.loads(GOLDEN_JSON)
+        obj[key] = value
+        with pytest.raises(ValueError) as info:
+            derivation_from_json(json.dumps(obj))
+        assert str(info.value) == problem
 
 
 def quantifier_nest(n: int, name: str) -> str:
@@ -1016,6 +1064,27 @@ class TestLinearWalks:
         assert node_count(d) == 2_001
         assert names_in_derivation(d) == {f"X{i}" for i in range(2_001)}
         assert scanned == [g]
+
+    def test_diagnosing_a_deep_failure_walks_the_tree_once(self, monkeypatch):
+        # The failing node's path comes from the checker's own walk, not from
+        # a second walk that builds every node's path.  The nest stays small:
+        # a failure report prints the derivation, whose text is quadratic.
+        n = 200
+        t = parse_type("".join(f"All Y{i} <: Top . " for i in range(n)) + "Top")
+        spine = [decide_sub(EMPTY_ENV, t, t, fuel=2 * n + 1).derivation]
+        while spine[-1].premises:
+            spine.append(spine[-1].premises[1])
+        leaf = spine.pop()
+        bad = Derivation(Rule.VAR, leaf.env, leaf.lhs, leaf.rhs)
+        for node in reversed(spine):
+            bad = Derivation(node.rule, node.env, node.lhs, node.rhs, (node.premises[0], bad), node.witness)
+
+        def second_walk(d):
+            raise AssertionError("the failing node's path was searched for again")
+
+        monkeypatch.setattr(subtyper, "iter_nodes", second_walk)
+        problem = "a reflexivity node relates a variable to itself"
+        assert diagnose_derivation(bad) == "root" + ".1" * n + f": {problem}"
 
 
 class TestWalksAgainstReference:
