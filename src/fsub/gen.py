@@ -161,7 +161,7 @@ def _synth_sub_of(g: Env, target: Ty, depth: int, rng: SplitMix64) -> Derivation
         options += ["top", "top", "top"]
     if isinstance(target, (Arrow, Forall)):
         options += ["structural", "structural", "structural"]
-    chains = _chain_candidates(g, target, rng)
+    chains = _chain_candidates(g, target)
     if chains:
         options += ["chain", "chain", "chain"]
     kind = rng.choose(options)
@@ -221,9 +221,7 @@ def _synth_sup_of(g: Env, source: Ty, depth: int, rng: SplitMix64) -> Derivation
     return derive_refl(g, source)
 
 
-def _chain_candidates(
-    g: Env, target: Ty, rng: SplitMix64
-) -> list[tuple[VarName, Derivation]]:
+def _chain_candidates(g: Env, target: Ty) -> list[tuple[VarName, Derivation]]:
     # Variables whose declared bound provably sits below the target; each comes
     # with the decision procedure's derivation as the chain premise.
     found: list[tuple[VarName, Derivation]] = []

@@ -34,8 +34,6 @@ class Env(HashConsed):
     The first time a cell's binding is applied, one scope step
     (`_Scope.declare`) sets the cell's `ok` verdict and the first `X<n>` it
     does not declare, which it keeps.
-    `extend` on the cell the table describes moves the table to the child,
-    so a walk down a quantifier nest steps each context once.
     """
 
     __slots__ = ("parent", "name", "bound", "_depth", "_first", "_ok", "_next", "_shadowed")
@@ -52,7 +50,7 @@ class Env(HashConsed):
         """Build an environment from bindings given oldest-first."""
         g = EMPTY_ENV
         for name, bound in decls:
-            g = _cell(g, name, bound)
+            g = g.extend(name, bound)
         return g
 
     @property
@@ -67,11 +65,22 @@ class Env(HashConsed):
         return tuple(out)
 
     def extend(self, name: VarName, bound: Ty) -> "Env":
-        """A new environment with (name, bound) as its newest binding."""
-        child = _cell(self, name, bound)
-        if _SCOPE.at is self:
-            _SCOPE.move(child)
-        return child
+        """The interned environment with (name, bound) as its newest binding."""
+        key = (self, name, bound)
+        entry = _ENVS.get(key)
+        node = None if entry is None else entry()
+        if node is None:
+            if type(name) is not str or not isinstance(bound, Ty):
+                raise TypeError(f"a binding is a name and a type, got {name!r} <: {bound!r}")
+            node = object.__new__(Env)
+            _set_parent(node, self)
+            _set_name(node, name)
+            _set_bound(node, bound)
+            _set_depth(node, self._depth + 1)
+            _set_first(node, self._first if self._depth else node)
+            _set_ok(node, None)
+            node._intern(_ENVS, key)
+        return node
 
     def __len__(self) -> int:
         return self._depth
@@ -87,25 +96,6 @@ _set_next = Env._next.__set__
 _set_shadowed = Env._shadowed.__set__
 
 
-def _cell(parent: Env, name: VarName, bound: Ty) -> Env:
-    # The interned environment `parent` extended by (name, bound).
-    key = (parent, name, bound)
-    entry = _ENVS.get(key)
-    node = None if entry is None else entry()
-    if node is None:
-        if type(name) is not str or not isinstance(bound, Ty):
-            raise TypeError(f"a binding is a name and a type, got {name!r} <: {bound!r}")
-        node = object.__new__(Env)
-        _set_parent(node, parent)
-        _set_name(node, name)
-        _set_bound(node, bound)
-        _set_depth(node, parent._depth + 1)
-        _set_first(node, parent._first if parent._depth else node)
-        _set_ok(node, None)
-        node._intern(_ENVS, key)
-    return node
-
-
 def _walk(g: Env) -> list[tuple[VarName, Ty]]:
     # The bindings of `g`, newest first, read off its chain of cells.
     out = []
@@ -117,14 +107,12 @@ def _walk(g: Env) -> list[tuple[VarName, Ty]]:
 
 def _graft(base: Env, top: Env, count: int) -> Env:
     # `base` extended by the `count` newest bindings of `top`, oldest first.
-    if base is EMPTY_ENV and count == top._depth:
-        return top
     cells = []
     for _ in range(count):
         cells.append(top)
         top = top.parent
     for cell in reversed(cells):
-        base = _cell(base, cell.name, cell.bound)
+        base = base.extend(cell.name, cell.bound)
     return base
 
 

@@ -91,7 +91,7 @@ def derive_permute(d: Derivation, pi: tuple[int, ...]) -> Derivation:
     permuted = Env.from_decls(decls[i] for i in pi)
     if not ok(permuted):
         raise PreconditionError("permuted environment is not ok")
-    return _rebase(d, d.env, permuted)
+    return _rebase(d, permuted)
 
 
 def derive_weaken(d: Derivation, delta: Env) -> Derivation:
@@ -107,15 +107,15 @@ def derive_weaken(d: Derivation, delta: Env) -> Derivation:
     combined = env_concat(d.env, delta)
     if not ok(combined):
         raise PreconditionError("weakened environment is not ok")
-    return _rebase(d, d.env, combined)
+    return _rebase(d, combined)
 
 
-def _rebase(d: Derivation, old: Env, new: Env, narrowing: Optional[_Narrowing] = None) -> Derivation:
+def _rebase(d: Derivation, new: Env, narrowing: Optional[_Narrowing] = None) -> Derivation:
     # Rebuild the trusted tree `d` over the root environment `new` instead of
-    # `old`; the bindings added by quantifier nodes stay the newest part.
-    # `new` declares every name of `old` with the same bound, except that
-    # under `narrowing = (split, d_pq, parent measure)` the pivot's bound is
-    # tightened, and `d_pq` proves the new bound below the old one over the
+    # its own `d.env`; the bindings added by quantifier nodes stay the newest
+    # part.  `new` declares every name of `d.env` with the same bound, except
+    # that under `narrowing = (split, d_pq, parent measure)` the pivot's bound
+    # is tightened, and `d_pq` proves the new bound below the old one over the
     # prefix.  Every side condition then survives once each witness is fresh
     # for `new`, except a `trs` node on the pivot, whose premise must now
     # start from the new bound.  The input was validated at the public entry
@@ -131,7 +131,7 @@ def _rebase(d: Derivation, old: Env, new: Env, narrowing: Optional[_Narrowing] =
     above: list[tuple[Derivation, Env, Env]] = []
     visits: list[tuple[Derivation, Env]] = []
     for depth, i, node in preorder(d):
-        g, env = old, new
+        g, env = d.env, new
         if depth:
             parent, g, env = above[depth - 1]
             node = parent.premises[i]
@@ -154,7 +154,7 @@ def _rebase(d: Derivation, old: Env, new: Env, narrowing: Optional[_Narrowing] =
             split, d_pq, parent = narrowing
             assert node.premises[0].lhs == split.pivot_bound
             measure = _step(parent, (size(split.pivot_bound), _NARROW_RANK, derivation_height(node)))
-            premises = (_trans(_rebase(d_pq, split.prefix, env), premises[0], measure),)
+            premises = (_trans(_rebase(d_pq, env), premises[0], measure),)
         return Derivation(node.rule, env, node.lhs, node.rhs, premises, node.witness)
 
     return _fold(visits, rebuild)
@@ -250,7 +250,7 @@ def _trans(d1: Derivation, d2: Derivation, parent: Optional[Measure]) -> Derivat
         a_body = replace_witness(d1, w).premises[1]
         b_body = replace_witness(d2, w).premises[1]
         split = EnvSplit(g, w, q.bound, EMPTY_ENV)
-        a_body = _rebase(a_body, split.assemble(), split.assemble(d2.rhs.bound), (split, b_bound, measure))
+        a_body = _rebase(a_body, split.assemble(d2.rhs.bound), (split, b_bound, measure))
         p_body = _trans(a_body, b_body, measure)
         return Derivation(_ALL, g, d1.lhs, d2.rhs, (p_bound, p_body), witness=w)
 
@@ -266,7 +266,7 @@ def derive_narrow(split: EnvSplit, p: Ty, d: Derivation, d_pq: Derivation) -> De
     ok_narrow(split, p, d_pq)
     if d.env != split.assemble():
         raise PreconditionError("derivation environment does not match the split")
-    return _rebase(d, split.assemble(), split.assemble(p), (split, d_pq, None))
+    return _rebase(d, split.assemble(p), (split, d_pq, None))
 
 
 def derivation_env_facts(

@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import fsub
+from fsub import cli
 from fsub.cli import run
+from fsub.errors import InternalCheckError
 from fsub.subtyper import check_derivation, derivation_from_json, derivation_to_json
 
 
@@ -166,6 +168,19 @@ class TestTransNarrow:
         assert run(["trans", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
         out = derivation_from_json(capsys.readouterr().out)
         assert check_derivation(out)
+
+    def test_kernel_fault_is_an_internal_error(self, judgment_file, capsys, tmp_path, monkeypatch):
+        path = judgment_file("X <: Top |- X\n")
+        assert run(["refl", path, "--json"]) == 0
+        (tmp_path / "d.json").write_text(capsys.readouterr().out.strip())
+
+        def fault(d1, d2):
+            raise InternalCheckError("boom")
+
+        monkeypatch.setattr(cli, "derive_trans", fault)
+        assert run(["trans", str(tmp_path / "d.json"), str(tmp_path / "d.json")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "internal error: boom\n"
 
     def test_trans_middle_mismatch_is_precondition(self, judgment_file, capsys, tmp_path):
         for name, line in (("a", "X <: Top |- X\n"), ("b", "X <: Top |- Top\n")):

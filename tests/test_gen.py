@@ -32,7 +32,7 @@ from fsub.gen import (
 )
 from fsub.judgments import EMPTY_ENV, Env, closed, env_concat, ok
 from fsub.metatheory import derive_narrow, derive_trans
-from fsub.parser import parse_env, parse_type, print_judgment
+from fsub.parser import parse_env, parse_judgment, parse_type, print_judgment
 from fsub.subtyper import Rule, check_derivation, decide_sub, derivation_height, derivation_to_json
 from fsub.syntax import Forall, FreeVar, Top, fresh, fv, open_ty, size
 from strategies import seeds, variable_chain
@@ -62,6 +62,10 @@ class TestSplitMix64:
         assert all(rng.below(10) < 10 for _ in range(100))
         items = ["a", "b", "c"]
         assert all(rng.choose(items) in items for _ in range(20))
+
+    def test_below_needs_a_positive_bound(self):
+        with pytest.raises(ValueError, match=r"^below\(\) needs a positive bound, got 0$"):
+            SplitMix64(1).below(0)
 
 
 class TestGenConfig:
@@ -193,6 +197,15 @@ class TestShrink:
             assert ok(smaller)
             measure = (len(smaller), sum(size(b) for _, b in smaller.bindings))
             assert measure < (len(g), sum(size(b) for _, b in g.bindings))
+
+    def test_env_bound_is_blunted_to_top(self):
+        g = parse_env("X <: Top, Y <: X -> X")
+        assert list(shrink_env(g)) == [parse_env("X <: Top"), parse_env("X <: Top, Y <: Top")]
+
+    def test_derivation_shrinks_to_its_premises(self):
+        g, lhs, rhs = parse_judgment("X <: Top |- All Y <: X . Y <: All Y <: X . Y")
+        d = decide_sub(g, lhs, rhs).derivation
+        assert list(shrink(d)) == list(d.premises)
 
     def test_dependent_binding_not_dropped(self):
         g = parse_env("X <: Top, Y <: X")

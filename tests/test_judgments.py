@@ -272,16 +272,44 @@ def steps(monkeypatch):
 
 
 class TestInheritedScope:
-    """`extend` on an environment that has answered a scope question builds
-    the child's table from its parent's with one scope step."""
+    """A question about the child of an environment that has answered a
+    scope question builds the child's table from its parent's with one scope
+    step, and `extend` itself moves nothing."""
 
     def test_extension_of_an_asked_environment_takes_one_step(self, steps):
         g = Env.from_decls([("Inherit0", Top()), ("Inherit1", FreeVar("Inherit0"))])
         assert ok(g) and steps == ["Inherit0", "Inherit1"]
         child = g.extend("X0", FreeVar("Inherit1"))
+        assert steps == ["Inherit0", "Inherit1"]
+        assert lookup(child, "X0") is FreeVar("Inherit1")
         assert steps[2:] == ["X0"]
-        assert lookup(child, "X0") is FreeVar("Inherit1") and fresh_for_env(child) == "X1"
+        assert fresh_for_env(child) == "X1"
         assert len(steps) == 3
+
+    def test_extension_leaves_the_table_where_it_was(self):
+        parent = Env.from_decls([("Stay0", Top()), ("Stay1", FreeVar("Stay0"))])
+        assert lookup(parent, "Stay1") is FreeVar("Stay0") and judgments._SCOPE.at is parent
+        parent.extend("Stay2", FreeVar("Stay1"))
+        assert judgments._SCOPE.at is parent
+
+    def test_a_quantifier_steps_into_its_context_once(self, monkeypatch):
+        # Each quantifier's bound subgoal is asked about in the outer context
+        # and its body in the extended one, so the table moves down the nest
+        # once per quantifier, never back out and in again.
+        moves = []
+        move = judgments._Scope.move
+
+        def counting(table, g):
+            moves.append(g)
+            move(table, g)
+
+        monkeypatch.setattr(judgments._Scope, "move", counting)
+        n = 200
+        g = parse_env("X <: Top, Z <: X")
+        lhs = parse_type("".join(f"All Y{i} <: X . " for i in range(n)) + "Top")
+        rhs = parse_type("".join(f"All Y{i} <: Z . " for i in range(n)) + "Top")
+        assert decide_sub(g, lhs, rhs, fuel=10 * n).derivation is not None
+        assert len(moves) <= n + 1
 
     def test_extension_of_an_unasked_environment_scans_when_asked(self, steps):
         g = Env.from_decls([("Unasked0", Top())]).extend("Unasked1", Top())

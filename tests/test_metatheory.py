@@ -216,6 +216,11 @@ class TestSplitAndOkNarrow:
         assert ok_narrow(split, FreeVar("A"), d_pq)
         assert ok(split.assemble(FreeVar("A")))
 
+    def test_rejects_a_split_that_is_not_ok(self):
+        g = Env.from_decls([("X", Top()), ("Y", FreeVar("Z"))])
+        with pytest.raises(PreconditionError, match=r"^split environment is not ok$"):
+            ok_narrow(split_env(g, "X"), Top(), derive_refl(EMPTY_ENV, Top()))
+
     def test_rejects_evidence_over_wrong_env(self):
         g = parse_env("A <: Top, X <: Top")
         split = split_env(g, "X")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_parser as ref
+from fsub.errors import MalformedTypeError
 from fsub.judgments import EMPTY_ENV, Env, dom, ok
 from fsub.parser import (
     ParseError,
@@ -128,6 +129,11 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_type("All Top <: Top . Top")
 
+    def test_bound_without_its_operator(self):
+        with pytest.raises(ParseError) as info:
+            parse_type("All X Top . X")
+        assert str(info.value) == "unexpected Top 'Top' at position 6 (expected <:)"
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_type("Top Top")
@@ -242,6 +248,10 @@ class TestPrint:
         reparsed = parse_type(text)
         assert reparsed == t
         assert "X0" in fv(t)
+
+    def test_dangling_index_is_not_printable(self):
+        with pytest.raises(MalformedTypeError, match=r"^cannot print: BoundIdx\(index=0\)$"):
+            print_type(BoundIdx(0))
 
     def test_judgment_with_empty_env(self):
         assert print_judgment(Env(), Top(), Top()) == "|- Top <: Top"

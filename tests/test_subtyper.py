@@ -290,6 +290,19 @@ class TestImplicitExplicit:
         i = Derivation(Rule.I_TOP, g, Top(), Top())
         assert check_derivation_implicit(i)
 
+    def test_invalid_trees_are_refused(self):
+        g = parse_env("X <: Y, Y <: Top")
+        with pytest.raises(PreconditionError, match=r"^root: environment is not ok$"):
+            to_implicit(Derivation(Rule.TOP, g, Top(), Top()))
+        with pytest.raises(PreconditionError, match=r"^root: right side of a top node must be Top$"):
+            to_explicit(Derivation(Rule.I_TOP, EMPTY_ENV, Top(), Arrow(Top(), Top())))
+
+    def test_to_explicit_requires_a_closed_root(self):
+        i = Derivation(Rule.I_REFL, EMPTY_ENV, FreeVar("Y"), FreeVar("Y"))
+        assert check_derivation_implicit(i)
+        with pytest.raises(PreconditionError, match=r"^root conclusion is not closed in its environment$"):
+            to_explicit(i)
+
     def test_to_explicit_requires_scoped_root(self):
         g = parse_env("X <: Y, Y <: Top")
         i = Derivation(Rule.I_TOP, g, Top(), Top())
@@ -316,6 +329,10 @@ class TestWitnessInvariance:
         assert renamed.witness != d.witness
         assert check_derivation(renamed)
         assert renamed.concl == d.concl
+
+    def test_renaming_to_the_same_witness_is_the_identity(self):
+        d = decide_yes("|- All X <: Top . X -> X <: All X <: Top . X -> Top")
+        assert replace_witness(d, d.witness) is d
 
     def test_clashing_name_rejected(self):
         g = parse_env("X <: Top")
@@ -359,6 +376,9 @@ class TestDeclarative:
 
     def test_refutation(self):
         assert not decide_sub_declarative(EMPTY_ENV, Top(), Arrow(Top(), Top()), 8)
+
+    def test_nothing_is_provable_at_height_zero(self):
+        assert DeclarativeSearch().provable(EMPTY_ENV, Top(), Top(), 0) is False
 
     def test_search_object_is_reusable(self):
         search = DeclarativeSearch()

@@ -226,6 +226,10 @@ class TestNodes:
             (Top(), 1),
         ]
 
+    def test_non_type_is_refused(self):
+        with pytest.raises(TypeError, match=r"^not a type: \('x',\)$"):
+            list(nodes(("x",)))
+
     def test_starting_depth(self):
         assert list(nodes(BoundIdx(0), 1)) == [(BoundIdx(0), 1)]
 
