@@ -71,9 +71,10 @@ ARITY.update({_TO_IMPLICIT[rule]: arity for rule, arity in ARITY.items()})
 
 
 _DERIVATIONS: dict = {}
-# Each rule under itself.  A tag string equals its rule and hashes the same,
-# so both find one node, which must hold the rule.
-_RULES = {rule: rule for rule in Rule}
+# Each rule under its tag string.  A rule equals its tag and hashes the same,
+# so a rule and its tag find one node, which must hold the rule, and the
+# JSON reader looks a tag up here.
+_RULES = {rule.value: rule for rule in Rule}
 
 
 class Derivation(HashConsed):
@@ -158,22 +159,7 @@ DEFAULT_FUEL = 10000
 
 
 _T = TypeVar("_T")
-_K = TypeVar("_K")
-_V = TypeVar("_V")
 _X = TypeVar("_X")
-
-
-class _Memo(dict[_K, _V]):
-    """`memo[key]` is `compute(key)`, computed on the first lookup only.  A
-    `compute` that raises stores nothing."""
-
-    def __init__(self, compute: Callable[[_K], _V]) -> None:
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key: _K) -> _V:
-        value = self[key] = self.compute(key)
-        return value
 
 
 def preorder(d: Derivation) -> Iterator[tuple[int, int, Derivation]]:
@@ -241,6 +227,8 @@ def rename_var_in_derivation(d: Derivation, old: VarName, new: VarName) -> Deriv
     # environment is renamed by extending its renamed parent.
     rename_ty = renamer(old, new)
 
+    envs = {EMPTY_ENV: EMPTY_ENV}
+
     def rename_env(g: Env) -> Env:
         cells = []
         while g not in envs:
@@ -251,14 +239,11 @@ def rename_var_in_derivation(d: Derivation, old: VarName, new: VarName) -> Deriv
             out = envs[cell] = out.extend(new if cell.name == old else cell.name, rename_ty(cell.bound))
         return out
 
-    envs = _Memo(rename_env)
-    envs[EMPTY_ENV] = EMPTY_ENV
-
     def rename(node: Derivation, env: Env, premises: tuple[Derivation, ...]) -> Derivation:
         lhs, rhs = rename_ty(node.lhs), rename_ty(node.rhs)
         return Derivation(node.rule, env, lhs, rhs, premises, new if node.witness == old else node.witness)
 
-    return _fold([(node, envs[node.env]) for _, _, node in preorder(d)], rename)
+    return _fold([(node, rename_env(node.env)) for _, _, node in preorder(d)], rename)
 
 
 def replace_witness(d: Derivation, new: VarName) -> Derivation:
@@ -632,19 +617,32 @@ def decide_sub_declarative(
 
 def derivation_to_text(d: Derivation) -> str:
     """Indented one-node-per-line rendering; quantifier nodes show their witness."""
-    # One printer for the call; the memos make a repeated environment or
-    # type one dict hit.
+    # Preorder on an explicit stack of (depth, node) pairs, with one printer
+    # for the call; the memos make a repeated environment or type one dict hit.
     printer = Printer()
-    envs = _Memo(printer.env_text)
-    types = _Memo(printer.type_text)
+    env_text, type_text = printer.env_text, printer.type_text
+    envs: dict[Env, str] = {}
+    types: dict[Ty, str] = {}
     lines: list[str] = []
-    for depth, _, node in preorder(d):
-        tag = node.rule.value
-        if node.witness is not None:
-            tag += f" {node.witness}"
-        env_text = envs[node.env]
-        judgment = f"|- {types[node.lhs]} <: {types[node.rhs]}"
-        lines.append("  " * depth + f"({tag}) " + (f"{env_text} {judgment}" if env_text else judgment))
+    stack = [(0, d)]
+    while stack:
+        depth, node = stack.pop()
+        g, s, t = node.env, node.lhs, node.rhs
+        env = envs.get(g)
+        if env is None:
+            env = envs[g] = env_text(g)
+        lhs = types.get(s)
+        if lhs is None:
+            lhs = types[s] = type_text(s)
+        rhs = types.get(t)
+        if rhs is None:
+            rhs = types[t] = type_text(t)
+        tag = node.rule.value if node.witness is None else f"{node.rule.value} {node.witness}"
+        judgment = f"|- {lhs} <: {rhs}"
+        lines.append("  " * depth + f"({tag}) " + (f"{env} {judgment}" if env else judgment))
+        premises = node.premises
+        for j in range(len(premises) - 1, -1, -1):
+            stack.append((depth + 1, premises[j]))
     return "\n".join(lines)
 
 
@@ -654,83 +652,101 @@ _JSON_NODE_OPEN = '{"rule": %s, "env": %s, "lhs": %s, "rhs": %s, "witness": %s, 
 def derivation_to_json(d: Derivation) -> str:
     """Serialize with a fixed key order: rule, env, lhs, rhs, witness, premises.
     Types and environments use the surface syntax, so output re-parses exactly."""
-    # The text `json.dumps` gives the nested objects, emitted in preorder: a
-    # node at depth k first closes every open node at depth k or deeper.
-    # Strings are quoted by json's own encoder, once per distinct environment
-    # and type, with the texts of one printer for the call.
+    # The text `json.dumps` gives the nested objects, emitted in preorder
+    # from an explicit stack of (depth, node) pairs: a node at depth k first
+    # closes every open node at depth k or deeper.  Strings are quoted by
+    # json's own encoder, once per distinct environment and type, with the
+    # texts of one printer for the call.
     printer = Printer()
-    envs = _Memo(lambda g: _quote(printer.env_text(g)))
-    types = _Memo(lambda t: _quote(printer.type_text(t)))
+    env_text, type_text = printer.env_text, printer.type_text
+    envs: dict[Env, str] = {}
+    types: dict[Ty, str] = {}
     parts: list[str] = []
     last = -1
-    for depth, _, node in preorder(d):
+    stack = [(0, d)]
+    while stack:
+        depth, node = stack.pop()
         if depth <= last:
             parts.append("]}" * (last - depth + 1) + ", ")
+        g, s, t = node.env, node.lhs, node.rhs
+        env = envs.get(g)
+        if env is None:
+            env = envs[g] = _quote(env_text(g))
+        lhs = types.get(s)
+        if lhs is None:
+            lhs = types[s] = _quote(type_text(s))
+        rhs = types.get(t)
+        if rhs is None:
+            rhs = types[t] = _quote(type_text(t))
         witness = "null" if node.witness is None else _quote(node.witness)
-        fields = (_quote(node.rule.value), envs[node.env], types[node.lhs], types[node.rhs], witness)
-        parts.append(_JSON_NODE_OPEN % fields)
+        parts.append(_JSON_NODE_OPEN % (_quote(node.rule.value), env, lhs, rhs, witness))
         last = depth
+        premises = node.premises
+        for j in range(len(premises) - 1, -1, -1):
+            stack.append((depth + 1, premises[j]))
     parts.append("]}" * (last + 1))
     return "".join(parts)
 
 
 _JSON_KEYS = ("rule", "env", "lhs", "rhs", "witness", "premises")
+_JSON_KEY_SET = frozenset(_JSON_KEYS)
 
 
-def _read_node(obj: object) -> tuple[Rule, Optional[VarName], list]:
-    # The rule, witness and premise list of a decoded node, whose env, lhs
-    # and rhs are strings.
+def _node_problem(obj: object) -> str:
+    # Why a decoded node failed the reader's key-set test.
     if not isinstance(obj, dict):
-        raise ValueError(f"derivation node must be an object, got {type(obj).__name__}")
-    for key in _JSON_KEYS:
-        if key not in obj:
-            raise ValueError(f"derivation node is missing {key!r}")
-    try:
-        rule = Rule(obj["rule"])
-    except ValueError:
-        raise ValueError(f"unknown rule tag: {obj['rule']!r}") from None
-    witness = obj["witness"]
-    if witness is not None and not (isinstance(witness, str) and is_var_name(witness)):
-        raise ValueError(f"witness must be a variable name or null, got {witness!r}")
-    premises = obj["premises"]
-    if not isinstance(premises, list):
-        raise ValueError("premises must be a list")
-    for key in ("env", "lhs", "rhs"):
-        if not isinstance(obj[key], str):
-            raise ValueError(f"{key} must be a string of surface syntax")
-    return rule, witness, premises
-
-
-def _read_text(memo: dict[str, _V], text: str, want: Optional[_V], printed: Callable, parse: Callable) -> _V:
-    # The environment or type that `text` spells: `want` when `text` is its
-    # canonical text, since parsing that text gives the very same interned
-    # object, and otherwise what `parse` makes of it.  `memo` holds each
-    # distinct text read so far; a bad text raises where it first occurs.
-    found = memo.get(text)
-    if found is None:
-        found = memo[text] = want if want is not None and printed(want) == text else parse(text)
-    return found
+        return f"derivation node must be an object, got {type(obj).__name__}"
+    return "derivation node is missing %r" % next(key for key in _JSON_KEYS if key not in obj)
 
 
 def derivation_from_json(text: str) -> Derivation:
     """Inverse of `derivation_to_json`.  Raises ValueError on schema violations."""
     # Preorder on an explicit stack, each premise paired with the conclusion
-    # its parent's rule demands of it.
+    # its parent's rule demands of it, or None.  A node passes one key-set
+    # test and one lookup of its tag among the rule values; the checks after
+    # them raise in the schema's order.  Each distinct string is resolved
+    # once: to the wanted environment or type when the string is its
+    # canonical text, since parsing that text gives the very same interned
+    # object, and otherwise by parsing, so a bad string raises where it
+    # first occurs.
     printer = Printer()
+    env_text, type_text = printer.env_text, printer.type_text
     envs: dict[str, Env] = {}
     types: dict[str, Ty] = {}
     visits: list[tuple[Rule, Env, Ty, Ty, Optional[VarName], int]] = []
-    stack: list[tuple[object, tuple]] = [(json.loads(text), (None, None, None))]
+    stack: list[tuple[object, Optional[Goal]]] = [(json.loads(text), None)]
     while stack:
-        obj, (want_g, want_s, want_t) = stack.pop()
-        rule, witness, premises = _read_node(obj)
-        g = _read_text(envs, obj["env"], want_g, printer.env_text, parse_env)
-        s = _read_text(types, obj["lhs"], want_s, printer.type_text, parse_type)
-        t = _read_text(types, obj["rhs"], want_t, printer.type_text, parse_type)
+        obj, want = stack.pop()
+        if type(obj) is not dict or not obj.keys() >= _JSON_KEY_SET:
+            raise ValueError(_node_problem(obj))
+        tag = obj["rule"]
+        rule = _RULES.get(tag) if type(tag) is str else None
+        if rule is None:
+            raise ValueError(f"unknown rule tag: {tag!r}")
+        witness = obj["witness"]
+        if witness is not None and not (type(witness) is str and is_var_name(witness)):
+            raise ValueError(f"witness must be a variable name or null, got {witness!r}")
+        premises = obj["premises"]
+        if type(premises) is not list:
+            raise ValueError("premises must be a list")
+        g_text, s_text, t_text = obj["env"], obj["lhs"], obj["rhs"]
+        if type(g_text) is not str or type(s_text) is not str or type(t_text) is not str:
+            key = next(key for key in ("env", "lhs", "rhs") if type(obj[key]) is not str)
+            raise ValueError(f"{key} must be a string of surface syntax")
+        g = envs.get(g_text)
+        if g is None:
+            g = envs[g_text] = want[0] if want is not None and env_text(want[0]) == g_text else parse_env(g_text)
+        s = types.get(s_text)
+        if s is None:
+            s = types[s_text] = want[1] if want is not None and type_text(want[1]) == s_text else parse_type(s_text)
+        t = types.get(t_text)
+        if t is None:
+            t = types[t_text] = want[2] if want is not None and type_text(want[2]) == t_text else parse_type(t_text)
         visits.append((rule, g, s, t, witness, len(premises)))
-        goals = _premise_goals(_TO_EXPLICIT.get(rule, rule), g, s, t, witness) if premises else ()
-        for i in range(len(premises) - 1, -1, -1):
-            stack.append((premises[i], goals[i] if i < len(goals) else (None, None, None)))
+        if premises:
+            goals = _premise_goals(_TO_EXPLICIT.get(rule, rule), g, s, t, witness)
+            for i in range(len(premises) - 1, -1, -1):
+                stack.append((premises[i], goals[i] if i < len(goals) else None))
     # Build from the leaves up: in reverse preorder every premise comes
     # before its node, its first premise's result last.
     out: list[Derivation] = []

@@ -306,7 +306,7 @@ class TestImplicitExplicit:
     def test_to_explicit_requires_scoped_root(self):
         g = parse_env("X <: Y, Y <: Top")
         i = Derivation(Rule.I_TOP, g, Top(), Top())
-        with pytest.raises(Exception):
+        with pytest.raises(PreconditionError, match=r"^root environment is not ok$"):
             to_explicit(i)
 
     @given(seeds)
@@ -476,6 +476,16 @@ class TestSerialization:
         for tag in ("mystery", "D-Hyp", "D-Refl", "D-Trans"):
             with pytest.raises(ValueError, match="unknown rule tag"):
                 derivation_from_json(GOLDEN_JSON.replace('"trs"', f'"{tag}"'))
+
+    # A tag is looked up among the rule values only when it is a string, so
+    # an unhashable one is an unknown tag too, not a TypeError.
+    @pytest.mark.parametrize("tag", ["TOP", "", 1, None, True, ["top"], {"tag": "top"}])
+    def test_rejects_a_tag_that_is_not_a_rule_value(self, tag):
+        obj = json.loads(GOLDEN_JSON)
+        obj["premises"][0]["rule"] = tag
+        with pytest.raises(ValueError) as info:
+            derivation_from_json(json.dumps(obj))
+        assert str(info.value) == f"unknown rule tag: {tag!r}"
 
     def test_rejects_missing_key(self):
         obj = json.loads(GOLDEN_JSON)
@@ -1144,7 +1154,10 @@ def respell_env(g):
     return ",  ".join(f"{name}  <:  {respell_type(bound)}" for name, bound in g.decls()) or "empty"
 
 
-CORRUPTIONS = ("type", "env", "witness", "missing key", "premise")
+CORRUPTIONS = ("type", "env", "witness", "missing key", "premise", "rule")
+# "Top" is an implicit tag and reads; the others are unknown tags, two of
+# them unhashable.
+RULE_TAGS = ("TOP", "Top", 1, None, True, ["top"], {"tag": "top"})
 
 
 @st.composite
@@ -1180,6 +1193,8 @@ def json_documents(draw):
             obj["witness"] = draw(st.sampled_from(("1x", "", "Top", 7)))
         elif kind == "missing key":
             del obj[draw(st.sampled_from(("rule", "env", "lhs", "rhs", "witness", "premises")))]
+        elif kind == "rule":
+            obj["rule"] = draw(st.sampled_from(RULE_TAGS))
         else:
             obj["premises"].append(draw(st.sampled_from((7, "X", [], None))))
     return json.dumps(root)
