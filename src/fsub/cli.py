@@ -110,8 +110,10 @@ def _cmd_refl(args: argparse.Namespace) -> int:
             left, sep, right = line.partition("|-")
             if not sep:
                 raise ParseError("expected ENV |- TYPE", 0)
-            g = parse_env(left.strip())
-            t = parse_type(right.strip())
+            g = parse_env(left)
+            # Blanks in place of `ENV |-`, so that an error's position is its
+            # position in the line, as for `check`.
+            t = parse_type(" " * (len(left) + len(sep)) + right)
         except ParseError as err:
             print(f"{args.file}:{lineno}: {err}", file=sys.stderr)
             return 3
@@ -128,7 +130,7 @@ def _load_derivation(path: str) -> object:
         text = handle.read()
     try:
         return derivation_from_json(text)
-    except ValueError as err:
+    except (ParseError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from None
 
 

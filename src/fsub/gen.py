@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import PreconditionError
-from .judgments import EMPTY_ENV, Env, _graft, dom, fresh_for_env, gfresh, lookup, witness_for
+from .judgments import Env, dom, fresh_for_env, gfresh, lookup, witness_for
 from .metatheory import EnvSplit, derive_refl, split_env
 from .subtyper import Derivation, Yes, _ALL, _ARR, _TOP, _TRS, decide_sub, preorder
 from .syntax import Arrow, BoundIdx, Forall, FreeVar, Top, Ty, VarName, close_ty, fv, open_ty, size
@@ -149,7 +149,7 @@ def gen_env_extension(g: Env, cfg: GenConfig) -> Env:
     rng = SplitMix64(cfg.seed)
     length = rng.below(cfg.max_env_len + 1)
     extended = _gen_env(rng, length, cfg.max_ty_size, base=g)
-    return _graft(EMPTY_ENV, extended, len(extended) - len(g))
+    return Env.from_decls(extended.decls()[len(g) :])
 
 
 def _synth_sub_of(g: Env, target: Ty, depth: int, rng: SplitMix64) -> Derivation:

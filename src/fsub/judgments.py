@@ -105,17 +105,6 @@ def _walk(g: Env) -> list[tuple[VarName, Ty]]:
     return out
 
 
-def _graft(base: Env, top: Env, count: int) -> Env:
-    # `base` extended by the `count` newest bindings of `top`, oldest first.
-    cells = []
-    for _ in range(count):
-        cells.append(top)
-        top = top.parent
-    for cell in reversed(cells):
-        base = base.extend(cell.name, cell.bound)
-    return base
-
-
 EMPTY_ENV = object.__new__(Env)
 for _field in ("parent", "name", "bound", "_first", "_shadowed"):
     _set_field(EMPTY_ENV, _field, None)
@@ -131,22 +120,27 @@ def dom(g: Env) -> list[VarName]:
 
 class _Scope(dict):
     # Each name declared in the environment `at` to the bound of its newest
-    # binding.  `ok` and `next` are the working values of `declare`: the `ok`
-    # verdict and the least n such that `X<n>` is not declared, of the
-    # environment the table held before the step.
+    # binding.
 
-    __slots__ = ("at", "ok", "next")
+    __slots__ = ("at",)
 
-    def declare(self, name: VarName, bound: Ty) -> None:
-        # The one scope step, for a binding newer than all in the table: it
-        # keeps `ok` if the name is a new variable name and the bound's free
-        # names are declared, then records the bound.
-        self.ok = self.ok and name not in self and is_var_name(name) and fv(bound) <= self.keys()
+    def declare(self, cell: Env) -> None:
+        # The one scope step, for a cell whose parent the table describes:
+        # the cell keeps the binding it shadows, its parent's `ok` verdict if
+        # its name is a new variable name and its bound's free names are
+        # declared, and the least n such that `X<n>` is not declared; then
+        # the table records its binding.
+        name, bound, parent = cell.name, cell.bound, cell.parent
+        shadowed = self.get(name)
+        verdict = parent._ok and shadowed is None and is_var_name(name) and fv(bound) <= self.keys()
+        _set_shadowed(cell, shadowed)
         self[name] = bound
-        n = self.next
+        n = parent._next
         while f"X{n}" in self:
             n += 1
-        self.next = n
+        _set_next(cell, n)
+        # Last: a cell without a verdict has not taken its step.
+        _set_ok(cell, verdict)
 
     def move(self, g: Env) -> None:
         # Make the table describe `g` in one loop: step whichever of `at` and
@@ -174,16 +168,10 @@ class _Scope(dict):
                     path.append(to)
                     to = to.parent
             for cell in reversed(path):
-                name = cell.name
                 if cell._ok is None:
-                    parent = cell.parent
-                    self.ok, self.next = parent._ok, parent._next
-                    _set_shadowed(cell, self.get(name))
-                    self.declare(name, cell.bound)
-                    _set_ok(cell, self.ok)
-                    _set_next(cell, self.next)
+                    self.declare(cell)
                 else:
-                    self[name] = cell.bound
+                    self[cell.name] = cell.bound
             self.at = g
         except BaseException:
             # Interrupted half way: the root's empty table is still right.
@@ -248,7 +236,9 @@ def fresh_for_env(g: Env) -> VarName:
 
 def env_concat(g: Env, delta: Env) -> Env:
     """`g` followed by `delta`; every binding of `delta` is newer than all of `g`."""
-    return _graft(g, delta, delta._depth)
+    for name, bound in delta.decls():
+        g = g.extend(name, bound)
+    return g
 
 
 def names_in_env(g: Env) -> frozenset[VarName]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalCheckError, PreconditionError
-from .judgments import EMPTY_ENV, Env, _graft, closed, env_concat, gfresh, names_in_env, ok
+from .judgments import EMPTY_ENV, Env, closed, env_concat, gfresh, names_in_env, ok
 from .subtyper import (
     Derivation,
     Yes,
@@ -29,6 +29,7 @@ from .subtyper import (
     _TRS,
     _VAR,
     _decide,
+    _fmt_path,
     _fold,
     derivation_height,
     diagnose_derivation,
@@ -182,7 +183,7 @@ def split_env(g: Env, x: VarName) -> EnvSplit:
     pivot = g
     while pivot is not EMPTY_ENV:
         if pivot.name == x:
-            suffix = _graft(EMPTY_ENV, g, len(g) - len(pivot))
+            suffix = Env.from_decls(g.decls()[len(pivot) :])
             return EnvSplit(prefix=pivot.parent, pivot_var=x, pivot_bound=pivot.bound, suffix=suffix)
         pivot = pivot.parent
     raise PreconditionError(f"variable {x!r} is not declared")
@@ -283,6 +284,6 @@ def derivation_env_facts(
         closed_map[path] = closed(node.lhs, node.env) and closed(node.rhs, node.env)
         if not (ok_map[path] and closed_map[path]):
             raise InternalCheckError(
-                f"valid derivation with bad node facts at {'.'.join(map(str, path)) or 'root'}"
+                f"valid derivation with bad node facts at {_fmt_path(path)}"
             )
     return ok_map, closed_map

@@ -617,32 +617,11 @@ def decide_sub_declarative(
 
 def derivation_to_text(d: Derivation) -> str:
     """Indented one-node-per-line rendering; quantifier nodes show their witness."""
-    # Preorder on an explicit stack of (depth, node) pairs, with one printer
-    # for the call; the memos make a repeated environment or type one dict hit.
-    printer = Printer()
-    env_text, type_text = printer.env_text, printer.type_text
-    envs: dict[Env, str] = {}
-    types: dict[Ty, str] = {}
+    judgment_text = Printer().judgment_text
     lines: list[str] = []
-    stack = [(0, d)]
-    while stack:
-        depth, node = stack.pop()
-        g, s, t = node.env, node.lhs, node.rhs
-        env = envs.get(g)
-        if env is None:
-            env = envs[g] = env_text(g)
-        lhs = types.get(s)
-        if lhs is None:
-            lhs = types[s] = type_text(s)
-        rhs = types.get(t)
-        if rhs is None:
-            rhs = types[t] = type_text(t)
+    for depth, _, node in preorder(d):
         tag = node.rule.value if node.witness is None else f"{node.rule.value} {node.witness}"
-        judgment = f"|- {lhs} <: {rhs}"
-        lines.append("  " * depth + f"({tag}) " + (f"{env} {judgment}" if env else judgment))
-        premises = node.premises
-        for j in range(len(premises) - 1, -1, -1):
-            stack.append((depth + 1, premises[j]))
+        lines.append("  " * depth + f"({tag}) " + judgment_text(node.env, node.lhs, node.rhs))
     return "\n".join(lines)
 
 

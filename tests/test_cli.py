@@ -157,6 +157,16 @@ class TestRefl:
         path = judgment_file("Top\n")
         assert run(["refl", path]) == 3
 
+    def test_parse_errors_give_line_positions(self, judgment_file, capsys):
+        # As `check` does: the type ends at position 16 of the line, not at
+        # position 4 of the text after `|-`; a bad environment likewise.
+        path = judgment_file("X <: Top |- X ->\n")
+        assert run(["refl", path]) == 3
+        assert capsys.readouterr().err.startswith(f"{path}:1: unexpected eof '' at position 16 ")
+        path = judgment_file("X <: Top, Y <: |- X\n")
+        assert run(["refl", path]) == 3
+        assert capsys.readouterr().err.startswith(f"{path}:1: unexpected eof '' at position 15 ")
+
 
 class TestTransNarrow:
     def test_trans_composition(self, judgment_file, capsys, tmp_path):
@@ -181,6 +191,25 @@ class TestTransNarrow:
         assert run(["trans", str(tmp_path / "d.json"), str(tmp_path / "d.json")]) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "internal error: boom\n"
+
+    def test_malformed_strings_are_reported_with_the_file(self, judgment_file, capsys, tmp_path):
+        # A type or environment string that does not parse is a parse error
+        # in that file, for `trans` and for `narrow` alike.
+        path = judgment_file("X <: Top |- X\n")
+        assert run(["refl", path, "--json"]) == 0
+        good = tmp_path / "good.json"
+        good.write_text(capsys.readouterr().out.strip())
+        for key, text in (("lhs", "X ->"), ("env", "X <:")):
+            bad = tmp_path / f"bad-{key}.json"
+            bad.write_text(json.dumps(dict(json.loads(good.read_text()), **{key: text})))
+            for argv in (
+                ["trans", str(good), str(bad)],
+                ["narrow", str(bad), "--pivot", "X", "--new-bound", "Top", "--evidence", str(good)],
+            ):
+                assert run(argv) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith(f"error: {bad}: unexpected eof '' at position 4 "), captured.err
 
     def test_trans_middle_mismatch_is_precondition(self, judgment_file, capsys, tmp_path):
         for name, line in (("a", "X <: Top |- X\n"), ("b", "X <: Top |- Top\n")):

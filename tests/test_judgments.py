@@ -263,9 +263,9 @@ def steps(monkeypatch):
     names = []
     declare = judgments._Scope.declare
 
-    def counting(table, name, bound):
-        names.append(name)
-        declare(table, name, bound)
+    def counting(table, cell):
+        names.append(cell.name)
+        declare(table, cell)
 
     monkeypatch.setattr(judgments._Scope, "declare", counting)
     return names
@@ -360,7 +360,11 @@ class TestCells:
         cut = min(cut, len(decls))
         assert env_concat(Env.from_decls(decls[:cut]), Env.from_decls(decls[cut:])) is g
         for name, _ in decls:
-            assert split_env(g, name).assemble() is g
+            split = split_env(g, name)
+            assert split.assemble() is g
+            # The split is at the newest binding of the name.
+            i = max(j for j, (other, _) in enumerate(decls) if other == name)
+            assert split.prefix is Env.from_decls(decls[:i]) and split.suffix is Env.from_decls(decls[i + 1 :])
         assert [(cell.name, cell.bound) for cell in cells(g)[:-1]] == list(newest_first)
         assert copy.copy(g) is g and copy.deepcopy(g) is g and pickle.loads(pickle.dumps(g)) is g
         assert repr(g) == f"Env(bindings={newest_first!r})"
@@ -391,10 +395,10 @@ class TestCells:
         assert ok(start)
         declare = judgments._Scope.declare
 
-        def interrupted(table, name, bound):
-            if name == "Halt2":
+        def interrupted(table, cell):
+            if cell.name == "Halt2":
                 raise KeyboardInterrupt
-            declare(table, name, bound)
+            declare(table, cell)
 
         monkeypatch.setattr(judgments._Scope, "declare", interrupted)
         with pytest.raises(KeyboardInterrupt):

@@ -1061,9 +1061,9 @@ class TestLinearWalks:
         steps = []
         declare = judgments._Scope.declare
 
-        def counting(table, name, bound):
-            steps.append(name)
-            declare(table, name, bound)
+        def counting(table, cell):
+            steps.append(cell.name)
+            declare(table, cell)
 
         class Counted:
             def __get__(self, env, owner=None):
