@@ -55,14 +55,16 @@ DECLARATIVE_DEPTH = 8
 
 
 def _content_lines(path: str) -> list[tuple[int, str]]:
-    """Numbered lines with blank and `#` comment lines dropped."""
-    with open(path, encoding="utf-8") as handle:
+    """Numbered lines as read, with blank and `#` comment lines dropped.  A
+    line keeps its indentation, so that a parse error's position is its
+    position in the line; the lexer skips the blanks."""
+    with open(path, encoding="utf-8-sig") as handle:
         lines = handle.read().splitlines()
     out = []
     for i, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            out.append((i, stripped))
+            out.append((i, line))
     return out
 
 
@@ -126,12 +128,20 @@ def _cmd_refl(args: argparse.Namespace) -> int:
 
 
 def _load_derivation(path: str) -> object:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         text = handle.read()
     try:
         return derivation_from_json(text)
     except (ParseError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from None
+
+
+def _parse_option(option: str, parse: Callable[[str], object], text: str) -> object:
+    # The value of a command-line option, with the option named in an error.
+    try:
+        return parse(text)
+    except ParseError as err:
+        raise ValueError(f"{option}: {err}") from None
 
 
 def _cmd_trans(args: argparse.Namespace) -> int:
@@ -145,8 +155,8 @@ def _cmd_trans(args: argparse.Namespace) -> int:
 def _cmd_narrow(args: argparse.Namespace) -> int:
     d = _load_derivation(args.file)
     evidence = _load_derivation(args.evidence)
-    pivot = check_name(args.pivot)
-    p = parse_type(args.new_bound)
+    pivot = _parse_option("--pivot", check_name, args.pivot)
+    p = _parse_option("--new-bound", parse_type, args.new_bound)
     split = split_env(d.env, pivot)
     out = derive_narrow(split, p, d, evidence)
     print(derivation_to_json(out))

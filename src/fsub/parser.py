@@ -29,6 +29,10 @@ from typing import Iterator
 from .errors import MalformedTypeError
 from .judgments import EMPTY_ENV, Env
 from .syntax import (
+    _ARROWS,
+    _BOUND_IDXS,
+    _FORALLS,
+    _FREE_VARS,
     NAME_PATTERN,
     Arrow,
     BoundIdx,
@@ -88,10 +92,10 @@ _NAME_START = frozenset(ascii_letters + "_")
 
 _ATOM = frozenset(("Top", "All", "ident", "("))
 _TOP = Top()
-
-
-def _kind(word: str) -> str:
-    return _KINDS.get(word, "ident")
+# The default of an intern-table lookup: a call gives None, as a dead entry's
+# does, so `table.get(key, _MISS)()` is the live node or None, and since a
+# node is always true, `... or Constructor(...)` builds one only on a miss.
+_MISS = type(None)
 
 
 def _lex(text: str) -> list[str]:
@@ -123,7 +127,7 @@ def _starts(text: str, words: list[str], count: int) -> list[int]:
 
 def _unexpected(text: str, words: list[str], i: int, expected: frozenset[str]) -> ParseError:
     word = words[i]
-    return ParseError(f"unexpected {_kind(word)} {word!r}", _starts(text, words, i + 1)[i], expected)
+    return ParseError(f"unexpected {_KINDS.get(word, 'ident')} {word!r}", _starts(text, words, i + 1)[i], expected)
 
 
 def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
@@ -131,21 +135,37 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
 
     Each turn of the outer loop opens quantifiers and parentheses up to the
     next atom; the inner loop then finishes every production that the atom
-    completes.  The stack holds the productions waiting for a type: the left
-    operand of an arrow (the operand itself), an open parenthesis (None), a
-    quantifier's bound `(binder, binder token)` and its body `(bound, binder,
-    outer level)`.  `levels` maps each binder name in scope to the level of
-    its innermost binder (0 for the outermost).  A finished bound names its
-    own binder when the name is free in it or when one of its indices escapes
-    to an outer binder of that name: when the bit of that binder is set in
-    the bound's `_escapes` mask.
+    completes.  A token is classified by one `not in _KINDS` test, which
+    identifiers, the most common token, pass.  An atom, or a closing
+    parenthesis, followed by `->` is the left operand of an arrow; after a
+    finished arrow or quantifier the next token is never `->`, since the
+    type that finished it would have taken it.  The stack holds the
+    productions waiting for a type: the left operand of an arrow (the
+    operand itself), an open parenthesis (the empty tuple), a quantifier's
+    bound `(binder, binder token)` and its body `(bound, binder, outer
+    level)`.  `levels` maps each binder name in scope to the level of its
+    innermost binder (0 for the outermost).  A finished bound names its own
+    binder when the name is free in it or when one of its indices escapes to
+    an outer binder of that name: when the bit of that binder is set in the
+    bound's `_escapes` mask.  A node that is already alive costs one lookup
+    in its class's intern table; only a miss calls the constructor, which
+    stays the one place that validates and builds a node.
     """
     stack: list[object] = []
     levels: dict[VarName, int] = {}
     depth = 0
     while True:
         word = words[i]
-        if word == "All":
+        if word not in _KINDS:
+            level = levels.get(word) if levels else None
+            if level is None:
+                t = _FREE_VARS.get(word, _MISS)() or FreeVar(word)
+            else:
+                k = depth - 1 - level
+                t = _BOUND_IDXS.get(k, _MISS)() or BoundIdx(k)
+        elif word == "Top":
+            t = _TOP
+        elif word == "All":
             binder = words[i + 1]
             if binder in _KINDS:
                 raise _unexpected(text, words, i + 1, frozenset(("ident",)))
@@ -154,39 +174,35 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
             stack.append((binder, i + 1))
             i += 3
             continue
-        if word == "(":
-            stack.append(None)
+        elif word == "(":
+            stack.append(())
             i += 1
             continue
-        if word == "Top":
-            t = _TOP
-        elif word in _KINDS:
-            raise _unexpected(text, words, i, _ATOM)
         else:
-            level = levels.get(word, -1) if levels else -1
-            t = FreeVar(word) if level < 0 else BoundIdx(depth - 1 - level)
+            raise _unexpected(text, words, i, _ATOM)
         i += 1
-        atom = True
+        if words[i] == "->":
+            stack.append(t)
+            i += 1
+            continue
         while True:
-            if atom and words[i] == "->":
-                stack.append(t)
-                i += 1
-                break
             if not stack:
                 return t, i
             frame = stack.pop()
-            if frame is None:
-                if words[i] != ")":
-                    raise _unexpected(text, words, i, frozenset((")",)))
-                i += 1
-                atom = True
-            elif type(frame) is not tuple:
-                t = Arrow(frame, t)
-                atom = False
-            elif len(frame) == 2:
+            if type(frame) is not tuple:
+                t = _ARROWS.get((frame, t), _MISS)() or Arrow(frame, t)
+            elif len(frame) == 3:
+                bound, binder, outer_level = frame
+                t = _FORALLS.get((bound, t), _MISS)() or Forall(bound, t)
+                depth -= 1
+                if outer_level is None:
+                    del levels[binder]
+                else:
+                    levels[binder] = outer_level
+            elif frame:
                 binder, binder_i = frame
-                k = depth - 1 - levels.get(binder, depth)
-                if binder in t._fv or k >= 0 and t._escapes >> k & 1:
+                escapes = t._escapes
+                if binder in t._fv or escapes and binder in levels and escapes >> depth - 1 - levels[binder] & 1:
                     raise ParseError(
                         f"bound of 'All {binder}' mentions the binder name {binder!r}, which it does not bind",
                         _starts(text, words, binder_i + 1)[binder_i],
@@ -199,39 +215,39 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
                 i += 1
                 break
             else:
-                bound, binder, outer_level = frame
-                t = Forall(bound, t)
-                depth -= 1
-                if outer_level is None:
-                    del levels[binder]
-                else:
-                    levels[binder] = outer_level
-                atom = False
+                if words[i] != ")":
+                    raise _unexpected(text, words, i, frozenset((")",)))
+                i += 1
+                if words[i] == "->":
+                    stack.append(t)
+                    i += 1
+                    break
 
 
-def _bindings(text: str, words: list[str], i: int, stop: str) -> tuple[list[tuple[VarName, Ty]], int]:
-    # The bindings of an environment starting at token `i` and ending at a
-    # token of kind `stop`, and the index of that token.
-    decls: list[tuple[VarName, Ty]] = []
-    if _kind(words[i]) == stop:
-        return decls, i
-    if words[i] == "empty" and _kind(words[i + 1]) == stop:
-        return decls, i + 1
+def _bindings(text: str, words: list[str], i: int, stop: str) -> tuple[Env, int]:
+    # The environment starting at token `i` and ending at the token `stop`
+    # ("" for the end of input), extended as each binding is read, and the
+    # index of that token.
+    if words[i] == stop:
+        return EMPTY_ENV, i
+    if words[i] == "empty" and words[i + 1] == stop:
+        return EMPTY_ENV, i + 1
+    g = EMPTY_ENV
     while True:
         name = words[i]
-        if _kind(name) != "ident":
+        if name in _KINDS:
             raise _unexpected(text, words, i, frozenset(("ident",)))
         if words[i + 1] != "<:":
             raise _unexpected(text, words, i + 1, frozenset(("<:",)))
         bound, i = _ty(text, words, i + 2)
-        decls.append((name, bound))
+        g = g.extend(name, bound)
         word = words[i]
         if word == ",":
             i += 1
-        elif _kind(word) == stop:
-            return decls, i
+        elif word == stop:
+            return g, i
         else:
-            raise _unexpected(text, words, i, frozenset((",", stop)))
+            raise _unexpected(text, words, i, frozenset((",", _KINDS[stop])))
 
 
 def _end(text: str, words: list[str], i: int) -> None:
@@ -250,20 +266,19 @@ def parse_type(text: str) -> Ty:
 def parse_env(text: str) -> Env:
     """Parse a comma-separated environment; empty input or `empty` is the empty one."""
     words = _lex(text)
-    decls, _ = _bindings(text, words, 0, "eof")
-    return Env.from_decls(decls)
+    return _bindings(text, words, 0, "")[0]
 
 
 def _parse_judgment(text: str, words: list[str]) -> tuple[Env, Ty, Ty, tuple[int, int, int, int, int]]:
     # The three components, and the token indices where the sections end and
     # start: env end, lhs start and end, rhs start and end.
-    decls, env_end = _bindings(text, words, 0, "|-")
+    g, env_end = _bindings(text, words, 0, "|-")
     lhs, lhs_end = _ty(text, words, env_end + 1)
     if words[lhs_end] != "<:":
         raise _unexpected(text, words, lhs_end, frozenset(("<:",)))
     rhs, rhs_end = _ty(text, words, lhs_end + 1)
     _end(text, words, rhs_end)
-    return Env.from_decls(decls), lhs, rhs, (env_end, env_end + 1, lhs_end, lhs_end + 1, rhs_end)
+    return g, lhs, rhs, (env_end, env_end + 1, lhs_end, lhs_end + 1, rhs_end)
 
 
 def parse_judgment(text: str) -> tuple[Env, Ty, Ty]:
@@ -287,7 +302,7 @@ def scan_judgment(text: str) -> SourceJudgment:
         env_text=section(0, env_end),
         lhs_text=section(lhs_start, lhs_end),
         rhs_text=section(rhs_start, rhs_end),
-        tokens=tuple(Token(_kind(word), word, pos, pos + len(word)) for word, pos in zip(words, starts)),
+        tokens=tuple(Token(_KINDS.get(word, "ident"), word, pos, pos + len(word)) for word, pos in zip(words, starts)),
     )
 
 

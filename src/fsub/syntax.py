@@ -56,7 +56,9 @@ class HashConsed:
 
     A subclass's constructor looks its key up in the class's intern table, a
     plain dict of weak entries, and only on a miss validates its fields,
-    builds the node and calls `_intern`.  Equality and hashing are the
+    builds the node and calls `_intern`.  The parser looks up the tables of
+    `FreeVar`, `BoundIdx`, `Arrow` and `Forall` itself, by the same keys,
+    and calls the constructor only on a miss.  Equality and hashing are the
     identity's; `dataclasses.fields` and `dataclasses.replace` do not apply.
     """
 

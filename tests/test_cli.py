@@ -135,6 +135,20 @@ class TestCheck:
         assert run(["check", path]) == 3
         assert "unexpected character '\u00e9' at position 3" in capsys.readouterr().err
 
+    def test_parse_error_position_counts_the_indentation(self, judgment_file, capsys):
+        # The position is the one in the line as written, indentation and all.
+        path = judgment_file("    X <: Top |- X ->\n")
+        assert run(["check", path]) == 3
+        assert capsys.readouterr().err.startswith(f"{path}:1: unexpected eof '' at position 20 ")
+
+    def test_byte_order_mark_is_ignored(self, judgment_file, capsys, tmp_path):
+        for text in ("|- Top <: Top\n", "# a comment\n|- Top <: Top\n"):
+            path = tmp_path / "bom.txt"
+            path.write_text(text, encoding="utf-8-sig")
+            assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+            assert run(["check", str(path)]) == 0
+            assert capsys.readouterr().out == "YES |- Top <: Top\n"
+
 
 class TestRefl:
     def test_text_output(self, judgment_file, capsys):
@@ -166,6 +180,14 @@ class TestRefl:
         path = judgment_file("X <: Top, Y <: |- X\n")
         assert run(["refl", path]) == 3
         assert capsys.readouterr().err.startswith(f"{path}:1: unexpected eof '' at position 15 ")
+
+    def test_parse_error_positions_count_the_indentation(self, judgment_file, capsys):
+        path = judgment_file("    X <: Top |- X ->\n")
+        assert run(["refl", path]) == 3
+        assert capsys.readouterr().err.startswith(f"{path}:1: unexpected eof '' at position 20 ")
+        path = judgment_file("\tX <: Top, Y <: |- X\n")
+        assert run(["refl", path]) == 3
+        assert capsys.readouterr().err.startswith(f"{path}:1: unexpected eof '' at position 16 ")
 
 
 class TestTransNarrow:
@@ -210,6 +232,28 @@ class TestTransNarrow:
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 assert captured.err.startswith(f"error: {bad}: unexpected eof '' at position 4 "), captured.err
+
+    def test_derivation_file_with_a_byte_order_mark(self, judgment_file, capsys, tmp_path):
+        path = judgment_file("X <: Top |- Top -> X\n")
+        assert run(["refl", path, "--json"]) == 0
+        left = capsys.readouterr().out.strip()
+        (tmp_path / "bom.json").write_text(left, encoding="utf-8-sig")
+        assert run(["trans", str(tmp_path / "bom.json"), str(tmp_path / "bom.json")]) == 0
+        assert check_derivation(derivation_from_json(capsys.readouterr().out))
+
+    def test_narrow_option_errors_name_the_option(self, judgment_file, capsys, tmp_path):
+        path = judgment_file("A <: Top |- A\n")
+        assert run(["refl", path, "--json"]) == 0
+        (tmp_path / "d.json").write_text(capsys.readouterr().out)
+        d = str(tmp_path / "d.json")
+        for pivot, bound, message in (
+            ("A", "X ->", "error: --new-bound: unexpected eof '' at position 4 "),
+            ("Y Z", "Top", "error: --pivot: invalid variable name 'Y Z' at position 0\n"),
+        ):
+            assert run(["narrow", d, "--pivot", pivot, "--new-bound", bound, "--evidence", d]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(message), captured.err
 
     def test_trans_middle_mismatch_is_precondition(self, judgment_file, capsys, tmp_path):
         for name, line in (("a", "X <: Top |- X\n"), ("b", "X <: Top |- Top\n")):
