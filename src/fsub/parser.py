@@ -11,11 +11,14 @@ possible.  An `All` whose bound mentions its own binder name is rejected: the
 binder scopes over the body only, so such a bound could only refer to an outer
 variable of the same spelling, which this syntax refuses to express.
 
-Nothing here recurses.  The lexer gives a flat list of token texts, the parser
-is one loop over it with an explicit stack of pending productions, and the
-printer is one postorder loop over an explicit stack that composes each
-node's text from its children's, keeping the names of the binders it is
-inside on another.  Binder names exist only in this module: the parser turns
+Nothing here recurses.  The lexer gives a flat list of token texts: printable
+ASCII text, whose only blank is the space, is split on blanks by string
+methods once parentheses and commas are spaced out, and any other text, or
+text with a word that is neither a symbol, a keyword nor a name, is matched
+by one token regex.  The parser is one loop over the list with an explicit
+stack of pending productions, and the printer is one postorder loop over an
+explicit stack that composes each node's text from its children's, keeping
+the names of the binders it is inside on another.  Binder names exist only in this module: the parser turns
 them into indices and the printer turns indices back into names.
 """
 
@@ -89,6 +92,8 @@ _TOKEN_RE = re.compile(rf"[{_BLANKS}]*(->|<:|\|-|[.(),]|{NAME_PATTERN}|[^{_BLANK
 _KINDS = {word: word for word in ("->", "<:", "|-", ".", "(", ")", ",", "Top", "All")}
 _KINDS[""] = "eof"
 _NAME_START = frozenset(ascii_letters + "_")
+# Names separated by single spaces, or nothing.
+_NAMES_RE = re.compile(rf"(?:{NAME_PATTERN}(?: {NAME_PATTERN})*)?")
 
 _ATOM = frozenset(("Top", "All", "ident", "("))
 _TOP = Top()
@@ -100,7 +105,22 @@ _MISS = type(None)
 
 def _lex(text: str) -> list[str]:
     """The token texts of `text`, then "" for the end of input.  The first
-    character that starts no token raises, before any parsing."""
+    character that starts no token raises, before any parsing.
+
+    `_TOKEN_RE` defines the tokens.  Printable ASCII text has the space as
+    its only blank, no token holds a blank, and a parenthesis or a comma is
+    always a token of its own.  So once those three are spaced out, a
+    blank-separated word that is a symbol, a keyword or a name is exactly
+    the token the regex matches there.  Such text is split by string methods when every distinct word
+    outside `_KINDS` is a name.  Any other text takes the regex: tabs and
+    line breaks, non-ASCII or unprintable characters, symbols written
+    without blanks (`X->Y`) and stray characters.
+    """
+    if text.isascii() and text.isprintable():
+        words = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+        if _NAMES_RE.fullmatch(" ".join(set(words).difference(_KINDS))):
+            words.append("")
+            return words
     words = _TOKEN_RE.findall(text)
     # A token that is neither a symbol, a keyword nor a name is one stray
     # character.  Each distinct text is classified once.

@@ -1,9 +1,16 @@
 """Surface syntax: lexing, parsing, printing, and the round-trip contract."""
 
+import contextlib
+import io
+import json
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, strategies as st
 
 import reference_parser as ref
+from fsub import parser
+from fsub.cli import run
 from fsub.errors import MalformedTypeError
 from fsub.judgments import EMPTY_ENV, Env, dom, ok
 from fsub.parser import (
@@ -19,7 +26,7 @@ from fsub.parser import (
     scan_judgment,
 )
 from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, alpha_eq, fv
-from fsub.subtyper import check_derivation, decide_sub
+from fsub.subtyper import Yes, check_derivation, decide_sub, derivation_to_json
 from naive import NAll, NArr, NTop, NTy, NVar, to_ln
 from strategies import envs_with_closed_ty, named_types, variable_chain
 
@@ -368,8 +375,12 @@ class TestAgainstReference:
         ):
             assert outcome(new, text) == outcome(old, text), (new, text)
 
+    # Beyond the grammar's words and blanks: characters that `str.split`,
+    # `str.isascii` or `str.isprintable` treat otherwise than the lexer's
+    # blank set does, and characters a name may hold but not start with.
     @given(st.lists(st.sampled_from(("X", "Top", "All", "<:", "->", ".", "(", ")", ",", "|-", "empty", " ", "\t",
-                                     "-", "<", "|", "1", "\u00e9")), max_size=14))
+                                     "-", "<", "|", "1", "\u00e9", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0",
+                                     "\u3000", "\r", "\n", "'", "0", "_")), max_size=14))
     def test_token_soup(self, parts):
         text = "".join(parts)
         for new, old in (
@@ -388,6 +399,93 @@ class TestAgainstReference:
         text = print_type(t)
         assert text == ref.print_type(t)
         assert parse_type(text) is t
+
+
+@lru_cache(maxsize=None)
+def gen_lines(seed: int, count: int) -> tuple[str, ...]:
+    """The judgment lines of `fsub gen --seed SEED --count COUNT --max-env 6
+    --max-size 16`, the options of the `check` benchmark's corpus."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        run(["gen", "--seed", str(seed), "--count", str(count), "--max-env", "6", "--max-size", "16"])
+    return tuple(out.getvalue().splitlines())
+
+
+def json_strings(line: str) -> list[str]:
+    """The environment and type strings of the JSON derivation of `line`'s
+    judgment, or none when it does not hold."""
+    result = decide_sub(*parse_judgment(line))
+    if not isinstance(result, Yes):
+        return []
+    strings = []
+    stack = [json.loads(derivation_to_json(result.derivation))]
+    while stack:
+        node = stack.pop()
+        strings += (node["env"], node["lhs"], node["rhs"])
+        stack += node["premises"]
+    return strings
+
+
+def lex_outcome(text: str):
+    """What `_lex` gives for `text`: its token texts, or the parts of its error."""
+    try:
+        return parser._lex(text)
+    except ParseError as err:
+        return ("error", err.message, err.pos, err.expected)
+
+
+def regex_outcome(text: str):
+    """What lexing `text` by `_TOKEN_RE` alone gives: its matches and the end
+    of input, or the reference lexer's error for a stray character."""
+    try:
+        ref.lex(text)
+    except ParseError as err:
+        return ("error", err.message, err.pos, err.expected)
+    return parser._TOKEN_RE.findall(text) + [""]
+
+
+class TestLexAgainstTheRegex:
+    """Splitting printable ASCII text on blanks gives exactly the tokens, and
+    the errors, of matching the token regex over it."""
+
+    def test_gen_corpus(self):
+        for line in gen_lines(1, 300):
+            assert lex_outcome(line) == regex_outcome(line), line
+
+    def test_derivation_json_strings(self):
+        texts = {text for line in gen_lines(1, 300) for text in json_strings(line)}
+        assert len(texts) > 100
+        for text in texts:
+            assert lex_outcome(text) == regex_outcome(text), text
+
+    @given(corrupted_texts())
+    def test_corrupted_texts(self, text):
+        assert lex_outcome(text) == regex_outcome(text), text
+
+    @pytest.fixture()
+    def regex_calls(self, monkeypatch):
+        """The number of uses of `parser._TOKEN_RE` so far, in a one-item list."""
+        calls = [0]
+
+        class Counting:
+            def __getattr__(self, name):
+                calls[0] += 1
+                return getattr(regex, name)
+
+        regex = parser._TOKEN_RE
+        monkeypatch.setattr(parser, "_TOKEN_RE", Counting())
+        return calls
+
+    def test_printed_judgments_take_no_regex(self, regex_calls):
+        printed = [print_judgment(*parse_judgment(line)) for line in gen_lines(2, 500)]
+        regex_calls[0] = 0
+        for text in printed:
+            parser._lex(text)
+        assert regex_calls[0] == 0
+
+    @pytest.mark.parametrize("text", ["X->Y", "X <: Top |-\tX <: Top"])
+    def test_other_text_takes_the_regex(self, regex_calls, text):
+        assert parser._lex(text) == regex_outcome(text)
+        assert regex_calls[0] >= 1
 
 
 DEPTH = 10_000

@@ -13,6 +13,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from fsub import syntax
 from fsub.errors import MalformedTypeError
 from fsub.parser import parse_type, print_type
 from fsub.syntax import (
@@ -83,6 +84,21 @@ class TestOpen:
     def test_rejects_escaped_index(self):
         with pytest.raises(MalformedTypeError):
             open_ty(BoundIdx(1), "Y")
+
+    def test_kept_opening_builds_no_variable(self, monkeypatch):
+        body = Arrow(BoundIdx(0), FreeVar("Z"))
+        opened = open_ty(body, "Y")
+        built = []
+        monkeypatch.setattr(syntax, "FreeVar", lambda name: built.append(name))
+        assert open_ty(body, "Y") is opened
+        assert built == []
+
+    @pytest.mark.parametrize("body", [Top(), Arrow(BoundIdx(0), FreeVar("Z"))], ids=["closed", "kept"])
+    def test_an_opening_not_kept_validates_its_name(self, body):
+        open_ty(body, "Y")
+        for name in ("Top", "1", " Y"):
+            with pytest.raises(MalformedTypeError, match="invalid variable name"):
+                open_ty(body, name)
 
 
 class TestClose:
