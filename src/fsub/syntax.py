@@ -342,13 +342,15 @@ def open_ty(body: Ty, name: VarName) -> Ty:
     """Instantiate index 0 of an abstraction body with the free variable `name`.
     The body keeps the last result, so opening it again with the same name
     costs a slot read; its name was validated when it was kept."""
-    last = getattr(body, "_opened", None)
-    if last is not None and last[0] == name:
-        return last[1]
-    if body._escapes > 1:
+    escapes = body._escapes
+    if escapes == 1:
+        last = getattr(body, "_opened", None)
+        if last is not None and last[0] == name:
+            return last[1]
+    elif escapes:
         raise MalformedTypeError(f"abstraction body has an escaped index: {body!r}")
     repl = FreeVar(name)
-    if body._escapes == 0:
+    if not escapes:
         return body
     # A subtree under d binders holds an occurrence of index 0 exactly when an
     # index d or above escapes it, since no index above 0 escapes the body;
