@@ -18,8 +18,9 @@ text with a word that is neither a symbol, a keyword nor a name, is matched
 by one token regex.  The parser is one loop over the list with an explicit
 stack of pending productions, and the printer is one postorder loop over an
 explicit stack that composes each node's text from its children's, keeping
-the names of the binders it is inside on another.  Binder names exist only in this module: the parser turns
-them into indices and the printer turns indices back into names.
+the names of the binders it is inside on another.  Binder names exist only
+in this module: the parser turns them into indices and the printer turns
+indices back into names.
 """
 
 from __future__ import annotations
@@ -111,10 +112,11 @@ def _lex(text: str) -> list[str]:
     its only blank, no token holds a blank, and a parenthesis or a comma is
     always a token of its own.  So once those three are spaced out, a
     blank-separated word that is a symbol, a keyword or a name is exactly
-    the token the regex matches there.  Such text is split by string methods when every distinct word
-    outside `_KINDS` is a name.  Any other text takes the regex: tabs and
-    line breaks, non-ASCII or unprintable characters, symbols written
-    without blanks (`X->Y`) and stray characters.
+    the token the regex matches there.  Such text is split by string
+    methods when every distinct word outside `_KINDS` is a name.  Any other
+    text takes the regex: tabs and line breaks, non-ASCII or unprintable
+    characters, symbols written without blanks (`X->Y`) and stray
+    characters.
     """
     if text.isascii() and text.isprintable():
         words = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()

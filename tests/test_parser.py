@@ -484,8 +484,9 @@ class TestLexAgainstTheRegex:
 
     @pytest.mark.parametrize("text", ["X->Y", "X <: Top |-\tX <: Top"])
     def test_other_text_takes_the_regex(self, regex_calls, text):
-        assert parser._lex(text) == regex_outcome(text)
+        words = parser._lex(text)
         assert regex_calls[0] >= 1
+        assert words == regex_outcome(text)
 
 
 DEPTH = 10_000
