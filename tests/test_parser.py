@@ -425,14 +425,6 @@ def json_strings(line: str) -> list[str]:
     return strings
 
 
-def lex_outcome(text: str):
-    """What `_lex` gives for `text`: its token texts, or the parts of its error."""
-    try:
-        return parser._lex(text)
-    except ParseError as err:
-        return ("error", err.message, err.pos, err.expected)
-
-
 def regex_outcome(text: str):
     """What lexing `text` by `_TOKEN_RE` alone gives: its matches and the end
     of input, or the reference lexer's error for a stray character."""
@@ -449,17 +441,17 @@ class TestLexAgainstTheRegex:
 
     def test_gen_corpus(self):
         for line in gen_lines(1, 300):
-            assert lex_outcome(line) == regex_outcome(line), line
+            assert outcome(parser._lex, line) == regex_outcome(line), line
 
     def test_derivation_json_strings(self):
         texts = {text for line in gen_lines(1, 300) for text in json_strings(line)}
         assert len(texts) > 100
         for text in texts:
-            assert lex_outcome(text) == regex_outcome(text), text
+            assert outcome(parser._lex, text) == regex_outcome(text), text
 
     @given(corrupted_texts())
     def test_corrupted_texts(self, text):
-        assert lex_outcome(text) == regex_outcome(text), text
+        assert outcome(parser._lex, text) == regex_outcome(text), text
 
     @pytest.fixture()
     def regex_calls(self, monkeypatch):
