@@ -25,7 +25,6 @@ from .gen import (
     gen_derivation_pair,
     gen_refl_case,
 )
-from .judgments import closed, ok
 from .metatheory import derive_narrow, derive_refl, derive_trans, split_env
 from .parser import (
     ParseError,
@@ -119,10 +118,11 @@ def _cmd_refl(args: argparse.Namespace) -> int:
         except ParseError as err:
             print(f"{args.file}:{lineno}: {err}", file=sys.stderr)
             return 3
-        if not ok(g) or not closed(t, g):
+        try:
+            d = derive_refl(g, t)
+        except PreconditionError:
             print(f"{args.file}:{lineno}: judgment is not well-scoped", file=sys.stderr)
             return 3
-        d = derive_refl(g, t)
         print(derivation_to_json(d) if args.json else derivation_to_text(d))
     return 0
 

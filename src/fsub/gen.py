@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import PreconditionError
-from .judgments import Env, dom, fresh_for_env, gfresh, lookup, witness_for
+from .judgments import EMPTY_ENV, Env, dom, fresh_for_env, gfresh, lookup, witness_for
 from .metatheory import EnvSplit, derive_refl, split_env
 from .subtyper import Derivation, Yes, _ALL, _ARR, _TOP, _TRS, decide_sub, preorder
 from .syntax import Arrow, BoundIdx, Forall, FreeVar, Top, Ty, VarName, close_ty, fv, open_ty, size
@@ -128,7 +128,7 @@ def gen_closed_ty(g: Env, cfg: GenConfig) -> Ty:
     return _gen_ty(g, cfg.max_ty_size, SplitMix64(cfg.seed))
 
 
-def _gen_env(rng: SplitMix64, length: int, ty_budget: int, base: Env = Env()) -> Env:
+def _gen_env(rng: SplitMix64, length: int, ty_budget: int, base: Env = EMPTY_ENV) -> Env:
     g = base
     for _ in range(length):
         bound = _gen_ty(g, ty_budget, rng)
@@ -139,9 +139,7 @@ def _gen_env(rng: SplitMix64, length: int, ty_budget: int, base: Env = Env()) ->
 def gen_env(cfg: GenConfig) -> Env:
     """An ok environment of length at most `cfg.max_env_len`, built incrementally:
     each bound is closed in the bindings before it, each name is `fresh_for_env`."""
-    rng = SplitMix64(cfg.seed)
-    length = rng.below(cfg.max_env_len + 1)
-    return _gen_env(rng, length, cfg.max_ty_size)
+    return gen_env_extension(EMPTY_ENV, cfg)
 
 
 def gen_env_extension(g: Env, cfg: GenConfig) -> Env:
@@ -234,31 +232,37 @@ def _chain_candidates(g: Env, target: Ty) -> list[tuple[VarName, Derivation]]:
     return found
 
 
-def gen_derivation(cfg: GenConfig) -> Derivation:
-    """A checker-valid derivation over a generated environment."""
+def _synth_either(g: Env, anchor: Ty, depth: int, rng: SplitMix64) -> Derivation:
+    # A derivation with `anchor` as its right or, on a fair draw, its left side.
+    if rng.chance(1, 2):
+        return _synth_sub_of(g, anchor, depth, rng)
+    return _synth_sup_of(g, anchor, depth, rng)
+
+
+def _sample(cfg: GenConfig) -> tuple[SplitMix64, Env, Ty]:
+    # The generator of a sample, its environment, drawn from a split of the
+    # generator, and its anchor type, closed in the environment.
     rng = SplitMix64(cfg.seed)
     g = _gen_env(rng.split(), rng.below(cfg.max_env_len + 1), cfg.max_ty_size)
-    anchor = _gen_ty(g, cfg.max_ty_size, rng)
-    if rng.chance(1, 2):
-        return _synth_sub_of(g, anchor, cfg.max_deriv_depth, rng)
-    return _synth_sup_of(g, anchor, cfg.max_deriv_depth, rng)
+    return rng, g, _gen_ty(g, cfg.max_ty_size, rng)
+
+
+def gen_derivation(cfg: GenConfig) -> Derivation:
+    """A checker-valid derivation over a generated environment."""
+    rng, g, anchor = _sample(cfg)
+    return _synth_either(g, anchor, cfg.max_deriv_depth, rng)
 
 
 def gen_derivation_pair(cfg: GenConfig) -> tuple[Derivation, Derivation]:
     """Two derivations `g |- S <: Q` and `g |- Q <: T` sharing `g` and `Q`."""
-    rng = SplitMix64(cfg.seed)
-    g = _gen_env(rng.split(), rng.below(cfg.max_env_len + 1), cfg.max_ty_size)
-    q = _gen_ty(g, cfg.max_ty_size, rng)
-    left = _synth_sub_of(g, q, cfg.max_deriv_depth, rng)
-    right = _synth_sup_of(g, q, cfg.max_deriv_depth, rng)
-    return left, right
+    rng, g, q = _sample(cfg)
+    return _synth_sub_of(g, q, cfg.max_deriv_depth, rng), _synth_sup_of(g, q, cfg.max_deriv_depth, rng)
 
 
 def gen_refl_case(cfg: GenConfig) -> tuple[Env, Ty]:
     """An ok environment together with a type closed in it."""
-    rng = SplitMix64(cfg.seed)
-    g = _gen_env(rng.split(), rng.below(cfg.max_env_len + 1), cfg.max_ty_size)
-    return g, _gen_ty(g, cfg.max_ty_size, rng)
+    _, g, t = _sample(cfg)
+    return g, t
 
 
 def gen_narrow_instance(
@@ -279,11 +283,7 @@ def gen_narrow_instance(
         premise = _synth_sup_of(g, split.pivot_bound, cfg.max_deriv_depth, rng)
         d = Derivation(_TRS, g, FreeVar(pivot_var), premise.rhs, (premise,))
     else:
-        anchor = _gen_ty(g, cfg.max_ty_size, rng)
-        if rng.chance(1, 2):
-            d = _synth_sub_of(g, anchor, cfg.max_deriv_depth, rng)
-        else:
-            d = _synth_sup_of(g, anchor, cfg.max_deriv_depth, rng)
+        d = _synth_either(g, _gen_ty(g, cfg.max_ty_size, rng), cfg.max_deriv_depth, rng)
     return split, p, d, d_pq
 
 
@@ -404,12 +404,8 @@ def enumerate_ok_envs(names: list[VarName], max_len: int, max_bound_size: int) -
     for _ in range(max_len):
         next_frontier: list[Env] = []
         for g in frontier:
-            for name in names:
-                if not gfresh(g, name):
-                    continue
-                for bound in enumerate_types(dom(g), max_bound_size):
-                    extended = g.extend(name, bound)
-                    next_frontier.append(extended)
+            bounds = enumerate_types(dom(g), max_bound_size)
+            next_frontier += [g.extend(name, bound) for name in names if gfresh(g, name) for bound in bounds]
         out.extend(next_frontier)
         frontier = next_frontier
     return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .syntax import HashConsed, Ty, VarName, _set_field, fv, is_var_name
+from .syntax import _MISS, HashConsed, Ty, VarName, _set_field, fv, is_var_name
 
 _ENVS: dict = {}
 
@@ -67,8 +67,7 @@ class Env(HashConsed):
     def extend(self, name: VarName, bound: Ty) -> "Env":
         """The interned environment with (name, bound) as its newest binding."""
         key = (self, name, bound)
-        entry = _ENVS.get(key)
-        node = None if entry is None else entry()
+        node = _ENVS.get(key, _MISS)()
         if node is None:
             if type(name) is not str or not isinstance(bound, Ty):
                 raise TypeError(f"a binding is a name and a type, got {name!r} <: {bound!r}")

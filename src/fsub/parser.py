@@ -37,6 +37,7 @@ from .syntax import (
     _BOUND_IDXS,
     _FORALLS,
     _FREE_VARS,
+    _MISS,
     NAME_PATTERN,
     Arrow,
     BoundIdx,
@@ -98,10 +99,6 @@ _NAMES_RE = re.compile(rf"(?:{NAME_PATTERN}(?: {NAME_PATTERN})*)?")
 
 _ATOM = frozenset(("Top", "All", "ident", "("))
 _TOP = Top()
-# The default of an intern-table lookup: a call gives None, as a dead entry's
-# does, so `table.get(key, _MISS)()` is the live node or None, and since a
-# node is always true, `... or Constructor(...)` builds one only on a miss.
-_MISS = type(None)
 
 
 def _lex(text: str) -> list[str]:
@@ -169,9 +166,10 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
     innermost binder (0 for the outermost).  A finished bound names its own
     binder when the name is free in it or when one of its indices escapes to
     an outer binder of that name: when the bit of that binder is set in the
-    bound's `_escapes` mask.  A node that is already alive costs one lookup
-    in its class's intern table; only a miss calls the constructor, which
-    stays the one place that validates and builds a node.
+    bound's `_escapes` mask.  A live node costs one `table.get(key, _MISS)()`
+    in its class's intern table, as in the constructors; a node is true, so
+    `... or Constructor(...)` calls the constructor, the one place that
+    validates and builds a node, only on a miss.
     """
     stack: list[object] = []
     levels: dict[VarName, int] = {}

@@ -23,6 +23,7 @@ from .errors import InternalCheckError, PreconditionError
 from .judgments import EMPTY_ENV, Env, closed, gfresh, lookup, names_in_env, ok, witness_for
 from .parser import Printer, parse_env, parse_type
 from .syntax import (
+    _MISS,
     Arrow,
     Forall,
     FreeVar,
@@ -30,6 +31,7 @@ from .syntax import (
     Top,
     Ty,
     VarName,
+    _not_a_type,
     _set_field,
     fv,
     is_locally_closed,
@@ -81,8 +83,9 @@ class Derivation(HashConsed):
     """One node of a derivation tree concluding `env |- lhs <: rhs`.
 
     `witness` is the name used to compare quantifier bodies and is present
-    exactly at `all`/`All` nodes.  Construction is unchecked; validity is the
-    checker's business, so malformed trees can be built for negative tests.
+    exactly at `all`/`All` nodes.  Construction checks only the fields' types
+    (`TypeError`); validity, witnesses included, is the checker's business,
+    so malformed trees can be built for negative tests.
     Nodes are hash-consed like types, so `premises` must be a tuple, and keep
     their height (the longest node path to a leaf) in `_height`.  `_valid`
     is left unset until the explicit checker finds the node's tree valid.
@@ -101,20 +104,29 @@ class Derivation(HashConsed):
         cls, rule: Rule, env: Env, lhs: Ty, rhs: Ty, premises: tuple = (), witness: Optional[VarName] = None
     ) -> "Derivation":
         key = (rule, env, lhs, rhs, premises, witness)
-        entry = _DERIVATIONS.get(key)
-        node = None if entry is None else entry()
+        node = _DERIVATIONS.get(key, _MISS)()
         if node is None:
+            tag = _RULES.get(rule)
+            if tag is None:
+                raise TypeError(f"not a rule: {rule!r}")
+            if not isinstance(env, Env):
+                raise TypeError(f"not an environment: {env!r}")
+            if not (isinstance(lhs, Ty) and isinstance(rhs, Ty)):
+                raise _not_a_type(lhs, rhs)
+            height = 0
+            try:
+                for premise in premises:
+                    if premise._height > height:
+                        height = premise._height
+            except AttributeError:
+                raise TypeError(f"not a derivation: {premise!r}") from None
             node = object.__new__(cls)
-            _set_field(node, "rule", _RULES.get(rule, rule))
+            _set_field(node, "rule", tag)
             _set_field(node, "env", env)
             _set_field(node, "lhs", lhs)
             _set_field(node, "rhs", rhs)
             _set_field(node, "premises", premises)
             _set_field(node, "witness", witness)
-            height = 0
-            for premise in premises:
-                if premise._height > height:
-                    height = premise._height
             _set_field(node, "_height", height + 1)
             node._intern(_DERIVATIONS, key)
         return node

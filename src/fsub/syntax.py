@@ -47,6 +47,11 @@ def _forget(entry: _Entry) -> None:
         del entry.table[entry.key]
 
 
+# The default of an intern-table lookup: a call gives None, as a dead entry's
+# does, so `table.get(key, _MISS)()` is the live node or None.
+_MISS = type(None)
+
+
 # Sets a field of a new node, past the `__setattr__` that forbids it.
 _set_field = object.__setattr__
 
@@ -55,11 +60,12 @@ class HashConsed:
     """Immutable value of which at most one equal instance is alive.
 
     A subclass's constructor looks its key up in the class's intern table, a
-    plain dict of weak entries, and only on a miss validates its fields,
-    builds the node and calls `_intern`.  The parser looks up the tables of
-    `FreeVar`, `BoundIdx`, `Arrow` and `Forall` itself, by the same keys,
-    and calls the constructor only on a miss.  Equality and hashing are the
-    identity's; `dataclasses.fields` and `dataclasses.replace` do not apply.
+    plain dict of weak entries, as `table.get(key, _MISS)()`, the live node
+    or None, and only on a miss validates its fields, builds the node and
+    calls `_intern`.  The parser reads the tables of `FreeVar`, `BoundIdx`,
+    `Arrow` and `Forall` the same way and calls the constructor only on a
+    miss.  Equality and hashing are the identity's; `dataclasses.fields` and
+    `dataclasses.replace` do not apply.
     """
 
     __slots__ = ("__weakref__",)
@@ -173,8 +179,7 @@ class FreeVar(Ty):
     name: VarName
 
     def __new__(cls, name: VarName) -> "FreeVar":
-        entry = _FREE_VARS.get(name)
-        node = None if entry is None else entry()
+        node = _FREE_VARS.get(name, _MISS)()
         if node is None:
             if not is_var_name(name):
                 raise MalformedTypeError(f"invalid variable name: {name!r}")
@@ -195,8 +200,7 @@ class BoundIdx(Ty):
     index: int
 
     def __new__(cls, index: int) -> "BoundIdx":
-        entry = _BOUND_IDXS.get(index)
-        node = None if entry is None else entry()
+        node = _BOUND_IDXS.get(index, _MISS)()
         if node is None:
             if index < 0:
                 raise MalformedTypeError(f"negative bound index: {index}")
@@ -219,8 +223,7 @@ class Arrow(Ty):
 
     def __new__(cls, dom: Ty, cod: Ty) -> "Arrow":
         key = (dom, cod)
-        entry = _ARROWS.get(key)
-        node = None if entry is None else entry()
+        node = _ARROWS.get(key, _MISS)()
         if node is None:
             node = object.__new__(cls)
             _set_field(node, "dom", dom)
@@ -248,8 +251,7 @@ class Forall(Ty):
 
     def __new__(cls, bound: Ty, body: Ty) -> "Forall":
         key = (bound, body)
-        entry = _FORALLS.get(key)
-        node = None if entry is None else entry()
+        node = _FORALLS.get(key, _MISS)()
         if node is None:
             node = object.__new__(cls)
             _set_field(node, "bound", bound)

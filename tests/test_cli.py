@@ -163,9 +163,16 @@ class TestRefl:
         assert check_derivation(d)
         assert d.lhs == d.rhs
 
-    def test_rejects_unscoped(self, judgment_file):
-        path = judgment_file("|- X\n")
-        assert run(["refl", path]) == 3
+    def test_rejects_unscoped(self, judgment_file, capsys):
+        # `derive_refl` scopes the line: a type that is not closed in its
+        # environment and an environment that is not ok are both rejected
+        # with the line's number, after the lines before it are printed.
+        for text, lineno in (("|- X\n", 1), ("X <: Top |- X\nX <: Y |- X\n", 2)):
+            path = judgment_file(text)
+            assert run(["refl", path]) == 3
+            out, err = capsys.readouterr()
+            assert err == f"{path}:{lineno}: judgment is not well-scoped\n"
+            assert out == "(var) X <: Top |- X <: X\n" * (lineno - 1)
 
     def test_rejects_missing_turnstile(self, judgment_file):
         path = judgment_file("Top\n")

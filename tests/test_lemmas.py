@@ -1,0 +1,72 @@
+"""The paper's metatheory at verdict level over the whole oracle universe:
+every judgment whose environment is ok over X0, X1 (length at most 2) and
+whose sides have size at most 3, as `fsub oracle` enumerates it at its
+default bounds.  Weakening and transitivity (POPLmark task 1A) are checked
+on `decide_sub`'s verdicts, each with a count so that no check can pass
+vacuously."""
+
+from collections import defaultdict
+
+import pytest
+
+from fsub.gen import enumerate_judgments
+from fsub.subtyper import No, Yes, decide_sub
+from fsub.syntax import Top
+
+
+@pytest.fixture(scope="module")
+def tables():
+    # Each environment's verdict table: (s, t) to the class of `decide_sub`'s
+    # answer on `g |- s <: t`.
+    out = defaultdict(dict)
+    for g, s, t in enumerate_judgments(["X0", "X1"], 3, 2):
+        out[g][s, t] = type(decide_sub(g, s, t))
+    return out
+
+
+def chains(table):
+    """The `Yes`-`Yes` chains `s <: m <: t` of one verdict table, and those
+    of them whose `s <: t` is not `Yes`."""
+    above = defaultdict(list)
+    for (s, t), verdict in table.items():
+        if verdict is Yes:
+            above[s].append(t)
+    found = [(s, m, t) for s, middles in above.items() for m in middles for t in above[m]]
+    return found, [chain for chain in found if table[chain[0], chain[2]] is not Yes]
+
+
+def test_the_universe_is_the_oracles(tables):
+    verdicts = [verdict for table in tables.values() for verdict in table.values()]
+    assert len(verdicts) == 56_464
+    assert verdicts.count(Yes) == 9_858
+    assert verdicts.count(No) == 56_464 - 9_858
+
+
+def test_a_fresh_binding_changes_no_verdict(tables):
+    for g, table in tables.items():
+        weakened = g.extend("X2", Top())
+        for (s, t), verdict in table.items():
+            assert type(decide_sub(weakened, s, t)) is verdict, (g, s, t)
+
+
+def test_every_chain_of_yes_verdicts_concludes_yes(tables):
+    count = 0
+    for table in tables.values():
+        found, broken = chains(table)
+        assert broken == []
+        count += len(found)
+    assert count == 26_599
+
+
+def test_the_transitivity_check_flags_a_flipped_verdict(tables):
+    # The conclusion of a chain through a third type, flipped to `No`, is
+    # flagged; only its own chains can break, since a flipped conclusion
+    # drops out of every chain that used it as a link.
+    g, table = next((g, table) for g, table in tables.items() if len(g) == 2)
+    found, _ = chains(table)
+    s, m, t = next(chain for chain in found if len(set(chain)) == 3)
+    flipped = dict(table)
+    flipped[s, t] = No
+    _, broken = chains(flipped)
+    assert (s, m, t) in broken
+    assert {(a, c) for a, _, c in broken} == {(s, t)}

@@ -858,6 +858,32 @@ class TestHashConsed:
         assert first.rule is Rule.TOP
         assert Derivation(Rule.TOP, EMPTY_ENV, FreeVar("Tagged"), Top()) is first
 
+    def test_a_tag_outside_the_rules_is_refused(self):
+        for tag in ("bogus", "TOP", None, 1):
+            with pytest.raises(TypeError, match="not a rule"):
+                Derivation(tag, EMPTY_ENV, Top(), Top())
+
+    def test_an_environment_that_is_not_an_env_is_refused(self):
+        for env in ((), "X <: Top", None):
+            with pytest.raises(TypeError, match="not an environment"):
+                Derivation(Rule.TOP, env, Top(), Top())
+
+    def test_a_side_that_is_not_a_type_is_refused(self):
+        for lhs, rhs in (("X", Top()), (Top(), "Top"), (Top(), None)):
+            with pytest.raises(TypeError, match="not a type"):
+                Derivation(Rule.TOP, EMPTY_ENV, lhs, rhs)
+
+    def test_a_premise_that_is_not_a_derivation_is_refused(self):
+        leaf = Derivation(Rule.VAR, X_TOP_Y_X, FreeVar("X"), FreeVar("X"))
+        for premises in (("x",), (leaf, FreeVar("X"))):
+            with pytest.raises(TypeError, match="not a derivation"):
+                Derivation(Rule.TRS, X_TOP_Y_X, FreeVar("Y"), FreeVar("X"), premises)
+
+    def test_a_witness_that_is_not_a_name_is_the_checkers_to_report(self):
+        d = Derivation(Rule.TOP, EMPTY_ENV, Top(), Top(), witness=3)
+        assert d.witness == 3
+        assert not check_derivation(d)
+
     def test_repr_is_the_dataclass_text(self):
         assert repr(decide_yes("X <: Top, Y <: X |- Y <: X")) == SMALL_REPR
 
