@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalCheckError, PreconditionError
-from .judgments import EMPTY_ENV, Env, closed, env_concat, gfresh, names_in_env, ok
+from .judgments import EMPTY_ENV, Env, closed, env_concat, ok
 from .subtyper import (
     Derivation,
     Yes,
@@ -28,15 +28,16 @@ from .subtyper import (
     _TOP,
     _TRS,
     _VAR,
+    _build,
     _decide,
     _fmt_path,
     _fold,
+    _rebase_walk,
+    _renaming,
     derivation_height,
     diagnose_derivation,
     iter_nodes,
     names_in_derivation,
-    preorder,
-    replace_witness,
 )
 from .syntax import Forall, FreeVar, Top, Ty, VarName, fresh, size
 
@@ -111,54 +112,39 @@ def derive_weaken(d: Derivation, delta: Env) -> Derivation:
     return _rebase(d, combined)
 
 
-def _rebase(d: Derivation, new: Env, narrowing: Optional[_Narrowing] = None) -> Derivation:
+def _rebase(d: Derivation, new: Env, narrowing: Optional[_Narrowing] = None, steps: tuple = ()) -> Derivation:
     # Rebuild the trusted tree `d` over the root environment `new` instead of
-    # its own `d.env`; the bindings added by quantifier nodes stay the newest
-    # part.  `new` declares every name of `d.env` with the same bound, except
-    # that under `narrowing = (split, d_pq, parent measure)` the pivot's bound
-    # is tightened, and `d_pq` proves the new bound below the old one over the
-    # prefix.  Every side condition then survives once each witness is fresh
-    # for `new`, except a `trs` node on the pivot, whose premise must now
-    # start from the new bound.  The input was validated at the public entry
-    # point and is not re-checked here.
+    # its own `d.env`, with its names renamed by `steps`; the bindings added
+    # by quantifier nodes stay the newest part.  `new` declares every name of
+    # `d.env`, as renamed, with the same bound, except that under `narrowing
+    # = (split, d_pq, parent measure)` the pivot's bound is tightened, and
+    # `d_pq` proves the new bound below the old one over the prefix.  Every
+    # side condition then survives once each witness is fresh for `new`,
+    # except a `trs` node on the pivot, whose premise must now start from the
+    # new bound.  The input was validated at the public entry point and is
+    # not re-checked here.
     #
-    # A preorder walk gives each node its old and new environments: its
-    # parent's, each extended by the parent's witness binding under a
-    # quantifier's body premise.  A colliding witness is re-freshened before
-    # the node's premises are reached, so each node is read from its parent
-    # as re-freshened; renaming keeps the tree's shape, so the walk's depths
-    # and indices still apply.  `_fold` then rebuilds every node.
+    # `_rebase_walk` gives each node its new environment and renamed fields
+    # in one preorder walk, and `_fold` rebuilds each node once from them.
+    # Without `steps`, `new` may declare the name of a witness, and the walk
+    # renames that witness through its body premise; `steps` rename the
+    # names of `d.env` to names fresh for all of `d`, which no witness of `d`
+    # takes, so the walk keeps every witness.
     pivot = None if narrowing is None else FreeVar(narrowing[0].pivot_var)
-    above: list[tuple[Derivation, Env, Env]] = []
-    visits: list[tuple[Derivation, Env]] = []
-    for depth, i, node in preorder(d):
-        g, env = d.env, new
-        if depth:
-            parent, g, env = above[depth - 1]
-            node = parent.premises[i]
-            if parent.rule is _ALL and i == 1:
-                assert parent.witness is not None and isinstance(parent.rhs, Forall)
-                g = g.extend(parent.witness, parent.rhs.bound)
-                env = env.extend(parent.witness, parent.rhs.bound)
-        if node.env is not g:
-            raise InternalCheckError("derivation environment does not match its parent")
-        if node.rule is _ALL and not gfresh(env, node.witness):
-            node = replace_witness(node, fresh(names_in_derivation(node) | names_in_env(env)))
-        above[depth:] = ((node, g, env),)
-        visits.append((node, env))
 
-    def rebuild(node: Derivation, env: Env, premises: tuple[Derivation, ...]) -> Derivation:
-        if node.rule is _TRS and node.lhs is pivot:
+    def rebuild(node: Derivation, fields: tuple, premises: tuple[Derivation, ...]) -> Derivation:
+        # `fields` is (environment, left side, right side, witness).
+        if node.rule is _TRS and fields[1] is pivot:
             # Chaining through the pivot itself: the old chain went through
             # the old bound q.  Weaken `p <: q` over this node's environment
             # and compose it with the rebuilt premise before chaining at p.
             split, d_pq, parent = narrowing
             assert node.premises[0].lhs == split.pivot_bound
             measure = _step(parent, (size(split.pivot_bound), _NARROW_RANK, derivation_height(node)))
-            premises = (_trans(_rebase(d_pq, env), premises[0], measure),)
-        return Derivation(node.rule, env, node.lhs, node.rhs, premises, node.witness)
+            premises = (_trans(_rebase(d_pq, fields[0]), premises[0], measure),)
+        return _build(node, fields, premises)
 
-    return _fold(visits, rebuild)
+    return _fold(_rebase_walk(d, new, steps), rebuild)
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,17 +178,25 @@ def split_env(g: Env, x: VarName) -> EnvSplit:
 def ok_narrow(split: EnvSplit, p: Ty, d_pq: Derivation) -> bool:
     """Replacing the pivot bound by `p` keeps the environment ok, given a
     derivation that `p` is below the old bound over the prefix."""
+    _narrowed_envs(split, p, d_pq)
+    return True
+
+
+def _narrowed_envs(split: EnvSplit, p: Ty, d_pq: Derivation) -> tuple[Env, Env]:
+    # `ok_narrow`'s checks; the split environment and the narrowed one, each
+    # assembled once.
     _require_valid(d_pq, "evidence derivation")
-    if not ok(split.assemble()):
+    old = split.assemble()
+    if not ok(old):
         raise PreconditionError("split environment is not ok")
     if d_pq.concl != (split.prefix, p, split.pivot_bound):
         raise PreconditionError(
             "evidence must conclude the new bound below the old bound over the prefix"
         )
-    narrowed_ok = ok(split.assemble(p))
-    if not narrowed_ok:
+    narrowed = split.assemble(p)
+    if not ok(narrowed):
         raise InternalCheckError("narrowed environment failed the ok check")
-    return narrowed_ok
+    return old, narrowed
 
 
 def derive_trans(d1: Derivation, d2: Derivation) -> Derivation:
@@ -242,16 +236,16 @@ def _trans(d1: Derivation, d2: Derivation, parent: Optional[Measure]) -> Derivat
 
     if d1.rule is _ALL and d2.rule is _ALL:
         assert isinstance(q, Forall) and isinstance(d2.rhs, Forall)
-        b_bound, _ = d2.premises
-        a_bound, _ = d1.premises
-        p_bound = _trans(b_bound, a_bound, measure)
-        # Harmonize both body premises on one witness, move the left body
-        # premise from the middle bound to the right bound, then compose.
-        w = fresh(names_in_derivation(d1) | names_in_derivation(d2))
-        a_body = replace_witness(d1, w).premises[1]
-        b_body = replace_witness(d2, w).premises[1]
-        split = EnvSplit(g, w, q.bound, EMPTY_ENV)
-        a_body = _rebase(a_body, split.assemble(d2.rhs.bound), (split, b_bound, measure))
+        b_bound = d2.premises[0]
+        p_bound = _trans(b_bound, d1.premises[0], measure)
+        # Harmonize both body premises on one witness, which differs from
+        # both old ones, and move the left body premise from the middle bound
+        # to the right bound in the same rebuild that renames it; then
+        # compose.
+        w = fresh(names_in_derivation(d1, d2))
+        b_body = _rebase(d2.premises[1], g.extend(w, d2.rhs.bound), None, _renaming(d2.witness, w))
+        narrowing = (EnvSplit(g, w, q.bound, EMPTY_ENV), b_bound, measure)
+        a_body = _rebase(d1.premises[1], b_body.env, narrowing, _renaming(d1.witness, w))
         p_body = _trans(a_body, b_body, measure)
         return Derivation(_ALL, g, d1.lhs, d2.rhs, (p_bound, p_body), witness=w)
 
@@ -264,10 +258,10 @@ def derive_narrow(split: EnvSplit, p: Ty, d: Derivation, d_pq: Derivation) -> De
     """Rebuild `d` over the environment with the pivot bound replaced by `p`,
     given evidence `d_pq : prefix |- p <: old bound`."""
     _require_valid(d, "derivation")
-    ok_narrow(split, p, d_pq)
-    if d.env != split.assemble():
+    old, narrowed = _narrowed_envs(split, p, d_pq)
+    if d.env != old:
         raise PreconditionError("derivation environment does not match the split")
-    return _rebase(d, split.assemble(p), (split, d_pq, None))
+    return _rebase(d, narrowed, (split, d_pq, None))
 
 
 def derivation_env_facts(

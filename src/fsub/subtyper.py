@@ -33,6 +33,7 @@ from .syntax import (
     VarName,
     _not_a_type,
     _set_field,
+    fresh,
     fv,
     is_locally_closed,
     is_var_name,
@@ -213,68 +214,100 @@ def iter_nodes(d: Derivation) -> Iterator[tuple[tuple[int, ...], Derivation]]:
         yield tuple(path[1:]), node
 
 
-def names_in_derivation(d: Derivation) -> frozenset[VarName]:
-    """Every name visible anywhere in the tree: declared, free, or witness."""
-    # Nodes share environments, so each distinct one is scanned once, after
-    # the walk: merging its names at every node would cost nodes x names.
-    envs: set[Env] = set()
+def names_in_derivation(*ds: Derivation) -> frozenset[VarName]:
+    """Every name visible anywhere in the trees: declared, free, or witness."""
+    # Nodes share environments and an environment shares its parent's cells,
+    # so each node's environment is read from its newest cell back to the
+    # first cell already read: each cell is read once.
+    read = {EMPTY_ENV}
     names: set[VarName] = set()
-    for _, _, node in preorder(d):
-        envs.add(node.env)
-        names |= fv(node.lhs)
-        names |= fv(node.rhs)
+    stack = list(ds)
+    while stack:
+        node = stack.pop()
+        stack += node.premises
+        g = node.env
+        while g not in read:
+            read.add(g)
+            names.add(g.name)
+            names |= fv(g.bound)
+            g = g.parent
+        names.update(fv(node.lhs), fv(node.rhs))
         if node.witness is not None:
             names.add(node.witness)
-    for g in envs:
-        names |= names_in_env(g)
     return frozenset(names)
 
 
+def _renaming(old: VarName, new: VarName) -> tuple:
+    # The renaming of `old` to `new`.  A renaming of free names is a tuple of
+    # steps taken in order, each a triple (old, new, the function that
+    # renames `old` to `new` in a type).
+    return ((old, new, renamer(old, new)),)
+
+
+def _rebase_walk(d: Derivation, new: Env, steps: tuple = ()) -> list:
+    # The nodes of `d` in preorder, each with the fields (environment, left
+    # side, right side, witness) it has once the tree is rebuilt over the root
+    # environment `new` and renamed by `steps`; `_fold` builds the tree.
+    #
+    # A node's environment is its parent's, extended under a quantifier's
+    # body premise by the parent's witness binding, as in a valid tree, so no
+    # cell of `new` is read again, and a type without a renamed name is kept
+    # as it is.  A walk that starts without a renaming moves the tree onto
+    # new root names, so it renames a witness that its new environment
+    # declares, through its body premise, to the least `X<n>` that avoids
+    # the environment's names and the subtree's.  The subtree's names are
+    # the original ones: a name renamed so earlier in the walk is declared in
+    # the environment both as it was and as it became, so mapping it would
+    # change nothing.  A walk that starts with a renaming is given fresh
+    # names and keeps every witness.  Each stack entry is a node with its new
+    # environment and the renaming in force for its subtree.
+    visits: list[tuple[Derivation, tuple]] = []
+    stack = [(d, new, steps)]
+    while stack:
+        node, env, sigma = stack.pop()
+        lhs, rhs, witness = node.lhs, node.rhs, node.witness
+        for old, name, rename in sigma:
+            lhs, rhs = rename(lhs), rename(rhs)
+            witness = name if witness == old else witness
+        body = sigma
+        if not steps and witness is not None and not gfresh(env, witness):
+            name = fresh(names_in_derivation(node) | names_in_env(env))
+            body = sigma + _renaming(witness, name)
+            witness = name
+        visits.append((node, (env, lhs, rhs, witness)))
+        if witness is None:
+            stack += [(premise, env, sigma) for premise in reversed(node.premises)]
+        else:
+            stack += ((node.premises[1], env.extend(witness, rhs.bound), body), (node.premises[0], env, sigma))
+    return visits
+
+
+def _build(node: Derivation, fields: tuple, premises: tuple[Derivation, ...]) -> Derivation:
+    env, lhs, rhs, witness = fields
+    return Derivation(node.rule, env, lhs, rhs, premises, witness)
+
+
 def rename_var_in_derivation(d: Derivation, old: VarName, new: VarName) -> Derivation:
-    """Textually rename a free variable everywhere: environment names and
-    bounds, conclusions, witnesses.  The caller must pick `new` fresh for the
-    whole tree; nothing is re-checked here."""
-    # One memo per call for types and one for environments: nodes share
-    # subterms and environments, and each distinct one is renamed once.  An
-    # environment is renamed by extending its renamed parent.
-    rename_ty = renamer(old, new)
-
-    envs = {EMPTY_ENV: EMPTY_ENV}
-
-    def rename_env(g: Env) -> Env:
-        cells = []
-        while g not in envs:
-            cells.append(g)
-            g = g.parent
-        out = envs[g]
-        for cell in reversed(cells):
-            out = envs[cell] = out.extend(new if cell.name == old else cell.name, rename_ty(cell.bound))
-        return out
-
-    def rename(node: Derivation, env: Env, premises: tuple[Derivation, ...]) -> Derivation:
-        lhs, rhs = rename_ty(node.lhs), rename_ty(node.rhs)
-        return Derivation(node.rule, env, lhs, rhs, premises, new if node.witness == old else node.witness)
-
-    return _fold([(node, rename_env(node.env)) for _, _, node in preorder(d)], rename)
+    """Textually rename a free variable everywhere (environment names and
+    bounds, conclusions, witnesses) in a tree whose environments are those of
+    a valid tree.  The caller must pick `new` fresh for the whole tree;
+    nothing is re-checked here."""
+    rename = renamer(old, new)
+    g = Env.from_decls((new if name == old else name, rename(bound)) for name, bound in d.env.decls())
+    return _fold(_rebase_walk(d, g, ((old, new, rename),)), _build)
 
 
 def replace_witness(d: Derivation, new: VarName) -> Derivation:
     """Rename the witness of a quantifier node, consistently through the body
     premise.  `new` must be fresh for that subtree and for the node's
-    environment; validity is then preserved."""
+    environment; validity is then preserved.  The node's environment is kept
+    as it is, which relies on a valid node's witness not being named in it."""
     if d.rule not in _QUANTIFIER_RULES or d.witness is None:
         raise PreconditionError(f"not a quantifier node: {d.rule.value!r}")
     if new == d.witness:
         return d
-    p_bound, p_body = d.premises
-    return Derivation(
-        d.rule,
-        d.env,
-        d.lhs,
-        d.rhs,
-        (p_bound, rename_var_in_derivation(p_body, d.witness, new)),
-        new,
-    )
+    body = _fold(_rebase_walk(d.premises[1], d.env.extend(new, d.rhs.bound), _renaming(d.witness, new)), _build)
+    return Derivation(d.rule, d.env, d.lhs, d.rhs, (d.premises[0], body), new)
 
 
 # ---------------------------------------------------------------- checking

@@ -1,4 +1,4 @@
-"""Hypothesis strategies and deep inputs shared across test modules."""
+"""Hypothesis strategies, deep inputs and helpers shared across test modules."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import itertools
 
 from hypothesis import strategies as st
 
+from fsub.errors import KernelError
 from fsub.gen import GenConfig, gen_closed_ty, gen_env
 from fsub.judgments import Env
 from fsub.syntax import FreeVar, Top, Ty
@@ -61,3 +62,20 @@ def unseen_name() -> str:
     type or environment that declares or mentions it shares no node with
     anything another test built, so it has never been checked or opened."""
     return f"Unseen{next(_unseen)}"
+
+
+def outcome(fn, *args):
+    """What a call gives: its result and None, or None and the type and
+    message of the kernel error it raises."""
+    try:
+        return fn(*args), None
+    except KernelError as err:
+        return None, (type(err), str(err))
+
+
+def same_outcome(fn, ref, *args) -> None:
+    """`fn` and its reference give the very same node, or the same error."""
+    got, err = outcome(fn, *args)
+    want, want_err = outcome(ref, *args)
+    assert err == want_err
+    assert got is want

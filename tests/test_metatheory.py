@@ -7,7 +7,7 @@ trans/narrow the decision procedure independently confirms the conclusion.
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from fsub import metatheory, subtyper, syntax
 from fsub.errors import InternalCheckError, PreconditionError
@@ -20,7 +20,7 @@ from fsub.gen import (
     gen_env_extension,
     gen_narrow_instance,
 )
-from fsub.judgments import EMPTY_ENV, Env, dom, lookup, ok
+from fsub.judgments import EMPTY_ENV, Env, dom, env_concat, lookup, ok
 from fsub.metatheory import (
     EnvSplit,
     derivation_env_facts,
@@ -46,7 +46,8 @@ from fsub.subtyper import (
     iter_nodes,
 )
 from fsub.syntax import Forall, FreeVar, Top, size
-from strategies import seeds, unseen_name, variable_chain
+from strategies import same_outcome, seeds, unseen_name, variable_chain
+import reference_walks as reference
 
 
 def decide_yes(text: str) -> Derivation:
@@ -228,6 +229,22 @@ class TestSplitAndOkNarrow:
         with pytest.raises(PreconditionError):
             ok_narrow(split, FreeVar("A"), d_pq)
 
+    def test_each_environment_is_assembled_once(self, monkeypatch):
+        # `ok_narrow` assembles the split environment and the narrowed one,
+        # and narrowing assembles each of them once too, not again after
+        # its checks.
+        g = parse_env("A <: Top, X <: Top, Z <: X")
+        split = split_env(g, "X")
+        d_pq = decide_yes("A <: Top |- A <: Top")
+        d = decide_yes("A <: Top, X <: Top, Z <: X |- Z <: Top")
+        assembled = []
+        monkeypatch.setattr(metatheory, "env_concat", lambda *envs: assembled.append(envs) or env_concat(*envs))
+        assert ok_narrow(split, FreeVar("A"), d_pq) is True
+        assert len(assembled) == 2
+        out = derive_narrow(split, FreeVar("A"), d, d_pq)
+        assert len(assembled) == 4
+        assert out.env is split.assemble(FreeVar("A"))
+
 
 class TestTrans:
     def test_top_top(self):
@@ -383,6 +400,56 @@ class TestNarrow:
         assert has_pivot_trs
         out = derive_narrow(split, p, d, d_pq)
         assert confirms(out)
+
+
+def quantifier_witnesses(d: Derivation) -> list[str]:
+    return sorted({node.witness for _, node in iter_nodes(d) if node.witness is not None})
+
+
+class TestAgainstReferenceWalks:
+    """Transitivity, narrowing and weakening give the very nodes, or the very
+    errors, that the separate renaming and rebuilding passes of
+    `reference_walks` gave."""
+
+    @given(seeds)
+    def test_trans(self, seed):
+        d1, d2 = gen_derivation_pair(GenConfig(seed=seed, max_deriv_depth=6))
+        same_outcome(derive_trans, reference.trans, d1, d2)
+
+    @given(seeds, st.integers(0, 5))
+    def test_narrow_and_its_rejections(self, seed, variant):
+        split, p, d, d_pq = gen_narrow_instance(GenConfig(seed=seed), force_pivot_chain=seed % 2 == 0)
+        if variant == 1:
+            # Evidence for the old bound below itself.
+            d_pq = derive_refl(split.prefix, split.pivot_bound)
+        elif variant == 2:
+            # A derivation over the prefix instead of the split environment.
+            d = d_pq
+        elif variant == 3:
+            d_pq = Derivation(Rule.TOP, split.prefix, p, FreeVar(unseen_name()))
+        elif variant == 4:
+            d = Derivation(Rule.VAR, d.env, Top(), Top())
+        elif variant == 5:
+            # A pivot bound that names a variable the prefix lacks.
+            split = EnvSplit(split.prefix, split.pivot_var, FreeVar(unseen_name()), split.suffix)
+        same_outcome(derive_narrow, reference.narrow, split, p, d, d_pq)
+
+    @given(seeds, st.booleans())
+    def test_weaken_by_every_witness(self, seed, colliding):
+        # Declaring each witness name of the tree in the weakening makes
+        # every quantifier node's witness collide and be re-freshened.
+        d = gen_derivation(GenConfig(seed=seed))
+        names = quantifier_witnesses(d) if colliding else [unseen_name()]
+        delta = Env.from_decls((name, Top()) for name in names)
+        same_outcome(derive_weaken, _reference_weaken, d, delta)
+
+    def test_weaken_a_nest_by_its_witnesses(self):
+        d = derive_refl(parse_env("X <: Top"), nested_quantifiers(12, "Top"))
+        delta = Env.from_decls((name, Top()) for name in quantifier_witnesses(d))
+        assert len(delta) == 12
+        out = derive_weaken(d, delta)
+        assert out is _reference_weaken(d, delta)
+        assert check_derivation(out) and quantifier_witnesses(out) == sorted(f"X{i}" for i in range(12, 24))
 
 
 class TestEnvFacts:
@@ -602,18 +669,28 @@ class TestOpenedBodies:
 GOLDEN_OUTPUT_DIGEST = "a4f9d17245d703ae1dbb0213e52d2fbd91693ee6bd2d94cf36d87cb034006db9"
 
 
-def transformer_outputs():
-    """The transformer outputs of acceptance criteria 2, 3 and 5, then
-    weakenings of nested quantifiers whose witnesses do and do not collide."""
+def _reference_permute(d: Derivation, pi: tuple[int, ...]) -> Derivation:
+    decls = d.env.decls()
+    return reference.rebase(d, Env.from_decls(decls[i] for i in pi))
+
+
+def _reference_weaken(d: Derivation, delta: Env) -> Derivation:
+    return reference.rebase(d, env_concat(d.env, delta))
+
+
+def transformer_cases():
+    """The transformer calls of acceptance criteria 2, 3 and 5, then
+    weakenings of nested quantifiers whose witnesses do and do not collide,
+    each as (transformer, its reference in `reference_walks`, arguments)."""
     for seed in child_seeds(2002, 1000):
-        d1, d2 = gen_derivation_pair(GenConfig(seed=seed, max_deriv_depth=6))
-        yield derive_trans(d1, d2)
+        yield derive_trans, reference.trans, gen_derivation_pair(GenConfig(seed=seed, max_deriv_depth=6))
     for i, seed in enumerate(child_seeds(3003, 500)):
-        split, p, d, d_pq = gen_narrow_instance(GenConfig(seed=seed), force_pivot_chain=i < 50)
-        yield derive_narrow(split, p, d, d_pq)
+        instance = gen_narrow_instance(GenConfig(seed=seed), force_pivot_chain=i < 50)
+        yield derive_narrow, reference.narrow, instance
     for seed in child_seeds(4004, 500):
         d = gen_derivation(GenConfig(seed=seed))
-        yield derive_weaken(d, gen_env_extension(d.env, GenConfig(seed=seed ^ 0xD1, max_env_len=3)))
+        delta = gen_env_extension(d.env, GenConfig(seed=seed ^ 0xD1, max_env_len=3))
+        yield derive_weaken, _reference_weaken, (d, delta)
     for seed in child_seeds(5005, 500):
         d = gen_derivation(GenConfig(seed=seed))
         decls = d.env.decls()
@@ -623,10 +700,22 @@ def transformer_outputs():
             j = rng.below(i + 1)
             pi[i], pi[j] = pi[j], pi[i]
         if ok(Env.from_decls([decls[i] for i in pi])):
-            yield derive_permute(d, tuple(pi))
+            yield derive_permute, _reference_permute, (d, tuple(pi))
     d = derive_refl(parse_env("X <: Top"), nested_quantifiers(25))
     for delta in (parse_env("W <: X"), parse_env("X0 <: Top, X1 <: Top")):
-        yield derive_weaken(d, delta)
+        yield derive_weaken, _reference_weaken, (d, delta)
+
+
+def transformer_outputs():
+    for transformer, _, args in transformer_cases():
+        yield transformer(*args)
+
+
+def test_transformer_outputs_match_the_reference_walks():
+    # Renaming inside the one rebuilding walk gives the very nodes that
+    # renaming and rebuilding in separate passes gave.
+    for transformer, ref, args in transformer_cases():
+        assert transformer(*args) is ref(*args)
 
 
 def test_transformer_outputs_golden():

@@ -47,7 +47,7 @@ from fsub.subtyper import (
 from fsub.subtyper import _diagnose_node as diagnose_node
 from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fresh, nodes, open_ty, size, subst_var
 from naive import to_ln
-from strategies import envs_with_closed_ty, named_types, seeds, unseen_name, variable_chain
+from strategies import envs_with_closed_ty, named_types, same_outcome, seeds, unseen_name, variable_chain
 import reference_json
 import reference_parser
 import reference_walks as reference
@@ -1108,18 +1108,61 @@ class TestLinearWalks:
         assert reads == [] and steps == names
 
     def test_names_scan_each_environment_once(self, monkeypatch):
-        g, lhs, rhs = variable_chain(2_000)
-        d = decide_sub(g, lhs, rhs, fuel=2_001).derivation
-        scanned = []
+        # The reflexivity derivation of a 100-quantifier nest over the
+        # 2,001-binding chain environment has 101 distinct environments, each
+        # the chain extended by witness bindings.  Collecting its names reads
+        # the bound of each of their 2,101 cells once, not each environment
+        # back to its root.
+        n = 100
+        g, _, _ = variable_chain(2_000)
+        t = parse_type("".join(f"All Y{i} <: Top . " for i in range(n)) + "Top")
+        d = decide_sub(g, t, t, fuel=2 * n + 1).derivation
+        cells = set()
+        for _, node in iter_nodes(d):
+            env = node.env
+            while env is not EMPTY_ENV:
+                cells.add(env)
+                env = env.parent
+        field = Env.bound
+        reads = []
 
-        def counting(env: Env) -> frozenset:
-            scanned.append(env)
-            return names_in_env(env)
+        class Counted:
+            def __get__(self, env, owner=None):
+                if env is None:
+                    return self
+                reads.append(env)
+                return field.__get__(env, owner)
 
-        monkeypatch.setattr(subtyper, "names_in_env", counting)
-        assert node_count(d) == 2_001
-        assert names_in_derivation(d) == {f"X{i}" for i in range(2_001)}
-        assert scanned == [g]
+        monkeypatch.setattr(Env, "bound", Counted())
+        names = names_in_derivation(d)
+        monkeypatch.undo()
+        assert names == {f"X{i}" for i in range(2_001 + n)}
+        assert len(reads) == len(cells) == 2_001 + n
+        assert set(reads) == cells
+
+    def test_replacing_a_witness_extends_only_the_body(self, monkeypatch):
+        # A 10-quantifier nest over a 2,000-binding root environment: renaming
+        # the outermost witness extends the root environment once, for the
+        # body premise, and one cell under each of the 9 quantifiers inside
+        # it, but none of the root environment's cells, which the body shares
+        # as they are.
+        n = 10
+        g, _, _ = variable_chain(1_999)
+        t = parse_type("".join(f"All Y{i} <: Top . " for i in range(n)) + "Top")
+        d = decide_sub(g, t, t, fuel=2 * n + 1).derivation
+        extend = Env.extend
+        extended = []
+
+        def counting(env, name, bound):
+            extended.append(env)
+            return extend(env, name, bound)
+
+        monkeypatch.setattr(Env, "extend", counting)
+        renamed = replace_witness(d, "W")
+        monkeypatch.undo()
+        assert len(extended) == n and extended[0] is g
+        assert renamed.premises[1].env is g.extend("W", Top())
+        assert check_derivation(renamed) and renamed.concl == d.concl
 
     def test_diagnosing_a_deep_failure_walks_the_tree_once(self, monkeypatch):
         # The failing node's path comes from the checker's own walk, not from
@@ -1145,7 +1188,8 @@ class TestLinearWalks:
 
 class TestWalksAgainstReference:
     """The node walk, the height and both writers agree with the recursive
-    definitions in `reference_walks`, the writers byte for byte."""
+    definitions in `reference_walks`, the writers byte for byte; collecting
+    names and renaming agree with the separate passes kept there."""
 
     @given(seeds, st.integers(1, 6), st.booleans())
     def test_walks_match_recursion(self, seed, depth, implicit):
@@ -1159,6 +1203,34 @@ class TestWalksAgainstReference:
         assert derivation_height(d) == reference.derivation_height(d)
         assert derivation_to_text(d) == reference.derivation_to_text(d)
         assert derivation_to_json(d) == reference.derivation_to_json(d)
+
+    def test_names_over_environments_that_are_not_ok(self):
+        # A bound may name what its environment does not declare; such a
+        # name is still visible.
+        g = parse_env("X <: Y, Z <: W -> X")
+        d = Derivation(Rule.TRS, g, FreeVar("Z"), Top(), (Derivation(Rule.TOP, g, parse_type("W -> X"), Top()),))
+        assert names_in_derivation(d) == reference.names_in_derivation(d) == {"X", "Y", "Z", "W"}
+
+    @given(seeds, st.integers(1, 6), st.booleans())
+    def test_renaming_matches_the_separate_passes(self, seed, depth, implicit):
+        # Each name of the tree, and an unused one, renamed to an unused
+        # name, to itself and to a name the tree already has; then each node's
+        # witness replaced by a fresh name, by itself and by a taken name,
+        # which a node without a witness refuses.
+        d = gen_derivation(GenConfig(seed=seed, max_deriv_depth=depth))
+        if implicit:
+            d = to_implicit(d)
+        names = names_in_derivation(d)
+        assert names == reference.names_in_derivation(d)
+        new = fresh(names)
+        for old in sorted(names) + [new]:
+            for name in {new, old, min(names, default=new)}:
+                same_outcome(rename_var_in_derivation, reference.rename_var_in_derivation, d, old, name)
+        for _, node in iter_nodes(d):
+            assert names_in_derivation(node) == reference.names_in_derivation(node)
+            taken = names_in_derivation(node) | names_in_env(node.env)
+            for name in {fresh(taken), node.witness or "X0", min(taken, default="X0")}:
+                same_outcome(replace_witness, reference.replace_witness, node, name)
 
 
 def respell_type(t, names=()):
