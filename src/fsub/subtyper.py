@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Iterator, Optional, TypeVar
 
 from .errors import InternalCheckError, PreconditionError
 from .judgments import EMPTY_ENV, Env, closed, gfresh, lookup, names_in_env, ok, witness_for
@@ -166,7 +166,11 @@ class Unknown:
     fuel_spent: int
 
 
-SubResult = Union[Yes, No, Unknown]
+# Spelled with `|`, a `types.UnionType` no cache keeps: `typing.Union[...]`
+# goes through typing's process-wide cache, which would keep these classes,
+# and through their methods every module of the package, alive after
+# `sys.modules` forgets an import.
+SubResult = Yes | No | Unknown
 
 DEFAULT_FUEL = 10000
 

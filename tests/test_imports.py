@@ -1,7 +1,13 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+nothing outside the package keeps an import of it alive once `sys.modules`
+forgets it."""
 
 import ast
+import gc
+import importlib
 import pathlib
+import sys
+import weakref
 
 import pytest
 
@@ -34,3 +40,38 @@ def test_an_unused_import_is_found():
         "x: Optional[int] = os.sep\n__all__ = ['escape']\n"
     )
     assert unused_imports(source) == ["Callable (line 1)"]
+
+
+# One class per module of the package, by module.
+CLASSES = {
+    "syntax": "Ty",
+    "judgments": "Env",
+    "subtyper": "Derivation",
+    "parser": "Printer",
+    "metatheory": "EnvSplit",
+    "gen": "GenConfig",
+}
+
+
+def forget_the_package():
+    for name in [m for m in sys.modules if m == "fsub" or m.startswith("fsub.")]:
+        del sys.modules[name]
+
+
+def test_a_fresh_import_frees_the_old_one():
+    # A process-wide cache outside the package (as `typing.Union[...]`'s is)
+    # that holds one of its classes keeps every module of that import alive,
+    # with its intern tables and scope table, for good.
+    saved = {m: module for m, module in sys.modules.items() if m == "fsub" or m.startswith("fsub.")}
+    try:
+        forget_the_package()
+        importlib.import_module("fsub")
+        first = {module: weakref.ref(getattr(sys.modules[f"fsub.{module}"], cls)) for module, cls in CLASSES.items()}
+        for _ in range(2):
+            forget_the_package()
+            importlib.import_module("fsub")
+        gc.collect()
+        assert [module for module, ref in first.items() if ref() is not None] == []
+    finally:
+        forget_the_package()
+        sys.modules.update(saved)

@@ -1,16 +1,16 @@
 """The paper's metatheory at verdict level over the whole oracle universe:
 every judgment whose environment is ok over X0, X1 (length at most 2) and
 whose sides have size at most 3, as `fsub oracle` enumerates it at its
-default bounds.  Weakening and transitivity (POPLmark task 1A) are checked
-on `decide_sub`'s verdicts, each with a count so that no check can pass
-vacuously."""
+default bounds.  Weakening, transitivity and narrowing (POPLmark task 1A)
+are checked on `decide_sub`'s verdicts, each with a count so that no check
+can pass vacuously, and so is the fuel boundary of every `Yes`."""
 
 from collections import defaultdict
 
 import pytest
 
 from fsub.gen import enumerate_judgments
-from fsub.subtyper import No, Yes, decide_sub
+from fsub.subtyper import No, Unknown, Yes, decide_sub, preorder
 from fsub.syntax import Top
 
 
@@ -70,3 +70,51 @@ def test_the_transitivity_check_flags_a_flipped_verdict(tables):
     _, broken = chains(flipped)
     assert (s, m, t) in broken
     assert {(a, c) for a, _, c in broken} == {(s, t)}
+
+
+def narrowings(tables):
+    """Every narrowing instance `(g, p, s, t)` of the verdict tables: `g`'s
+    newest binding `X <: q` is replaced by a `p` other than `q` that `g`'s
+    prefix proves below `q`, and `s <: t` is `Yes` over `g`; and those of
+    them whose verdict over the narrowed environment is not `Yes`."""
+    found = []
+    for g, table in tables.items():
+        if not len(g):
+            continue
+        below = [p for (p, q), verdict in tables[g.parent].items() if q is g.bound and p is not q and verdict is Yes]
+        held = [st for st, verdict in table.items() if verdict is Yes]
+        found += [(g, p, s, t) for p in below for s, t in held]
+    return found, [(g, p, s, t) for g, p, s, t in found if tables[g.parent.extend(g.name, p)][s, t] is not Yes]
+
+
+def test_narrowing_keeps_every_yes_verdict(tables):
+    found, broken = narrowings(tables)
+    assert broken == []
+    assert len(found) == 22_510
+
+
+def test_the_narrowing_check_flags_a_flipped_verdict(tables):
+    # One judgment over one narrowed environment, flipped to `No`, is
+    # flagged in every instance narrowed to that environment and in no other.
+    found, _ = narrowings(tables)
+    g, p, s, t = found[0]
+    h = g.parent.extend(g.name, p)
+    flipped = dict(tables)
+    flipped[h] = dict(tables[h])
+    flipped[h][s, t] = No
+    _, broken = narrowings(flipped)
+    assert (g, p, s, t) in broken
+    assert {(b.parent.extend(b.name, q), u, v) for b, q, u, v in broken} == {(h, s, t)}
+
+
+def test_fuel_of_exactly_the_node_count_gives_the_same_node(tables):
+    count = 0
+    for g, table in tables.items():
+        for (s, t), verdict in table.items():
+            if verdict is Yes:
+                d = decide_sub(g, s, t).derivation
+                fuel = sum(1 for _ in preorder(d))
+                assert decide_sub(g, s, t, fuel).derivation is d, (g, s, t)
+                assert decide_sub(g, s, t, fuel - 1) == Unknown(fuel - 1), (g, s, t)
+                count += 1
+    assert count == 9_858

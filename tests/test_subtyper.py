@@ -7,6 +7,7 @@ import json
 import pickle
 import random
 import time
+import typing
 import weakref
 from dataclasses import FrozenInstanceError
 
@@ -25,6 +26,7 @@ from fsub.subtyper import (
     Derivation,
     No,
     Rule,
+    SubResult,
     Unknown,
     Yes,
     check_derivation,
@@ -263,6 +265,25 @@ class TestDecideSub:
         assert check_derivation(d)
         assert d.rule == Rule.ARR
         assert d.premises[1].rule == Rule.TRS
+
+
+class TestSubResult:
+    """The public alias of `decide_sub`'s result type."""
+
+    def test_its_members_are_the_three_verdicts(self):
+        assert typing.get_args(SubResult) == (Yes, No, Unknown)
+        assert SubResult == typing.Union[Yes, No, Unknown]
+
+    def test_every_result_is_an_instance(self):
+        # Small fuel leaves some searches unfinished, so all three verdicts
+        # occur.
+        kinds = set()
+        for g, s, t in enumerate_judgments(["X0", "X1"], 2, 2):
+            for fuel in (1, DEFAULT_FUEL):
+                result = decide_sub(g, s, t, fuel)
+                assert isinstance(result, SubResult)
+                kinds.add(type(result))
+        assert kinds == {Yes, No, Unknown}
 
 
 class TestImplicitExplicit:
