@@ -3,25 +3,36 @@ narrowing.
 
 Each operation consumes checker-valid derivations and produces a checker-valid
 derivation of the transformed conclusion; precondition violations raise
-`PreconditionError` instead of producing garbage.  Permutation, weakening and
-narrowing are one walk that rebuilds a tree over a new root environment.
-Transitivity and narrowing call each other; their joint termination measure
-is the lexicographic triple (size of the middle/pivot type, operation rank,
-height of the inducted derivation), where narrowing ranks above transitivity.
-Every such call strictly decreases the triple: the only same-size step is
-narrowing's bound-chain case at the pivot, which crosses to transitivity and
-drops the rank.  The measure is asserted at runtime in debug mode.
+`PreconditionError` instead of producing garbage.  Permutation and weakening
+rebuild a tree to conclude its judgment over a new root environment.
+
+Transitivity and narrowing are one walk over an explicit stack of frames
+(`_Walk`), as `_decide` walks goals.  A transitivity frame composes two views,
+each a tree with the goal it concludes once rebuilt, so that a quantifier
+level's witness renaming, and the weakening of the evidence onto a pivot
+node's environment, are carried down in the goals instead of rebuilding the
+trees; each output node is built once, when its premises are done.  A
+narrowing frame rebuilds a tree over a tightened pivot bound and hands each
+`trs` node on the pivot to a transitivity frame.  Every frame carries its
+termination measure, the lexicographic triple (size of the middle/pivot type,
+operation rank, height of the inducted derivation), where narrowing ranks
+above transitivity; a frame's measure is below the measure of the frame that
+asked for it, since the only same-size step is narrowing's bound-chain case
+at the pivot, which crosses to transitivity and drops the rank.  The measure
+is asserted at runtime in debug mode.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalCheckError, PreconditionError
-from .judgments import EMPTY_ENV, Env, closed, env_concat, ok
+from .judgments import EMPTY_ENV, Env, closed, env_concat, fresh_for_env, gfresh, lookup, ok
 from .subtyper import (
     Derivation,
+    Goal,
     Yes,
     _ALL,
     _ARR,
@@ -32,14 +43,12 @@ from .subtyper import (
     _decide,
     _fmt_path,
     _fold,
-    _rebase_walk,
-    _renaming,
+    _premise_goals,
     derivation_height,
     diagnose_derivation,
     iter_nodes,
-    names_in_derivation,
 )
-from .syntax import Forall, FreeVar, Top, Ty, VarName, fresh, size
+from .syntax import Forall, FreeVar, Top, Ty, VarName, open_ty, size
 
 # Measure components; narrowing must rank above transitivity so that the
 # pivot-chain crossover still decreases.
@@ -47,7 +56,6 @@ _TRANS_RANK = 0
 _NARROW_RANK = 1
 
 Measure = tuple[int, int, int]
-_Narrowing = tuple["EnvSplit", Derivation, Optional[Measure]]
 
 
 def _require_valid(d: Derivation, what: str) -> None:
@@ -93,7 +101,7 @@ def derive_permute(d: Derivation, pi: tuple[int, ...]) -> Derivation:
     permuted = Env.from_decls(decls[i] for i in pi)
     if not ok(permuted):
         raise PreconditionError("permuted environment is not ok")
-    return _rebase(d, permuted)
+    return _Walk().built((permuted, d.lhs, d.rhs), d)
 
 
 def derive_weaken(d: Derivation, delta: Env) -> Derivation:
@@ -109,42 +117,7 @@ def derive_weaken(d: Derivation, delta: Env) -> Derivation:
     combined = env_concat(d.env, delta)
     if not ok(combined):
         raise PreconditionError("weakened environment is not ok")
-    return _rebase(d, combined)
-
-
-def _rebase(d: Derivation, new: Env, narrowing: Optional[_Narrowing] = None, steps: tuple = ()) -> Derivation:
-    # Rebuild the trusted tree `d` over the root environment `new` instead of
-    # its own `d.env`, with its names renamed by `steps`; the bindings added
-    # by quantifier nodes stay the newest part.  `new` declares every name of
-    # `d.env`, as renamed, with the same bound, except that under `narrowing
-    # = (split, d_pq, parent measure)` the pivot's bound is tightened, and
-    # `d_pq` proves the new bound below the old one over the prefix.  Every
-    # side condition then survives once each witness is fresh for `new`,
-    # except a `trs` node on the pivot, whose premise must now start from the
-    # new bound.  The input was validated at the public entry point and is
-    # not re-checked here.
-    #
-    # `_rebase_walk` gives each node its new environment and renamed fields
-    # in one preorder walk, and `_fold` rebuilds each node once from them.
-    # Without `steps`, `new` may declare the name of a witness, and the walk
-    # renames that witness through its body premise; `steps` rename the
-    # names of `d.env` to names fresh for all of `d`, which no witness of `d`
-    # takes, so the walk keeps every witness.
-    pivot = None if narrowing is None else FreeVar(narrowing[0].pivot_var)
-
-    def rebuild(node: Derivation, fields: tuple, premises: tuple[Derivation, ...]) -> Derivation:
-        # `fields` is (environment, left side, right side, witness).
-        if node.rule is _TRS and fields[1] is pivot:
-            # Chaining through the pivot itself: the old chain went through
-            # the old bound q.  Weaken `p <: q` over this node's environment
-            # and compose it with the rebuilt premise before chaining at p.
-            split, d_pq, parent = narrowing
-            assert node.premises[0].lhs == split.pivot_bound
-            measure = _step(parent, (size(split.pivot_bound), _NARROW_RANK, derivation_height(node)))
-            premises = (_trans(_rebase(d_pq, fields[0]), premises[0], measure),)
-        return _build(node, fields, premises)
-
-    return _fold(_rebase_walk(d, new, steps), rebuild)
+    return _Walk().built((combined, d.lhs, d.rhs), d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,51 +180,7 @@ def derive_trans(d1: Derivation, d2: Derivation) -> Derivation:
         raise PreconditionError("derivations have different environments")
     if d1.rhs != d2.lhs:
         raise PreconditionError("middle types differ")
-    return _trans(d1, d2, None)
-
-
-def _trans(d1: Derivation, d2: Derivation, parent: Optional[Measure]) -> Derivation:
-    q = d1.rhs
-    measure = _step(parent, (size(q), _TRANS_RANK, derivation_height(d1)))
-    g = d1.env
-
-    if isinstance(q, Top):
-        # d2 can only end in the Top rule, so t = Top and the left side is
-        # closed by d1's own leaf obligations.
-        return Derivation(_TOP, g, d1.lhs, d2.rhs)
-    if d1.rule is _VAR:
-        return d2
-    if d1.rule is _TRS:
-        inner = _trans(d1.premises[0], d2, measure)
-        return Derivation(_TRS, g, d1.lhs, d2.rhs, (inner,))
-    if d2.rule is _TOP:
-        return Derivation(_TOP, g, d1.lhs, d2.rhs)
-
-    if d1.rule is _ARR and d2.rule is _ARR:
-        a_dom, a_cod = d1.premises
-        b_dom, b_cod = d2.premises
-        p_dom = _trans(b_dom, a_dom, measure)
-        p_cod = _trans(a_cod, b_cod, measure)
-        return Derivation(_ARR, g, d1.lhs, d2.rhs, (p_dom, p_cod))
-
-    if d1.rule is _ALL and d2.rule is _ALL:
-        assert isinstance(q, Forall) and isinstance(d2.rhs, Forall)
-        b_bound = d2.premises[0]
-        p_bound = _trans(b_bound, d1.premises[0], measure)
-        # Harmonize both body premises on one witness, which differs from
-        # both old ones, and move the left body premise from the middle bound
-        # to the right bound in the same rebuild that renames it; then
-        # compose.
-        w = fresh(names_in_derivation(d1, d2))
-        b_body = _rebase(d2.premises[1], g.extend(w, d2.rhs.bound), None, _renaming(d2.witness, w))
-        narrowing = (EnvSplit(g, w, q.bound, EMPTY_ENV), b_bound, measure)
-        a_body = _rebase(d1.premises[1], b_body.env, narrowing, _renaming(d1.witness, w))
-        p_body = _trans(a_body, b_body, measure)
-        return Derivation(_ALL, g, d1.lhs, d2.rhs, (p_bound, p_body), witness=w)
-
-    raise InternalCheckError(
-        f"no composition case for rules {d1.rule.value!r} and {d2.rule.value!r}"
-    )
+    return _Walk().run((d1.concl, d1, d2.concl, d2, None))
 
 
 def derive_narrow(split: EnvSplit, p: Ty, d: Derivation, d_pq: Derivation) -> Derivation:
@@ -261,7 +190,221 @@ def derive_narrow(split: EnvSplit, p: Ty, d: Derivation, d_pq: Derivation) -> De
     old, narrowed = _narrowed_envs(split, p, d_pq)
     if d.env != old:
         raise PreconditionError("derivation environment does not match the split")
-    return _rebase(d, narrowed, (split, d_pq, None))
+    walk = _Walk()
+    pivot = (FreeVar(split.pivot_var), split.pivot_bound, d_pq.concl, d_pq)
+    return walk.run(walk.narrow((narrowed, d.lhs, d.rhs), d, pivot, None))
+
+
+# A view is a goal and a tree, (g, s, t) and d: the tree rebuilt with the same
+# rules and witnesses to conclude `g |- s <: t` in place of its own
+# conclusion.  A rebuilt node's premises conclude the goals its rule demands
+# (`_premise_goals`), so the walk reads a rebuilt node's fields from its goal
+# without building it.  Two kinds of view are built first: one whose
+# environment changes a bound that a `trs` node chains through, by a
+# narrowing frame, and a weakening that reaches a quantifier, whose
+# witnesses it may rename.
+
+
+class _Walk:
+    # One transitivity or narrowing call, or one rebuild.  A frame is a
+    # generator that yields each task whose tree it needs and is sent that
+    # tree; a task is a frame, or two views to compose with the measure of
+    # the frame that asks.  The frames of a call share bit sets of each tree
+    # they read, over one numbering of names (`bits`): its witnesses, and the
+    # variables that its `trs` nodes chain through.
+
+    def __init__(self) -> None:
+        self.masks: dict[Derivation, tuple[int, int]] = {}
+        self.bits: dict[VarName, int] = {}
+
+    def run(self, task) -> Derivation:
+        frames: list[Iterator] = []
+        while True:
+            done = self.compose(*task) if type(task) is tuple else task
+            if type(done) is not Derivation:
+                frames.append(done)
+                done = None
+            while frames:
+                try:
+                    task = frames[-1].send(done)
+                    break
+                except StopIteration as stop:
+                    frames.pop()
+                    done = stop.value
+            else:
+                return done
+
+    def masks_of(self, d: Derivation) -> tuple[int, int]:
+        # Computed for `d` and each node below it not yet seen in this call,
+        # from the leaves up: in reverse preorder every premise comes first.
+        masks, bits = self.masks, self.bits
+        if d in masks:
+            return masks[d]
+        order = []
+        stack = [d]
+        while stack:
+            node = stack.pop()
+            if node not in masks:
+                order.append(node)
+                stack += node.premises
+        for node in reversed(order):
+            witnesses = chained = 0
+            for p in node.premises:
+                witnesses |= masks[p][0]
+                chained |= masks[p][1]
+            if node.witness is not None:
+                witnesses |= 1 << bits.setdefault(node.witness, len(bits))
+            elif node.rule is _TRS:
+                chained |= 1 << bits.setdefault(node.lhs.name, len(bits))
+            masks[node] = (witnesses, chained)
+        return masks[d]
+
+    def fresh_name(self, g: Env, taken: int) -> VarName:
+        # The least `X<n>` that `g` does not declare and `taken` does not
+        # hold: `fresh(names_in_derivation(...))` over views in `g` of trees
+        # whose witnesses `taken` holds, since the names of a valid tree are
+        # its root environment's declared names and its witnesses.  The
+        # search starts at `fresh_for_env(g)`, the least name `g` does not
+        # declare.
+        bits = self.bits
+        n = int(fresh_for_env(g)[1:])
+        while not gfresh(g, f"X{n}") or f"X{n}" in bits and taken >> bits[f"X{n}"] & 1:
+            n += 1
+        return f"X{n}"
+
+    def rebuilt(self, goal: Goal, d: Derivation, keep: Optional[tuple] = None) -> list[tuple[Derivation, tuple]]:
+        # The nodes of the view's tree in preorder, each with its fields
+        # (environment, left side, right side, witness) in the view; `_fold`
+        # builds the tree from them.  An arrow or quantifier node whose sides
+        # and witness are its own keeps its premises' sides.  Over a longer
+        # environment (a weakening), a witness that the environment declares
+        # is renamed to the least `X<n>` that avoids the environment's names
+        # and the witnesses of the node's tree: a witness renamed above it
+        # was declared in the root environment.  The premise of a `trs` node
+        # on the variable `keep[0]` keeps the left side `keep[1]`, the
+        # variable's bound before a narrowing.
+        visits = []
+        stack = [(goal, d)]
+        while stack:
+            goal, d = stack.pop()
+            g, s, t = goal
+            w = d.witness
+            if w is not None and len(g) > len(d.env) and not gfresh(g, w):
+                w = self.fresh_name(g, self.masks_of(d)[0])
+            visits.append((d, (g, s, t, w)))
+            premises = d.premises
+            if not premises:
+                continue
+            if d.rule is _TRS:
+                # The bound may name a binding the goals renamed.
+                bound = keep[1] if keep is not None and s is keep[0] else lookup(g, s.name)
+                stack.append(((g, bound, t), premises[0]))
+            elif s is d.lhs and t is d.rhs and w == d.witness:
+                first, last = premises
+                stack += (((g if w is None else g.extend(w, t.bound), last.lhs, last.rhs), last), ((g, first.lhs, first.rhs), first))
+            else:
+                stack += reversed(list(zip(_premise_goals(d.rule, *goal, w), premises)))
+        return visits
+
+    def built(self, goal: Goal, d: Derivation) -> Derivation:
+        return d if goal == d.concl else _fold(self.rebuilt(goal, d), _build)
+
+    def compose(self, goal1: Goal, d1: Derivation, goal2: Goal, d2: Derivation, parent: Optional[Measure]):
+        # The tree composing the views `g |- s <: q` and `g |- q <: t`, or a
+        # frame for it.
+        g, s, q = goal1
+        t = goal2[2]
+        measure = _step(parent, (size(q), _TRANS_RANK, derivation_height(d1)))
+
+        if isinstance(q, Top):
+            # d2 can only end in the Top rule, so t = Top and the left side is
+            # closed by d1's own leaf obligations.
+            return Derivation(_TOP, g, s, t)
+        if d1.rule is _VAR:
+            return self.built(goal2, d2)
+        if d1.rule is _TRS:
+            # Down the left view's whole bound chain, each link a step of the
+            # measure, to the composition of its end.
+            links = [s]
+            s, d1 = lookup(g, s.name), d1.premises[0]
+            while d1.rule is _TRS:
+                measure = _step(measure, (size(q), _TRANS_RANK, derivation_height(d1)))
+                links.append(s)
+                s, d1 = lookup(g, s.name), d1.premises[0]
+            return self.chain(g, links, t, ((g, s, q), d1, goal2, d2, measure))
+        if d2.rule is _TOP:
+            return Derivation(_TOP, g, s, t)
+
+        if d1.rule is _ARR and d2.rule is _ARR:
+            p_dom = ((g, t.dom, q.dom), d2.premises[0], (g, q.dom, s.dom), d1.premises[0], measure)
+            p_cod = ((g, s.cod, q.cod), d1.premises[1], (g, q.cod, t.cod), d2.premises[1], measure)
+            return self.node(_ARR, g, s, t, None, p_dom, p_cod)
+
+        if d1.rule is _ALL and d2.rule is _ALL:
+            assert isinstance(s, Forall) and isinstance(q, Forall) and isinstance(t, Forall)
+            # A weakening (a view over a longer environment) may re-freshen
+            # its witnesses, which changes the names the witness choice
+            # sees: build it first.
+            if len(g) > len(d1.env):
+                d1 = self.built(goal1, d1)
+            if len(g) > len(d2.env):
+                d2 = self.built(goal2, d2)
+            b_bound = ((g, t.bound, q.bound), d2.premises[0])
+            p_bound = b_bound + ((g, q.bound, s.bound), d1.premises[0], measure)
+            # Both body premises on one witness, which differs from both old
+            # ones; the left one moves from the middle bound to the right
+            # bound, which a `trs` node on its witness must chain through.
+            w = self.fresh_name(g, self.masks_of(d1)[0] | self.masks_of(d2)[0])
+            env = g.extend(w, t.bound)
+            a_body = ((env, open_ty(s.body, w), open_ty(q.body, w)), d1.premises[1])
+            b_body = ((env, open_ty(q.body, w), open_ty(t.body, w)), d2.premises[1])
+            p_body = a_body + b_body + (measure,)
+            if self.masks_of(d1.premises[1])[1] >> self.bits[d1.witness] & 1:
+                p_body = self.after(self.narrow(*a_body, (FreeVar(w), q.bound) + b_bound, measure), b_body, measure)
+            return self.node(_ALL, g, s, t, w, p_bound, p_body)
+
+        raise InternalCheckError(
+            f"no composition case for rules {d1.rule.value!r} and {d2.rule.value!r}"
+        )
+
+    def node(self, rule, g: Env, s: Ty, t: Ty, w: Optional[VarName], *tasks) -> Iterator:
+        # Build the node once its premises' tasks are done.
+        premises = []
+        for task in tasks:
+            premises.append((yield task))
+        return Derivation(rule, g, s, t, tuple(premises), w)
+
+    def chain(self, g: Env, links: list[Ty], t: Ty, task: tuple) -> Iterator:
+        # The `trs` nodes chaining each of `links` to `t`, on the tree of the
+        # task that composes the chain's end.
+        done = yield task
+        for s in reversed(links):
+            done = Derivation(_TRS, g, s, t, (done,))
+        return done
+
+    def after(self, narrowing: Iterator, b_body: tuple, measure: Measure) -> Iterator:
+        # Compose the bodies once the left one is narrowed.
+        a_body = yield narrowing
+        return (yield (a_body.concl, a_body) + b_body + (measure,))
+
+    def narrow(self, goal: Goal, d: Derivation, pivot: tuple, parent: Optional[Measure]) -> Iterator:
+        # The tree of the view (goal, d), whose environment gives the pivot
+        # variable a new bound, given `pivot` = (the variable, its old bound,
+        # and a view proving the new bound below the old one over the
+        # binding's prefix).  Every side condition survives, except at a
+        # `trs` node on the pivot, whose premise must now start from the new
+        # bound: weaken the evidence over the node's environment and compose
+        # it with the rebuilt premise.
+        var, old_bound, ev_goal, evidence = pivot
+        out: list[Derivation] = []
+        for node, fields in reversed(self.rebuilt(goal, d, pivot)):
+            premises = tuple(out.pop() for _ in node.premises)
+            if node.rule is _TRS and fields[1] is var:
+                measure = _step(parent, (size(old_bound), _NARROW_RANK, derivation_height(node)))
+                weak = ((fields[0],) + ev_goal[1:], evidence)
+                premises = ((yield weak + (premises[0].concl, premises[0], measure)),)
+            out.append(_build(node, fields, premises))
+        return out[0]
 
 
 def derivation_env_facts(

@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, Optional, TypeVar
 
 from .errors import InternalCheckError, PreconditionError
-from .judgments import EMPTY_ENV, Env, closed, gfresh, lookup, names_in_env, ok, witness_for
+from .judgments import EMPTY_ENV, Env, closed, gfresh, lookup, ok, witness_for
 from .parser import Printer, parse_env, parse_type
 from .syntax import (
     _MISS,
@@ -33,7 +33,6 @@ from .syntax import (
     VarName,
     _not_a_type,
     _set_field,
-    fresh,
     fv,
     is_locally_closed,
     is_var_name,
@@ -241,64 +240,33 @@ def names_in_derivation(*ds: Derivation) -> frozenset[VarName]:
     return frozenset(names)
 
 
-def _renaming(old: VarName, new: VarName) -> tuple:
-    # The renaming of `old` to `new`.  A renaming of free names is a tuple of
-    # steps taken in order, each a triple (old, new, the function that
-    # renames `old` to `new` in a type).
-    return ((old, new, renamer(old, new)),)
-
-
-def _rebase_walk(d: Derivation, new: Env, steps: tuple = ()) -> list:
+def _rebase_walk(d: Derivation, new: Env, old: VarName, name: VarName) -> list:
     # The nodes of `d` in preorder, each with the fields (environment, left
     # side, right side, witness) it has once the tree is rebuilt over the root
-    # environment `new` and renamed by `steps`; `_fold` builds the tree.
+    # environment `new` with `old` renamed to `name` wherever it occurs, a
+    # witness too; `_fold` builds the tree.
     #
     # A node's environment is its parent's, extended under a quantifier's
     # body premise by the parent's witness binding, as in a valid tree, so no
-    # cell of `new` is read again, and a type without a renamed name is kept
-    # as it is.  A walk that starts without a renaming moves the tree onto
-    # new root names, so it renames a witness that its new environment
-    # declares, through its body premise, to the least `X<n>` that avoids
-    # the environment's names and the subtree's.  The subtree's names are
-    # the original ones: a name renamed so earlier in the walk is declared in
-    # the environment both as it was and as it became, so mapping it would
-    # change nothing.  A walk that starts with a renaming is given fresh
-    # names and keeps every witness.  Each stack entry is a node with its new
-    # environment and the renaming in force for its subtree.
+    # cell of `new` is read again, and a type without `old` is kept as it is.
+    rename = renamer(old, name)
     visits: list[tuple[Derivation, tuple]] = []
-    stack = [(d, new, steps)]
+    stack = [(d, new)]
     while stack:
-        node, env, sigma = stack.pop()
-        lhs, rhs, witness = node.lhs, node.rhs, node.witness
-        for old, name, rename in sigma:
-            lhs, rhs = rename(lhs), rename(rhs)
-            witness = name if witness == old else witness
-        body = sigma
-        if not steps and witness is not None and not gfresh(env, witness):
-            name = fresh(names_in_derivation(node) | names_in_env(env))
-            body = sigma + _renaming(witness, name)
-            witness = name
+        node, env = stack.pop()
+        lhs, rhs = rename(node.lhs), rename(node.rhs)
+        witness = name if node.witness == old else node.witness
         visits.append((node, (env, lhs, rhs, witness)))
         if witness is None:
-            stack += [(premise, env, sigma) for premise in reversed(node.premises)]
+            stack += [(premise, env) for premise in reversed(node.premises)]
         else:
-            stack += ((node.premises[1], env.extend(witness, rhs.bound), body), (node.premises[0], env, sigma))
+            stack += ((node.premises[1], env.extend(witness, rhs.bound)), (node.premises[0], env))
     return visits
 
 
 def _build(node: Derivation, fields: tuple, premises: tuple[Derivation, ...]) -> Derivation:
     env, lhs, rhs, witness = fields
     return Derivation(node.rule, env, lhs, rhs, premises, witness)
-
-
-def rename_var_in_derivation(d: Derivation, old: VarName, new: VarName) -> Derivation:
-    """Textually rename a free variable everywhere (environment names and
-    bounds, conclusions, witnesses) in a tree whose environments are those of
-    a valid tree.  The caller must pick `new` fresh for the whole tree;
-    nothing is re-checked here."""
-    rename = renamer(old, new)
-    g = Env.from_decls((new if name == old else name, rename(bound)) for name, bound in d.env.decls())
-    return _fold(_rebase_walk(d, g, ((old, new, rename),)), _build)
 
 
 def replace_witness(d: Derivation, new: VarName) -> Derivation:
@@ -310,7 +278,7 @@ def replace_witness(d: Derivation, new: VarName) -> Derivation:
         raise PreconditionError(f"not a quantifier node: {d.rule.value!r}")
     if new == d.witness:
         return d
-    body = _fold(_rebase_walk(d.premises[1], d.env.extend(new, d.rhs.bound), _renaming(d.witness, new)), _build)
+    body = _fold(_rebase_walk(d.premises[1], d.env.extend(new, d.rhs.bound), d.witness, new), _build)
     return Derivation(d.rule, d.env, d.lhs, d.rhs, (d.premises[0], body), new)
 
 

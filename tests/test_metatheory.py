@@ -5,6 +5,7 @@ trans/narrow the decision procedure independently confirms the conclusion.
 """
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +45,7 @@ from fsub.subtyper import (
     derivation_to_json,
     diagnose_derivation,
     iter_nodes,
+    names_in_derivation,
 )
 from fsub.syntax import Forall, FreeVar, Top, size
 from strategies import same_outcome, seeds, unseen_name, variable_chain
@@ -443,6 +445,45 @@ class TestAgainstReferenceWalks:
         delta = Env.from_decls((name, Top()) for name in names)
         same_outcome(derive_weaken, _reference_weaken, d, delta)
 
+    def test_trans_through_a_bound_that_names_an_outer_binder(self):
+        # Composing reaches the right tree's `trs` node on `Y` with a
+        # variable on the left, so it rebuilds that subtree over the shared
+        # witnesses; the inner quantifier's bound names the outer witness,
+        # which the composition renamed, so the `trs` node on `V` must chain
+        # through the renamed bound.
+        g = parse_env("Z <: Top")
+        q = parse_type("All X <: Z . All Y <: (All V <: X . V) . Y")
+        t = parse_type("All X <: Z . All Y <: (All V <: X . V) . (All V <: X . Z)")
+        d1, d2 = derive_refl(g, q), decide_sub(g, q, t).derivation
+        out = derive_trans(d1, d2)
+        assert out is reference.trans(d1, d2)
+        assert check_derivation(out)
+
+    @given(seeds)
+    def test_trans_of_nests_whose_bounds_name_outer_binders(self, seed):
+        # s <: m <: t, each a supertype of the one before that replaces
+        # covariant places by Top or by a variable's bound, chased through
+        # the bounds of quantifiers that name the binders outside them.
+        rng = random.Random(seed)
+        levels = []
+        for i in range(rng.randint(2, 5)):
+            outer = ("var", levels[-1][0] if levels else "Z")
+            bound = rng.choice([("top",), outer, ("all", "V", outer, ("var", "V")), ("all", "V", outer, outer), ("arr", outer, outer)])
+            levels.append((f"B{i}", bound))
+        s = ("var", rng.choice(levels)[0])
+        for name, bound in reversed(levels):
+            s = ("all", name, bound, s)
+        g = parse_env("Z <: Top")
+        trees = [s]
+        for _ in range(2):
+            trees.append(supertype(rng, trees[-1], {"Z": ("top",)}))
+        s, m, t = (parse_type(type_text(tree)) for tree in trees)
+        d1, d2 = decide_sub(g, s, m).derivation, decide_sub(g, m, t).derivation
+        for a, b in ((d1, d2), (derive_refl(g, m), d2), (d1, derive_refl(g, m))):
+            out = derive_trans(a, b)
+            assert out is reference.trans(a, b)
+            assert check_derivation(out)
+
     def test_weaken_a_nest_by_its_witnesses(self):
         d = derive_refl(parse_env("X <: Top"), nested_quantifiers(12, "Top"))
         delta = Env.from_decls((name, Top()) for name in quantifier_witnesses(d))
@@ -512,11 +553,118 @@ class TestDeepDerivations:
         self.assert_rebuilt_chain(out, split.assemble(p), chain)
 
 
+class TestDeepComposition:
+    """Transitivity and narrowing's hand-off into it run on one explicit
+    stack, so a 10,000-link chain composes at the default recursion limit
+    (the recursive composition raised `RecursionError` from 1,200 links)."""
+
+    N = 10_000
+
+    @pytest.fixture(scope="class")
+    def chain(self) -> Derivation:
+        g, lhs, rhs = variable_chain(self.N)
+        return decide_sub(g, lhs, rhs, fuel=self.N + 1).derivation
+
+    def test_trans_of_the_chain_and_its_top_step(self, chain):
+        step = decide_sub(chain.env, FreeVar("X0"), Top()).derivation
+        out = derive_trans(chain, step)
+        assert out.concl == (chain.env, FreeVar(f"X{self.N}"), Top())
+        assert derivation_height(out) == self.N + 1
+        assert check_derivation(out)
+
+    def test_narrow_by_the_chain(self, chain):
+        # The pivot `Y <: X0` gets the bottom of the chain as its bound; its
+        # `trs` node hands the chain over to transitivity.
+        g = chain.env.extend("Y", FreeVar("X0"))
+        d = decide_sub(g, FreeVar("Y"), FreeVar("X0")).derivation
+        split = split_env(g, "Y")
+        p = FreeVar(f"X{self.N}")
+        out = derive_narrow(split, p, d, chain)
+        assert out.concl == (split.assemble(p), FreeVar("Y"), FreeVar("X0"))
+        assert derivation_height(out) == self.N + 2
+        assert check_derivation(out)
+
+
 def nested_quantifiers(n: int, tail: str = ""):
     """n nested quantifiers, each bounded by the one outside it; the
     innermost body is `Y<n-1>`, or `Y<n-1> -> tail` when `tail` is given."""
     binders = ["All Y0 <: Top ."] + [f"All Y{i} <: Y{i - 1} ." for i in range(1, n)]
     return parse_type(" ".join(binders) + f" Y{n - 1}" + (f" -> {tail}" if tail else ""))
+
+
+def type_text(tree) -> str:
+    """Surface text of a type given as nested tuples: ("top",), ("var", name),
+    ("arr", dom, cod) or ("all", name, bound, body)."""
+    kind = tree[0]
+    if kind == "top":
+        return "Top"
+    if kind == "var":
+        return tree[1]
+    if kind == "arr":
+        return f"({type_text(tree[1])}) -> ({type_text(tree[2])})"
+    return f"All {tree[1]} <: {type_text(tree[2])} . ({type_text(tree[3])})"
+
+
+def supertype(rng, tree, bounds):
+    """A supertype of `tree` under the variables' `bounds`: some covariant
+    places become Top, and some variables their bounds, chased further."""
+    kind = tree[0]
+    if rng.random() < 0.1:
+        return ("top",)
+    if kind == "var" and tree[1] in bounds and rng.random() < 0.4:
+        return supertype(rng, bounds[tree[1]], bounds)
+    if kind == "arr":
+        return ("arr", tree[1], supertype(rng, tree[2], bounds))
+    if kind == "all":
+        return ("all", tree[1], tree[2], supertype(rng, tree[3], {**bounds, tree[1]: tree[2]}))
+    return tree
+
+
+def closed_nest(n: int):
+    """`All Y0 <: Top . … All Y<n-1> <: Top . Top`."""
+    return parse_type(" ".join(f"All Y{i} <: Top ." for i in range(n)) + " Top")
+
+
+class TestCompositionWorkIsLinear:
+    """Composing a quantifier nest's reflexivity derivation with itself
+    builds each output node about once, and chooses each level's witness
+    without a walk over the remaining trees: the counts below do not grow
+    with the nest.  The recursive composition rebuilt both body premises at
+    every level (80,401 constructor calls for the 401 output nodes at
+    n = 200) and collected their names once per level."""
+
+    NESTS = [(closed_nest, EMPTY_ENV), (nested_quantifiers, parse_env("X <: Top"))]
+
+    @pytest.fixture()
+    def work(self, monkeypatch):
+        counts = {"built": 0, "names": 0}
+        new = Derivation.__new__
+
+        def building(cls, *args, **kwargs):
+            counts["built"] += 1
+            return new(cls, *args, **kwargs)
+
+        def naming(*ds):
+            counts["names"] += 1
+            return names_in_derivation(*ds)
+
+        monkeypatch.setattr(Derivation, "__new__", building)
+        monkeypatch.setattr(subtyper, "names_in_derivation", naming)
+        monkeypatch.setattr(metatheory, "names_in_derivation", naming, raising=False)
+        return counts
+
+    @pytest.mark.parametrize("nest, g", NESTS, ids=["closed", "deep"])
+    def test_constructor_calls_per_output_node(self, work, nest, g):
+        per_node, names = [], []
+        for n in (50, 200):
+            d = derive_refl(g, nest(n))
+            work.update(built=0, names=0)
+            out = derive_trans(d, d)
+            per_node.append(work["built"] / len(tree_nodes(out)))
+            names.append(work["names"])
+            assert out.concl == d.concl and check_derivation(out)
+        assert max(per_node) <= 2
+        assert names[0] == names[1]
 
 
 def tree_nodes(*ds: Derivation) -> set[Derivation]:
@@ -541,7 +689,7 @@ def not_yet_valid(*ds: Derivation) -> list[Derivation]:
 class TestValidateOnce:
     """Each public transformer runs the checker once per input derivation,
     and that check examines only the input nodes no earlier check found
-    valid; the internal recursion trusts what the entry point validated.
+    valid; the internal walk trusts what the entry point validated.
 
     Validity is kept on interned nodes, so an equal derivation that another
     test keeps alive would be valid already.  The weakening test builds its
@@ -666,7 +814,7 @@ class TestOpenedBodies:
 
 # SHA-256 over the JSON of every output below, one line each; any change to a
 # transformer's output tree changes it.
-GOLDEN_OUTPUT_DIGEST = "a4f9d17245d703ae1dbb0213e52d2fbd91693ee6bd2d94cf36d87cb034006db9"
+GOLDEN_OUTPUT_DIGEST = "7c90c50d4cf66193194706f8b6681ec55b88886041ae88cacbd161d12f2885f8"
 
 
 def _reference_permute(d: Derivation, pi: tuple[int, ...]) -> Derivation:
@@ -681,7 +829,9 @@ def _reference_weaken(d: Derivation, delta: Env) -> Derivation:
 def transformer_cases():
     """The transformer calls of acceptance criteria 2, 3 and 5, then
     weakenings of nested quantifiers whose witnesses do and do not collide,
-    each as (transformer, its reference in `reference_walks`, arguments)."""
+    then each quantifier nest of `TestCompositionWorkIsLinear` at n = 5 and
+    25 composed with itself, each as (transformer, its reference in
+    `reference_walks`, arguments)."""
     for seed in child_seeds(2002, 1000):
         yield derive_trans, reference.trans, gen_derivation_pair(GenConfig(seed=seed, max_deriv_depth=6))
     for i, seed in enumerate(child_seeds(3003, 500)):
@@ -704,6 +854,10 @@ def transformer_cases():
     d = derive_refl(parse_env("X <: Top"), nested_quantifiers(25))
     for delta in (parse_env("W <: X"), parse_env("X0 <: Top, X1 <: Top")):
         yield derive_weaken, _reference_weaken, (d, delta)
+    for nest, g in TestCompositionWorkIsLinear.NESTS:
+        for n in (5, 25):
+            d = derive_refl(g, nest(n))
+            yield derive_trans, reference.trans, (d, d)
 
 
 def transformer_outputs():

@@ -41,13 +41,13 @@ from fsub.subtyper import (
     diagnose_derivation_implicit,
     iter_nodes,
     names_in_derivation,
-    rename_var_in_derivation,
     replace_witness,
     to_explicit,
     to_implicit,
 )
+from fsub.subtyper import _build, _fold, _rebase_walk
 from fsub.subtyper import _diagnose_node as diagnose_node
-from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fresh, nodes, open_ty, size, subst_var
+from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fresh, nodes, open_ty, renamer, size, subst_var
 from naive import to_ln
 from strategies import envs_with_closed_ty, named_types, same_outcome, seeds, unseen_name, variable_chain
 import reference_json
@@ -56,6 +56,17 @@ import reference_walks as reference
 
 X_TOP = parse_env("X <: Top")
 X_TOP_Y_X = parse_env("X <: Top, Y <: X")
+
+
+def rename_var_in_derivation(d: Derivation, old: str, new: str) -> Derivation:
+    """Textually rename a free variable everywhere (environment names and
+    bounds, conclusions, witnesses) in a tree whose environments are those of
+    a valid tree, with the package's renaming walk; the
+    caller picks `new` fresh for the whole tree.  `reference_walks` renames
+    in separate passes."""
+    rename = renamer(old, new)
+    g = Env.from_decls((new if name == old else name, rename(bound)) for name, bound in d.env.decls())
+    return _fold(_rebase_walk(d, g, old, new), _build)
 
 
 def decide_yes(text: str, fuel: int = 1000) -> Derivation:
