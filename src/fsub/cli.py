@@ -3,9 +3,9 @@
 Exit codes: 0 every judgment holds, 1 at least one fails, 2 at least one is
 undecided within fuel (failures take precedence over undecided), 3 parse or
 scoping error, 4 a derivation transformer was applied outside its contract or
-the kernel failed internally (including running out of interpreter stack in a
-layer that still recurses: JSON reading, transitivity).  Parsing and printing
-types, and printing a derivation as text or JSON, work at any depth.
+the kernel failed internally (including running out of interpreter stack in
+the one layer that still recurses, JSON reading).  Every other layer runs on
+explicit stacks, so depth is limited by memory and fuel, not by the stack.
 """
 
 from __future__ import annotations
@@ -278,9 +278,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 4
     except (KernelError, RecursionError) as err:
-        # The layers that still recurse (JSON reading, transitivity and
-        # narrowing's hand-off to it) can run out of interpreter stack on deep
-        # input; that is a kernel limit, not a verdict.
+        # JSON reading, the one layer that still recurses, can run out of
+        # interpreter stack on deep input; that is a kernel limit, not a
+        # verdict.
         print(f"internal error: {err}", file=sys.stderr)
         return 4
 
