@@ -238,12 +238,3 @@ def env_concat(g: Env, delta: Env) -> Env:
     for name, bound in delta.decls():
         g = g.extend(name, bound)
     return g
-
-
-def names_in_env(g: Env) -> frozenset[VarName]:
-    """Declared names together with every name free in some bound."""
-    names = set()
-    for name, bound in _walk(g):
-        names.add(name)
-        names |= fv(bound)
-    return frozenset(names)

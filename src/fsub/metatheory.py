@@ -39,7 +39,6 @@ from .subtyper import (
     _TOP,
     _TRS,
     _VAR,
-    _build,
     _decide,
     _fmt_path,
     _fold,
@@ -96,7 +95,8 @@ def derive_permute(d: Derivation, pi: tuple[int, ...]) -> Derivation:
     permutation unchanged."""
     _require_valid(d, "derivation")
     decls = d.env.decls()
-    if sorted(pi) != list(range(len(decls))):
+    # An integer position only: `sorted` would take `True` for 1 and 0.0 for 0.
+    if any(type(i) is not int for i in pi) or sorted(pi) != list(range(len(decls))):
         raise PreconditionError(f"not a permutation of {len(decls)} positions: {pi!r}")
     permuted = Env.from_decls(decls[i] for i in pi)
     if not ok(permuted):
@@ -205,6 +205,11 @@ def derive_narrow(split: EnvSplit, p: Ty, d: Derivation, d_pq: Derivation) -> De
 # witnesses it may rename.
 
 
+def _build(node: Derivation, fields: tuple, premises: tuple[Derivation, ...]) -> Derivation:
+    env, lhs, rhs, witness = fields
+    return Derivation(node.rule, env, lhs, rhs, premises, witness)
+
+
 class _Walk:
     # One transitivity or narrowing call, or one rebuild.  A frame is a
     # generator that yields each task whose tree it needs and is sent that
@@ -261,11 +266,12 @@ class _Walk:
 
     def fresh_name(self, g: Env, taken: int) -> VarName:
         # The least `X<n>` that `g` does not declare and `taken` does not
-        # hold: `fresh(names_in_derivation(...))` over views in `g` of trees
-        # whose witnesses `taken` holds, since the names of a valid tree are
-        # its root environment's declared names and its witnesses.  The
-        # search starts at `fresh_for_env(g)`, the least name `g` does not
-        # declare.
+        # hold: the name the reference composition (`reference_walks.trans`
+        # in the tests) picks with `fresh` over the names of views in `g` of
+        # trees whose witnesses `taken` holds, since the names of a valid
+        # tree are its root environment's declared names and its witnesses.
+        # The search starts at `fresh_for_env(g)`, the least name `g` does
+        # not declare.
         bits = self.bits
         n = int(fresh_for_env(g)[1:])
         while not gfresh(g, f"X{n}") or f"X{n}" in bits and taken >> bits[f"X{n}"] & 1:

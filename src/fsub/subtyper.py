@@ -8,7 +8,7 @@ and `to_implicit` translate between the two.
 
 A quantifier node stores one witness name for its body comparison.  The choice
 is irrelevant: renaming the witness to any other name satisfying the freshness
-conditions preserves validity (`replace_witness`).
+conditions preserves validity.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .syntax import (
     is_var_name,
     nodes,
     open_ty,
-    renamer,
 )
 
 
@@ -215,71 +214,6 @@ def iter_nodes(d: Derivation) -> Iterator[tuple[tuple[int, ...], Derivation]]:
     for depth, i, node in preorder(d):
         path[depth:] = (i,)
         yield tuple(path[1:]), node
-
-
-def names_in_derivation(*ds: Derivation) -> frozenset[VarName]:
-    """Every name visible anywhere in the trees: declared, free, or witness."""
-    # Nodes share environments and an environment shares its parent's cells,
-    # so each node's environment is read from its newest cell back to the
-    # first cell already read: each cell is read once.
-    read = {EMPTY_ENV}
-    names: set[VarName] = set()
-    stack = list(ds)
-    while stack:
-        node = stack.pop()
-        stack += node.premises
-        g = node.env
-        while g not in read:
-            read.add(g)
-            names.add(g.name)
-            names |= fv(g.bound)
-            g = g.parent
-        names.update(fv(node.lhs), fv(node.rhs))
-        if node.witness is not None:
-            names.add(node.witness)
-    return frozenset(names)
-
-
-def _rebase_walk(d: Derivation, new: Env, old: VarName, name: VarName) -> list:
-    # The nodes of `d` in preorder, each with the fields (environment, left
-    # side, right side, witness) it has once the tree is rebuilt over the root
-    # environment `new` with `old` renamed to `name` wherever it occurs, a
-    # witness too; `_fold` builds the tree.
-    #
-    # A node's environment is its parent's, extended under a quantifier's
-    # body premise by the parent's witness binding, as in a valid tree, so no
-    # cell of `new` is read again, and a type without `old` is kept as it is.
-    rename = renamer(old, name)
-    visits: list[tuple[Derivation, tuple]] = []
-    stack = [(d, new)]
-    while stack:
-        node, env = stack.pop()
-        lhs, rhs = rename(node.lhs), rename(node.rhs)
-        witness = name if node.witness == old else node.witness
-        visits.append((node, (env, lhs, rhs, witness)))
-        if witness is None:
-            stack += [(premise, env) for premise in reversed(node.premises)]
-        else:
-            stack += ((node.premises[1], env.extend(witness, rhs.bound)), (node.premises[0], env))
-    return visits
-
-
-def _build(node: Derivation, fields: tuple, premises: tuple[Derivation, ...]) -> Derivation:
-    env, lhs, rhs, witness = fields
-    return Derivation(node.rule, env, lhs, rhs, premises, witness)
-
-
-def replace_witness(d: Derivation, new: VarName) -> Derivation:
-    """Rename the witness of a quantifier node, consistently through the body
-    premise.  `new` must be fresh for that subtree and for the node's
-    environment; validity is then preserved.  The node's environment is kept
-    as it is, which relies on a valid node's witness not being named in it."""
-    if d.rule not in _QUANTIFIER_RULES or d.witness is None:
-        raise PreconditionError(f"not a quantifier node: {d.rule.value!r}")
-    if new == d.witness:
-        return d
-    body = _fold(_rebase_walk(d.premises[1], d.env.extend(new, d.rhs.bound), d.witness, new), _build)
-    return Derivation(d.rule, d.env, d.lhs, d.rhs, (d.premises[0], body), new)
 
 
 # ---------------------------------------------------------------- checking

@@ -368,22 +368,10 @@ def close_ty(t: Ty, name: VarName) -> Ty:
 
 
 def subst_var(t: Ty, old: VarName, new: VarName) -> Ty:
-    """Rename the free variable `old` to `new` throughout `t`."""
-    return renamer(old, new)(t)
-
-
-def renamer(old: VarName, new: VarName) -> Callable[[Ty], Ty]:
-    """`subst_var(_, old, new)` as a function that remembers every node it has
-    renamed, so that renaming many types that share subterms renames each
-    distinct node once, and that skips every subtree without a free `old`.
-    A free variable is renamed the same way under any number of binders, so
-    one result per node is sound."""
-    memo: dict[tuple[Ty, int], Ty] = {}
-
-    def rename(t: Ty) -> Ty:
-        return _map_leaves(t, lambda node, d: old not in node._fv, lambda d: FreeVar(new), memo, 0)
-
-    return rename
+    """Rename the free variable `old` to `new` throughout `t`, skipping every
+    subtree without a free `old`.  A free variable is renamed the same way
+    under any number of binders, so the map does not depend on depth."""
+    return _map_leaves(t, lambda node, d: old not in node._fv, lambda d: FreeVar(new), {}, 0)
 
 
 def alpha_eq(s: Ty, t: Ty) -> bool:

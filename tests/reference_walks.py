@@ -57,10 +57,18 @@ def derivation_to_json(d: Derivation) -> str:
 # package renames inside its one rebuilding walk; the tests compare the two.
 
 from fsub.errors import InternalCheckError, PreconditionError  # noqa: E402
-from fsub.judgments import EMPTY_ENV, Env, gfresh, names_in_env  # noqa: E402
+from fsub.judgments import EMPTY_ENV, Env, gfresh  # noqa: E402
 from fsub.metatheory import _NARROW_RANK, _TRANS_RANK, EnvSplit, _step  # noqa: E402
 from fsub.subtyper import _ALL, _ARR, _QUANTIFIER_RULES, _TOP, _TRS, _VAR, _fold, preorder  # noqa: E402
-from fsub.syntax import Forall, FreeVar, Top, fresh, fv, renamer, size  # noqa: E402
+from fsub.syntax import Forall, FreeVar, Top, fresh, fv, size, subst_var  # noqa: E402
+
+
+def names_in_env(g: Env) -> frozenset:
+    names = set()
+    for name, bound in g.decls():
+        names.add(name)
+        names |= fv(bound)
+    return frozenset(names)
 
 
 def names_in_derivation(d: Derivation) -> frozenset:
@@ -78,7 +86,9 @@ def names_in_derivation(d: Derivation) -> frozenset:
 
 
 def rename_var_in_derivation(d: Derivation, old: str, new: str) -> Derivation:
-    rename_ty = renamer(old, new)
+    def rename_ty(t):
+        return subst_var(t, old, new)
+
     envs = {EMPTY_ENV: EMPTY_ENV}
 
     def rename_env(g: Env) -> Env:

@@ -23,7 +23,7 @@ from fsub.gen import (
     gen_narrow_instance,
     gen_refl_case,
 )
-from fsub.judgments import Env, lookup, names_in_env, ok
+from fsub.judgments import Env, lookup, ok
 from fsub.metatheory import (
     derivation_env_facts,
     derive_narrow,
@@ -43,12 +43,11 @@ from fsub.subtyper import (
     decide_sub_declarative,
     derivation_to_json,
     iter_nodes,
-    names_in_derivation,
-    replace_witness,
     to_explicit,
     to_implicit,
 )
 from fsub.syntax import Forall, close_ty, fresh, fv, open_ty, size
+import reference_walks as reference
 
 REFL_SEED = 1001
 TRANS_SEED = 2002
@@ -265,8 +264,8 @@ def test_criterion_08_binder_properties():
         d = gen_derivation(GenConfig(seed=next(seed_stream)))
         for _, node in iter_nodes(d):
             if node.rule == Rule.ALL and renames < 10000:
-                taken = names_in_derivation(node) | names_in_env(node.env)
-                renamed = replace_witness(node, fresh(taken))
+                taken = reference.names_in_derivation(node) | reference.names_in_env(node.env)
+                renamed = reference.replace_witness(node, fresh(taken))
                 assert renamed.witness != node.witness
                 assert check_derivation(renamed) == check_derivation(node)
                 renames += 1

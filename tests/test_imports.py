@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module, every
+top-level definition is exported or used by live code of the package, and
 nothing outside the package keeps an import of it alive once `sys.modules`
 forgets it."""
 
@@ -40,6 +41,53 @@ def test_an_unused_import_is_found():
         "x: Optional[int] = os.sep\n__all__ = ['escape']\n"
     )
     assert unused_imports(source) == ["Callable (line 1)"]
+
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes of the modules (module name to
+    source) that live code does not reach.  Live code is every top-level
+    statement that is not a definition, the names listed in `__all__`, and
+    the definitions that live code names (as a name or an attribute, in any
+    module), found to a fixpoint: a definition that only dead ones name is
+    dead too, and so is a cycle of them."""
+    defs: dict[str, list[tuple[str, set[str]]]] = {}
+    live_names: list[str] = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            nodes = [n for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))]
+            named = {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(stmt.name, []).append((module, named))
+                continue
+            live_names += named
+            if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets):
+                live_names += [item.value for item in stmt.value.elts]
+    live: set[str] = set()
+    while live_names:
+        name = live_names.pop()
+        if name not in live:
+            live.add(name)
+            for _, named in defs.get(name, ()):
+                live_names += named
+    return sorted(f"{module}.{name}" for name, found in defs.items() if name not in live for module, _ in found)
+
+
+def test_no_dead_definition():
+    assert dead_definitions({path.stem: path.read_text() for path in PACKAGE.glob("*.py")}) == []
+
+
+def test_a_dead_definition_is_found():
+    sources = {
+        "a": (
+            "__all__ = ['api']\n\ndef api():\n    return _helper()\n\ndef _helper():\n    return 1\n\n"
+            "def _dead():\n    return _reached_from_dead()\n\ndef _reached_from_dead():\n    return _dead()\n\n"
+            "class _Unused:\n    def method(self):\n        return _Unused\n"
+        ),
+        "b": "import a\n\nSHARED = a._shared\n",
+        "c": "def _shared():\n    return 2\n",
+    }
+    assert dead_definitions(sources) == ["a._Unused", "a._dead", "a._reached_from_dead"]
 
 
 # One class per module of the package, by module.

@@ -45,7 +45,6 @@ from fsub.subtyper import (
     derivation_to_json,
     diagnose_derivation,
     iter_nodes,
-    names_in_derivation,
 )
 from fsub.syntax import Forall, FreeVar, Top, size
 from strategies import same_outcome, seeds, unseen_name, variable_chain
@@ -126,6 +125,12 @@ class TestPermute:
             derive_permute(d, (0, 0))
         with pytest.raises(PreconditionError):
             derive_permute(d, (0, 1))
+
+    @pytest.mark.parametrize("pi", [(1, 0.0), (True, 0), (1.0, 0)], ids=["float", "bool", "float-first"])
+    def test_rejects_positions_that_are_not_integers(self, pi):
+        d = decide_yes("X <: Top, Z <: Top |- X <: Top")
+        with pytest.raises(PreconditionError, match="not a permutation"):
+            derive_permute(d, pi)
 
     def test_rejects_invalid_input(self):
         bad = Derivation(Rule.TOP, parse_env("X <: Y"), Top(), Top())
@@ -627,44 +632,34 @@ def closed_nest(n: int):
 
 class TestCompositionWorkIsLinear:
     """Composing a quantifier nest's reflexivity derivation with itself
-    builds each output node about once, and chooses each level's witness
-    without a walk over the remaining trees: the counts below do not grow
-    with the nest.  The recursive composition rebuilt both body premises at
-    every level (80,401 constructor calls for the 401 output nodes at
-    n = 200) and collected their names once per level."""
+    builds each output node about once: the count below does not grow with
+    the nest.  The recursive composition rebuilt both body premises at every
+    level (80,401 constructor calls for the 401 output nodes at n = 200)."""
 
     NESTS = [(closed_nest, EMPTY_ENV), (nested_quantifiers, parse_env("X <: Top"))]
 
     @pytest.fixture()
     def work(self, monkeypatch):
-        counts = {"built": 0, "names": 0}
+        counts = {"built": 0}
         new = Derivation.__new__
 
         def building(cls, *args, **kwargs):
             counts["built"] += 1
             return new(cls, *args, **kwargs)
 
-        def naming(*ds):
-            counts["names"] += 1
-            return names_in_derivation(*ds)
-
         monkeypatch.setattr(Derivation, "__new__", building)
-        monkeypatch.setattr(subtyper, "names_in_derivation", naming)
-        monkeypatch.setattr(metatheory, "names_in_derivation", naming, raising=False)
         return counts
 
     @pytest.mark.parametrize("nest, g", NESTS, ids=["closed", "deep"])
     def test_constructor_calls_per_output_node(self, work, nest, g):
-        per_node, names = [], []
+        per_node = []
         for n in (50, 200):
             d = derive_refl(g, nest(n))
-            work.update(built=0, names=0)
+            work.update(built=0)
             out = derive_trans(d, d)
             per_node.append(work["built"] / len(tree_nodes(out)))
-            names.append(work["names"])
             assert out.concl == d.concl and check_derivation(out)
         assert max(per_node) <= 2
-        assert names[0] == names[1]
 
 
 def tree_nodes(*ds: Derivation) -> set[Derivation]:

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from fsub.errors import PreconditionError
 from fsub.gen import GenConfig, enumerate_judgments, gen_derivation
 from fsub import judgments, parser, subtyper
-from fsub.judgments import EMPTY_ENV, Env, names_in_env
+from fsub.judgments import EMPTY_ENV, Env
 from fsub.parser import ParseError, Printer, parse_env, parse_judgment, parse_type, print_judgment, print_type
 from fsub.subtyper import (
     ARITY,
@@ -40,33 +40,19 @@ from fsub.subtyper import (
     diagnose_derivation,
     diagnose_derivation_implicit,
     iter_nodes,
-    names_in_derivation,
-    replace_witness,
     to_explicit,
     to_implicit,
 )
-from fsub.subtyper import _build, _fold, _rebase_walk
 from fsub.subtyper import _diagnose_node as diagnose_node
-from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, fresh, nodes, open_ty, renamer, size, subst_var
+from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, nodes, open_ty, size
 from naive import to_ln
-from strategies import envs_with_closed_ty, named_types, same_outcome, seeds, unseen_name, variable_chain
+from strategies import envs_with_closed_ty, named_types, seeds, unseen_name, variable_chain
 import reference_json
 import reference_parser
 import reference_walks as reference
 
 X_TOP = parse_env("X <: Top")
 X_TOP_Y_X = parse_env("X <: Top, Y <: X")
-
-
-def rename_var_in_derivation(d: Derivation, old: str, new: str) -> Derivation:
-    """Textually rename a free variable everywhere (environment names and
-    bounds, conclusions, witnesses) in a tree whose environments are those of
-    a valid tree, with the package's renaming walk; the
-    caller picks `new` fresh for the whole tree.  `reference_walks` renames
-    in separate passes."""
-    rename = renamer(old, new)
-    g = Env.from_decls((new if name == old else name, rename(bound)) for name, bound in d.env.decls())
-    return _fold(_rebase_walk(d, g, old, new), _build)
 
 
 def decide_yes(text: str, fuel: int = 1000) -> Derivation:
@@ -152,7 +138,7 @@ class TestChecker:
 
     def test_rejects_stale_witness(self):
         d = decide_yes("|- All X <: Top . X <: All X <: Top . Top")
-        clashing = replace_witness(d, "X9")
+        clashing = reference.replace_witness(d, "X9")
         clashing = Derivation(
             clashing.rule,
             clashing.env,
@@ -210,9 +196,6 @@ class TestChecker:
     def test_rejections_outside_the_checker(self):
         result = decide_sub(X_TOP, Top(), FreeVar("Z"))
         assert isinstance(result, No) and result.reason == "right type is not closed in the environment"
-        with pytest.raises(PreconditionError) as info:
-            replace_witness(Derivation(Rule.TOP, EMPTY_ENV, Top(), Top()), "X0")
-        assert str(info.value) == "not a quantifier node: 'top'"
 
 
 class TestDecideSub:
@@ -357,42 +340,20 @@ class TestWitnessInvariance:
     def test_renaming_preserves_validity(self):
         d = decide_yes("|- All X <: Top . X -> X <: All X <: Top . X -> Top")
         assert d.witness is not None
-        renamed = replace_witness(d, "W9" if d.witness != "W9" else "W8")
+        renamed = reference.replace_witness(d, "W9" if d.witness != "W9" else "W8")
         assert renamed.witness != d.witness
         assert check_derivation(renamed)
         assert renamed.concl == d.concl
 
     def test_renaming_to_the_same_witness_is_the_identity(self):
         d = decide_yes("|- All X <: Top . X -> X <: All X <: Top . X -> Top")
-        assert replace_witness(d, d.witness) is d
+        assert reference.replace_witness(d, d.witness) is d
 
     def test_clashing_name_rejected(self):
         g = parse_env("X <: Top")
         d = decide_yes("X <: Top |- All Y <: X . Y <: All Y <: X . X")
-        clashed = replace_witness(d, "X")
+        clashed = reference.replace_witness(d, "X")
         assert not check_derivation(clashed)
-
-    @given(seeds)
-    def test_shared_renaming_agrees_with_renaming_each_node(self, seed):
-        # One memo serves the whole tree; renaming each node on its own is
-        # the reference.
-        d = gen_derivation(GenConfig(seed=seed))
-        names = names_in_derivation(d)
-        new = fresh(names)
-        for old in sorted(names):
-            expected = [
-                (
-                    node.rule,
-                    Env(tuple((new if x == old else x, subst_var(b, old, new)) for x, b in node.env.bindings)),
-                    subst_var(node.lhs, old, new),
-                    subst_var(node.rhs, old, new),
-                    new if node.witness == old else node.witness,
-                )
-                for _, node in iter_nodes(d)
-            ]
-            renamed = rename_var_in_derivation(d, old, new)
-            assert [(node.rule, *node.concl, node.witness) for _, node in iter_nodes(renamed)] == expected
-
 
 class TestDeclarative:
     def test_reflexivity_at_depth_one(self):
@@ -1049,16 +1010,6 @@ class TestDeepDerivations:
         assert text.count("Derivation(") == 2_001
         assert text.endswith("premises=(), witness=None)" + ",), witness=None)" * 2_000)
 
-    def test_replace_witness_through_a_deep_body(self):
-        n = 1_000
-        t = parse_type("All Y <: Top . " + " -> ".join(["Y"] + ["Top"] * n))
-        d = decide_sub(EMPTY_ENV, t, t, fuel=2 * n + 3).derivation
-        renamed = replace_witness(d, "W")
-        assert renamed.witness == "W"
-        assert node_count(renamed) == node_count(d) == 2 * n + 3
-        assert check_derivation(renamed)
-
-
 def best_of_three(fn) -> float:
     best = float("inf")
     for _ in range(3):
@@ -1082,9 +1033,8 @@ def cold_check_seconds(g: Env, t) -> float:
 
 
 class TestLinearWalks:
-    """Checking and collecting names cost time linear in the derivation: each
-    node reads its types' cached facts, and each distinct environment is
-    scanned once.  The checker is timed on derivations it has not seen
+    """Checking costs time linear in the derivation: each node reads its
+    types' cached facts, and each distinct environment is scanned once.  The checker is timed on derivations it has not seen
     (`cold_check_seconds`): on a tree it found valid it returns at once."""
 
     def test_checking_costs_no_more_than_deciding(self):
@@ -1139,63 +1089,6 @@ class TestLinearWalks:
         assert check_derivation(result.derivation)
         assert reads == [] and steps == names
 
-    def test_names_scan_each_environment_once(self, monkeypatch):
-        # The reflexivity derivation of a 100-quantifier nest over the
-        # 2,001-binding chain environment has 101 distinct environments, each
-        # the chain extended by witness bindings.  Collecting its names reads
-        # the bound of each of their 2,101 cells once, not each environment
-        # back to its root.
-        n = 100
-        g, _, _ = variable_chain(2_000)
-        t = parse_type("".join(f"All Y{i} <: Top . " for i in range(n)) + "Top")
-        d = decide_sub(g, t, t, fuel=2 * n + 1).derivation
-        cells = set()
-        for _, node in iter_nodes(d):
-            env = node.env
-            while env is not EMPTY_ENV:
-                cells.add(env)
-                env = env.parent
-        field = Env.bound
-        reads = []
-
-        class Counted:
-            def __get__(self, env, owner=None):
-                if env is None:
-                    return self
-                reads.append(env)
-                return field.__get__(env, owner)
-
-        monkeypatch.setattr(Env, "bound", Counted())
-        names = names_in_derivation(d)
-        monkeypatch.undo()
-        assert names == {f"X{i}" for i in range(2_001 + n)}
-        assert len(reads) == len(cells) == 2_001 + n
-        assert set(reads) == cells
-
-    def test_replacing_a_witness_extends_only_the_body(self, monkeypatch):
-        # A 10-quantifier nest over a 2,000-binding root environment: renaming
-        # the outermost witness extends the root environment once, for the
-        # body premise, and one cell under each of the 9 quantifiers inside
-        # it, but none of the root environment's cells, which the body shares
-        # as they are.
-        n = 10
-        g, _, _ = variable_chain(1_999)
-        t = parse_type("".join(f"All Y{i} <: Top . " for i in range(n)) + "Top")
-        d = decide_sub(g, t, t, fuel=2 * n + 1).derivation
-        extend = Env.extend
-        extended = []
-
-        def counting(env, name, bound):
-            extended.append(env)
-            return extend(env, name, bound)
-
-        monkeypatch.setattr(Env, "extend", counting)
-        renamed = replace_witness(d, "W")
-        monkeypatch.undo()
-        assert len(extended) == n and extended[0] is g
-        assert renamed.premises[1].env is g.extend("W", Top())
-        assert check_derivation(renamed) and renamed.concl == d.concl
-
     def test_diagnosing_a_deep_failure_walks_the_tree_once(self, monkeypatch):
         # The failing node's path comes from the checker's own walk, not from
         # a second walk that builds every node's path.  The nest stays small:
@@ -1220,8 +1113,7 @@ class TestLinearWalks:
 
 class TestWalksAgainstReference:
     """The node walk, the height and both writers agree with the recursive
-    definitions in `reference_walks`, the writers byte for byte; collecting
-    names and renaming agree with the separate passes kept there."""
+    definitions in `reference_walks`, the writers byte for byte."""
 
     @given(seeds, st.integers(1, 6), st.booleans())
     def test_walks_match_recursion(self, seed, depth, implicit):
@@ -1235,35 +1127,6 @@ class TestWalksAgainstReference:
         assert derivation_height(d) == reference.derivation_height(d)
         assert derivation_to_text(d) == reference.derivation_to_text(d)
         assert derivation_to_json(d) == reference.derivation_to_json(d)
-
-    def test_names_over_environments_that_are_not_ok(self):
-        # A bound may name what its environment does not declare; such a
-        # name is still visible.
-        g = parse_env("X <: Y, Z <: W -> X")
-        d = Derivation(Rule.TRS, g, FreeVar("Z"), Top(), (Derivation(Rule.TOP, g, parse_type("W -> X"), Top()),))
-        assert names_in_derivation(d) == reference.names_in_derivation(d) == {"X", "Y", "Z", "W"}
-
-    @given(seeds, st.integers(1, 6), st.booleans())
-    def test_renaming_matches_the_separate_passes(self, seed, depth, implicit):
-        # Each name of the tree, and an unused one, renamed to an unused
-        # name, to itself and to a name the tree already has; then each node's
-        # witness replaced by a fresh name, by itself and by a taken name,
-        # which a node without a witness refuses.
-        d = gen_derivation(GenConfig(seed=seed, max_deriv_depth=depth))
-        if implicit:
-            d = to_implicit(d)
-        names = names_in_derivation(d)
-        assert names == reference.names_in_derivation(d)
-        new = fresh(names)
-        for old in sorted(names) + [new]:
-            for name in {new, old, min(names, default=new)}:
-                same_outcome(rename_var_in_derivation, reference.rename_var_in_derivation, d, old, name)
-        for _, node in iter_nodes(d):
-            assert names_in_derivation(node) == reference.names_in_derivation(node)
-            taken = names_in_derivation(node) | names_in_env(node.env)
-            for name in {fresh(taken), node.witness or "X0", min(taken, default="X0")}:
-                same_outcome(replace_witness, reference.replace_witness, node, name)
-
 
 def respell_type(t, names=()):
     """Surface text of `t` that is not the printer's: binders named b0, b1,
