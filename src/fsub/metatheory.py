@@ -39,9 +39,9 @@ from .subtyper import (
     _TOP,
     _TRS,
     _VAR,
+    _assemble,
     _decide,
     _fmt_path,
-    _fold,
     _premise_goals,
     derivation_height,
     diagnose_derivation,
@@ -205,18 +205,17 @@ def derive_narrow(split: EnvSplit, p: Ty, d: Derivation, d_pq: Derivation) -> De
 # witnesses it may rename.
 
 
-def _build(node: Derivation, fields: tuple, premises: tuple[Derivation, ...]) -> Derivation:
-    env, lhs, rhs, witness = fields
-    return Derivation(node.rule, env, lhs, rhs, premises, witness)
-
-
 class _Walk:
     # One transitivity or narrowing call, or one rebuild.  A frame is a
     # generator that yields each task whose tree it needs and is sent that
     # tree; a task is a frame, or two views to compose with the measure of
-    # the frame that asks.  The frames of a call share bit sets of each tree
-    # they read, over one numbering of names (`bits`): its witnesses, and the
-    # variables that its `trs` nodes chain through.
+    # the frame that asks.  Three kinds of frame: `node` builds a composed
+    # `trs`, arrow or quantifier node once its premises' tasks are done,
+    # `after` composes the quantifier bodies once the left one is narrowed,
+    # and `narrow` rebuilds a tree over a narrowed bound.  The frames of a
+    # call share bit sets of each tree they read, over one numbering of
+    # names (`bits`): its witnesses, and the variables that its `trs` nodes
+    # chain through.
 
     def __init__(self) -> None:
         self.masks: dict[Derivation, tuple[int, int]] = {}
@@ -278,17 +277,18 @@ class _Walk:
             n += 1
         return f"X{n}"
 
-    def rebuilt(self, goal: Goal, d: Derivation, keep: Optional[tuple] = None) -> list[tuple[Derivation, tuple]]:
-        # The nodes of the view's tree in preorder, each with its fields
-        # (environment, left side, right side, witness) in the view; `_fold`
-        # builds the tree from them.  An arrow or quantifier node whose sides
-        # and witness are its own keeps its premises' sides.  Over a longer
-        # environment (a weakening), a witness that the environment declares
-        # is renamed to the least `X<n>` that avoids the environment's names
-        # and the witnesses of the node's tree: a witness renamed above it
-        # was declared in the root environment.  The premise of a `trs` node
-        # on the variable `keep[0]` keeps the left side `keep[1]`, the
-        # variable's bound before a narrowing.
+    def rebuilt(self, goal: Goal, d: Derivation, keep: Optional[tuple] = None) -> list[tuple]:
+        # The nodes of the view's tree in preorder, each as its rule, its
+        # fields in the view (environment, left side, right side, witness)
+        # and its premise count; `_assemble` builds the tree from them.  An
+        # arrow or quantifier node whose sides and witness are its own keeps
+        # its premises' sides.  Over a longer environment (a weakening), a
+        # witness that the environment declares is renamed to the least
+        # `X<n>` that avoids the environment's names and the witnesses of the
+        # node's tree: a witness renamed above it was declared in the root
+        # environment.  The premise of a `trs` node on the variable `keep[0]`
+        # keeps the left side `keep[1]`, the variable's bound before a
+        # narrowing.
         visits = []
         stack = [(goal, d)]
         while stack:
@@ -297,8 +297,8 @@ class _Walk:
             w = d.witness
             if w is not None and len(g) > len(d.env) and not gfresh(g, w):
                 w = self.fresh_name(g, self.masks_of(d)[0])
-            visits.append((d, (g, s, t, w)))
             premises = d.premises
+            visits.append((d.rule, g, s, t, w, len(premises)))
             if not premises:
                 continue
             if d.rule is _TRS:
@@ -313,7 +313,7 @@ class _Walk:
         return visits
 
     def built(self, goal: Goal, d: Derivation) -> Derivation:
-        return d if goal == d.concl else _fold(self.rebuilt(goal, d), _build)
+        return d if goal == d.concl else _assemble(self.rebuilt(goal, d))
 
     def compose(self, goal1: Goal, d1: Derivation, goal2: Goal, d2: Derivation, parent: Optional[Measure]):
         # The tree composing the views `g |- s <: q` and `g |- q <: t`, or a
@@ -329,15 +329,7 @@ class _Walk:
         if d1.rule is _VAR:
             return self.built(goal2, d2)
         if d1.rule is _TRS:
-            # Down the left view's whole bound chain, each link a step of the
-            # measure, to the composition of its end.
-            links = [s]
-            s, d1 = lookup(g, s.name), d1.premises[0]
-            while d1.rule is _TRS:
-                measure = _step(measure, (size(q), _TRANS_RANK, derivation_height(d1)))
-                links.append(s)
-                s, d1 = lookup(g, s.name), d1.premises[0]
-            return self.chain(g, links, t, ((g, s, q), d1, goal2, d2, measure))
+            return self.node(_TRS, g, s, t, None, ((g, lookup(g, s.name), q), d1.premises[0], goal2, d2, measure))
         if d2.rule is _TOP:
             return Derivation(_TOP, g, s, t)
 
@@ -380,14 +372,6 @@ class _Walk:
             premises.append((yield task))
         return Derivation(rule, g, s, t, tuple(premises), w)
 
-    def chain(self, g: Env, links: list[Ty], t: Ty, task: tuple) -> Iterator:
-        # The `trs` nodes chaining each of `links` to `t`, on the tree of the
-        # task that composes the chain's end.
-        done = yield task
-        for s in reversed(links):
-            done = Derivation(_TRS, g, s, t, (done,))
-        return done
-
     def after(self, narrowing: Iterator, b_body: tuple, measure: Measure) -> Iterator:
         # Compose the bodies once the left one is narrowed.
         a_body = yield narrowing
@@ -400,16 +384,17 @@ class _Walk:
         # binding's prefix).  Every side condition survives, except at a
         # `trs` node on the pivot, whose premise must now start from the new
         # bound: weaken the evidence over the node's environment and compose
-        # it with the rebuilt premise.
+        # it with the rebuilt premise.  The measure's height is the node's
+        # once that premise is narrowed.
         var, old_bound, ev_goal, evidence = pivot
         out: list[Derivation] = []
-        for node, fields in reversed(self.rebuilt(goal, d, pivot)):
-            premises = tuple(out.pop() for _ in node.premises)
-            if node.rule is _TRS and fields[1] is var:
-                measure = _step(parent, (size(old_bound), _NARROW_RANK, derivation_height(node)))
-                weak = ((fields[0],) + ev_goal[1:], evidence)
+        for rule, g, s, t, w, count in reversed(self.rebuilt(goal, d, pivot)):
+            premises = tuple(out.pop() for _ in range(count))
+            if rule is _TRS and s is var:
+                measure = _step(parent, (size(old_bound), _NARROW_RANK, derivation_height(premises[0]) + 1))
+                weak = ((g,) + ev_goal[1:], evidence)
                 premises = ((yield weak + (premises[0].concl, premises[0], measure)),)
-            out.append(_build(node, fields, premises))
+            out.append(Derivation(rule, g, s, t, premises, w))
         return out[0]
 
 

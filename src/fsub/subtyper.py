@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Iterator, Optional
 
 from .errors import InternalCheckError, PreconditionError
 from .judgments import EMPTY_ENV, Env, closed, gfresh, lookup, ok, witness_for
@@ -173,10 +173,6 @@ SubResult = Yes | No | Unknown
 DEFAULT_FUEL = 10000
 
 
-_T = TypeVar("_T")
-_X = TypeVar("_X")
-
-
 def preorder(d: Derivation) -> Iterator[tuple[int, int, Derivation]]:
     """All nodes in preorder, each with its depth and its index among its
     parent's premises (0 at the root).  Linear in the size of the tree."""
@@ -189,14 +185,16 @@ def preorder(d: Derivation) -> Iterator[tuple[int, int, Derivation]]:
             stack.append((depth + 1, j, premises[j]))
 
 
-def _fold(visits: list[tuple[Derivation, _X]], combine: Callable[[Derivation, _X, tuple], _T]) -> _T:
-    # `combine(node, extra, results for its premises)` for the (node, extra)
-    # pairs of a preorder list, applied from the leaves up.  In reverse
-    # preorder every premise comes before its node, and the results of a
-    # node's premises are the last ones made, its first premise's on top.
-    out: list[_T] = []
-    for node, extra in reversed(visits):
-        out.append(combine(node, extra, tuple(out.pop() for _ in node.premises)))
+def _assemble(visits: list[tuple[Rule, Env, Ty, Ty, Optional[VarName], int]]) -> Derivation:
+    # The tree of a preorder list of (rule, environment, left side, right
+    # side, witness, premise count) visits, built from the leaves up: in
+    # reverse preorder every premise comes before its node, its first
+    # premise's tree last.
+    out: list[Derivation] = []
+    for rule, g, s, t, witness, count in reversed(visits):
+        premises = tuple(out[-1 : -1 - count : -1])
+        del out[len(out) - count :]
+        out.append(Derivation(rule, g, s, t, premises, witness))
     return out[0]
 
 
@@ -364,10 +362,7 @@ def check_derivation_implicit(d: Derivation) -> bool:
 
 
 def _retag(d: Derivation, mapping: dict[Rule, Rule]) -> Derivation:
-    def retag(node: Derivation, rule: Rule, premises: tuple[Derivation, ...]) -> Derivation:
-        return Derivation(rule, node.env, node.lhs, node.rhs, premises, node.witness)
-
-    return _fold([(node, mapping[node.rule]) for _, _, node in preorder(d)], retag)
+    return _assemble([(mapping[node.rule], *node.concl, node.witness, len(node.premises)) for _, _, node in preorder(d)])
 
 
 def to_implicit(d: Derivation) -> Derivation:
@@ -677,11 +672,4 @@ def derivation_from_json(text: str) -> Derivation:
             goals = _premise_goals(_TO_EXPLICIT.get(rule, rule), g, s, t, witness)
             for i in range(len(premises) - 1, -1, -1):
                 stack.append((premises[i], goals[i] if i < len(goals) else None))
-    # Build from the leaves up: in reverse preorder every premise comes
-    # before its node, its first premise's result last.
-    out: list[Derivation] = []
-    for rule, g, s, t, witness, count in reversed(visits):
-        premises = tuple(out[-1 : -1 - count : -1])
-        del out[len(out) - count :]
-        out.append(Derivation(rule, g, s, t, premises, witness))
-    return out[0]
+    return _assemble(visits)

@@ -271,11 +271,11 @@ class Forall(Ty):
 _LEAVES = frozenset((Top, FreeVar, BoundIdx))
 
 
-def nodes(t: Ty, depth: int = 0) -> Iterator[tuple[Ty, int]]:
+def nodes(t: Ty) -> Iterator[tuple[Ty, int]]:
     """Every node of `t` in preorder (bound before body, domain before
-    codomain), each with the number of binders above it: `depth` plus the
-    quantifiers whose body contains the node."""
-    stack = [(t, depth)]
+    codomain), each with the number of binders above it: the quantifiers
+    whose body contains the node."""
+    stack = [(t, 0)]
     while stack:
         node, d = stack.pop()
         yield node, d
@@ -294,7 +294,6 @@ def _map_leaves(
     t: Ty,
     skip: Callable[[Ty, int], bool],
     leaf: Callable[[int], Ty],
-    memo: dict[tuple[Ty, int], Ty],
     per_binder: int = 1,
 ) -> Ty:
     # `t` with every subtree for which `skip(node, d)` holds kept as it is and
@@ -305,6 +304,7 @@ def _map_leaves(
     # itself from their results, which `memo` keeps under (node, d), so a
     # shared subterm is rebuilt once.  A subtree whose leaves all come back
     # unchanged is the same object.
+    memo: dict[tuple[Ty, int], Ty] = {}
     stack: list[tuple[Ty, int, bool]] = [(t, 0, False)]
     out: list[Ty] = []
     while stack:
@@ -357,21 +357,21 @@ def open_ty(body: Ty, name: VarName) -> Ty:
     # A subtree under d binders holds an occurrence of index 0 exactly when an
     # index d or above escapes it, since no index above 0 escapes the body;
     # the one leaf that does is `BoundIdx(d)`.
-    opened = _map_leaves(body, lambda node, d: node._escapes >> d == 0, lambda d: repl, {})
+    opened = _map_leaves(body, lambda node, d: node._escapes >> d == 0, lambda d: repl)
     _set_opened(body, (name, opened))
     return opened
 
 
 def close_ty(t: Ty, name: VarName) -> Ty:
     """Abstract the free variable `name` out of `t`, producing a body for `Forall`."""
-    return _map_leaves(t, lambda node, d: name not in node._fv, BoundIdx, {})
+    return _map_leaves(t, lambda node, d: name not in node._fv, BoundIdx)
 
 
 def subst_var(t: Ty, old: VarName, new: VarName) -> Ty:
     """Rename the free variable `old` to `new` throughout `t`, skipping every
     subtree without a free `old`.  A free variable is renamed the same way
     under any number of binders, so the map does not depend on depth."""
-    return _map_leaves(t, lambda node, d: old not in node._fv, lambda d: FreeVar(new), {}, 0)
+    return _map_leaves(t, lambda node, d: old not in node._fv, lambda d: FreeVar(new), 0)
 
 
 def alpha_eq(s: Ty, t: Ty) -> bool:

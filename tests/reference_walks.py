@@ -59,8 +59,16 @@ def derivation_to_json(d: Derivation) -> str:
 from fsub.errors import InternalCheckError, PreconditionError  # noqa: E402
 from fsub.judgments import EMPTY_ENV, Env, gfresh  # noqa: E402
 from fsub.metatheory import _NARROW_RANK, _TRANS_RANK, EnvSplit, _step  # noqa: E402
-from fsub.subtyper import _ALL, _ARR, _QUANTIFIER_RULES, _TOP, _TRS, _VAR, _fold, preorder  # noqa: E402
+from fsub.subtyper import _ALL, _ARR, _QUANTIFIER_RULES, _TOP, _TRS, _VAR, preorder  # noqa: E402
 from fsub.syntax import Forall, FreeVar, Top, fresh, fv, size, subst_var  # noqa: E402
+
+
+def fold(visits, combine) -> Derivation:
+    # `combine(node, extra, premise results)` over a preorder list of (node, extra) pairs, leaves first.
+    out = []
+    for node, extra in reversed(visits):
+        out.append(combine(node, extra, tuple(out.pop() for _ in node.premises)))
+    return out[0]
 
 
 def names_in_env(g: Env) -> frozenset:
@@ -105,7 +113,7 @@ def rename_var_in_derivation(d: Derivation, old: str, new: str) -> Derivation:
         lhs, rhs = rename_ty(node.lhs), rename_ty(node.rhs)
         return Derivation(node.rule, env, lhs, rhs, premises, new if node.witness == old else node.witness)
 
-    return _fold([(node, rename_env(node.env)) for _, _, node in preorder(d)], rename)
+    return fold([(node, rename_env(node.env)) for _, _, node in preorder(d)], rename)
 
 
 def replace_witness(d: Derivation, new: str) -> Derivation:
@@ -143,7 +151,7 @@ def rebase(d: Derivation, new: Env, narrowing=None) -> Derivation:
             premises = (trans(rebase(d_pq, env), premises[0], measure),)
         return Derivation(node.rule, env, node.lhs, node.rhs, premises, node.witness)
 
-    return _fold(visits, rebuild)
+    return fold(visits, rebuild)
 
 
 def trans(d1: Derivation, d2: Derivation, parent=None) -> Derivation:

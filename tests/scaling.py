@@ -18,11 +18,11 @@ from unittest import mock
 from fsub import judgments, parser
 from fsub.cli import run
 from fsub.gen import GenConfig, child_seeds, gen_derivation_pair, gen_narrow_instance
-from fsub.metatheory import derive_narrow, derive_refl, derive_trans, derive_weaken
+from fsub.metatheory import derive_narrow, derive_refl, derive_trans, derive_weaken, split_env
 from fsub.parser import parse_env, parse_judgment, parse_type, print_judgment, print_type
 from fsub.subtyper import Derivation, No, Rule, Yes, check_derivation, decide_sub, diagnose_derivation, scoping_problem
 from fsub.subtyper import derivation_from_json, derivation_to_json, derivation_to_text
-from fsub.syntax import Top
+from fsub.syntax import FreeVar, Top
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import arrow_line, chain_line, forall_line  # noqa: E402
@@ -116,6 +116,13 @@ def chain_pair(n: int) -> tuple[Derivation, Derivation]:
     return d, derive(d.env, d.rhs, Top())
 
 
+def chain_narrowing(n: int) -> tuple:
+    """`derive_narrow`'s arguments: `Y <: X0` over the n-link variable chain, Y's bound narrowed to `Xn` by the chain."""
+    chain = judged(chain_line)(n)
+    g = chain.env.extend("Y", FreeVar("X0"))
+    return split_env(g, "Y"), FreeVar(f"X{n}"), derive(g, FreeVar("Y"), FreeVar("X0")), chain
+
+
 def pipeline(line: str) -> Derivation:
     """The `deep` benchmark's forall operation: parse, decide, check, JSON both ways, refl, weaken."""
     g, s, t = parse_judgment(line)
@@ -159,6 +166,7 @@ TABLE = [
     *((shape, (16, 32, 64), written(judged(line)), "from_json", derivation_from_json) for shape, line in SERIES),
     ("forall", (64, 128, 256), forall_line, "pipeline", pipeline),
     ("chain", (200, 400, 600, 10_000), chain_pair, "trans", lambda pair: derive_trans(*pair)),
+    ("chain", (200, 400, 600, 10_000), chain_narrowing, "narrow", lambda case: derive_narrow(*case)),
     ("closed-nest", (500, 1000, 2000), typed(CLOSED), "decide", lambda t: derive(judgments.EMPTY_ENV, t, t)),
     ("closed-nest", (500, 1000, 2000), derived(CLOSED), "check", lambda d: must(check_derivation(d))),
     ("closed-nest", (100, 200, 400, 500, 800, 1000, 2000), derived(CLOSED), "weaken",

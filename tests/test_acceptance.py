@@ -46,7 +46,7 @@ from fsub.subtyper import (
     to_explicit,
     to_implicit,
 )
-from fsub.syntax import Forall, close_ty, fresh, fv, open_ty, size
+from fsub.syntax import close_ty, fresh, fv, open_ty, size
 import reference_walks as reference
 
 REFL_SEED = 1001

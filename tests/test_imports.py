@@ -1,7 +1,7 @@
-"""Every name a module of the package imports is used in that module, every
-top-level definition is exported or used by live code of the package, and
-nothing outside the package keeps an import of it alive once `sys.modules`
-forgets it."""
+"""Every name a module of the package or of the tests imports is used in
+that module, every top-level definition is exported or used by live code of
+the package, and nothing outside the package keeps an import of it alive
+once `sys.modules` forgets it."""
 
 import ast
 import gc
@@ -12,7 +12,8 @@ import weakref
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fsub"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "fsub"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,7 +31,11 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}",
+)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

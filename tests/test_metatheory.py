@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsub import metatheory, subtyper, syntax
-from fsub.errors import InternalCheckError, PreconditionError
+from fsub.errors import PreconditionError
 from fsub.gen import (
     GenConfig,
     SplitMix64,
@@ -588,6 +588,46 @@ class TestDeepComposition:
         assert out.concl == (split.assemble(p), FreeVar("Y"), FreeVar("X0"))
         assert derivation_height(out) == self.N + 2
         assert check_derivation(out)
+
+
+class TestBoundChainsAgainstReference:
+    """Composing a left tree that chains through n bounds takes one `trs`
+    frame per link.  Over `Z <: Top, X0 <: Z -> Z, X1 <: X0, …, Xn <:
+    X(n-1)`, the chain `Xn <: X0` (n links) and `Xn <: Z -> Z` (n + 1 links)
+    meet right trees of every rule, and narrow a pivot `Y <: X0` as the
+    evidence; each output is the very node `reference_walks` gives."""
+
+    @staticmethod
+    def env(n: int) -> Env:
+        return parse_env(", ".join(["Z <: Top", "X0 <: Z -> Z"] + [f"X{i} <: X{i - 1}" for i in range(1, n + 1)]))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_trans_meets_every_right_rule(self, n):
+        g = self.env(n)
+        rights = {"X0": ["Top", "X0", "Z -> Z", "Z -> Top"], "Z -> Z": ["Top", "Z -> Z", "Z -> Top"]}
+        met = set()
+        for q, ts in rights.items():
+            d1 = decide_sub(g, FreeVar(f"X{n}"), parse_type(q)).derivation
+            assert sum(node.rule is Rule.TRS for _, node in iter_nodes(d1)) == n + (q != "X0")
+            for t in ts:
+                d2 = decide_sub(g, parse_type(q), parse_type(t)).derivation
+                met.add(d2.rule)
+                out = derive_trans(d1, d2)
+                assert out is reference.trans(d1, d2)
+                assert check_derivation(out)
+        assert met == {Rule.TOP, Rule.VAR, Rule.TRS, Rule.ARR}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_narrow_with_the_chain_as_evidence(self, n):
+        g = self.env(n)
+        chain = decide_sub(g, FreeVar(f"X{n}"), FreeVar("X0")).derivation
+        pivoted = g.extend("Y", FreeVar("X0"))
+        split = split_env(pivoted, "Y")
+        for s, t in (("Y", "X0"), ("Y", "Z -> Top"), ("Y -> Y", "Y -> X0"), ("All V <: Y . V", "All V <: Y . Z -> Z")):
+            d = decide_sub(pivoted, parse_type(s), parse_type(t)).derivation
+            out = derive_narrow(split, FreeVar(f"X{n}"), d, chain)
+            assert out is reference.narrow(split, FreeVar(f"X{n}"), d, chain)
+            assert check_derivation(out)
 
 
 def nested_quantifiers(n: int, tail: str = ""):

@@ -34,7 +34,6 @@ from fsub.syntax import (
 )
 from naive import (
     NAll,
-    NArr,
     NTop,
     NVar,
     named_alpha_eq,
@@ -245,9 +244,6 @@ class TestNodes:
     def test_non_type_is_refused(self):
         with pytest.raises(TypeError, match=r"^not a type: \('x',\)$"):
             list(nodes(("x",)))
-
-    def test_starting_depth(self):
-        assert list(nodes(BoundIdx(0), 1)) == [(BoundIdx(0), 1)]
 
     def test_untouched_subtrees_are_shared(self):
         t = parse_type("(A -> B) -> All X <: A . X -> C")
