@@ -15,7 +15,7 @@ enumerating a type never names, opens or closes a binder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 from .errors import PreconditionError
@@ -71,6 +71,12 @@ class GenConfig:
     max_deriv_depth: int = 4
 
     def __post_init__(self) -> None:
+        # An integer only: a bool would generate as 0 or 1, and a float or a
+        # string fails later, or not at all.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if type(value) is not int:
+                raise PreconditionError(f"{field.name} must be an integer, got {value!r}")
         if not 0 <= self.seed <= _MASK:
             raise PreconditionError("seed must fit in 64 bits")
         # A zero-length environment bound is meaningful; the other bounds must

@@ -219,13 +219,20 @@ def witness_for(g: Env, *tys: Ty) -> VarName:
     """Deterministic witness: the name `fresh` picks to avoid every name
     declared in `g` and every name free in `tys`.  The search starts at the
     first `X<n>` that `g` does not declare, which its cell keeps."""
+    # Each candidate is tested against each type's own free names, which
+    # spares a union of them on every call.
     if _SCOPE.at is not g:
         _SCOPE.move(g)
-    free = frozenset().union(*map(fv, tys))
     n = g._next
-    while f"X{n}" in _SCOPE or f"X{n}" in free:
+    while True:
+        name = f"X{n}"
+        if name not in _SCOPE:
+            for t in tys:
+                if name in fv(t):
+                    break
+            else:
+                return name
         n += 1
-    return f"X{n}"
 
 
 def fresh_for_env(g: Env) -> VarName:

@@ -32,7 +32,6 @@ from .syntax import (
     Ty,
     VarName,
     _not_a_type,
-    _set_field,
     fv,
     is_locally_closed,
     is_var_name,
@@ -76,6 +75,9 @@ _DERIVATIONS: dict = {}
 # so a rule and its tag find one node, which must hold the rule, and the
 # JSON reader looks a tag up here.
 _RULES = {rule.value: rule for rule in Rule}
+# Each rule's tag as a plain string, for the writers: reading `rule.value`
+# costs an Enum property call per node.
+_TAGS = {rule: rule.value for rule in Rule}
 
 
 class Derivation(HashConsed):
@@ -120,13 +122,13 @@ class Derivation(HashConsed):
             except AttributeError:
                 raise TypeError(f"not a derivation: {premise!r}") from None
             node = object.__new__(cls)
-            _set_field(node, "rule", tag)
-            _set_field(node, "env", env)
-            _set_field(node, "lhs", lhs)
-            _set_field(node, "rhs", rhs)
-            _set_field(node, "premises", premises)
-            _set_field(node, "witness", witness)
-            _set_field(node, "_height", height + 1)
+            _set_rule(node, tag)
+            _set_env(node, env)
+            _set_lhs(node, lhs)
+            _set_rhs(node, rhs)
+            _set_premises(node, premises)
+            _set_witness(node, witness)
+            _set_height(node, height + 1)
             node._intern(_DERIVATIONS, key)
         return node
 
@@ -135,6 +137,14 @@ class Derivation(HashConsed):
         return (self.env, self.lhs, self.rhs)
 
 
+# Setters of the fields, straight through their slots, as for types.
+_set_rule = Derivation.rule.__set__
+_set_env = Derivation.env.__set__
+_set_lhs = Derivation.lhs.__set__
+_set_rhs = Derivation.rhs.__set__
+_set_premises = Derivation.premises.__set__
+_set_witness = Derivation.witness.__set__
+_set_height = Derivation._height.__set__
 _set_valid = Derivation._valid.__set__
 
 
@@ -189,12 +199,14 @@ def _assemble(visits: list[tuple[Rule, Env, Ty, Ty, Optional[VarName], int]]) ->
     # The tree of a preorder list of (rule, environment, left side, right
     # side, witness, premise count) visits, built from the leaves up: in
     # reverse preorder every premise comes before its node, its first
-    # premise's tree last.
+    # premise's tree last.  A node that is alive costs one intern lookup, as
+    # in `_decide`.
     out: list[Derivation] = []
     for rule, g, s, t, witness, count in reversed(visits):
         premises = tuple(out[-1 : -1 - count : -1])
         del out[len(out) - count :]
-        out.append(Derivation(rule, g, s, t, premises, witness))
+        key = (rule, g, s, t, premises, witness)
+        out.append(_DERIVATIONS.get(key, _MISS)() or Derivation(*key))
     return out[0]
 
 
@@ -428,7 +440,9 @@ def _decide(g: Env, s: Ty, t: Ty, fuel: int) -> SubResult:
     # Depth-first on an explicit stack of frames (goal, rule, subgoals,
     # witness, premises), one per goal whose subgoals are still being decided.
     # Subgoals run in rule order (bound before body), which fixes how fuel is
-    # spent; the first No or Unknown decides the query.
+    # spent; the first No or Unknown decides the query.  A finished node that
+    # is alive costs one lookup in the intern table, by the constructor's own
+    # idiom, and only a new node calls the constructor.
     stack: list[tuple[Goal, Rule, tuple[Goal, ...], Optional[VarName], list[Derivation]]] = []
     spent = 0
     goal: Goal = (g, s, t)
@@ -438,9 +452,11 @@ def _decide(g: Env, s: Ty, t: Ty, fuel: int) -> SubResult:
         spent += 1
         g, s, t = goal
         if isinstance(t, Top):
-            done = Derivation(_TOP, g, s, t)
+            key = (_TOP, g, s, t, (), None)
+            done = _DERIVATIONS.get(key, _MISS)() or Derivation(*key)
         elif isinstance(s, FreeVar) and s == t:
-            done = Derivation(_VAR, g, s, t)
+            key = (_VAR, g, s, t, (), None)
+            done = _DERIVATIONS.get(key, _MISS)() or Derivation(*key)
         else:
             # A variable on the left is closed in g, so declared; any other
             # goal is an arrow or quantifier goal, or no rule applies.
@@ -466,7 +482,8 @@ def _decide(g: Env, s: Ty, t: Ty, fuel: int) -> SubResult:
                 goal = subgoals[len(premises)]
                 break
             stack.pop()
-            done = Derivation(rule, *parent, tuple(premises), witness)
+            key = (rule, *parent, tuple(premises), witness)
+            done = _DERIVATIONS.get(key, _MISS)() or Derivation(*key)
         else:
             return Yes(done)
 
@@ -566,12 +583,13 @@ def derivation_to_text(d: Derivation) -> str:
     judgment_text = Printer().judgment_text
     lines: list[str] = []
     for depth, _, node in preorder(d):
-        tag = node.rule.value if node.witness is None else f"{node.rule.value} {node.witness}"
+        tag = _TAGS[node.rule] if node.witness is None else f"{_TAGS[node.rule]} {node.witness}"
         lines.append("  " * depth + f"({tag}) " + judgment_text(node.env, node.lhs, node.rhs))
     return "\n".join(lines)
 
 
-_JSON_NODE_OPEN = '{"rule": %s, "env": %s, "lhs": %s, "rhs": %s, "witness": %s, "premises": ['
+# Each rule's opening of a JSON node, up to its environment's text.
+_JSON_HEADS = {rule: '{"rule": %s, "env": ' % _quote(tag) for rule, tag in _TAGS.items()}
 
 
 def derivation_to_json(d: Derivation) -> str:
@@ -581,7 +599,8 @@ def derivation_to_json(d: Derivation) -> str:
     # from an explicit stack of (depth, node) pairs: a node at depth k first
     # closes every open node at depth k or deeper.  Strings are quoted by
     # json's own encoder, once per distinct environment and type, with the
-    # texts of one printer for the call.
+    # texts of one printer for the call.  Each node's pieces go straight
+    # into the one list that is joined at the end.
     printer = Printer()
     env_text, type_text = printer.env_text, printer.type_text
     envs: dict[Env, str] = {}
@@ -604,7 +623,8 @@ def derivation_to_json(d: Derivation) -> str:
         if rhs is None:
             rhs = types[t] = _quote(type_text(t))
         witness = "null" if node.witness is None else _quote(node.witness)
-        parts.append(_JSON_NODE_OPEN % (_quote(node.rule.value), env, lhs, rhs, witness))
+        parts += (_JSON_HEADS[node.rule], env, ', "lhs": ', lhs, ', "rhs": ', rhs, ', "witness": ', witness,
+                  ', "premises": [')
         last = depth
         premises = node.premises
         for j in range(len(premises) - 1, -1, -1):

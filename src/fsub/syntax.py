@@ -63,8 +63,9 @@ class HashConsed:
     plain dict of weak entries, as `table.get(key, _MISS)()`, the live node
     or None, and only on a miss validates its fields, builds the node and
     calls `_intern`.  The parser reads the tables of `FreeVar`, `BoundIdx`,
-    `Arrow` and `Forall` the same way and calls the constructor only on a
-    miss.  Equality and hashing are the identity's; `dataclasses.fields` and
+    `Arrow` and `Forall` the same way, and the decider and the tree builder
+    of `subtyper` that of `Derivation`; each calls the constructor only on
+    a miss.  Equality and hashing are the identity's; `dataclasses.fields` and
     `dataclasses.replace` do not apply.
     """
 

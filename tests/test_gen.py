@@ -79,6 +79,14 @@ class TestGenConfig:
         with pytest.raises(PreconditionError):
             GenConfig(seed=0, max_ty_size=0)
 
+    # One case per field: a bool would generate as 0 or 1, a float would
+    # fail later in SplitMix64 or not at all, and a string in the range test.
+    @pytest.mark.parametrize("field", ["seed", "max_env_len", "max_ty_size", "max_deriv_depth"])
+    def test_rejects_a_field_that_is_not_an_int(self, field):
+        for bad in (1.5, True, False, "3", None):
+            with pytest.raises(PreconditionError, match=f"^{field} must be an integer, got "):
+                GenConfig(**{"seed": 1, field: bad})
+
     def test_empty_env_allowed(self):
         assert gen_env(GenConfig(seed=0, max_env_len=0)) == EMPTY_ENV
 

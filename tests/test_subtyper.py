@@ -50,6 +50,8 @@ from strategies import envs_with_closed_ty, named_types, seeds, unseen_name, var
 import reference_json
 import reference_parser
 import reference_walks as reference
+import scaling  # puts perfbench/ on the path, for `workloads`
+from workloads import DEEP_SIZES
 
 X_TOP = parse_env("X <: Top")
 X_TOP_Y_X = parse_env("X <: Top, Y <: X")
@@ -704,6 +706,30 @@ class TestTextsKeptOnNodes:
                         assert text == reference_parser.print_type(node)
 
 
+DEEP_SERIES = [(series, n, line(n)) for series, line in scaling.SERIES for n in DEEP_SIZES]
+
+
+class TestWritersOnDeepSeries:
+    """On the `deep` benchmark's series lines, in both rule systems, the
+    writers give the texts of the reference printer, which keeps nothing;
+    together these trees hold every rule tag."""
+
+    @staticmethod
+    def derivations(line) -> list[Derivation]:
+        d = decide_yes(line, fuel=DEFAULT_FUEL)
+        return [d, to_implicit(d)]
+
+    @pytest.mark.parametrize("series, n, line", DEEP_SERIES, ids=[f"{s}-{n}" for s, n, _ in DEEP_SERIES])
+    def test_writers_match_reference(self, series, n, line):
+        for d in self.derivations(line):
+            assert derivation_to_json(d) == slot_free_json(d)
+            assert derivation_to_text(d) == reference.derivation_to_text(d)
+
+    def test_every_rule_tag_is_written(self):
+        tags = {node.rule for _, _, line in DEEP_SERIES for d in self.derivations(line) for _, node in iter_nodes(d)}
+        assert tags == set(Rule)
+
+
 class TestHeight:
     def test_leaf(self):
         assert derivation_height(Derivation(Rule.TOP, EMPTY_ENV, Top(), Top())) == 1
@@ -1109,6 +1135,48 @@ class TestLinearWalks:
         monkeypatch.setattr(subtyper, "iter_nodes", second_walk)
         problem = "a reflexivity node relates a variable to itself"
         assert diagnose_derivation(bad) == "root" + ".1" * n + f": {problem}"
+
+
+class TestLiveNodesAreLookedUp:
+    """A derivation node that is alive costs one lookup in the intern table:
+    deciding its goal again, reading its JSON back and retagging it there
+    and back call no constructor, and deciding a fresh goal calls it once
+    per new node.  Each goal declares a name from `unseen_name()`, so none
+    of its nodes is alive before the test decides it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> list:
+        calls = []
+        new = Derivation.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Derivation, "__new__", staticmethod(counting))
+        return calls
+
+    @staticmethod
+    def fresh_goal(line) -> tuple:
+        g, s, t = parse_judgment(line(8))
+        return g.extend(unseen_name(), Top()), s, t
+
+    @pytest.mark.parametrize("series, line", scaling.SERIES)
+    def test_deciding_a_fresh_goal_builds_each_node_once(self, built, series, line):
+        d = decide_sub(*self.fresh_goal(line)).derivation
+        assert len(built) == len({node for _, node in iter_nodes(d)})
+
+    @pytest.mark.parametrize("series, line", scaling.SERIES)
+    def test_a_live_derivation_is_looked_up(self, built, series, line):
+        goal = self.fresh_goal(line)
+        d = decide_sub(*goal).derivation
+        implicit = to_implicit(d)
+        text = derivation_to_json(d)
+        built.clear()
+        assert decide_sub(*goal).derivation is d
+        assert derivation_from_json(text) is d
+        assert to_implicit(d) is implicit and to_explicit(implicit) is d
+        assert built == []
 
 
 class TestWalksAgainstReference:
