@@ -11,16 +11,22 @@ possible.  An `All` whose bound mentions its own binder name is rejected: the
 binder scopes over the body only, so such a bound could only refer to an outer
 variable of the same spelling, which this syntax refuses to express.
 
-Nothing here recurses.  The lexer gives a flat list of token texts: printable
-ASCII text, whose only blank is the space, is split on blanks by string
-methods once parentheses and commas are spaced out, and any other text, or
-text with a word that is neither a symbol, a keyword nor a name, is matched
-by one token regex.  The parser is one loop over the list with an explicit
-stack of pending productions, and the printer is one postorder loop over an
-explicit stack that composes each node's text from its children's, keeping
-the names of the binders it is inside on another.  Binder names exist only
-in this module: the parser turns them into indices and the printer turns
-indices back into names.
+Nothing here recurses.  The parser reads a flat list of token texts.
+Printable ASCII text, whose only blank is the space, is first split on blanks
+by string methods once parentheses and commas are spaced out, and its words
+are not checked up front: the parser checks a word only where it uses it as
+a name.  A key of the `FreeVar` intern table is a name already, since
+`FreeVar` checked it, so only other words are checked: an identifier by
+`FreeVar`, a binder or binding name against the name pattern.  On the first
+word that is not a name, or on any parse error, the text is parsed again
+from the tokens of one token regex, which alone defines the tokens and the
+lexer's errors; any other text is parsed from those tokens at once.  The
+parser is one loop over the list with an explicit stack of pending
+productions, and the printer is one postorder loop over an explicit stack
+that composes each node's text from its children's, keeping the names of
+the binders it is inside on another.  Binder names exist only in this
+module: the parser turns them into indices and the printer turns indices
+back into names.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .syntax import (
     _FORALLS,
     _FREE_VARS,
     _MISS,
+    _NAME_RE,
     NAME_PATTERN,
     Arrow,
     BoundIdx,
@@ -94,32 +101,26 @@ _TOKEN_RE = re.compile(rf"[{_BLANKS}]*(->|<:|\|-|[.(),]|{NAME_PATTERN}|[^{_BLANK
 _KINDS = {word: word for word in ("->", "<:", "|-", ".", "(", ")", ",", "Top", "All")}
 _KINDS[""] = "eof"
 _NAME_START = frozenset(ascii_letters + "_")
-# Names separated by single spaces, or nothing.
-_NAMES_RE = re.compile(rf"(?:{NAME_PATTERN}(?: {NAME_PATTERN})*)?")
 
 _ATOM = frozenset(("Top", "All", "ident", "("))
 _TOP = Top()
 
 
-def _lex(text: str) -> list[str]:
-    """The token texts of `text`, then "" for the end of input.  The first
-    character that starts no token raises, before any parsing.
+def _split(text: str) -> list[str]:
+    # The blank-separated words of printable ASCII text once parentheses and
+    # commas are spaced out, then "".  The space is its only blank, no token
+    # holds a blank, and a parenthesis or a comma is always a token of its
+    # own, so when every word is a symbol, a keyword or a name these are
+    # exactly the tokens `_lex` gives.
+    words = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+    words.append("")
+    return words
 
-    `_TOKEN_RE` defines the tokens.  Printable ASCII text has the space as
-    its only blank, no token holds a blank, and a parenthesis or a comma is
-    always a token of its own.  So once those three are spaced out, a
-    blank-separated word that is a symbol, a keyword or a name is exactly
-    the token the regex matches there.  Such text is split by string
-    methods when every distinct word outside `_KINDS` is a name.  Any other
-    text takes the regex: tabs and line breaks, non-ASCII or unprintable
-    characters, symbols written without blanks (`X->Y`) and stray
-    characters.
-    """
-    if text.isascii() and text.isprintable():
-        words = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
-        if _NAMES_RE.fullmatch(" ".join(set(words).difference(_KINDS))):
-            words.append("")
-            return words
+
+def _lex(text: str) -> list[str]:
+    """The token texts of `_TOKEN_RE` in `text`, then "" for the end of
+    input.  The first character that starts no token raises, before any
+    parsing."""
     words = _TOKEN_RE.findall(text)
     # A token that is neither a symbol, a keyword nor a name is one stray
     # character.  Each distinct text is classified once.
@@ -187,7 +188,7 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
             t = _TOP
         elif word == "All":
             binder = words[i + 1]
-            if binder in _KINDS:
+            if binder in _KINDS or binder not in _FREE_VARS and not _NAME_RE.match(binder):
                 raise _unexpected(text, words, i + 1, frozenset(("ident",)))
             if words[i + 2] != "<:":
                 raise _unexpected(text, words, i + 2, frozenset(("<:",)))
@@ -255,7 +256,7 @@ def _bindings(text: str, words: list[str], i: int, stop: str) -> tuple[Env, int]
     g = EMPTY_ENV
     while True:
         name = words[i]
-        if name in _KINDS:
+        if name in _KINDS or name not in _FREE_VARS and not _NAME_RE.match(name):
             raise _unexpected(text, words, i, frozenset(("ident",)))
         if words[i + 1] != "<:":
             raise _unexpected(text, words, i + 1, frozenset(("<:",)))
@@ -275,18 +276,34 @@ def _end(text: str, words: list[str], i: int) -> None:
         raise _unexpected(text, words, i, frozenset(("eof",)))
 
 
-def parse_type(text: str) -> Ty:
-    """Parse a complete type.  Every identifier outside a binder scope is free."""
-    words = _lex(text)
+def _parse(text: str, parse, *args):
+    # `parse(text, words, *args)` over the split words of printable ASCII
+    # text and, on a word that is not a name (`FreeVar` refuses it) or on any
+    # parse error, over the tokens of `_lex`.  A parse of the split words
+    # that succeeds has checked each of them as a symbol, a keyword or a
+    # name, so they were the tokens, and gave what the tokens give.
+    if text.isascii() and text.isprintable():
+        try:
+            return parse(text, _split(text), *args)
+        except (ParseError, MalformedTypeError):
+            pass
+    return parse(text, _lex(text), *args)
+
+
+def _type(text: str, words: list[str]) -> Ty:
     t, i = _ty(text, words, 0)
     _end(text, words, i)
     return t
 
 
+def parse_type(text: str) -> Ty:
+    """Parse a complete type.  Every identifier outside a binder scope is free."""
+    return _parse(text, _type)
+
+
 def parse_env(text: str) -> Env:
     """Parse a comma-separated environment; empty input or `empty` is the empty one."""
-    words = _lex(text)
-    return _bindings(text, words, 0, "")[0]
+    return _parse(text, _bindings, 0, "")[0]
 
 
 def _parse_judgment(text: str, words: list[str]) -> tuple[Env, Ty, Ty, tuple[int, int, int, int, int]]:
@@ -303,7 +320,7 @@ def _parse_judgment(text: str, words: list[str]) -> tuple[Env, Ty, Ty, tuple[int
 
 def parse_judgment(text: str) -> tuple[Env, Ty, Ty]:
     """Parse `Env |- Ty <: Ty` into its three components."""
-    g, lhs, rhs, _ = _parse_judgment(text, _lex(text))
+    g, lhs, rhs, _ = _parse(text, _parse_judgment)
     return g, lhs, rhs
 
 

@@ -420,6 +420,13 @@ def scoping_problem(g: Env, s: Ty, t: Ty) -> Optional[str]:
     return None
 
 
+def _check_count(name: str, value: object) -> None:
+    # A budget is an int >= 0: a bool would run as 0 or 1, and a float, a
+    # string or None fails later, or not at all.
+    if type(value) is not int or value < 0:
+        raise PreconditionError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 def decide_sub(g: Env, s: Ty, t: Ty, fuel: int = DEFAULT_FUEL) -> SubResult:
     """Decide `g |- s <: t` with a fuel bound.
 
@@ -428,6 +435,7 @@ def decide_sub(g: Env, s: Ty, t: Ty, fuel: int = DEFAULT_FUEL) -> SubResult:
     variable through its declared bound, then the structural rules.  Each goal
     visited consumes one unit of fuel; running out yields Unknown.
     """
+    _check_count("fuel", fuel)
     problem = scoping_problem(g, s, t)
     if problem is not None:
         return No(((g, s, t),), reason=problem)
@@ -568,6 +576,7 @@ def decide_sub_declarative(
     g: Env, s: Ty, t: Ty, max_depth: int, search: Optional[DeclarativeSearch] = None
 ) -> bool:
     """Iterative-deepening provability in the declarative system up to `max_depth`."""
+    _check_count("max_depth", max_depth)
     engine = search if search is not None else DeclarativeSearch()
     for depth in range(1, max_depth + 1):
         if engine.provable(g, s, t, depth):

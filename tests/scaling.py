@@ -186,7 +186,7 @@ TABLE = [
     ("name-chain", (500, 1000, 2000), lambda n: " -> ".join(f"X{i}" for i in range(n)), "parse", parse_type),
     ("gen-corpus", (2000,), corpus, "check", check_round),
     ("gen-corpus", (2000,), corpus, "parse", lambda lines: deque(map(parse_judgment, lines), 0)),
-    ("gen-corpus", (2000,), corpus, "lex", lambda lines: deque(map(parser._lex, lines), 0)),
+    ("gen-corpus", (2000,), corpus, "lex", lambda lines: deque(map(parser._split, lines), 0)),
     ("gen-corpus", (2000,), corpus, "scope", scope_moves),
     ("criterion-2", (1000,), lambda n: [gen_derivation_pair(GenConfig(seed=s, max_deriv_depth=6)) for s in child_seeds(2002, n)],
      "trans", lambda cases: deque((derive_trans(*case) for case in cases), 0)),

@@ -25,7 +25,7 @@ from fsub.parser import (
     print_type,
     scan_judgment,
 )
-from fsub.syntax import Arrow, BoundIdx, Forall, FreeVar, Top, alpha_eq, fv
+from fsub.syntax import _FREE_VARS, Arrow, BoundIdx, Forall, FreeVar, Top, alpha_eq, fv
 from fsub.subtyper import Yes, check_derivation, decide_sub, derivation_to_json
 from naive import NAll, NArr, NTop, NTy, NVar, to_ln
 from strategies import envs_with_closed_ty, named_types, variable_chain
@@ -187,12 +187,31 @@ class TestLexer:
             ("A ->   ", "unexpected eof ''", 7, ATOM),
             ("  ", "unexpected eof ''", 2, ATOM),
             (" ( A ) )", "unexpected ) ')'", 7, frozenset(("eof",))),
+            # A stray character is reported even after a syntax error, and a
+            # binder that is not a name is reported at its first character.
+            ("X0 -> -> @", "unexpected character '@'", 9, frozenset()),
+            ("All 1a <: Top . X", "unexpected character '1'", 4, frozenset()),
         ],
     )
     def test_errors_keep_positions_and_expectations(self, text, message, pos, expected):
         with pytest.raises(ParseError) as info:
             parse_type(text)
         assert (info.value.message, info.value.pos, info.value.expected) == (message, pos, expected)
+
+    def test_binding_name_that_is_not_a_name(self):
+        with pytest.raises(ParseError) as info:
+            parse_env("X0 <: Top, 1a <: X0")
+        assert (info.value.message, info.value.pos) == ("unexpected character '1'", 11)
+
+    def test_names_never_interned(self):
+        # Primed names, and names no node has been built for yet.
+        names = ("Never_seen_before'", "Q9''", "_fresh_0")
+        assert not any(name in _FREE_VARS for name in names)
+        assert parse_judgment("Q9'' <: Top |- Never_seen_before' -> _fresh_0 <: Top") == (
+            EMPTY_ENV.extend("Q9''", Top()),
+            Arrow(FreeVar("Never_seen_before'"), FreeVar("_fresh_0")),
+            Top(),
+        )
 
 
 class TestParseEnv:
@@ -435,23 +454,46 @@ def regex_outcome(text: str):
     return parser._TOKEN_RE.findall(text) + [""]
 
 
+# Parses of a token list from the start, as the public functions run them:
+# a type, an environment and a judgment.
+WORD_PARSES = (parser._type, lambda text, words: parser._bindings(text, words, 0, ""), parser._parse_judgment)
+
+
+def split_parses(text: str) -> int:
+    """How many of the parses in `WORD_PARSES` succeed on the split words of
+    `text`, after checking that the words of each success are the tokens of
+    the regex.  Text that is not printable ASCII is never split."""
+    if not (text.isascii() and text.isprintable()):
+        return 0
+    words = parser._split(text)
+    parsed = 0
+    for parse in WORD_PARSES:
+        try:
+            parse(text, words)
+        except (ParseError, MalformedTypeError):
+            continue
+        assert words == regex_outcome(text), text
+        parsed += 1
+    return parsed
+
+
 class TestLexAgainstTheRegex:
-    """Splitting printable ASCII text on blanks gives exactly the tokens, and
-    the errors, of matching the token regex over it."""
+    """A parse of the split words of printable ASCII text that succeeds has
+    read exactly the tokens that matching the token regex gives."""
 
     def test_gen_corpus(self):
         for line in gen_lines(1, 300):
-            assert outcome(parser._lex, line) == regex_outcome(line), line
+            assert split_parses(line) == 1, line
 
     def test_derivation_json_strings(self):
         texts = {text for line in gen_lines(1, 300) for text in json_strings(line)}
         assert len(texts) > 100
         for text in texts:
-            assert outcome(parser._lex, text) == regex_outcome(text), text
+            assert split_parses(text) >= 1, text
 
     @given(corrupted_texts())
     def test_corrupted_texts(self, text):
-        assert outcome(parser._lex, text) == regex_outcome(text), text
+        split_parses(text)
 
     @pytest.fixture()
     def regex_calls(self, monkeypatch):
@@ -471,14 +513,17 @@ class TestLexAgainstTheRegex:
         printed = [print_judgment(*parse_judgment(line)) for line in gen_lines(2, 500)]
         regex_calls[0] = 0
         for text in printed:
-            parser._lex(text)
+            parse_judgment(text)
         assert regex_calls[0] == 0
 
-    @pytest.mark.parametrize("text", ["X->Y", "X <: Top |-\tX <: Top"])
+    @pytest.mark.parametrize(
+        "text", ["X->Y", "All X<:Top.X", "X0 -> -> @", "X0 <: Top, 1a <: X0", "X <: Top |-\tX <: Top"]
+    )
     def test_other_text_takes_the_regex(self, regex_calls, text):
-        words = parser._lex(text)
-        assert regex_calls[0] >= 1
-        assert words == regex_outcome(text)
+        for new, old in ((parse_type, ref.parse_type), (parse_env, ref.parse_env), (parse_judgment, ref.parse_judgment)):
+            regex_calls[0] = 0
+            assert outcome(new, text) == outcome(old, text), (new, text)
+            assert regex_calls[0] >= 1, (new, text)
 
 
 DEPTH = 10_000

@@ -314,6 +314,17 @@ class TestImplicitExplicit:
         with pytest.raises(PreconditionError, match=r"^root: right side of a top node must be Top$"):
             to_explicit(Derivation(Rule.I_TOP, EMPTY_ENV, Top(), Arrow(Top(), Top())))
 
+    def test_witness_must_not_be_declared(self):
+        # Every other obligation holds: the premises conclude the bounds and
+        # the bodies, the body's over the environment extended by the witness.
+        g = parse_env("X0 <: Top")
+        t = parse_type("All X <: Top . Top")
+        premises = (Derivation(Rule.I_TOP, g, Top(), Top()), Derivation(Rule.I_TOP, g.extend("X0", Top()), Top(), Top()))
+        i = Derivation(Rule.I_ALL, g, t, t, premises, "X0")
+        assert diagnose_derivation_implicit(i) == "root: witness 'X0' is already declared"
+        with pytest.raises(PreconditionError, match=r"^root: witness 'X0' is already declared$"):
+            to_explicit(i)
+
     def test_to_explicit_requires_a_closed_root(self):
         i = Derivation(Rule.I_REFL, EMPTY_ENV, FreeVar("Y"), FreeVar("Y"))
         assert check_derivation_implicit(i)
@@ -371,6 +382,14 @@ class TestDeclarative:
 
     def test_refutation(self):
         assert not decide_sub_declarative(EMPTY_ENV, Top(), Arrow(Top(), Top()), 8)
+
+    @pytest.mark.parametrize("max_depth", [-1, 1.5, True, False, "3", None])
+    def test_max_depth_must_be_a_natural_number(self, max_depth):
+        with pytest.raises(PreconditionError, match=r"^max_depth must be an integer >= 0, got "):
+            decide_sub_declarative(EMPTY_ENV, Top(), Top(), max_depth)
+
+    def test_depth_zero_proves_nothing(self):
+        assert decide_sub_declarative(EMPTY_ENV, Top(), Top(), 0) is False
 
     def test_nothing_is_provable_at_height_zero(self):
         assert DeclarativeSearch().provable(EMPTY_ENV, Top(), Top(), 0) is False
@@ -969,9 +988,15 @@ class TestFuelIsTheOnlyLimit:
         assert check_derivation(result.derivation)
         assert decide_sub(g, lhs, rhs, fuel=2_000) == Unknown(2_000)
 
-    @pytest.mark.parametrize("fuel", [0, -1])
+    @pytest.mark.parametrize("fuel", [0])
     def test_no_fuel_is_unknown(self, fuel):
         assert decide_sub(EMPTY_ENV, Top(), Top(), fuel=fuel) == Unknown(fuel)
+
+    # A bool is not an int here: it would run as 0 or 1.
+    @pytest.mark.parametrize("fuel", [-1, 1.5, True, False, "3", None])
+    def test_fuel_must_be_a_natural_number(self, fuel):
+        with pytest.raises(PreconditionError, match=r"^fuel must be an integer >= 0, got "):
+            decide_sub(EMPTY_ENV, Top(), Top(), fuel=fuel)
 
     @pytest.mark.parametrize(
         "text",
