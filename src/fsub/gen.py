@@ -22,7 +22,7 @@ from .errors import PreconditionError
 from .judgments import EMPTY_ENV, Env, dom, fresh_for_env, gfresh, lookup, witness_for
 from .metatheory import EnvSplit, derive_refl, split_env
 from .subtyper import Derivation, Yes, _ALL, _ARR, _TOP, _TRS, decide_sub, preorder
-from .syntax import Arrow, BoundIdx, Forall, FreeVar, Top, Ty, VarName, close_ty, fv, open_ty, size
+from .syntax import Arrow, BoundIdx, Forall, FreeVar, Top, Ty, VarName, _Pair, close_ty, fv, open_ty, size
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -122,11 +122,9 @@ def _gen_under(names: list[VarName], k: int, budget: int, rng: SplitMix64) -> Ty
     if roll < var_end:
         i = rng.below(width)
         return FreeVar(names[i]) if i < len(names) else BoundIdx(width - 1 - i)
-    if roll < arrow_end:
-        dom = _gen_under(names, k, 1 + rng.below(budget - 2), rng)
-        return Arrow(dom, _gen_under(names, k, budget - 1 - size(dom), rng))
-    bound = _gen_under(names, k, 1 + rng.below(budget - 2), rng)
-    return Forall(bound, _gen_under(names, k + 1, budget - 1 - size(bound), rng))
+    kind = Arrow if roll < arrow_end else Forall
+    first = _gen_under(names, k, 1 + rng.below(budget - 2), rng)
+    return kind(first, _gen_under(names, k + kind._binds, budget - 1 - size(first), rng))
 
 
 def gen_closed_ty(g: Env, cfg: GenConfig) -> Ty:
@@ -163,7 +161,7 @@ def _synth_sub_of(g: Env, target: Ty, depth: int, rng: SplitMix64) -> Derivation
     options = ["refl", "refl"]
     if isinstance(target, Top):
         options += ["top", "top", "top"]
-    if isinstance(target, (Arrow, Forall)):
+    if isinstance(target, _Pair):
         options += ["structural", "structural", "structural"]
     chains = _chain_candidates(g, target)
     if chains:
@@ -198,7 +196,7 @@ def _synth_sup_of(g: Env, source: Ty, depth: int, rng: SplitMix64) -> Derivation
     options = ["refl", "refl", "top", "top"]
     if isinstance(source, FreeVar):
         options += ["chain", "chain", "chain"]
-    if isinstance(source, (Arrow, Forall)):
+    if isinstance(source, _Pair):
         options += ["structural", "structural", "structural"]
     kind = rng.choose(options)
 
@@ -382,16 +380,11 @@ def enumerate_types(names: list[VarName], max_size: int) -> list[Ty]:
             out = leaves + [BoundIdx(i) for i in reversed(range(k))]
         else:
             out = [
-                Arrow(d, c)
+                kind(first, second)
+                for kind in (Arrow, Forall)
                 for left in range(1, n - 1)
-                for d in of_size(left, k)
-                for c in of_size(n - 1 - left, k)
-            ]
-            out += [
-                Forall(bound, body)
-                for b_size in range(1, n - 1)
-                for bound in of_size(b_size, k)
-                for body in of_size(n - 1 - b_size, k + 1)
+                for first in of_size(left, k)
+                for second in of_size(n - 1 - left, k + kind._binds)
             ]
         memo[key] = out
         return out

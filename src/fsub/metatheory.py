@@ -24,7 +24,7 @@ is asserted at runtime in debug mode.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,7 +86,7 @@ def derive_refl(g: Env, s: Ty) -> Derivation:
     return result.derivation
 
 
-def derive_permute(d: Derivation, pi: tuple[int, ...]) -> Derivation:
+def derive_permute(d: Derivation, pi: Iterable[int]) -> Derivation:
     """Reorder the root environment of `d` by `pi` (new declaration i is old
     declaration pi[i]) and rebuild the tree over the permuted environment.
 
@@ -95,10 +95,16 @@ def derive_permute(d: Derivation, pi: tuple[int, ...]) -> Derivation:
     permutation unchanged."""
     _require_valid(d, "derivation")
     decls = d.env.decls()
-    # An integer position only: `sorted` would take `True` for 1 and 0.0 for 0.
-    if any(type(i) is not int for i in pi) or sorted(pi) != list(range(len(decls))):
+    # `pi` is read once, so any iterable serves; what is not iterable is no
+    # permutation.  An integer position only: `sorted` would take `True` for
+    # 1 and 0.0 for 0.
+    try:
+        order = tuple(pi)
+    except TypeError:
+        order = (None,)
+    if any(type(i) is not int for i in order) or sorted(order) != list(range(len(decls))):
         raise PreconditionError(f"not a permutation of {len(decls)} positions: {pi!r}")
-    permuted = Env.from_decls(decls[i] for i in pi)
+    permuted = Env.from_decls(decls[i] for i in order)
     if not ok(permuted):
         raise PreconditionError("permuted environment is not ok")
     return _Walk().built((permuted, d.lhs, d.rhs), d)

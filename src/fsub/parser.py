@@ -20,7 +20,8 @@ a name.  A key of the `FreeVar` intern table is a name already, since
 `FreeVar`, a binder or binding name against the name pattern.  On the first
 word that is not a name, or on any parse error, the text is parsed again
 from the tokens of one token regex, which alone defines the tokens and the
-lexer's errors; any other text is parsed from those tokens at once.  The
+lexer's errors; any other text is parsed from those tokens at once.  Only
+the second parse computes an error's position.  The
 parser is one loop over the list with an explicit stack of pending
 productions, and the printer is one postorder loop over an explicit stack
 that composes each node's text from its children's, keeping the names of
@@ -34,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from string import ascii_letters
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import MalformedTypeError
 from .judgments import EMPTY_ENV, Env
@@ -53,6 +54,7 @@ from .syntax import (
     Top,
     Ty,
     VarName,
+    _Pair,
     _set_text,
     fv,
     is_var_name,
@@ -127,7 +129,7 @@ def _lex(text: str) -> list[str]:
     bad = [word for word in set(words) if word not in _KINDS and word[0] not in _NAME_START]
     if bad:
         i = min(words.index(word) for word in bad)
-        raise ParseError(f"unexpected character {words[i]!r}", _starts(text, words, i + 1)[i])
+        raise _error(text, words, i, f"unexpected character {words[i]!r}")
     words.append("")
     return words
 
@@ -145,12 +147,19 @@ def _starts(text: str, words: list[str], count: int) -> list[int]:
     return starts
 
 
-def _unexpected(text: str, words: list[str], i: int, expected: frozenset[str]) -> ParseError:
+def _error(text: Optional[str], words: list[str], i: int, message: str, expected=frozenset()) -> ParseError:
+    # A parse error at token `i`.  Its position is computed only when the
+    # text is given; the parse of the split words, whose error is discarded,
+    # is given None and leaves -1.
+    return ParseError(message, -1 if text is None else _starts(text, words, i + 1)[i], expected)
+
+
+def _unexpected(text: Optional[str], words: list[str], i: int, expected: frozenset[str]) -> ParseError:
     word = words[i]
-    return ParseError(f"unexpected {_KINDS.get(word, 'ident')} {word!r}", _starts(text, words, i + 1)[i], expected)
+    return _error(text, words, i, f"unexpected {_KINDS.get(word, 'ident')} {word!r}", expected)
 
 
-def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
+def _ty(text: Optional[str], words: list[str], i: int) -> tuple[Ty, int]:
     """The type that starts at token `i`, and the index of the token after it.
 
     Each turn of the outer loop opens quantifiers and parentheses up to the
@@ -224,10 +233,8 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
                 binder, binder_i = frame
                 escapes = t._escapes
                 if binder in t._fv or escapes and binder in levels and escapes >> depth - 1 - levels[binder] & 1:
-                    raise ParseError(
-                        f"bound of 'All {binder}' mentions the binder name {binder!r}, which it does not bind",
-                        _starts(text, words, binder_i + 1)[binder_i],
-                    )
+                    message = f"bound of 'All {binder}' mentions the binder name {binder!r}, which it does not bind"
+                    raise _error(text, words, binder_i, message)
                 if words[i] != ".":
                     raise _unexpected(text, words, i, frozenset((".",)))
                 stack.append((t, binder, levels.get(binder)))
@@ -245,7 +252,7 @@ def _ty(text: str, words: list[str], i: int) -> tuple[Ty, int]:
                     break
 
 
-def _bindings(text: str, words: list[str], i: int, stop: str) -> tuple[Env, int]:
+def _bindings(text: Optional[str], words: list[str], i: int, stop: str) -> tuple[Env, int]:
     # The environment starting at token `i` and ending at the token `stop`
     # ("" for the end of input), extended as each binding is read, and the
     # index of that token.
@@ -271,7 +278,7 @@ def _bindings(text: str, words: list[str], i: int, stop: str) -> tuple[Env, int]
             raise _unexpected(text, words, i, frozenset((",", _KINDS[stop])))
 
 
-def _end(text: str, words: list[str], i: int) -> None:
+def _end(text: Optional[str], words: list[str], i: int) -> None:
     if words[i]:
         raise _unexpected(text, words, i, frozenset(("eof",)))
 
@@ -279,18 +286,20 @@ def _end(text: str, words: list[str], i: int) -> None:
 def _parse(text: str, parse, *args):
     # `parse(text, words, *args)` over the split words of printable ASCII
     # text and, on a word that is not a name (`FreeVar` refuses it) or on any
-    # parse error, over the tokens of `_lex`.  A parse of the split words
-    # that succeeds has checked each of them as a symbol, a keyword or a
-    # name, so they were the tokens, and gave what the tokens give.
+    # parse error, over the tokens of `_lex`.  The first parse is given no
+    # text, so an error it raises computes no position.  A parse of the
+    # split words that succeeds has checked each of them as a symbol, a
+    # keyword or a name, so they were the tokens, and gave what the tokens
+    # give.
     if text.isascii() and text.isprintable():
         try:
-            return parse(text, _split(text), *args)
+            return parse(None, _split(text), *args)
         except (ParseError, MalformedTypeError):
             pass
     return parse(text, _lex(text), *args)
 
 
-def _type(text: str, words: list[str]) -> Ty:
+def _type(text: Optional[str], words: list[str]) -> Ty:
     t, i = _ty(text, words, 0)
     _end(text, words, i)
     return t
@@ -306,7 +315,7 @@ def parse_env(text: str) -> Env:
     return _parse(text, _bindings, 0, "")[0]
 
 
-def _parse_judgment(text: str, words: list[str]) -> tuple[Env, Ty, Ty, tuple[int, int, int, int, int]]:
+def _parse_judgment(text: Optional[str], words: list[str]) -> tuple[Env, Ty, Ty, tuple[int, int, int, int, int]]:
     # The three components, and the token indices where the sections end and
     # start: env end, lhs start and end, rhs start and end.
     g, env_end = _bindings(text, words, 0, "|-")
@@ -422,7 +431,7 @@ class Printer:
                 second = out.pop()
                 first = out.pop()
                 if binder is None:
-                    text = f"({first}) -> {second}" if isinstance(node.dom, (Arrow, Forall)) else f"{first} -> {second}"
+                    text = f"({first}) -> {second}" if isinstance(node.dom, _Pair) else f"{first} -> {second}"
                 else:
                     names.pop()
                     text = f"All {binder} <: {first} . {second}"

@@ -13,6 +13,9 @@ so `size`, `is_locally_closed` and `fv` read a slot instead of walking a tree.
 Two more facts are filled on first use: the last opening of a node as an
 abstraction body, and the canonical text of a locally closed arrow or
 quantifier, which the printer composes once for the node's lifetime.
+`Arrow` and `Forall` are one pair node with one constructor: they differ
+only in `_binds`, the binders over the second child (0 for an arrow's
+codomain, 1 for a quantifier's body), which is all the walks here read.
 """
 
 from __future__ import annotations
@@ -214,62 +217,64 @@ class BoundIdx(Ty):
         return node
 
 
-class Arrow(Ty):
+class _Pair(Ty):
+    """An inner node: two children, the second under `_binds` binders of its own."""
+
+    # A kind sets `_binds`, names the two slots as its fields and keeps its
+    # own intern table, `_table`.
+    __slots__ = ("_first", "_second")
+
+    def __new__(cls, first: Ty, second: Ty) -> "_Pair":
+        key = (first, second)
+        table = cls._table
+        node = table.get(key, _MISS)()
+        if node is None:
+            node = object.__new__(cls)
+            _set_first(node, first)
+            _set_second(node, second)
+            try:
+                _set_size(node, 1 + first._size + second._size)
+            except AttributeError:
+                raise _not_a_type(first, second) from None
+            # An index that escapes the second child by k escapes the node
+            # by k - `_binds`, or not at all when k < `_binds`.
+            _set_escapes(node, first._escapes | second._escapes >> cls._binds)
+            # The free names reuse a child's set when the union adds nothing.
+            a, b = first._fv, second._fv
+            _set_fv(node, a if b <= a else b if a <= b else a | b)
+            _set_text(node, None)
+            node._intern(table, key)
+        return node
+
+
+_set_first = _Pair._first.__set__
+_set_second = _Pair._second.__set__
+
+
+class Arrow(_Pair):
     """Function type `dom -> cod`."""
 
-    __slots__ = ("dom", "cod")
+    __slots__ = ()
     __match_args__ = ("dom", "cod")
-    dom: Ty
-    cod: Ty
-
-    def __new__(cls, dom: Ty, cod: Ty) -> "Arrow":
-        key = (dom, cod)
-        node = _ARROWS.get(key, _MISS)()
-        if node is None:
-            node = object.__new__(cls)
-            _set_field(node, "dom", dom)
-            _set_field(node, "cod", cod)
-            try:
-                _set_size(node, 1 + dom._size + cod._size)
-            except AttributeError:
-                raise _not_a_type(dom, cod) from None
-            _set_escapes(node, dom._escapes | cod._escapes)
-            # The free names reuse a child's set when the union adds nothing.
-            a, b = dom._fv, cod._fv
-            _set_fv(node, a if b <= a else b if a <= b else a | b)
-            _set_text(node, None)
-            node._intern(_ARROWS, key)
-        return node
+    dom = _Pair._first
+    cod = _Pair._second
+    _binds = 0
+    _table = _ARROWS
 
 
-class Forall(Ty):
+class Forall(_Pair):
     """Bounded universal.  Index 0 in `body` refers to this binder; `bound` does not."""
 
-    __slots__ = ("bound", "body")
+    __slots__ = ()
     __match_args__ = ("bound", "body")
-    bound: Ty
-    body: Ty
-
-    def __new__(cls, bound: Ty, body: Ty) -> "Forall":
-        key = (bound, body)
-        node = _FORALLS.get(key, _MISS)()
-        if node is None:
-            node = object.__new__(cls)
-            _set_field(node, "bound", bound)
-            _set_field(node, "body", body)
-            try:
-                _set_size(node, 1 + bound._size + body._size)
-            except AttributeError:
-                raise _not_a_type(bound, body) from None
-            _set_escapes(node, bound._escapes | body._escapes >> 1)
-            a, b = bound._fv, body._fv
-            _set_fv(node, a if b <= a else b if a <= b else a | b)
-            _set_text(node, None)
-            node._intern(_FORALLS, key)
-        return node
+    bound = _Pair._first
+    body = _Pair._second
+    _binds = 1
+    _table = _FORALLS
 
 
 _LEAVES = frozenset((Top, FreeVar, BoundIdx))
+_PAIRS = frozenset((Arrow, Forall))
 
 
 def nodes(t: Ty) -> Iterator[tuple[Ty, int]]:
@@ -281,12 +286,9 @@ def nodes(t: Ty) -> Iterator[tuple[Ty, int]]:
         node, d = stack.pop()
         yield node, d
         kind = type(node)
-        if kind is Arrow:
-            stack.append((node.cod, d))
-            stack.append((node.dom, d))
-        elif kind is Forall:
-            stack.append((node.body, d + 1))
-            stack.append((node.bound, d))
+        if kind in _PAIRS:
+            stack.append((node._second, d + kind._binds))
+            stack.append((node._first, d))
         elif kind not in _LEAVES:
             raise TypeError(f"not a type: {node!r}")
 
@@ -314,8 +316,7 @@ def _map_leaves(
         if children_done:
             second = out.pop()
             first = out.pop()
-            old_first, old_second = (node.dom, node.cod) if kind is Arrow else (node.bound, node.body)
-            done = node if first is old_first and second is old_second else kind(first, second)
+            done = node if first is node._first and second is node._second else kind(first, second)
             memo[node, d] = done
             out.append(done)
         elif skip(node, d):
@@ -324,10 +325,8 @@ def _map_leaves(
             out.append(leaf(d))
         elif (done := memo.get((node, d))) is not None:
             out.append(done)
-        elif kind is Arrow:
-            stack += ((node, d, True), (node.cod, d, False), (node.dom, d, False))
         else:
-            stack += ((node, d, True), (node.body, d + per_binder, False), (node.bound, d, False))
+            stack += ((node, d, True), (node._second, d + per_binder * kind._binds, False), (node._first, d, False))
     return out[0]
 
 

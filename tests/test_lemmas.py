@@ -3,7 +3,7 @@ every judgment whose environment is ok over X0, X1 (length at most 2) and
 whose sides have size at most 3, as `fsub oracle` enumerates it at its
 default bounds.  Weakening, transitivity and narrowing (POPLmark task 1A)
 are checked on `decide_sub`'s verdicts, each with a count so that no check
-can pass vacuously, and so is the fuel boundary of every `Yes`."""
+can pass vacuously, and so is the fuel boundary of every verdict."""
 
 from collections import defaultdict
 
@@ -118,3 +118,23 @@ def test_fuel_of_exactly_the_node_count_gives_the_same_node(tables):
                 assert decide_sub(g, s, t, fuel - 1) == Unknown(fuel - 1), (g, s, t)
                 count += 1
     assert count == 9_858
+
+
+def test_fuel_of_the_least_refuting_amount_gives_the_same_no(tables):
+    # The least fuel f that refutes, found by doubling and then bisection,
+    # refutes with the default fuel's trace and reason, and one less runs out.
+    # Over this universe f runs from 1 to 7.
+    count = 0
+    for g, table in tables.items():
+        for (s, t), verdict in table.items():
+            if verdict is No:
+                low, high = 0, 1
+                while type(decide_sub(g, s, t, high)) is not No:
+                    low, high = high, 2 * high
+                while high - low > 1:
+                    mid = (low + high) // 2
+                    low, high = (low, mid) if type(decide_sub(g, s, t, mid)) is No else (mid, high)
+                assert decide_sub(g, s, t, high) == decide_sub(g, s, t), (g, s, t)
+                assert decide_sub(g, s, t, high - 1) == Unknown(high - 1), (g, s, t)
+                count += 1
+    assert count == 56_464 - 9_858

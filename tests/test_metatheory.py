@@ -132,6 +132,21 @@ class TestPermute:
         with pytest.raises(PreconditionError, match="not a permutation"):
             derive_permute(d, pi)
 
+    @pytest.mark.parametrize(
+        "make", [lambda: (i for i in (1, 0)), lambda: range(1, -1, -1), lambda: [1, 0]], ids=["generator", "range", "list"]
+    )
+    def test_reads_any_iterable_once(self, make):
+        # A generator is consumed by its first pass, so reading `pi` twice
+        # would see no positions the second time.
+        d = decide_yes("X <: Top, Y <: Top |- X <: Top")
+        assert derive_permute(d, make()) is derive_permute(d, (1, 0))
+
+    @pytest.mark.parametrize("pi", [5, None], ids=["int", "none"])
+    def test_rejects_what_is_not_iterable(self, pi):
+        d = decide_yes("X <: Top, Y <: Top |- X <: Top")
+        with pytest.raises(PreconditionError, match="not a permutation"):
+            derive_permute(d, pi)
+
     def test_rejects_invalid_input(self):
         bad = Derivation(Rule.TOP, parse_env("X <: Y"), Top(), Top())
         with pytest.raises(PreconditionError):

@@ -157,6 +157,24 @@ class TestParseErrors:
         assert info.value.message == "unexpected character '\u00b2'"
         assert info.value.pos == 1
 
+    @pytest.mark.parametrize("ty", ["(X", "X0 -> -> @", "All X <: X . X"])
+    @pytest.mark.parametrize(
+        "parse, line",
+        [(parse_type, "{}"), (parse_env, "Y <: {}"), (parse_judgment, "|- {} <: Top")],
+        ids=["type", "env", "judgment"],
+    )
+    def test_one_error_position_is_computed(self, monkeypatch, parse, line, ty):
+        # Printable ASCII is parsed from its split words first and, on an
+        # error, again from the regex tokens; only the second error, the one
+        # raised, computes its position.
+        calls = []
+        starts = parser._starts
+        monkeypatch.setattr(parser, "_starts", lambda *args: calls.append(args) or starts(*args))
+        with pytest.raises(ParseError) as info:
+            parse(line.format(ty))
+        assert len(calls) == 1
+        assert info.value.pos >= 0
+
 
 class TestLexer:
     def test_scan_reports_public_tokens(self):

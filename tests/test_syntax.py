@@ -297,6 +297,16 @@ class TestInterning:
         assert Forall(Top(), BoundIdx(0)) is Forall(Top(), BoundIdx(0))
         assert Arrow(FreeVar("X"), Top()) is not Arrow(Top(), FreeVar("X"))
 
+    def test_one_constructor_keeps_the_kinds_apart(self):
+        # Both kinds are built by one constructor; each is interned in its
+        # own table, and only a quantifier binds index 0 of its second child.
+        a, f = Arrow(Top(), BoundIdx(0)), Forall(Top(), BoundIdx(0))
+        assert type(a) is Arrow and type(f) is Forall
+        assert (a.dom, a.cod) == (f.bound, f.body) == (Top(), BoundIdx(0))
+        assert (a._escapes, f._escapes) == (1, 0)
+        with pytest.raises(TypeError):
+            Arrow(dom=Top(), cod=Top())
+
     def test_parsing_the_same_text_twice(self):
         text = "All X <: Top -> Y . X -> (All Z <: X . Z) -> Y"
         assert parse_type(text) is parse_type(text)
