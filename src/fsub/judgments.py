@@ -34,9 +34,16 @@ class Env(HashConsed):
     The first time a cell's binding is applied, one scope step
     (`_Scope.declare`) sets the cell's `ok` verdict and the first `X<n>` it
     does not declare, which it keeps.
+
+    `_text` is the cell's canonical text, which `parser.Printer` sets the
+    first time the cell is printed and every later printer reads for as long
+    as the cell lives: None until then, and "" on `EMPTY_ENV`.  A cell keeps
+    only its own text, which is its nearest printed ancestor's text followed
+    by one binding per cell above that ancestor.  Two threads that print the
+    same cell at once both set the same text, so the race is benign.
     """
 
-    __slots__ = ("parent", "name", "bound", "_depth", "_first", "_ok", "_next", "_shadowed")
+    __slots__ = ("parent", "name", "bound", "_depth", "_first", "_ok", "_next", "_shadowed", "_text")
     __match_args__ = ("bindings",)
     parent: Optional["Env"]
     name: Optional[VarName]
@@ -78,6 +85,7 @@ class Env(HashConsed):
             _set_depth(node, self._depth + 1)
             _set_first(node, self._first if self._depth else node)
             _set_ok(node, None)
+            _set_text(node, None)
             node._intern(_ENVS, key)
         return node
 
@@ -93,6 +101,7 @@ _set_first = Env._first.__set__
 _set_ok = Env._ok.__set__
 _set_next = Env._next.__set__
 _set_shadowed = Env._shadowed.__set__
+_set_text = Env._text.__set__
 
 
 def _walk(g: Env) -> list[tuple[VarName, Ty]]:
@@ -110,6 +119,7 @@ for _field in ("parent", "name", "bound", "_first", "_shadowed"):
 _set_depth(EMPTY_ENV, 0)
 _set_ok(EMPTY_ENV, True)
 _set_next(EMPTY_ENV, 0)
+_set_text(EMPTY_ENV, "")
 
 
 def dom(g: Env) -> list[VarName]:

@@ -120,6 +120,8 @@ def derive_weaken(d: Derivation, delta: Env) -> Derivation:
     on top, and a witness that collides with a name of `delta` is re-freshened
     first."""
     _require_valid(d, "derivation")
+    if not isinstance(delta, Env):
+        raise PreconditionError(f"not an environment: {delta!r}")
     combined = env_concat(d.env, delta)
     if not ok(combined):
         raise PreconditionError("weakened environment is not ok")

@@ -38,7 +38,7 @@ from string import ascii_letters
 from typing import Iterator, Optional
 
 from .errors import MalformedTypeError
-from .judgments import EMPTY_ENV, Env
+from .judgments import EMPTY_ENV, Env, _set_text as _set_env_text
 from .syntax import (
     _ARROWS,
     _BOUND_IDXS,
@@ -374,20 +374,19 @@ class Printer:
     that has escaping indices depends only on the names of the binders those
     indices reach, so this printer keeps it under the node followed by those
     names, one for each set bit of the node's `_escapes` mask.  An
-    environment's text is its tail's text plus one binding when the tail
-    has been printed by this printer.  Environment texts stay with the
-    printer and are not kept on `Env` nodes: every environment of a live
-    derivation would then hold its text, and a prototype that kept them
-    raised the `check` benchmark's peak memory by 14%, past its 10% bound
-    (the type texts alone: 8%).  A printer only grows; make one per
-    document.
+    environment's text is canonical too and is kept on its cell (`Env._text`)
+    in the same way, so a printer keeps no environment texts: a cell whose
+    parent has been printed costs one binding.  A `check` pass of the
+    benchmark prints about 4,000 distinct environments, about 0.7 MB of
+    text; keeping them, it ran 10% faster and peaked 3.8% higher, partly
+    through its extra passes (BENCH_39.json).  A printer only grows; make
+    one per document.
     """
 
-    __slots__ = ("texts", "envs")
+    __slots__ = ("texts",)
 
     def __init__(self) -> None:
         self.texts: dict[object, str] = {}
-        self.envs: dict[Env, str] = {}
 
     def type_text(self, t: Ty) -> str:
         """The text of a locally closed type, with minimal parentheses."""
@@ -477,24 +476,27 @@ class Printer:
 
     def env_text(self, g: Env) -> str:
         """Bindings oldest-first; the empty environment is ''."""
-        envs = self.envs
-        text = envs.get(g)
+        if type(g) is not Env:
+            raise TypeError(f"not an environment: {g!r}")
+        text = g._text
         if text is None:
-            # In a derivation every environment but the root's is its
-            # parent's, printed before it, or an extension of it by one
-            # binding.  The first environment printed has no printed tail.
-            tail = envs.get(g.parent) if envs and g.parent is not EMPTY_ENV else None
-            if tail is None:
-                parts = []
-                cell = g
-                while cell is not EMPTY_ENV:
-                    parts.append(f"{cell.name} <: {self.type_text(cell.bound)}")
-                    cell = cell.parent
-                parts.reverse()
-                text = ", ".join(parts)
-            else:
-                text = f"{tail}, {g.name} <: {self.type_text(g.bound)}"
-            envs[g] = text
+            # The bindings of the cells above the nearest printed ancestor,
+            # newest first, then that ancestor's text; the walk ends at the
+            # latest at `EMPTY_ENV`, whose text is "".  In a derivation every
+            # environment but the root's is its parent's or an extension of
+            # it by one binding, printed after it.
+            parts = []
+            cell = g
+            while text is None:
+                parts.append(f"{cell.name} <: {self.type_text(cell.bound)}")
+                cell = cell.parent
+                text = cell._text
+            if text:
+                parts.append(text)
+            parts.reverse()
+            text = ", ".join(parts)
+            # Last: a print that raised sets no text.
+            _set_env_text(g, text)
         return text
 
     def judgment_text(self, g: Env, lhs: Ty, rhs: Ty) -> str:

@@ -19,7 +19,7 @@ from fsub import judgments, parser
 from fsub.cli import run
 from fsub.gen import GenConfig, child_seeds, gen_derivation_pair, gen_narrow_instance
 from fsub.metatheory import derive_narrow, derive_refl, derive_trans, derive_weaken, split_env
-from fsub.parser import parse_env, parse_judgment, parse_type, print_judgment, print_type
+from fsub.parser import parse_env, parse_judgment, parse_type, print_env, print_judgment, print_type
 from fsub.subtyper import Derivation, No, Rule, Yes, check_derivation, decide_sub, diagnose_derivation, scoping_problem
 from fsub.subtyper import derivation_from_json, derivation_to_json, derivation_to_text
 from fsub.syntax import FreeVar, Top
@@ -110,6 +110,11 @@ def broken(n: int) -> Derivation:
     return bad
 
 
+def chain_env(n: int):
+    """The environment `X0 <: Top, ..., Xn <: X(n-1)` of the n-link variable chain."""
+    return parse_env(chain_line(n).partition(" |- ")[0])
+
+
 def chain_pair(n: int) -> tuple[Derivation, Derivation]:
     """`Xn <: X0` down the n-link variable chain, and `X0 <: Top`."""
     d = judged(chain_line)(n)
@@ -177,6 +182,7 @@ TABLE = [
     ("closed-nest", (100, 200, 400, 1000), written(derived(CLOSED)), "from_json", derivation_from_json),
     ("closed-nest", (100, 200, 400), derived(CLOSED), "to_text", derivation_to_text),
     ("closed-nest", (1000, 2000, 4000), broken, "diagnose", lambda bad: must(diagnose_derivation(bad).endswith("to itself"))),
+    ("env-chain", (1000, 2000, 4000, 8000), chain_env, "print", print_env),
     ("far-nest", (500, 1000, 2000), FAR, "parse", parse_type),
     ("far-nest", (500, 1000, 2000, 4000), typed(FAR), "print", print_type),
     ("far-nest", (500, 1000, 2000), typed(FAR), "decide", lambda t: derive(judgments.EMPTY_ENV, t, t)),

@@ -196,6 +196,12 @@ class TestWeaken:
         with pytest.raises(PreconditionError):
             derive_weaken(d, parse_env("X <: Top"))
 
+    @pytest.mark.parametrize("delta", ["Y <: Top", None, Top(), [("Y", Top())]], ids=["str", "none", "type", "list"])
+    def test_rejects_what_is_not_an_environment(self, delta):
+        d = decide_yes("X <: Top |- X <: Top")
+        with pytest.raises(PreconditionError, match="not an environment"):
+            derive_weaken(d, delta)
+
     @given(seeds)
     @settings(max_examples=60)
     def test_generated(self, seed):

@@ -304,6 +304,18 @@ class TestPrint:
         g = Env.from_decls([("X", Top()), ("Y", FreeVar("X"))])
         assert print_env(g) == "X <: Top, Y <: X"
 
+    @pytest.mark.parametrize(
+        "g", [None, Top(), "X <: Top", Arrow(Top(), Top()), Forall(Top(), BoundIdx(0))],
+        ids=["none", "top", "str", "arrow", "forall"],
+    )
+    def test_what_is_not_an_environment_is_a_type_error(self, g):
+        # A closed arrow or quantifier keeps a text of its own once printed.
+        print_type(Arrow(Top(), Top()))
+        print_type(Forall(Top(), BoundIdx(0)))
+        for call in (print_env, lambda g: print_judgment(g, Top(), Top()), Printer().env_text):
+            with pytest.raises(TypeError, match=r"^not an environment: "):
+                call(g)
+
 
 class TestRoundTrip:
     CASES = [

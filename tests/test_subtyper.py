@@ -14,11 +14,20 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
-from fsub.errors import PreconditionError
+from fsub.errors import MalformedTypeError, PreconditionError
 from fsub.gen import GenConfig, enumerate_judgments, gen_derivation
 from fsub import judgments, parser, subtyper
-from fsub.judgments import EMPTY_ENV, Env
-from fsub.parser import ParseError, Printer, parse_env, parse_judgment, parse_type, print_judgment, print_type
+from fsub.judgments import EMPTY_ENV, Env, env_concat
+from fsub.parser import (
+    ParseError,
+    Printer,
+    parse_env,
+    parse_judgment,
+    parse_type,
+    print_env,
+    print_judgment,
+    print_type,
+)
 from fsub.subtyper import (
     ARITY,
     DEFAULT_FUEL,
@@ -667,6 +676,24 @@ class TestTextWorkIsLinear:
         assert derivation_from_json(text) is d
         assert sorted(parsed) == sorted({root["env"], root["lhs"], root["rhs"]})
 
+    def test_an_environment_composes_each_binding_once(self, monkeypatch):
+        # A binding's text is composed where its bound is printed.  Over an
+        # unseen binding every cell of the chain is new.
+        g, s, t = variable_chain(self.N)
+        g = env_concat(EMPTY_ENV.extend(unseen_name(), Top()), g)
+        printed = []
+        type_text = Printer.type_text
+        monkeypatch.setattr(Printer, "type_text", lambda printer, u: printed.append(u) or type_text(printer, u))
+        print_judgment(g, s, t)
+        assert len(printed) == len(g) + 2
+        printed.clear()
+        print_judgment(g, s, t)
+        assert printed == [s, t]
+        printed.clear()
+        bound = Arrow(s, t)
+        assert print_env(g.extend("W", bound)) == f"{g._text}, W <: X{self.N} -> X0"
+        assert printed == [bound]
+
 
 def slot_free_env(g: Env) -> str:
     """`print_env` by the reference printer, which keeps no text."""
@@ -678,6 +705,13 @@ def slot_free_judgment(g: Env, lhs, rhs) -> str:
     env = slot_free_env(g)
     judgment = f"|- {reference_parser.print_type(lhs)} <: {reference_parser.print_type(rhs)}"
     return f"{env} {judgment}" if env else judgment
+
+
+def slot_free_text(d: Derivation, depth: int = 0) -> str:
+    """`derivation_to_text` by the reference printer, recursively."""
+    tag = d.rule.value if d.witness is None else f"{d.rule.value} {d.witness}"
+    line = "  " * depth + f"({tag}) " + slot_free_judgment(d.env, d.lhs, d.rhs)
+    return "\n".join([line] + [slot_free_text(p, depth + 1) for p in d.premises])
 
 
 def slot_free_json(d: Derivation) -> str:
@@ -693,10 +727,10 @@ def slot_free_json(d: Derivation) -> str:
 
 class TestTextsKeptOnNodes:
     """A locally closed arrow or quantifier keeps its text on the node, and
-    nothing else keeps one.  The printers and writers still give the texts
-    of the reference printer, which keeps nothing, on the first and on the
-    second printing, and whether subterms are printed before their parents
-    or after them."""
+    no other type keeps one; a printed environment keeps its text on its
+    cell.  The printers and writers still give the texts of the reference
+    printer, which keeps nothing, on the first and on the second printing,
+    and whether subterms are printed before their parents or after them."""
 
     @given(envs_with_closed_ty(), named_types(max_depth=4), seeds, st.booleans())
     def test_texts_are_the_reference_texts(self, pair, named, seed, subterms_first):
@@ -724,6 +758,44 @@ class TestTextsKeptOnNodes:
                     else:
                         assert text == reference_parser.print_type(node)
 
+    @given(envs_with_closed_ty(), seeds, st.permutations(range(4)))
+    def test_environment_texts_are_the_reference_texts(self, pair, seed, order):
+        g, s = pair
+        # Over an unseen binding every cell of `g` is new, so no print but
+        # this test's has reached it.
+        g = env_concat(EMPTY_ENV.extend(unseen_name(), Top()), g)
+        h = g.extend(unseen_name(), s)
+        d = gen_derivation(GenConfig(seed=seed, max_deriv_depth=4))
+        prints = [
+            lambda: print_judgment(g, s, s) == slot_free_judgment(g, s, s),
+            lambda: derivation_to_json(d) == slot_free_json(d),
+            lambda: derivation_to_text(d) == slot_free_text(d),
+            lambda: print_env(h) == slot_free_env(h),
+        ]
+        for _ in range(2):
+            for i in order:
+                assert prints[i]()
+        printed = {g, h} | {node.env for _, node in iter_nodes(d)}
+        for cell in printed:
+            assert cell._text == slot_free_env(cell)
+        cell = g.parent
+        while cell is not EMPTY_ENV:
+            assert cell._text is None
+            cell = cell.parent
+        assert EMPTY_ENV._text == ""
+
+    @pytest.mark.parametrize("printed_parent", [False, True], ids=["unprinted", "printed"])
+    def test_a_print_that_raises_keeps_no_text(self, printed_parent):
+        g = EMPTY_ENV.extend(unseen_name(), Top())
+        if printed_parent:
+            print_env(g)
+        bad = g.extend("Y", Forall(Top(), BoundIdx(1)))
+        for call in (print_env, lambda bad: print_judgment(bad, Top(), Top())):
+            with pytest.raises(MalformedTypeError):
+                call(bad)
+            assert bad._text is None
+            assert g._text == (slot_free_env(g) if printed_parent else None)
+
 
 DEEP_SERIES = [(series, n, line(n)) for series, line in scaling.SERIES for n in DEEP_SIZES]
 
@@ -742,7 +814,7 @@ class TestWritersOnDeepSeries:
     def test_writers_match_reference(self, series, n, line):
         for d in self.derivations(line):
             assert derivation_to_json(d) == slot_free_json(d)
-            assert derivation_to_text(d) == reference.derivation_to_text(d)
+            assert derivation_to_text(d) == slot_free_text(d)
 
     def test_every_rule_tag_is_written(self):
         tags = {node.rule for _, _, line in DEEP_SERIES for d in self.derivations(line) for _, node in iter_nodes(d)}
