@@ -60,6 +60,8 @@ Measure = tuple[int, int, int]
 def _require_valid(d: Derivation, what: str) -> None:
     # The checker examines only nodes not yet found valid, so an input built
     # from checked parts (another transformer's output) costs its new nodes.
+    if not isinstance(d, Derivation):
+        raise PreconditionError(f"{what} is not a Derivation: {d!r}")
     problem = diagnose_derivation(d)
     if problem is not None:
         raise PreconditionError(f"{what} is not a valid derivation: {problem}")
@@ -76,6 +78,10 @@ def derive_refl(g: Env, s: Ty) -> Derivation:
     """A derivation of `g |- s <: s`.  The algorithmic system is
     syntax-directed, so this is the one the decider finds, with exactly
     `size(s)` nodes."""
+    if not isinstance(g, Env):
+        raise PreconditionError(f"not an environment: {g!r}")
+    if not isinstance(s, Ty):
+        raise PreconditionError(f"not a type: {s!r}")
     if not ok(g):
         raise PreconditionError("environment is not ok")
     if not closed(s, g):
@@ -147,6 +153,8 @@ class EnvSplit:
 
 def split_env(g: Env, x: VarName) -> EnvSplit:
     """Split `g` at the most recent binding of `x`."""
+    if not isinstance(g, Env):
+        raise PreconditionError(f"not an environment: {g!r}")
     pivot = g
     while pivot is not EMPTY_ENV:
         if pivot.name == x:
@@ -166,6 +174,8 @@ def ok_narrow(split: EnvSplit, p: Ty, d_pq: Derivation) -> bool:
 def _narrowed_envs(split: EnvSplit, p: Ty, d_pq: Derivation) -> tuple[Env, Env]:
     # `ok_narrow`'s checks; the split environment and the narrowed one, each
     # assembled once.
+    if not isinstance(split, EnvSplit):
+        raise PreconditionError(f"not an environment split: {split!r}")
     _require_valid(d_pq, "evidence derivation")
     old = split.assemble()
     if not ok(old):

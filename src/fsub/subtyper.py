@@ -186,6 +186,8 @@ DEFAULT_FUEL = 10000
 def preorder(d: Derivation) -> Iterator[tuple[int, int, Derivation]]:
     """All nodes in preorder, each with its depth and its index among its
     parent's premises (0 at the root).  Linear in the size of the tree."""
+    if type(d) is not Derivation:
+        raise TypeError(f"not a derivation: {d!r}")
     stack = [(0, 0, d)]
     while stack:
         depth, i, node = stack.pop()
@@ -330,6 +332,8 @@ def _diagnose(d: Derivation, implicit: bool) -> Optional[str]:
     # carries its node's depth and index among its parent's premises, and
     # path[1:] is the path of the node being examined, as in `iter_nodes`;
     # only the failing node's path becomes a tuple.
+    if type(d) is not Derivation:
+        raise TypeError(f"not a derivation: {d!r}")
     checked: list[Derivation] = []
     path: list[int] = []
     stack = [(0, 0, d)]
@@ -514,7 +518,7 @@ class DeclarativeSearch:
         self._memo: dict[Env, dict[Ty, dict[Ty, int]]] = {}
 
     def provable(self, g: Env, s: Ty, t: Ty, depth: int) -> bool:
-        """True if a declarative derivation of height <= depth exists."""
+        """True if a declarative derivation of height <= depth exists; assumes a well-scoped goal."""
         if depth <= 0:
             return False
         # The three axioms (top, reflexivity, hypothesis) prove a goal at any
@@ -575,12 +579,13 @@ class DeclarativeSearch:
 def decide_sub_declarative(
     g: Env, s: Ty, t: Ty, max_depth: int, search: Optional[DeclarativeSearch] = None
 ) -> bool:
-    """Iterative-deepening provability in the declarative system up to `max_depth`."""
+    """Iterative-deepening provability in the declarative system up to `max_depth`; False when not well scoped."""
     _check_count("max_depth", max_depth)
     engine = search if search is not None else DeclarativeSearch()
-    for depth in range(1, max_depth + 1):
-        if engine.provable(g, s, t, depth):
-            return True
+    if scoping_problem(g, s, t) is None:
+        for depth in range(1, max_depth + 1):
+            if engine.provable(g, s, t, depth):
+                return True
     return False
 
 
@@ -604,40 +609,27 @@ _JSON_HEADS = {rule: '{"rule": %s, "env": ' % _quote(tag) for rule, tag in _TAGS
 def derivation_to_json(d: Derivation) -> str:
     """Serialize with a fixed key order: rule, env, lhs, rhs, witness, premises.
     Types and environments use the surface syntax, so output re-parses exactly."""
-    # The text `json.dumps` gives the nested objects, emitted in preorder
-    # from an explicit stack of (depth, node) pairs: a node at depth k first
-    # closes every open node at depth k or deeper.  Strings are quoted by
-    # json's own encoder, once per distinct environment and type, with the
-    # texts of one printer for the call.  Each node's pieces go straight
-    # into the one list that is joined at the end.
+    # The text `json.dumps` gives the nested objects, in preorder: a node at
+    # depth k first closes every open node at depth k or deeper.  Each node's
+    # pieces go straight into the one list that is joined at the end.  An
+    # environment's text is quoted by json's own encoder once per distinct
+    # environment: a name bound in an `Env` may be any string, and a long
+    # environment is shared by many nodes.  A type's canonical text holds
+    # only names, spaces, `->`, `<:`, `.` and parentheses, none of which JSON
+    # escapes, so it goes between quotes as the printer keeps it.
     printer = Printer()
     env_text, type_text = printer.env_text, printer.type_text
     envs: dict[Env, str] = {}
-    types: dict[Ty, str] = {}
     parts: list[str] = []
     last = -1
-    stack = [(0, d)]
-    while stack:
-        depth, node = stack.pop()
+    for depth, _, node in preorder(d):
         if depth <= last:
             parts.append("]}" * (last - depth + 1) + ", ")
-        g, s, t = node.env, node.lhs, node.rhs
-        env = envs.get(g)
-        if env is None:
-            env = envs[g] = _quote(env_text(g))
-        lhs = types.get(s)
-        if lhs is None:
-            lhs = types[s] = _quote(type_text(s))
-        rhs = types.get(t)
-        if rhs is None:
-            rhs = types[t] = _quote(type_text(t))
-        witness = "null" if node.witness is None else _quote(node.witness)
-        parts += (_JSON_HEADS[node.rule], env, ', "lhs": ', lhs, ', "rhs": ', rhs, ', "witness": ', witness,
-                  ', "premises": [')
+        if node.env not in envs:
+            envs[node.env] = _quote(env_text(node.env))
+        parts += (_JSON_HEADS[node.rule], envs[node.env], ', "lhs": "', type_text(node.lhs), '", "rhs": "', type_text(node.rhs),
+                  '", "witness": ', "null" if node.witness is None else _quote(node.witness), ', "premises": [')
         last = depth
-        premises = node.premises
-        for j in range(len(premises) - 1, -1, -1):
-            stack.append((depth + 1, premises[j]))
     parts.append("]}" * (last + 1))
     return "".join(parts)
 

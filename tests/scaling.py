@@ -167,7 +167,10 @@ def scope_moves(lines) -> int:
 
 # (shape, sizes, input for size n, layer, operation on it); `deque(..., 0)` keeps no output.
 TABLE = [
-    *((shape, (16, 32, 64), judged(line), "to_json", derivation_to_json) for shape, line in SERIES),
+    *((shape, (16, 32, 64), judged(line), "to_json", derivation_to_json) for shape, line in SERIES[:2]),
+    # Every node of the chain's derivation shares one long environment, so
+    # the output is quadratic in n: the writer quotes that environment once.
+    ("chain", (250, 500, 1000), judged(chain_line), "to_json", derivation_to_json),
     *((shape, (16, 32, 64), written(judged(line)), "from_json", derivation_from_json) for shape, line in SERIES),
     ("forall", (64, 128, 256), forall_line, "pipeline", pipeline),
     ("chain", (200, 400, 600, 10_000), chain_pair, "trans", lambda pair: derive_trans(*pair)),

@@ -120,21 +120,28 @@ def test_fuel_of_exactly_the_node_count_gives_the_same_node(tables):
     assert count == 9_858
 
 
-def test_fuel_of_the_least_refuting_amount_gives_the_same_no(tables):
-    # The least fuel f that refutes, found by doubling and then bisection,
-    # refutes with the default fuel's trace and reason, and one less runs out.
-    # Over this universe f runs from 1 to 7.
+def test_the_least_fuel_that_answers_gives_the_default_answer(tables):
+    # Fuel 0, 1, 2, ... until the decider answers: every fuel below that
+    # runs out, and the first answer is the default fuel's, the very same
+    # node at exactly the node count for a `Yes`, the same trace and reason
+    # for a `No`.  The scan assumes no monotonicity in the fuel, and it ends
+    # by the default fuel at the latest, where the answer is the verdict.
+    # Over this universe a `No` first answers at each fuel from 1 to 7.
     count = 0
+    refuting = set()
     for g, table in tables.items():
-        for (s, t), verdict in table.items():
-            if verdict is No:
-                low, high = 0, 1
-                while type(decide_sub(g, s, t, high)) is not No:
-                    low, high = high, 2 * high
-                while high - low > 1:
-                    mid = (low + high) // 2
-                    low, high = (low, mid) if type(decide_sub(g, s, t, mid)) is No else (mid, high)
-                assert decide_sub(g, s, t, high) == decide_sub(g, s, t), (g, s, t)
-                assert decide_sub(g, s, t, high - 1) == Unknown(high - 1), (g, s, t)
-                count += 1
-    assert count == 56_464 - 9_858
+        for s, t in table:
+            answer = decide_sub(g, s, t)
+            fuel = 0
+            while type(first := decide_sub(g, s, t, fuel)) is Unknown:
+                assert first == Unknown(fuel), (g, s, t)
+                fuel += 1
+            if type(answer) is Yes:
+                assert first.derivation is answer.derivation, (g, s, t)
+                assert fuel == sum(1 for _ in preorder(answer.derivation)), (g, s, t)
+            else:
+                assert first == answer, (g, s, t)
+                refuting.add(fuel)
+            count += 1
+    assert count == 56_464
+    assert refuting == set(range(1, 8))

@@ -434,6 +434,31 @@ def quantifier_witnesses(d: Derivation) -> list[str]:
     return sorted({node.witness for _, node in iter_nodes(d) if node.witness is not None})
 
 
+class TestArgumentsOfTheWrongType:
+    """Each public operation tests its arguments' types at entry, so a wrong
+    type is a precondition violation, never an error from inside the kernel."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda d: derive_refl(None, Top()), "not an environment: None"),
+            (lambda d: derive_refl(d.env, "X"), "not a type: 'X'"),
+            (lambda d: split_env(None, "X"), "not an environment: None"),
+            (lambda d: derive_trans(None, d), "left derivation is not a Derivation: None"),
+            (lambda d: derive_permute(None, ()), "derivation is not a Derivation: None"),
+            (lambda d: derive_weaken(None, EMPTY_ENV), "derivation is not a Derivation: None"),
+            (lambda d: derive_narrow(None, Top(), d, d), "not an environment split: None"),
+            (lambda d: derivation_env_facts(None), "derivation is not a Derivation: None"),
+        ],
+        ids=["refl-env", "refl-type", "split_env", "trans", "permute", "weaken", "narrow", "env_facts"],
+    )
+    def test_is_a_precondition_error(self, call, message):
+        d = decide_yes("X <: Top |- X <: Top")
+        with pytest.raises(PreconditionError) as raised:
+            call(d)
+        assert str(raised.value) == message
+
+
 class TestAgainstReferenceWalks:
     """Transitivity, narrowing and weakening give the very nodes, or the very
     errors, that the separate renaming and rebuilding passes of

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fsub.errors import MalformedTypeError, PreconditionError
-from fsub.gen import GenConfig, enumerate_judgments, gen_derivation
+from fsub.gen import GenConfig, child_seeds, enumerate_judgments, enumerate_types, gen_derivation
 from fsub import judgments, parser, subtyper
 from fsub.judgments import EMPTY_ENV, Env, env_concat
 from fsub.parser import (
@@ -49,6 +49,7 @@ from fsub.subtyper import (
     diagnose_derivation,
     diagnose_derivation_implicit,
     iter_nodes,
+    preorder,
     to_explicit,
     to_implicit,
 )
@@ -397,6 +398,16 @@ class TestDeclarative:
         with pytest.raises(PreconditionError, match=r"^max_depth must be an integer >= 0, got "):
             decide_sub_declarative(EMPTY_ENV, Top(), Top(), max_depth)
 
+    @pytest.mark.parametrize(
+        "line", ["|- Z <: Z", "X <: Top, X <: Top |- X <: X", "X <: Top |- Q -> Top <: Top"],
+        ids=["undeclared", "not-ok", "not-closed"],
+    )
+    def test_a_query_that_is_not_well_scoped_is_not_provable(self, line):
+        # As `decide_sub` answers No, though an axiom would prove the goal.
+        g, lhs, rhs = parse_judgment(line)
+        assert isinstance(decide_sub(g, lhs, rhs), No)
+        assert decide_sub_declarative(g, lhs, rhs, 8) is False
+
     def test_depth_zero_proves_nothing(self):
         assert decide_sub_declarative(EMPTY_ENV, Top(), Top(), 0) is False
 
@@ -463,6 +474,23 @@ class TestSerialization:
         back = derivation_from_json(derivation_to_json(d))
         assert back is d
         assert check_derivation(back)
+
+    def test_a_type_text_is_its_own_json_string(self):
+        # The writer puts a side's text between quotes as the printer keeps
+        # it: a canonical type text holds no character that JSON escapes.
+        texts = [print_type(t) for t in enumerate_types(["X0", "X1", "a'", "_b"], 4)]
+        for seed in child_seeds(4004, 2_000):
+            for _, _, node in preorder(gen_derivation(GenConfig(seed=seed))):
+                texts += (print_type(node.lhs), print_type(node.rhs))
+        assert len(texts) > 10_000 and any("'" in text for text in texts) and any("All" in text for text in texts)
+        for text in texts:
+            assert json.dumps(text) == '"' + text + '"'
+
+    def test_an_environment_text_is_escaped(self):
+        # A name bound in an `Env` may be any string.
+        g = Env.from_decls([('a"b\\é', Top())])
+        written = derivation_to_json(Derivation(Rule.TOP, g, Top(), Top()))
+        assert json.loads(written)["env"] == 'a"b\\é <: Top'
 
     def test_json_key_order(self):
         d = decide_yes("|- Top <: Top")
@@ -988,6 +1016,15 @@ class TestHashConsed:
         for premises in (("x",), (leaf, FreeVar("X"))):
             with pytest.raises(TypeError, match="not a derivation"):
                 Derivation(Rule.TRS, X_TOP_Y_X, FreeVar("Y"), FreeVar("X"), premises)
+
+    @pytest.mark.parametrize(
+        "walk",
+        [check_derivation, to_implicit, lambda d: list(iter_nodes(d)), derivation_to_text, derivation_to_json],
+        ids=["check_derivation", "to_implicit", "iter_nodes", "derivation_to_text", "derivation_to_json"],
+    )
+    def test_a_walk_over_what_is_not_a_derivation_is_a_type_error(self, walk):
+        with pytest.raises(TypeError, match=r"^not a derivation: None$"):
+            walk(None)
 
     def test_a_witness_that_is_not_a_name_is_the_checkers_to_report(self):
         d = Derivation(Rule.TOP, EMPTY_ENV, Top(), Top(), witness=3)
