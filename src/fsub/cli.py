@@ -42,7 +42,6 @@ from .subtyper import (
     Unknown,
     Yes,
     _decide,
-    decide_sub,
     decide_sub_declarative,
     derivation_from_json,
     derivation_to_json,
@@ -188,8 +187,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     search = DeclarativeSearch()
     checked = 0
     disagreements = 0
+    # Every enumerated judgment is well scoped, so the decider need not scope
+    # it; the declarative search still does.
     for g, s, t in enumerate_judgments(names, args.max_size, args.max_env):
-        algorithmic = isinstance(decide_sub(g, s, t, fuel=args.fuel), Yes)
+        algorithmic = isinstance(_decide(g, s, t, args.fuel), Yes)
         declarative = decide_sub_declarative(g, s, t, DECLARATIVE_DEPTH, search=search)
         checked += 1
         if algorithmic != declarative:

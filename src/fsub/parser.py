@@ -33,7 +33,6 @@ back into names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from string import ascii_letters
 from typing import Iterator, Optional
 
@@ -72,24 +71,6 @@ class ParseError(Exception):
         if expected:
             detail += f" (expected {', '.join(sorted(expected))})"
         super().__init__(detail)
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
-    end: int
-
-
-@dataclass(frozen=True, slots=True)
-class SourceJudgment:
-    """A judgment line split into its raw sections, with one span per token."""
-
-    env_text: str
-    lhs_text: str
-    rhs_text: str
-    tokens: tuple[Token, ...]
 
 
 _BLANKS = " \t\r\n"
@@ -134,24 +115,22 @@ def _lex(text: str) -> list[str]:
     return words
 
 
-def _starts(text: str, words: list[str], count: int) -> list[int]:
-    # Offsets of the first `count` tokens in `text`.  Only blanks separate a
-    # token from the one before it and no token starts with a blank, so a
-    # token starts at the first occurrence of its text after the previous one.
-    starts = []
+def _start(text: str, words: list[str], i: int) -> int:
+    # The offset of token `i` in `text`.  Only blanks separate a token from
+    # the one before it and no token starts with a blank, so a token starts
+    # at the first occurrence of its text after the previous one.
     pos = 0
-    for word in words[:count]:
-        pos = text.index(word, pos) if word else len(text)
-        starts.append(pos)
-        pos += len(word)
-    return starts
+    for word in words[:i]:
+        pos = text.index(word, pos) + len(word)
+    word = words[i]
+    return text.index(word, pos) if word else len(text)
 
 
 def _error(text: Optional[str], words: list[str], i: int, message: str, expected=frozenset()) -> ParseError:
     # A parse error at token `i`.  Its position is computed only when the
     # text is given; the parse of the split words, whose error is discarded,
     # is given None and leaves -1.
-    return ParseError(message, -1 if text is None else _starts(text, words, i + 1)[i], expected)
+    return ParseError(message, -1 if text is None else _start(text, words, i), expected)
 
 
 def _unexpected(text: Optional[str], words: list[str], i: int, expected: frozenset[str]) -> ParseError:
@@ -315,41 +294,19 @@ def parse_env(text: str) -> Env:
     return _parse(text, _bindings, 0, "")[0]
 
 
-def _parse_judgment(text: Optional[str], words: list[str]) -> tuple[Env, Ty, Ty, tuple[int, int, int, int, int]]:
-    # The three components, and the token indices where the sections end and
-    # start: env end, lhs start and end, rhs start and end.
-    g, env_end = _bindings(text, words, 0, "|-")
-    lhs, lhs_end = _ty(text, words, env_end + 1)
-    if words[lhs_end] != "<:":
-        raise _unexpected(text, words, lhs_end, frozenset(("<:",)))
-    rhs, rhs_end = _ty(text, words, lhs_end + 1)
-    _end(text, words, rhs_end)
-    return g, lhs, rhs, (env_end, env_end + 1, lhs_end, lhs_end + 1, rhs_end)
+def _parse_judgment(text: Optional[str], words: list[str]) -> tuple[Env, Ty, Ty]:
+    g, i = _bindings(text, words, 0, "|-")
+    lhs, i = _ty(text, words, i + 1)
+    if words[i] != "<:":
+        raise _unexpected(text, words, i, frozenset(("<:",)))
+    rhs, i = _ty(text, words, i + 1)
+    _end(text, words, i)
+    return g, lhs, rhs
 
 
 def parse_judgment(text: str) -> tuple[Env, Ty, Ty]:
     """Parse `Env |- Ty <: Ty` into its three components."""
-    g, lhs, rhs, _ = _parse(text, _parse_judgment)
-    return g, lhs, rhs
-
-
-def scan_judgment(text: str) -> SourceJudgment:
-    """Parse a judgment line and report its raw sections and token spans."""
-    words = _lex(text)
-    _, _, _, (env_end, lhs_start, lhs_end, rhs_start, rhs_end) = _parse_judgment(text, words)
-    words.pop()
-    starts = _starts(text, words, len(words))
-
-    def section(start: int, end: int) -> str:
-        # Raw input between the first and last token of a section.
-        return text[starts[start] : starts[end - 1] + len(words[end - 1])] if start < end else ""
-
-    return SourceJudgment(
-        env_text=section(0, env_end),
-        lhs_text=section(lhs_start, lhs_end),
-        rhs_text=section(rhs_start, rhs_end),
-        tokens=tuple(Token(_KINDS.get(word, "ident"), word, pos, pos + len(word)) for word, pos in zip(words, starts)),
-    )
+    return _parse(text, _parse_judgment)
 
 
 def _set_bits(mask: int) -> Iterator[int]:

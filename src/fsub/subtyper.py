@@ -214,6 +214,8 @@ def _assemble(visits: list[tuple[Rule, Env, Ty, Ty, Optional[VarName], int]]) ->
 
 def derivation_height(d: Derivation) -> int:
     """Longest node path from this node to a leaf, counting nodes."""
+    if type(d) is not Derivation:
+        raise TypeError(f"not a derivation: {d!r}")
     return d._height
 
 
@@ -414,7 +416,12 @@ def to_explicit(d: Derivation) -> Derivation:
 
 
 def scoping_problem(g: Env, s: Ty, t: Ty) -> Optional[str]:
-    """Why (g, s, t) is not a well-scoped query, or None."""
+    """Why (g, s, t) is not a well-scoped query, or None.  An argument of the
+    wrong type raises `TypeError`."""
+    if type(g) is not Env:
+        raise TypeError(f"not an environment: {g!r}")
+    if not (isinstance(s, Ty) and isinstance(t, Ty)):
+        raise _not_a_type(s, t)
     if not ok(g):
         return "environment is not ok"
     if not closed(s, g):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from fsub.errors import MalformedTypeError
 from fsub.judgments import Env
-from fsub.parser import ParseError, SourceJudgment, Token
+from fsub.parser import ParseError
 from fsub.syntax import (
     NAME_PATTERN,
     Arrow,
@@ -42,28 +42,27 @@ _KEYWORDS = {"Top", "All"}
 _BLANKS = " \t\r\n"
 _TOKEN_RE = re.compile(rf"[{_BLANKS}]*(?:(->|<:|\|-|[.(),])|({NAME_PATTERN})|([^{_BLANKS}]))")
 
-_RawToken = tuple[str, str, int, int]
+_RawToken = tuple[str, str, int]
 
 
 def lex(text: str) -> list[_RawToken]:
-    """`(kind, text, pos, end)` for every token, then an `eof` token."""
+    """`(kind, text, pos)` for every token, then an `eof` token."""
     tokens: list[_RawToken] = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastindex
         word = m[kind]
         if kind == 1:
-            tokens.append((word, word, m.start(1), m.end()))
+            tokens.append((word, word, m.start(1)))
         elif kind == 2:
-            tokens.append((word if word in _KEYWORDS else "ident", word, m.start(2), m.end()))
+            tokens.append((word if word in _KEYWORDS else "ident", word, m.start(2)))
         else:
             raise ParseError(f"unexpected character {word!r}", m.start(3))
-    tokens.append(("eof", "", len(text), len(text)))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 @dataclass
 class _Parser:
-    text: str
     tokens: list[_RawToken]
     index: int = 0
     scope: list[VarName] = field(default_factory=list)
@@ -85,7 +84,7 @@ class _Parser:
 
     def forall(self) -> Ty:
         self.expect("All")
-        _, binder, binder_pos, _ = self.expect("ident")
+        _, binder, binder_pos = self.expect("ident")
         self.expect("<:")
         bound = self.ty()
         # The bound spells the binder's name as a free variable, or as an index
@@ -125,7 +124,7 @@ class _Parser:
         return t
 
     def atom(self) -> Ty:
-        kind, text, pos, _ = self.tokens[self.index]
+        kind, text, pos = self.tokens[self.index]
         if kind == "Top":
             self.index += 1
             return Top()
@@ -158,58 +157,33 @@ class _Parser:
                 continue
             if self.at(stop):
                 return decls
-            kind, text, pos, _ = self.tokens[self.index]
+            kind, text, pos = self.tokens[self.index]
             raise ParseError(f"unexpected {kind} {text!r}", pos, frozenset((",", stop)))
-
-    def slice_text(self, start: int, end: int) -> str:
-        if start >= end:
-            return ""
-        return self.text[self.tokens[start][2] : self.tokens[end - 1][3]]
 
 
 def parse_type(text: str) -> Ty:
-    p = _Parser(text, lex(text))
+    p = _Parser(lex(text))
     t = p.ty()
     p.expect("eof")
     return t
 
 
 def parse_env(text: str) -> Env:
-    p = _Parser(text, lex(text))
+    p = _Parser(lex(text))
     decls = p.env_bindings(stop="eof")
     p.expect("eof")
     return Env.from_decls(decls)
 
 
-def _parse_judgment(p: _Parser) -> tuple[Env, Ty, Ty, tuple[int, int, int, int, int]]:
-    decls = p.env_bindings(stop="|-")
-    env_end = p.index
-    p.expect("|-")
-    lhs_start = p.index
-    lhs = p.ty()
-    lhs_end = p.index
-    p.expect("<:")
-    rhs_start = p.index
-    rhs = p.ty()
-    rhs_end = p.index
-    p.expect("eof")
-    return Env.from_decls(decls), lhs, rhs, (env_end, lhs_start, lhs_end, rhs_start, rhs_end)
-
-
 def parse_judgment(text: str) -> tuple[Env, Ty, Ty]:
-    g, lhs, rhs, _ = _parse_judgment(_Parser(text, lex(text)))
-    return g, lhs, rhs
-
-
-def scan_judgment(text: str) -> SourceJudgment:
-    p = _Parser(text, lex(text))
-    _, _, _, (env_end, lhs_start, lhs_end, rhs_start, rhs_end) = _parse_judgment(p)
-    return SourceJudgment(
-        env_text=p.slice_text(0, env_end),
-        lhs_text=p.slice_text(lhs_start, lhs_end),
-        rhs_text=p.slice_text(rhs_start, rhs_end),
-        tokens=tuple(Token(*tok) for tok in p.tokens[:-1]),
-    )
+    p = _Parser(lex(text))
+    decls = p.env_bindings(stop="|-")
+    p.expect("|-")
+    lhs = p.ty()
+    p.expect("<:")
+    rhs = p.ty()
+    p.expect("eof")
+    return Env.from_decls(decls), lhs, rhs
 
 
 def print_type(t: Ty) -> str:

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: output shapes and exit codes."""
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,6 +13,8 @@ import fsub
 from fsub import cli
 from fsub.cli import run
 from fsub.errors import InternalCheckError
+from fsub.gen import GenConfig, child_seeds, gen_derivation_pair, gen_narrow_instance
+from fsub.parser import print_type
 from fsub.subtyper import check_derivation, derivation_from_json, derivation_to_json
 
 
@@ -432,3 +436,115 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be at least" in captured.err
+
+
+# The exit codes the module docstring of `fsub.cli` documents.
+EXIT_CODES = {0, 1, 2, 3, 4}
+# Values that replace a field: each JSON type, names, texts that parse and
+# texts that do not.
+REPLACEMENTS = (None, 0, -1, 1.5, True, "", "X0", "Top", "1x", "X0 <: Top", "All X <: Top . X", "X ->", [], {},
+                ["top"], {"rule": "top"})
+
+
+def mutate_document(rng: random.Random, doc: dict) -> None:
+    """Drop one field of one node of a read derivation document, replace it,
+    or copy it (deeply) from another node."""
+    nodes = [doc]
+    for node in nodes:
+        nodes += node["premises"]
+    node = rng.choice(nodes)
+    key = rng.choice(sorted(node))
+    edit = rng.choice(("drop", "replace", "copy"))
+    if edit == "drop":
+        del node[key]
+    elif edit == "replace":
+        node[key] = rng.choice(REPLACEMENTS)
+    else:
+        other = rng.choice(nodes)
+        if key in other:
+            node[key] = copy.deepcopy(other[key])
+        else:
+            del node[key]
+
+
+def mutate_line(rng: random.Random, line: str) -> str:
+    """`line` with one word deleted, duplicated, swapped with the one before
+    it, replaced by a name or inserted, or with one character inserted."""
+    words = line.replace(",", " ,").split(" ")
+    i = rng.randrange(len(words))
+    edit = rng.choice(("delete", "duplicate", "swap", "name", "insert", "character"))
+    if edit == "delete":
+        del words[i]
+    elif edit == "duplicate":
+        words.insert(i, words[i])
+    elif edit == "swap":
+        words[i - 1], words[i] = words[i], words[i - 1]
+    elif edit == "name":
+        words[i] = rng.choice(("Top", "X0", "X1", "Y"))
+    elif edit == "insert":
+        words.insert(i, rng.choice(("Top", "All", "X0", "<:", "->", ".", "(", ")", ",", "|-", "empty")))
+    else:
+        at = rng.randrange(len(line) + 1)
+        return line[:at] + rng.choice(("(", ")", ",", "@", "1", "\u00e9", "\t")) + line[at:]
+    return " ".join(words)
+
+
+class TestMalformedInput:
+    """Seeded mutations of well-formed input: every run returns a documented
+    exit code, raises nothing and reports no internal error.  The exit codes
+    each command meets are pinned, so that the mutations are seen to reach
+    past the reader's and the parser's checks."""
+
+    def outcomes(self, capsys, cases) -> set[int]:
+        codes = set()
+        for argv, shown in cases:
+            code = run(argv)
+            err = capsys.readouterr().err
+            assert code in EXIT_CODES and "internal error" not in err, (shown, code, err)
+            codes.add(code)
+        return codes
+
+    def test_trans(self, capsys, tmp_path):
+        rng = random.Random(41)
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+
+        def cases():
+            for seed in child_seeds(41, 200):
+                docs = [json.loads(derivation_to_json(d)) for d in gen_derivation_pair(GenConfig(seed=seed))]
+                mutate_document(rng, rng.choice(docs))
+                left.write_text(json.dumps(docs[0]))
+                right.write_text(json.dumps(docs[1]))
+                yield ["trans", str(left), str(right)], docs
+
+        assert self.outcomes(capsys, cases()) == {0, 3, 4}
+
+    def test_narrow(self, capsys, tmp_path):
+        rng = random.Random(42)
+        file, evidence = tmp_path / "d.json", tmp_path / "evidence.json"
+
+        def cases():
+            for seed in child_seeds(42, 120):
+                split, p, d, d_pq = gen_narrow_instance(GenConfig(seed=seed))
+                docs = [json.loads(derivation_to_json(d)), json.loads(derivation_to_json(d_pq))]
+                mutate_document(rng, rng.choice(docs))
+                file.write_text(json.dumps(docs[0]))
+                evidence.write_text(json.dumps(docs[1]))
+                argv = ["narrow", str(file), "--pivot", split.pivot_var, "--new-bound", print_type(p),
+                        "--evidence", str(evidence)]
+                yield argv, docs
+
+        assert self.outcomes(capsys, cases()) == {0, 3, 4}
+
+    def test_check(self, capsys, tmp_path):
+        rng = random.Random(43)
+        assert run(["gen", "--seed", "43", "--count", "300"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        path = tmp_path / "judgments.txt"
+
+        def cases():
+            for line in lines:
+                mutated = mutate_line(rng, line)
+                path.write_text(mutated + "\n", encoding="utf-8")
+                yield ["check", str(path), "--fuel", "200"], mutated
+
+        assert self.outcomes(capsys, cases()) == {0, 1, 3}

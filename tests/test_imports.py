@@ -14,6 +14,9 @@ import pytest
 
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "fsub"
+# The modules of the tests that hold no tests: references, models,
+# strategies and the scaling table.
+HELPERS = sorted(TESTS.glob("reference_*.py")) + [TESTS / name for name in ("naive.py", "strategies.py", "scaling.py")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,19 +52,28 @@ def test_an_unused_import_is_found():
 
 
 
-def dead_definitions(sources: dict[str, str]) -> list[str]:
+def mentioned_names(tree: ast.AST) -> set[str]:
+    """Every name mentioned in `tree`, as a name or an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def dead_definitions(sources: dict[str, str], used: frozenset[str] = frozenset()) -> list[str]:
     """The top-level functions and classes of the modules (module name to
     source) that live code does not reach.  Live code is every top-level
-    statement that is not a definition, the names listed in `__all__`, and
-    the definitions that live code names (as a name or an attribute, in any
+    statement that is not a definition, the names listed in `__all__`, the
+    names in `used` (those that code outside the modules mentions), and the
+    definitions that live code names (as a name or an attribute, in any
     module), found to a fixpoint: a definition that only dead ones name is
     dead too, and so is a cycle of them."""
     defs: dict[str, list[tuple[str, set[str]]]] = {}
-    live_names: list[str] = []
+    live_names: list[str] = list(used)
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            nodes = [n for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))]
-            named = {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
+            named = mentioned_names(stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.setdefault(stmt.name, []).append((module, named))
                 continue
@@ -82,6 +94,14 @@ def test_no_dead_definition():
     assert dead_definitions({path.stem: path.read_text() for path in PACKAGE.glob("*.py")}) == []
 
 
+def test_no_dead_test_helper():
+    # A helper is live when a test module or conftest.py mentions it
+    # anywhere, or a live helper does.
+    users = sorted(TESTS.glob("test_*.py")) + [TESTS / "conftest.py"]
+    used = frozenset().union(*(mentioned_names(ast.parse(path.read_text())) for path in users))
+    assert dead_definitions({path.stem: path.read_text() for path in HELPERS}, used) == []
+
+
 def test_a_dead_definition_is_found():
     sources = {
         "a": (
@@ -93,6 +113,7 @@ def test_a_dead_definition_is_found():
         "c": "def _shared():\n    return 2\n",
     }
     assert dead_definitions(sources) == ["a._Unused", "a._dead", "a._reached_from_dead"]
+    assert dead_definitions(sources, frozenset(("_dead",))) == ["a._Unused"]
 
 
 # One class per module of the package, by module.

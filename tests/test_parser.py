@@ -16,14 +16,12 @@ from fsub.judgments import EMPTY_ENV, Env, dom, ok
 from fsub.parser import (
     ParseError,
     Printer,
-    Token,
     parse_env,
     parse_judgment,
     parse_type,
     print_env,
     print_judgment,
     print_type,
-    scan_judgment,
 )
 from fsub.syntax import _FREE_VARS, Arrow, BoundIdx, Forall, FreeVar, Top, alpha_eq, fv
 from fsub.subtyper import Yes, check_derivation, decide_sub, derivation_to_json
@@ -168,8 +166,8 @@ class TestParseErrors:
         # error, again from the regex tokens; only the second error, the one
         # raised, computes its position.
         calls = []
-        starts = parser._starts
-        monkeypatch.setattr(parser, "_starts", lambda *args: calls.append(args) or starts(*args))
+        start = parser._start
+        monkeypatch.setattr(parser, "_start", lambda *args: calls.append(args) or start(*args))
         with pytest.raises(ParseError) as info:
             parse(line.format(ty))
         assert len(calls) == 1
@@ -177,23 +175,6 @@ class TestParseErrors:
 
 
 class TestLexer:
-    def test_scan_reports_public_tokens(self):
-        text = "X <: Top |-\tX  ->\nTop <: Top "
-        tokens = scan_judgment(text).tokens
-        assert all(type(tok) is Token for tok in tokens)
-        assert [(tok.kind, tok.text, tok.pos, tok.end) for tok in tokens] == [
-            ("ident", "X", 0, 1),
-            ("<:", "<:", 2, 4),
-            ("Top", "Top", 5, 8),
-            ("|-", "|-", 9, 11),
-            ("ident", "X", 12, 13),
-            ("->", "->", 15, 17),
-            ("Top", "Top", 18, 21),
-            ("<:", "<:", 22, 24),
-            ("Top", "Top", 25, 28),
-        ]
-        assert all(text[tok.pos : tok.end] == tok.text for tok in tokens)
-
     ATOM = frozenset(("Top", "All", "ident", "("))
 
     @pytest.mark.parametrize(
@@ -268,13 +249,6 @@ class TestParseJudgment:
     def test_empty_keyword_env(self):
         g, lhs, rhs = parse_judgment("empty |- Top <: Top")
         assert g == Env()
-
-    def test_scan_spans_cover_sections(self):
-        text = "X <: Top |- X <: Top -> Top"
-        src = scan_judgment(text)
-        assert src.env_text.strip() == "X <: Top"
-        assert src.lhs_text.strip() == "X"
-        assert src.rhs_text.strip() == "Top -> Top"
 
 
 class TestPrint:
@@ -381,7 +355,7 @@ def corrupted_texts(draw: st.DrawFn) -> str:
     swapped with the next, a stray or non-ASCII character, an unbalanced
     parenthesis, or a trailing comma."""
     text = draw(source_texts())
-    spans = [(pos, end) for _, _, pos, end in ref.lex(text)[:-1]]
+    spans = [(pos, pos + len(word)) for _, word, pos in ref.lex(text)[:-1]]
     edit = draw(st.sampled_from(("none", "delete", "duplicate", "swap", "stray", "paren", "comma")))
     if edit == "comma":
         return text + ","
@@ -420,7 +394,6 @@ class TestAgainstReference:
             (parse_type, ref.parse_type),
             (parse_env, ref.parse_env),
             (parse_judgment, ref.parse_judgment),
-            (scan_judgment, ref.scan_judgment),
         ):
             assert outcome(new, text) == outcome(old, text), (new, text)
 
@@ -436,7 +409,6 @@ class TestAgainstReference:
             (parse_type, ref.parse_type),
             (parse_env, ref.parse_env),
             (parse_judgment, ref.parse_judgment),
-            (scan_judgment, ref.scan_judgment),
         ):
             assert outcome(new, text) == outcome(old, text), (new, text)
 

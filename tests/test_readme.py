@@ -10,6 +10,7 @@ import re
 import sys
 from pathlib import Path
 
+import fsub
 from fsub.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -54,6 +55,19 @@ def test_cli_example(tmp_path, monkeypatch, capsys):
 def test_library_example(capsys):
     exec(compile(library_example(), str(README), "exec"), {})
     assert capsys.readouterr().out == ""
+
+
+def public_names() -> list[str]:
+    """The names of the "Public names" section's list, in order."""
+    text = README.read_text(encoding="utf-8")
+    (section,) = re.findall(r"^## Public names\n(.*?)^## ", text, re.MULTILINE | re.DOTALL)
+    return re.findall(r"^- `(\w+)`", section, re.MULTILINE)
+
+
+def test_public_names_are_the_exports():
+    names = public_names()
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(fsub.__all__)
 
 
 if __name__ == "__main__":

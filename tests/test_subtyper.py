@@ -50,6 +50,7 @@ from fsub.subtyper import (
     diagnose_derivation_implicit,
     iter_nodes,
     preorder,
+    scoping_problem,
     to_explicit,
     to_implicit,
 )
@@ -290,6 +291,30 @@ class TestSubResult:
                 assert isinstance(result, SubResult)
                 kinds.add(type(result))
         assert kinds == {Yes, No, Unknown}
+
+
+class TestArgumentsOfTheWrongType:
+    """The deciders test their arguments' types at entry, in `scoping_problem`,
+    so a wrong type is a `TypeError` naming the argument, never an error from
+    inside the kernel."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: scoping_problem(None, Top(), Top()), "not an environment: None"),
+            (lambda: scoping_problem(EMPTY_ENV, "X", Top()), "not a type: 'X'"),
+            (lambda: decide_sub("X <: Top", Top(), Top()), "not an environment: 'X <: Top'"),
+            (lambda: decide_sub(EMPTY_ENV, Top(), None), "not a type: None"),
+            (lambda: decide_sub_declarative(None, Top(), Top(), 2), "not an environment: None"),
+            (lambda: decide_sub_declarative(EMPTY_ENV, "Top", Top(), 2), "not a type: 'Top'"),
+            (lambda: derivation_height(None), "not a derivation: None"),
+        ],
+        ids=["scope-env", "scope-type", "decide-env", "decide-type", "declarative-env", "declarative-type", "height"],
+    )
+    def test_is_a_type_error(self, call, message):
+        with pytest.raises(TypeError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 class TestImplicitExplicit:
