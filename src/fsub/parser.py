@@ -54,6 +54,7 @@ from .syntax import (
     Ty,
     VarName,
     _Pair,
+    _not_a_type,
     _set_text,
     fv,
     is_var_name,
@@ -356,7 +357,9 @@ class Printer:
             return t.name
         if kind is Top:
             return "Top"
-        if not isinstance(t, Ty) or t._escapes:
+        if not isinstance(t, Ty):
+            raise _not_a_type(t)
+        if t._escapes:
             raise MalformedTypeError(f"cannot print: {t!r}")
         text = t._text
         if text is not None:

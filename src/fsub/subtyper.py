@@ -14,6 +14,7 @@ conditions preserves validity.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
@@ -89,7 +90,7 @@ class Derivation(HashConsed):
     so malformed trees can be built for negative tests.
     Nodes are hash-consed like types, so `premises` must be a tuple, and keep
     their height (the longest node path to a leaf) in `_height`.  `_valid`
-    is left unset until the explicit checker finds the node's tree valid.
+    is False on a new node until the explicit checker finds its tree valid.
     """
 
     __slots__ = ("rule", "env", "lhs", "rhs", "premises", "witness", "_height", "_valid")
@@ -129,6 +130,7 @@ class Derivation(HashConsed):
             _set_premises(node, premises)
             _set_witness(node, witness)
             _set_height(node, height + 1)
+            _set_valid(node, False)
             node._intern(_DERIVATIONS, key)
         return node
 
@@ -341,7 +343,7 @@ def _diagnose(d: Derivation, implicit: bool) -> Optional[str]:
     stack = [(0, 0, d)]
     while stack:
         depth, i, node = stack.pop()
-        if not implicit and getattr(node, "_valid", False):
+        if not implicit and node._valid:
             continue
         path[depth:] = (i,)
         problem = _diagnose_node(node, implicit)
@@ -521,8 +523,9 @@ class DeclarativeSearch:
 
     def __init__(self) -> None:
         # g -> s -> t -> 2h if `g |- s <: t` is provable within height h,
-        # 2h + 1 if it is not.  Nesting the keys saves a goal tuple per entry.
-        self._memo: dict[Env, dict[Ty, dict[Ty, int]]] = {}
+        # 2h + 1 if it is not.  Nesting the keys saves a goal tuple per entry;
+        # a row is made on its first read.
+        self._memo: defaultdict[Env, defaultdict[Ty, dict[Ty, int]]] = defaultdict(lambda: defaultdict(dict))
 
     def provable(self, g: Env, s: Ty, t: Ty, depth: int) -> bool:
         """True if a declarative derivation of height <= depth exists; assumes a well-scoped goal."""
@@ -534,19 +537,14 @@ class DeclarativeSearch:
             return True
         if depth == 1:
             return False
-        rows = self._memo.get(g)
-        if rows is None:
-            rows = self._memo[g] = {}
-        codes = rows.get(s)
-        if codes is None:
-            codes = rows[s] = {}
+        codes = self._memo[g][s]
         code = codes.get(t)
         if code is not None:
+            # A refutation within a height of at least `depth`, or a proof
+            # within one of at most `depth`, answers the goal.
             height, failed = divmod(code, 2)
-            if failed and depth <= height:
-                return False
-            if not failed and height <= depth:
-                return True
+            if (depth <= height) if failed else (height <= depth):
+                return not failed
         found = self._search(g, s, t, depth - 1)
         codes[t] = 2 * depth + (not found)
         return found
@@ -576,10 +574,10 @@ class DeclarativeSearch:
         # abstractions, so only nodes outside every body qualify.
         for side in (s, t):
             raw.extend(node for node, depth in nodes(side) if depth == 0)
-        seen: dict[Ty, None] = {}
-        for m in raw:
-            if m != s and m != t:
-                seen.setdefault(m, None)
+        # Distinct midpoints in order of first occurrence, the sides excepted.
+        seen = dict.fromkeys(raw)
+        seen.pop(s, None)
+        seen.pop(t, None)
         return list(seen)
 
 
@@ -657,15 +655,13 @@ def derivation_from_json(text: str) -> Derivation:
     # Preorder on an explicit stack, each premise paired with the conclusion
     # its parent's rule demands of it, or None.  A node passes one key-set
     # test and one lookup of its tag among the rule values; the checks after
-    # them raise in the schema's order.  Each distinct string is resolved
-    # once: to the wanted environment or type when the string is its
-    # canonical text, since parsing that text gives the very same interned
-    # object, and otherwise by parsing, so a bad string raises where it
-    # first occurs.
+    # them raise in the schema's order.  A string is the wanted environment
+    # or type when it is that object's canonical text, since parsing the
+    # text gives the very same interned object, and is otherwise parsed
+    # where it occurs, so a bad string raises where it first occurs.  A
+    # right side spelled as its left side is that left side.
     printer = Printer()
     env_text, type_text = printer.env_text, printer.type_text
-    envs: dict[str, Env] = {}
-    types: dict[str, Ty] = {}
     visits: list[tuple[Rule, Env, Ty, Ty, Optional[VarName], int]] = []
     stack: list[tuple[object, Optional[Goal]]] = [(json.loads(text), None)]
     while stack:
@@ -686,15 +682,9 @@ def derivation_from_json(text: str) -> Derivation:
         if type(g_text) is not str or type(s_text) is not str or type(t_text) is not str:
             key = next(key for key in ("env", "lhs", "rhs") if type(obj[key]) is not str)
             raise ValueError(f"{key} must be a string of surface syntax")
-        g = envs.get(g_text)
-        if g is None:
-            g = envs[g_text] = want[0] if want is not None and env_text(want[0]) == g_text else parse_env(g_text)
-        s = types.get(s_text)
-        if s is None:
-            s = types[s_text] = want[1] if want is not None and type_text(want[1]) == s_text else parse_type(s_text)
-        t = types.get(t_text)
-        if t is None:
-            t = types[t_text] = want[2] if want is not None and type_text(want[2]) == t_text else parse_type(t_text)
+        g = want[0] if want is not None and env_text(want[0]) == g_text else parse_env(g_text)
+        s = want[1] if want is not None and type_text(want[1]) == s_text else parse_type(s_text)
+        t = s if t_text == s_text else want[2] if want is not None and type_text(want[2]) == t_text else parse_type(t_text)
         visits.append((rule, g, s, t, witness, len(premises)))
         if premises:
             goals = _premise_goals(_TO_EXPLICIT.get(rule, rule), g, s, t, witness)

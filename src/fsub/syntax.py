@@ -10,7 +10,7 @@ same fields, so structurally equal types are the same object, `==` is `is`
 and `hash` costs the same at any depth.  Each node also keeps its size, its
 escaping bound indices and its free names, computed once from its children's,
 so `size`, `is_locally_closed` and `fv` read a slot instead of walking a tree.
-Two more facts are filled on first use: the last opening of a node as an
+Two more facts are None until first use: the last opening of a node as an
 abstraction body, and the canonical text of a locally closed arrow or
 quantifier, which the printer composes once for the node's lifetime.
 `Arrow` and `Forall` are one pair node with one constructor: they differ
@@ -129,8 +129,8 @@ class Ty(HashConsed):
     occurrence under d of its own binders is `BoundIdx(d + k)` (0 if it is
     locally closed); and `_fv`, its free names.  The constructor sets all
     three when it builds the node, an inner node from its children's.  A
-    fourth, `_opened`, is left unset until `open_ty` first opens the node as
-    an abstraction body, and then holds its last (name, opened body) pair.
+    fourth, `_opened`, is None on a node with an index until `open_ty` first
+    opens it as an abstraction body, then its last (name, opened body) pair.
     A fifth, `_text`, is the canonical text `parser.Printer` gives a locally
     closed `Arrow` or `Forall`: None until the node is first printed, and
     never set on a leaf or on a node with an escaping index, whose text
@@ -213,6 +213,7 @@ class BoundIdx(Ty):
             _set_size(node, 1)
             _set_escapes(node, 1 << index)
             _set_fv(node, _NO_NAMES)
+            _set_opened(node, None)
             node._intern(_BOUND_IDXS, index)
         return node
 
@@ -242,6 +243,7 @@ class _Pair(Ty):
             # The free names reuse a child's set when the union adds nothing.
             a, b = first._fv, second._fv
             _set_fv(node, a if b <= a else b if a <= b else a | b)
+            _set_opened(node, None)
             _set_text(node, None)
             node._intern(table, key)
         return node
@@ -346,7 +348,7 @@ def open_ty(body: Ty, name: VarName) -> Ty:
     costs a slot read; its name was validated when it was kept."""
     escapes = body._escapes
     if escapes == 1:
-        last = getattr(body, "_opened", None)
+        last = body._opened
         if last is not None and last[0] == name:
             return last[1]
     elif escapes:

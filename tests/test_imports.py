@@ -51,6 +51,31 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == ["Callable (line 1)"]
 
 
+def literal_getattr_defaults(source: str) -> list[str]:
+    """The three-argument `getattr` calls on a literal name: each reads a
+    fact that some object may have left unset, where a slot that every
+    constructor fills is one plain read."""
+    return [
+        f"{node.args[1].value} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+        and len(node.args) == 3 and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_getattr_default_on_a_literal_name(path):
+    assert literal_getattr_defaults(path.read_text()) == []
+
+
+def test_a_getattr_default_is_found():
+    source = (
+        "a = getattr(x, '_valid', False)\nb = getattr(x, name, None)\nc = getattr(x, 'name')\n"
+        "def f(y):\n    return getattr(y, '_opened', None)\n"
+    )
+    assert literal_getattr_defaults(source) == ["_valid (line 1)", "_opened (line 5)"]
+
+
 
 def mentioned_names(tree: ast.AST) -> set[str]:
     """Every name mentioned in `tree`, as a name or an attribute."""

@@ -761,7 +761,7 @@ def not_yet_valid(*ds: Derivation) -> list[Derivation]:
         stack = [d]
         while stack:
             node = stack.pop()
-            if not getattr(node, "_valid", False):
+            if not node._valid:
                 out.append(node)
                 stack += reversed(node.premises)
     return out

@@ -271,6 +271,17 @@ class TestPrint:
         with pytest.raises(MalformedTypeError, match=r"^cannot print: BoundIdx\(index=0\)$"):
             print_type(BoundIdx(0))
 
+    @pytest.mark.parametrize("bad", [None, "Top"], ids=["none", "str"])
+    @pytest.mark.parametrize(
+        "call",
+        [print_type, lambda t: print_judgment(EMPTY_ENV, t, Top()), lambda t: print_judgment(EMPTY_ENV, Top(), t)],
+        ids=["type", "judgment-lhs", "judgment-rhs"],
+    )
+    def test_what_is_not_a_type_is_a_type_error(self, call, bad):
+        with pytest.raises(TypeError) as raised:
+            call(bad)
+        assert str(raised.value) == f"not a type: {bad!r}"
+
     def test_judgment_with_empty_env(self):
         assert print_judgment(Env(), Top(), Top()) == "|- Top <: Top"
 

@@ -933,6 +933,17 @@ class TestValidity:
         assert isinstance(result, Yes)
         return result.derivation
 
+    def test_a_new_node_is_not_valid_until_its_tree_passes(self):
+        d = self.unseen("X <: Top |- All Y <: X . Y -> Y <: All Y <: X . Y -> Top")
+        bad = Derivation(Rule.ARR, d.env, Arrow(d.lhs, d.rhs), Arrow(d.lhs, d.rhs), (d, d))
+        assert [node._valid for _, node in iter_nodes(bad)] == [False] * node_count(bad)
+        # A tree that fails marks none of its nodes, not even its valid parts.
+        assert not check_derivation(bad)
+        assert [node._valid for _, node in iter_nodes(bad)] == [False] * node_count(bad)
+        assert check_derivation(d)
+        assert all(node._valid for _, node in iter_nodes(d))
+        assert not check_derivation(bad) and not bad._valid
+
     def test_a_second_check_examines_no_node(self, diagnosed):
         d = self.unseen("X <: Top, Y <: X |- All Z <: Y . Z -> Y <: All Z <: Y . Z -> X")
         assert check_derivation(d)
@@ -1445,3 +1456,29 @@ class TestReaderAgainstReference:
         rows = [(path, node.rule, node.witness, len(node.premises)) for path, node in iter_nodes(expected)]
         assert [(path, node.rule, node.witness, len(node.premises)) for path, node in iter_nodes(got)] == rows
         assert all(a is b for (_, x), (_, y) in zip(iter_nodes(expected), iter_nodes(got)) for a, b in zip(x.concl, y.concl))
+
+    @given(seeds, st.integers(1, 6), st.none() | st.tuples(st.integers(0, 1 << 16), st.sampled_from(("env", "lhs", "rhs"))))
+    def test_strings_respelled_at_every_node(self, seed, depth, broken):
+        # Every environment re-spaced and every type in extra parentheses,
+        # so no string is canonical and each distinct one recurs at many
+        # nodes; at most one occurrence is broken.
+        d = gen_derivation(GenConfig(seed=seed, max_deriv_depth=depth))
+        root = json.loads(derivation_to_json(d))
+        objs = [root]
+        for obj in objs:
+            objs += obj["premises"]
+        for obj in objs:
+            obj["env"] = obj["env"].replace(" ", "  ") or "empty"
+            obj["lhs"] = f"({obj['lhs']})"
+            obj["rhs"] = f"( ({obj['rhs']}) )"
+        if broken is not None:
+            i, key = broken
+            objs[i % len(objs)][key] += " ->" if key != "env" else ","
+        text = json.dumps(root)
+        expected, expected_err = read(reference_json.derivation_from_json, text)
+        got, err = read(derivation_from_json, text)
+        if broken is None:
+            assert got is d and expected is d
+        else:
+            assert expected is None and type(err) is type(expected_err) and str(err) == str(expected_err)
+            assert (err.message, err.pos, err.expected) == (expected_err.message, expected_err.pos, expected_err.expected)

@@ -42,7 +42,7 @@ from naive import (
     named_subst,
     to_ln,
 )
-from strategies import named_types, var_names
+from strategies import named_types, unseen_name, var_names
 
 
 class TestFreeVariables:
@@ -91,6 +91,22 @@ class TestOpen:
         monkeypatch.setattr(syntax, "FreeVar", lambda name: built.append(name))
         assert open_ty(body, "Y") is opened
         assert built == []
+
+    @pytest.mark.parametrize(
+        "build", [lambda x: Arrow(BoundIdx(0), x), lambda x: Forall(x, Arrow(x, BoundIdx(1)))], ids=["arrow", "forall"]
+    )
+    def test_a_new_body_keeps_no_opening_until_opened(self, build):
+        body = build(FreeVar(unseen_name()))
+        assert body._opened is None
+        opened = open_ty(body, "Y")
+        assert body._opened == ("Y", opened)
+
+    def test_a_bound_index_keeps_its_opening(self):
+        # An index above 0 escapes any body it is, so it is never opened.
+        assert BoundIdx(1000)._opened is None
+        index = BoundIdx(0)
+        open_ty(index, "Y")
+        assert index._opened == ("Y", FreeVar("Y"))
 
     @pytest.mark.parametrize("body", [Top(), Arrow(BoundIdx(0), FreeVar("Z"))], ids=["closed", "kept"])
     def test_an_opening_not_kept_validates_its_name(self, body):
