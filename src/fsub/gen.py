@@ -16,13 +16,13 @@ enumerating a type never names, opens or closes a binder.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import PreconditionError
 from .judgments import EMPTY_ENV, Env, dom, fresh_for_env, gfresh, lookup, witness_for
 from .metatheory import EnvSplit, derive_refl, split_env
-from .subtyper import Derivation, Yes, _ALL, _ARR, _TOP, _TRS, decide_sub, preorder
-from .syntax import Arrow, BoundIdx, Forall, FreeVar, Top, Ty, VarName, _Pair, close_ty, fv, open_ty, size
+from .subtyper import Derivation, Yes, _ALL, _ARR, _TOP, _TRS, decide_sub
+from .syntax import Arrow, BoundIdx, Forall, FreeVar, Top, Ty, VarName, _Pair, close_ty, open_ty, size
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -289,74 +289,6 @@ def gen_narrow_instance(
     else:
         d = _synth_either(g, _gen_ty(g, cfg.max_ty_size, rng), cfg.max_deriv_depth, rng)
     return split, p, d, d_pq
-
-
-# ---------------------------------------------------------------- shrinking
-
-
-def shrink_env(g: Env) -> Iterator[Env]:
-    """Smaller ok environments: drop a binding no later bound depends on, or
-    blunt a bound to Top."""
-    decls = g.decls()
-    for i, (name, _) in enumerate(decls):
-        used_later = any(name in fv(b) for _, b in decls[i + 1 :])
-        if not used_later:
-            yield Env.from_decls(decls[:i] + decls[i + 1 :])
-    for i, (name, bound) in enumerate(decls):
-        if size(bound) > 1:
-            yield Env.from_decls(decls[:i] + ((name, Top()),) + decls[i + 1 :])
-
-
-def shrink_ty(t: Ty, g: Env = Env()) -> Iterator[Ty]:
-    """Strictly smaller types still closed in `g`."""
-    # A preorder over the positions of `t` on an explicit stack, so a type of
-    # any depth shrinks.  A position is a subterm, its environment and the
-    # chain of steps that rebuild the whole type around a candidate for the
-    # subterm, innermost first.  Each position offers Top and its children.
-    stack: list[tuple[Ty, Env, Optional[tuple]]] = [(t, g, None)]
-    while stack:
-        t, g, chain = stack.pop()
-        if size(t) > 1:
-            yield _rebuild(Top(), chain)
-        match t:
-            case Arrow(dom, cod):
-                yield _rebuild(dom, chain)
-                yield _rebuild(cod, chain)
-                stack.append((cod, g, (lambda c, dom=dom: Arrow(dom, c), chain)))
-                stack.append((dom, g, (lambda c, cod=cod: Arrow(c, cod), chain)))
-            case Forall(bound, body):
-                yield _rebuild(bound, chain)
-                opener = witness_for(g, bound, body)
-                step = lambda c, bound=bound, opener=opener: Forall(bound, close_ty(c, opener))
-                stack.append((open_ty(body, opener), g.extend(opener, bound), (step, chain)))
-                stack.append((bound, g, (lambda c, body=body: Forall(c, body), chain)))
-
-
-def _rebuild(candidate: Ty, chain: Optional[tuple]) -> Ty:
-    # The whole type with `candidate` at the position `chain` leads back from.
-    while chain is not None:
-        step, chain = chain
-        candidate = step(candidate)
-    return candidate
-
-
-def shrink_derivation(d: Derivation) -> Iterator[Derivation]:
-    """Valid subderivations, shallowest first; every premise of a valid tree is
-    itself a valid tree over its own environment."""
-    for _, _, node in preorder(d):
-        yield from node.premises
-
-
-def shrink(value: object, g: Env = Env()) -> Iterator[object]:
-    """Dispatch to the matching shrinker; the stream is finite and each
-    candidate is strictly smaller by the matching measure."""
-    if isinstance(value, Env):
-        return shrink_env(value)
-    if isinstance(value, Ty):
-        return shrink_ty(value, g)
-    if isinstance(value, Derivation):
-        return shrink_derivation(value)
-    raise PreconditionError(f"cannot shrink a {type(value).__name__}")
 
 
 # ---------------------------------------------------------------- enumeration

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .syntax import _MISS, HashConsed, Ty, VarName, _set_field, fv, is_var_name
+from .syntax import _MISS, HashConsed, Ty, VarName, fv, is_var_name
 
 _ENVS: dict = {}
 
@@ -114,8 +114,8 @@ def _walk(g: Env) -> list[tuple[VarName, Ty]]:
 
 
 EMPTY_ENV = object.__new__(Env)
-for _field in ("parent", "name", "bound", "_first", "_shadowed"):
-    _set_field(EMPTY_ENV, _field, None)
+for _set in (_set_parent, _set_name, _set_bound, _set_first, _set_shadowed):
+    _set(EMPTY_ENV, None)
 _set_depth(EMPTY_ENV, 0)
 _set_ok(EMPTY_ENV, True)
 _set_next(EMPTY_ENV, 0)
@@ -252,6 +252,9 @@ def fresh_for_env(g: Env) -> VarName:
 
 def env_concat(g: Env, delta: Env) -> Env:
     """`g` followed by `delta`; every binding of `delta` is newer than all of `g`."""
+    for env in (g, delta):
+        if type(env) is not Env:
+            raise TypeError(f"not an environment: {env!r}")
     for name, bound in delta.decls():
         g = g.extend(name, bound)
     return g

@@ -586,10 +586,13 @@ def decide_sub_declarative(
 ) -> bool:
     """Iterative-deepening provability in the declarative system up to `max_depth`; False when not well scoped."""
     _check_count("max_depth", max_depth)
-    engine = search if search is not None else DeclarativeSearch()
+    if search is None:
+        search = DeclarativeSearch()
+    elif not isinstance(search, DeclarativeSearch):
+        raise TypeError(f"not a declarative search: {search!r}")
     if scoping_problem(g, s, t) is None:
         for depth in range(1, max_depth + 1):
-            if engine.provable(g, s, t, depth):
+            if search.provable(g, s, t, depth):
                 return True
     return False
 

@@ -55,10 +55,6 @@ def _forget(entry: _Entry) -> None:
 _MISS = type(None)
 
 
-# Sets a field of a new node, past the `__setattr__` that forbids it.
-_set_field = object.__setattr__
-
-
 class HashConsed:
     """Immutable value of which at most one equal instance is alive.
 
@@ -141,8 +137,8 @@ class Ty(HashConsed):
     __slots__ = ("_size", "_escapes", "_fv", "_opened", "_text")
 
 
-# Setters of the facts, straight through their slots: cheaper than
-# `_set_field`, and a node is built often.
+# Setters of a new node's fields, straight through their slots, past the
+# `__setattr__` that forbids assignment.
 _set_size = Ty._size.__set__
 _set_escapes = Ty._escapes.__set__
 _set_fv = Ty._fv.__set__
@@ -188,12 +184,15 @@ class FreeVar(Ty):
             if not is_var_name(name):
                 raise MalformedTypeError(f"invalid variable name: {name!r}")
             node = object.__new__(cls)
-            _set_field(node, "name", name)
+            _set_name(node, name)
             _set_size(node, 1)
             _set_escapes(node, 0)
             _set_fv(node, frozenset((name,)))
             node._intern(_FREE_VARS, name)
         return node
+
+
+_set_name = FreeVar.name.__set__
 
 
 class BoundIdx(Ty):
@@ -209,13 +208,16 @@ class BoundIdx(Ty):
             if index < 0:
                 raise MalformedTypeError(f"negative bound index: {index}")
             node = object.__new__(cls)
-            _set_field(node, "index", index)
+            _set_index(node, index)
             _set_size(node, 1)
             _set_escapes(node, 1 << index)
             _set_fv(node, _NO_NAMES)
             _set_opened(node, None)
             node._intern(_BOUND_IDXS, index)
         return node
+
+
+_set_index = BoundIdx.index.__set__
 
 
 class _Pair(Ty):

@@ -1,10 +1,12 @@
 """Cold scaling figures on deep shapes: `PYTHONPATH=src python tests/scaling.py`.
 
-Each row of `TABLE` gives a shape, its sizes, the input for a size n, a layer
-and the operation on that input.  Each cell prints one line, `<shape> <layer>
-n=<n> <seconds> s <peak> MB <outcome>[ count=<count>]`: the best of `K` timed
-rounds, the `tracemalloc` peak of one more round, `ok` or the type of the
-exception raised, and the count an operation that counts returns.  Types and
+Each row of `TABLE` gives a shape, its sizes, the input for a size n, a layer,
+the operation on that input and the class in n its peak is expected to have.
+Each cell prints one line, `<shape> <layer> n=<n> <seconds> s <peak> MB
+<class> <outcome>[ count=<count>]`: the best of `K` timed rounds, the
+`tracemalloc` peak of one more round, the row's expected class, `ok` or the
+type of the exception raised, and the count an operation that counts
+returns.  The class is reported, not checked.  Types and
 derivations are interned and keep their texts, opened bodies and validity, so
 every round makes its input afresh once the last round's is freed.  The
 `arrow`, `forall` and `chain` shapes are the `deep` benchmark's series lines.
@@ -26,6 +28,14 @@ from fsub.syntax import FreeVar, Top
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import arrow_line, chain_line, forall_line  # noqa: E402
+
+# The classes of a peak in n: linear; quadratic because the output is (a
+# deep derivation writes n conclusions of size up to n, or the chain's long
+# environment at each of its n nodes); or quadratic by an open defect: the
+# texts the printer keeps on each node (ROADMAP item 12) or the free-name set
+# each pair node keeps (ROADMAP item 15).
+LINEAR, FORMAT, TEXTS, NAMES = "linear", "quadratic:format", "quadratic:texts", "quadratic:names"
+MEMORY_CLASSES = (LINEAR, FORMAT, TEXTS, NAMES)
 
 K = 3
 FUEL = 100_000  # more than any judgment below needs: the 10,000-link chain takes 10,001
@@ -165,53 +175,55 @@ def scope_moves(lines) -> int:
     return len(moves)
 
 
-# (shape, sizes, input for size n, layer, operation on it); `deque(..., 0)` keeps no output.
+# (shape, sizes, input for size n, layer, operation on it, class of its
+# peak); `deque(..., 0)` keeps no output.
 TABLE = [
-    *((shape, (16, 32, 64), judged(line), "to_json", derivation_to_json) for shape, line in SERIES[:2]),
+    *((shape, (16, 32, 64), judged(line), "to_json", derivation_to_json, FORMAT) for shape, line in SERIES[:2]),
     # Every node of the chain's derivation shares one long environment, so
     # the output is quadratic in n: the writer quotes that environment once.
-    ("chain", (250, 500, 1000), judged(chain_line), "to_json", derivation_to_json),
-    *((shape, (16, 32, 64), written(judged(line)), "from_json", derivation_from_json) for shape, line in SERIES),
-    ("forall", (64, 128, 256), forall_line, "pipeline", pipeline),
-    ("chain", (200, 400, 600, 10_000), chain_pair, "trans", lambda pair: derive_trans(*pair)),
-    ("chain", (200, 400, 600, 10_000), chain_narrowing, "narrow", lambda case: derive_narrow(*case)),
-    ("closed-nest", (500, 1000, 2000), typed(CLOSED), "decide", lambda t: derive(judgments.EMPTY_ENV, t, t)),
-    ("closed-nest", (500, 1000, 2000), derived(CLOSED), "check", lambda d: must(check_derivation(d))),
+    ("chain", (250, 500, 1000), judged(chain_line), "to_json", derivation_to_json, FORMAT),
+    *((shape, (16, 32, 64), written(judged(line)), "from_json", derivation_from_json, FORMAT) for shape, line in SERIES),
+    ("forall", (64, 128, 256), forall_line, "pipeline", pipeline, FORMAT),
+    ("chain", (200, 400, 600, 10_000), chain_pair, "trans", lambda pair: derive_trans(*pair), LINEAR),
+    ("chain", (200, 400, 600, 10_000), chain_narrowing, "narrow", lambda case: derive_narrow(*case), LINEAR),
+    ("closed-nest", (500, 1000, 2000), typed(CLOSED), "decide", lambda t: derive(judgments.EMPTY_ENV, t, t), LINEAR),
+    ("closed-nest", (500, 1000, 2000), derived(CLOSED), "check", lambda d: must(check_derivation(d)), LINEAR),
     ("closed-nest", (100, 200, 400, 500, 800, 1000, 2000), derived(CLOSED), "weaken",
-     lambda d: derive_weaken(d, parse_env("W <: Top"))),
-    ("closed-nest", (100, 200, 400, 800), derived(CLOSED), "trans", lambda d: derive_trans(d, d)),
-    ("closed-nest", (1000, 2000, 4000), typed(CLOSED), "print", print_type),
-    ("closed-nest", (100, 200, 400), derived(CLOSED), "to_json", derivation_to_json),
-    ("closed-nest", (100, 200, 400, 1000), written(derived(CLOSED)), "from_json", derivation_from_json),
-    ("closed-nest", (100, 200, 400), derived(CLOSED), "to_text", derivation_to_text),
-    ("closed-nest", (1000, 2000, 4000), broken, "diagnose", lambda bad: must(diagnose_derivation(bad).endswith("to itself"))),
-    ("env-chain", (1000, 2000, 4000, 8000), chain_env, "print", print_env),
-    ("far-nest", (500, 1000, 2000), FAR, "parse", parse_type),
-    ("far-nest", (500, 1000, 2000, 4000), typed(FAR), "print", print_type),
-    ("far-nest", (500, 1000, 2000), typed(FAR), "decide", lambda t: derive(judgments.EMPTY_ENV, t, t)),
-    ("far-nest", (500, 1000, 2000), derived(FAR), "check", lambda d: must(check_derivation(d))),
-    ("curried-nest", (100, 250), typed(CURRIED), "decide", lambda t: derive(judgments.EMPTY_ENV, t, t)),
-    ("curried-nest", (100, 250), typed(CURRIED), "print", print_type),
-    ("name-chain", (500, 1000, 2000), lambda n: " -> ".join(f"X{i}" for i in range(n)), "parse", parse_type),
-    ("gen-corpus", (2000,), corpus, "check", check_round),
-    ("gen-corpus", (2000,), corpus, "parse", lambda lines: deque(map(parse_judgment, lines), 0)),
-    ("gen-corpus", (2000,), corpus, "lex", lambda lines: deque(map(parser._split, lines), 0)),
-    ("gen-corpus", (2000,), corpus, "scope", scope_moves),
+     lambda d: derive_weaken(d, parse_env("W <: Top")), LINEAR),
+    ("closed-nest", (100, 200, 400, 800), derived(CLOSED), "trans", lambda d: derive_trans(d, d), LINEAR),
+    ("closed-nest", (1000, 2000, 4000), typed(CLOSED), "print", print_type, TEXTS),
+    ("closed-nest", (100, 200, 400), derived(CLOSED), "to_json", derivation_to_json, FORMAT),
+    ("closed-nest", (100, 200, 400, 1000), written(derived(CLOSED)), "from_json", derivation_from_json, FORMAT),
+    ("closed-nest", (100, 200, 400), derived(CLOSED), "to_text", derivation_to_text, FORMAT),
+    ("closed-nest", (1000, 2000, 4000), broken, "diagnose",
+     lambda bad: must(diagnose_derivation(bad).endswith("to itself")), LINEAR),
+    ("env-chain", (1000, 2000, 4000, 8000), chain_env, "print", print_env, LINEAR),
+    ("far-nest", (500, 1000, 2000), FAR, "parse", parse_type, LINEAR),
+    ("far-nest", (500, 1000, 2000, 4000), typed(FAR), "print", print_type, TEXTS),
+    ("far-nest", (500, 1000, 2000), typed(FAR), "decide", lambda t: derive(judgments.EMPTY_ENV, t, t), LINEAR),
+    ("far-nest", (500, 1000, 2000), derived(FAR), "check", lambda d: must(check_derivation(d)), LINEAR),
+    ("curried-nest", (100, 250), typed(CURRIED), "decide", lambda t: derive(judgments.EMPTY_ENV, t, t), NAMES),
+    ("curried-nest", (100, 250), typed(CURRIED), "print", print_type, TEXTS),
+    ("name-chain", (500, 1000, 2000), lambda n: " -> ".join(f"X{i}" for i in range(n)), "parse", parse_type, NAMES),
+    ("gen-corpus", (2000,), corpus, "check", check_round, LINEAR),
+    ("gen-corpus", (2000,), corpus, "parse", lambda lines: deque(map(parse_judgment, lines), 0), LINEAR),
+    ("gen-corpus", (2000,), corpus, "lex", lambda lines: deque(map(parser._split, lines), 0), LINEAR),
+    ("gen-corpus", (2000,), corpus, "scope", scope_moves, LINEAR),
     ("criterion-2", (1000,), lambda n: [gen_derivation_pair(GenConfig(seed=s, max_deriv_depth=6)) for s in child_seeds(2002, n)],
-     "trans", lambda cases: deque((derive_trans(*case) for case in cases), 0)),
+     "trans", lambda cases: deque((derive_trans(*case) for case in cases), 0), LINEAR),
     ("criterion-3", (50,), lambda n: [gen_narrow_instance(GenConfig(seed=s), force_pivot_chain=True) for s in child_seeds(3003, n)],
-     "narrow", lambda cases: deque((derive_narrow(*case) for case in cases), 0)),
+     "narrow", lambda cases: deque((derive_narrow(*case) for case in cases), 0), LINEAR),
 ]
 
 
-def line(shape: str, layer: str, n: int, make, operation) -> str:
+def line(shape: str, layer: str, n: int, make, operation, memory: str) -> str:
     """One cell's figures as a printed line."""
     best, peak, outcome, count = measure(make, operation, n)
     tail = "" if count is None else f" count={count}"
-    return f"{shape:<12} {layer:<9} n={n:<6} {best:10.6f} s {peak:8.1f} MB {outcome}{tail}"
+    return f"{shape:<12} {layer:<9} n={n:<6} {best:10.6f} s {peak:8.1f} MB {memory:<16} {outcome}{tail}"
 
 
 if __name__ == "__main__":
-    for shape, sizes, make, layer, operation in TABLE:
+    for shape, sizes, make, layer, operation, memory in TABLE:
         for n in sizes:
-            print(line(shape, layer, n, make, operation), flush=True)
+            print(line(shape, layer, n, make, operation, memory), flush=True)

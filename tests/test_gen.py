@@ -1,8 +1,6 @@
-"""Seeded generation, shrinking, and the exhaustive enumerators."""
+"""Seeded generation and the exhaustive enumerators."""
 
 import hashlib
-import inspect
-import sys
 
 import pytest
 from hypothesis import given
@@ -25,17 +23,13 @@ from fsub.gen import (
     gen_env_extension,
     gen_narrow_instance,
     gen_refl_case,
-    shrink,
-    shrink_derivation,
-    shrink_env,
-    shrink_ty,
 )
 from fsub.judgments import EMPTY_ENV, Env, closed, env_concat, ok
 from fsub.metatheory import derive_narrow, derive_trans
-from fsub.parser import parse_env, parse_judgment, parse_type, print_judgment
-from fsub.subtyper import Rule, check_derivation, decide_sub, derivation_height, derivation_to_json
+from fsub.parser import parse_env, parse_type, print_judgment
+from fsub.subtyper import Rule, check_derivation, derivation_to_json
 from fsub.syntax import Forall, FreeVar, Top, fresh, fv, open_ty, size
-from strategies import seeds, variable_chain
+from strategies import seeds
 
 import reference_gen as reference
 
@@ -191,91 +185,6 @@ class TestGenDerivation:
             assert check_derivation(out)
             chains += 1
         assert chains == 50
-
-
-class TestShrink:
-    def test_empty_env_has_no_shrinks(self):
-        assert list(shrink_env(EMPTY_ENV)) == []
-
-    def test_env_candidates_stay_ok_and_smaller(self):
-        g = parse_env("X <: Top, Y <: X, Z <: Top")
-        candidates = list(shrink_env(g))
-        assert candidates
-        for smaller in candidates:
-            assert ok(smaller)
-            measure = (len(smaller), sum(size(b) for _, b in smaller.bindings))
-            assert measure < (len(g), sum(size(b) for _, b in g.bindings))
-
-    def test_env_bound_is_blunted_to_top(self):
-        g = parse_env("X <: Top, Y <: X -> X")
-        assert list(shrink_env(g)) == [parse_env("X <: Top"), parse_env("X <: Top, Y <: Top")]
-
-    def test_derivation_shrinks_to_its_premises(self):
-        g, lhs, rhs = parse_judgment("X <: Top |- All Y <: X . Y <: All Y <: X . Y")
-        d = decide_sub(g, lhs, rhs).derivation
-        assert list(shrink(d)) == list(d.premises)
-
-    def test_dependent_binding_not_dropped(self):
-        g = parse_env("X <: Top, Y <: X")
-        for smaller in shrink_env(g):
-            assert ok(smaller)
-
-    def test_ty_candidates_closed_and_smaller(self):
-        g = parse_env("X <: Top")
-        t = parse_type("(X -> Top) -> All Y <: X . Y")
-        seen = 0
-        for smaller in shrink_ty(t, g):
-            assert size(smaller) < size(t)
-            assert closed(smaller, g)
-            seen += 1
-        assert seen > 0
-
-    def test_top_has_no_ty_shrinks(self):
-        assert list(shrink_ty(Top())) == []
-
-    def test_ty_candidates_match_the_recursive_shrinker(self):
-        for seed in child_seeds(5, 300):
-            g, t = gen_refl_case(GenConfig(seed=seed))
-            assert list(shrink_ty(t, g)) == list(reference.shrink_ty(t, g))
-
-    @pytest.mark.parametrize(
-        "text, count",
-        [(" -> ".join(["X"] * 201), 600), ("".join(f"All Y{i} <: Top . " for i in range(200)) + "X", 400)],
-        ids=["arrows", "quantifiers"],
-    )
-    def test_deep_types_shrink_without_recursing(self, text, count):
-        # Every arrow offers Top and its two sides, every quantifier Top and
-        # its bound.  The interpreter's stack is capped 100 frames above this
-        # test's own, which a shrinker recursing once per level overruns.
-        g, t = parse_env("X <: Top"), parse_type(text)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
-        try:
-            candidates = list(shrink(t, g))
-        finally:
-            sys.setrecursionlimit(limit)
-        assert len(candidates) == count
-
-    def test_derivation_candidates_valid_and_lower(self):
-        cfg = GenConfig(seed=21, max_deriv_depth=4)
-        d = gen_derivation(cfg)
-        for smaller in shrink_derivation(d):
-            assert derivation_height(smaller) < derivation_height(d)
-            assert check_derivation(smaller)
-
-    def test_derivation_candidates_of_a_long_chain(self):
-        g, lhs, rhs = variable_chain(2_000)
-        d = decide_sub(g, lhs, rhs, fuel=2_001).derivation
-        candidates = list(shrink_derivation(d))
-        assert len(candidates) == 2_000
-        assert [c.lhs for c in candidates[:2]] == [FreeVar("X1999"), FreeVar("X1998")]
-        assert candidates[-1].rule == Rule.VAR
-
-    def test_dispatcher(self):
-        assert list(shrink(EMPTY_ENV)) == []
-        assert list(shrink(Top())) == []
-        with pytest.raises(PreconditionError):
-            list(shrink("not a shrinkable value"))
 
 
 class TestEnumerators:

@@ -152,6 +152,11 @@ class TestConcat:
         assert env_concat(X_TOP_Y_X, EMPTY_ENV) == X_TOP_Y_X
         assert env_concat(EMPTY_ENV, X_TOP_Y_X) == X_TOP_Y_X
 
+    def test_what_is_not_an_environment_is_a_type_error(self):
+        for g, delta, bad in ((X_TOP_Y_X, None, None), (X_TOP_Y_X, "Z <: Top", "'Z <: Top'"), (None, EMPTY_ENV, None)):
+            with pytest.raises(TypeError, match=f"^not an environment: {bad}$"):
+                env_concat(g, delta)
+
 
 class TestInterning:
     """Environments are hash-consed like types: equal bindings give one object."""

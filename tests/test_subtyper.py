@@ -307,9 +307,19 @@ class TestArgumentsOfTheWrongType:
             (lambda: decide_sub(EMPTY_ENV, Top(), None), "not a type: None"),
             (lambda: decide_sub_declarative(None, Top(), Top(), 2), "not an environment: None"),
             (lambda: decide_sub_declarative(EMPTY_ENV, "Top", Top(), 2), "not a type: 'Top'"),
+            (lambda: decide_sub_declarative(EMPTY_ENV, Top(), Top(), 2, search="memo"), "not a declarative search: 'memo'"),
             (lambda: derivation_height(None), "not a derivation: None"),
         ],
-        ids=["scope-env", "scope-type", "decide-env", "decide-type", "declarative-env", "declarative-type", "height"],
+        ids=[
+            "scope-env",
+            "scope-type",
+            "decide-env",
+            "decide-type",
+            "declarative-env",
+            "declarative-type",
+            "declarative-search",
+            "height",
+        ],
     )
     def test_is_a_type_error(self, call, message):
         with pytest.raises(TypeError) as raised:
@@ -1391,15 +1401,24 @@ CORRUPTIONS = ("type", "env", "witness", "missing key", "premise", "rule")
 RULE_TAGS = ("TOP", "Top", 1, None, True, ["top"], {"tag": "top"})
 
 
+def decoded_objects(d: Derivation) -> tuple[dict, list[dict]]:
+    """The decoded JSON document of `d` and its objects in preorder, the
+    order in which `iter_nodes(d)` yields the nodes they describe."""
+    root = json.loads(derivation_to_json(d))
+    objs, stack = [], [root]
+    while stack:
+        obj = stack.pop()
+        objs.append(obj)
+        stack += reversed(obj["premises"])
+    return root, objs
+
+
 @st.composite
 def json_documents(draw):
     """`gen_derivation` JSON, with some strings respelled or keys reordered
     at drawn nodes, and at most one corruption."""
     d = gen_derivation(GenConfig(seed=draw(seeds), max_deriv_depth=draw(st.integers(1, 6))))
-    root = json.loads(derivation_to_json(d))
-    objs = [root]
-    for obj in objs:
-        objs += obj["premises"]
+    root, objs = decoded_objects(d)
     nodes = [node for _, node in iter_nodes(d)]
     index = st.integers(0, len(objs) - 1)
     for i, edit in draw(st.lists(st.tuples(index, st.sampled_from(("env", "lhs", "rhs", "keys"))), max_size=4)):
@@ -1443,6 +1462,15 @@ class TestReaderAgainstReference:
     `reference_json`: the same nodes with the very same interned
     conclusions, or the same exception."""
 
+    def test_each_decoded_object_describes_its_node(self):
+        # `json_documents` respells an object's strings from the node it is
+        # paired with, so each must be paired with the node it describes.
+        for seed in range(200):
+            d = gen_derivation(GenConfig(seed=seed, max_deriv_depth=6))
+            _, objs = decoded_objects(d)
+            texts = [(obj["env"], obj["lhs"], obj["rhs"]) for obj in objs]
+            assert texts == [(print_env(n.env), print_type(n.lhs), print_type(n.rhs)) for _, n in iter_nodes(d)]
+
     @given(json_documents())
     def test_reader_matches_reference(self, text):
         expected, expected_err = read(reference_json.derivation_from_json, text)
@@ -1463,10 +1491,7 @@ class TestReaderAgainstReference:
         # so no string is canonical and each distinct one recurs at many
         # nodes; at most one occurrence is broken.
         d = gen_derivation(GenConfig(seed=seed, max_deriv_depth=depth))
-        root = json.loads(derivation_to_json(d))
-        objs = [root]
-        for obj in objs:
-            objs += obj["premises"]
+        root, objs = decoded_objects(d)
         for obj in objs:
             obj["env"] = obj["env"].replace(" ", "  ") or "empty"
             obj["lhs"] = f"({obj['lhs']})"
